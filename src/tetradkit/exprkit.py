@@ -128,18 +128,6 @@ class Chart:
             raise ChartDomainError(f"point {tuple(point)} outside chart box {self.bounds}")
         return point
 
-    def sample_points(self, n: int, seed: int, margin: float = 0.01) -> np.ndarray:
-        """n uniform points from the box shrunk by a relative margin per side.
-
-        The margin keeps finite-difference stencils of the test oracle inside
-        the box.  Deterministic for a fixed seed.
-        """
-        rng = np.random.default_rng(seed)
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        pad = (hi - lo) * margin
-        return rng.uniform(lo + pad, hi - pad, size=(n, DIM))
-
 
 # -- AST -------------------------------------------------------------------
 

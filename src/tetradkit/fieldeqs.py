@@ -1,7 +1,10 @@
 """Action density, field-equation residuals, and matter sources.
 
 Everything here is a pure function of jets produced by the frame fields in
-``geometry``.  Two normalization facts thread through the module:
+``geometry``.  The field-level functions read those jets from a
+``PointJets``, which derives each one once per point; each reads the tetrad
+before the connection, the order that decides which fault a point reports
+when both fail.  Two normalization facts thread through the module:
 
 * ``internal_wedge`` alternates over whole index blocks with unit weight, so
   relative to a product of individually labeled factors each epsilon
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +63,9 @@ from .jets import (
     jet_matrix_inverse,
     jet_reciprocal,
 )
+
+if TYPE_CHECKING:
+    from .pointjets import PointJets
 
 EIGHT_PI = 8.0 * math.pi
 SIXTEEN_PI = 16.0 * math.pi
@@ -117,7 +123,11 @@ def riemann_jet(e_jet: Jet, omega_jet: Jet) -> Jet:
     strength consumes a derivative.
     """
     f = field_strength_jet(omega_jet)
-    einv = inverse_tetrad_jet(e_jet)
+    return _riemann_from(e_jet, inverse_tetrad_jet(e_jet), f)
+
+
+def _riemann_from(e_jet: Jet, einv: Jet, f: Jet) -> Jet:
+    """``riemann_jet`` from the inverse tetrad and field strength jets."""
     mixed = jet_einsum("sa,abmn->sbmn", einv, f)
     lowered = jet_map(lambda arr: np.einsum("sbmn...,bc->scmn...", arr, ETA), mixed)
     return jet_einsum("scmn,cw->mnws", lowered, e_jet)
@@ -132,7 +142,12 @@ def einstein_jet(e_jet: Jet, omega_jet: Jet) -> Jet:
     f = field_strength_jet(omega_jet)
     einv = inverse_tetrad_jet(e_jet)
     g = metric_jet(e_jet)
-    riemann = riemann_jet(e_jet, omega_jet)
+    return _einstein_from(_riemann_from(e_jet, einv, f), einv, g, f)
+
+
+def _einstein_from(riemann: Jet, einv: Jet, g: Jet, f: Jet) -> Jet:
+    """``einstein_jet`` from the Riemann, inverse tetrad, metric and field
+    strength jets."""
     ricci = jet_map(lambda arr: np.einsum("msws...->mw...", arr), riemann)
     half = jet_einsum("ma,abmw->bw", einv, f)
     scalar = jet_einsum("wb,bw->", einv, half).scaled(-1.0)
@@ -179,7 +194,10 @@ def stress_tensor_to_form(t_jet: Jet, e_jet: Jet, kappa: float) -> MixedForm:
     """
     einv = inverse_tetrad_jet(e_jet)
     ginv = jet_matrix_inverse(metric_jet(e_jet))
-    det = determinant_jet(e_jet)
+    return _stress_form_from(t_jet, einv, ginv, determinant_jet(e_jet), kappa)
+
+
+def _stress_form_from(t_jet: Jet, einv: Jet, ginv: Jet, det: Jet, kappa: float) -> MixedForm:
     d = jet_einsum("ma,mn->an", einv, t_jet)
     d = jet_einsum("an,ns->as", d, ginv)
     d = jet_einsum("as,->as", d, det)
@@ -278,37 +296,41 @@ class MatterModel:
             return True
         return self._frame[0] is e and self._frame[1] is omega
 
-    def stress_jet(self, point: Sequence[float], order: int) -> Jet:
-        """Stress components t[mu, nu] at a point, with derivatives."""
+    def stress_jet(self, jets: PointJets, order: int) -> Jet:
+        """Stress components t[mu, nu] at the point, with derivatives."""
         if self.mode == "vacuum":
             return Jet.zeros((DIM, DIM), order)
         if self.mode == "explicit":
-            return eval_jet_grid(self._stress, point, order)
-        e, omega = self._frame
-        ej = e.jet(point, order)
-        wj = omega.jet(point, order + 1)
-        return einstein_jet(ej, wj).scaled(1.0 / EIGHT_PI)
+            return eval_jet_grid(self._stress, jets.point, order)
+        _require_attached(self, jets)
+        return jets.einstein(order).scaled(1.0 / EIGHT_PI)
 
-    def spin_jet(self, point: Sequence[float], order: int) -> Jet:
-        """Spin components s[mu, nu, sigma] at a point, with derivatives."""
+    def spin_jet(self, jets: PointJets, order: int) -> Jet:
+        """Spin components s[mu, nu, sigma] at the point, with derivatives."""
         if self.mode == "vacuum":
             return Jet.zeros((DIM, DIM, DIM), order)
         if self.mode == "explicit":
-            return self._spin.jet(point, order)
-        e, omega = self._frame
-        ej = e.jet(point, order + 1)
-        wj = omega.jet(point, order)
-        return torsion_q_jet(ej, wj).scaled(-1.0 / SIXTEEN_PI)
+            return self._spin.jet(jets.point, order)
+        _require_attached(self, jets)
+        return jets.torsion_tensor(order).scaled(-1.0 / SIXTEEN_PI)
 
-    def stress_form(self, point: Sequence[float], order: int, e_jet: Jet) -> MixedForm:
+    def stress_form(self, jets: PointJets, order: int) -> MixedForm:
+        """``stress_tensor_to_form`` of the stress jet, sharing the point's
+        inverse tetrad, inverse metric and determinant."""
         if self.mode == "vacuum":
             return MixedForm.zero(3, 1, order)
-        return stress_tensor_to_form(self.stress_jet(point, order), e_jet, self.kappa)
+        return _stress_form_from(
+            self.stress_jet(jets, order),
+            jets.inverse_tetrad(order),
+            jets.inverse_metric(order),
+            jets.determinant(order),
+            self.kappa,
+        )
 
-    def spin_form(self, point: Sequence[float], order: int, e_jet: Jet) -> MixedForm:
+    def spin_form(self, jets: PointJets, order: int) -> MixedForm:
         if self.mode == "vacuum":
             return MixedForm.zero(3, 2, order)
-        return spin_tensor_to_form(self.spin_jet(point, order), e_jet, self.kappa)
+        return spin_tensor_to_form(self.spin_jet(jets, order), jets.e(order), self.kappa)
 
 
 def manufacture_matter(
@@ -321,15 +343,15 @@ def manufacture_matter(
     """Matter whose sources cancel the component equations identically.
 
     Stress is the Einstein tensor over 8 pi, spin is the torsion over
-    -16 pi, both exposed as jet evaluators so identities can differentiate
-    them.  Evaluation raises ``SingularTetradError`` where the frame
-    degenerates.
+    -16 pi, both read from the ``PointJets`` of the bound frame so
+    identities can differentiate them.  Evaluation raises
+    ``SingularTetradError`` where the frame degenerates.
     """
     return MatterModel("manufactured", kappa=kappa, lam=lam, frame=(e, omega))
 
 
-def _require_attached(matter: MatterModel, e: FrameSource, omega: FrameSource):
-    if not matter.attached_to(e, omega):
+def _require_attached(matter: MatterModel, jets: PointJets):
+    if not matter.attached_to(jets.e_source, jets.omega_source):
         raise FieldEquationError("manufactured matter is bound to a different frame")
 
 
@@ -370,59 +392,50 @@ def torsion_three_form(theta_jet: Jet, e_jet: Jet) -> MixedForm:
     return _eps_pair(w).scaled(1.0 / _MULT_PAIR_E)
 
 
-def pc_action_density(
-    e: FrameSource, omega: FrameSource, lam: float, point: Sequence[float]
-) -> float:
+def pc_action_density(jets: PointJets, lam: float) -> float:
     """Coefficient of the coordinate volume form in the action integrand.
 
     Geometric part plus the cosmological term; for a torsion-free
     connection the geometric part is a fixed multiple of the curvature
     scalar times the tetrad determinant.
     """
-    ej = e.jet(point, 0)
+    ej = jets.e(0)
     det = float(np.linalg.det(ej.value))
     if abs(det) <= 1e-10:
         raise SingularTetradError("tetrad determinant vanishes at this point")
-    wj = omega.jet(point, 1)
+    jets.omega(1)
     ef = MixedForm(1, 1, ej)
     ee = internal_wedge(ef, ef)
-    eef = internal_wedge(ee, MixedForm(2, 2, field_strength_jet(wj)))
+    eef = internal_wedge(ee, MixedForm(2, 2, jets.field_strength(0)))
     geo = 0.5 * 24.0 * epsilon_trace(eef).values[0, 1, 2, 3] / _MULT_EEF_TRACE
     vol = 24.0 * epsilon_trace(internal_wedge(ee, ee)).values[0, 1, 2, 3]
     return float(geo + (lam / 24.0) * vol / _MULT_E4_TRACE)
 
 
 def curvature_equation_residual(
-    e: FrameSource,
-    omega: FrameSource,
-    matter: MatterModel,
-    point: Sequence[float],
-    order: int = 0,
+    jets: PointJets, matter: MatterModel, order: int = 0
 ) -> MixedForm:
     """Residual E[a] of the curvature equation as an internal-vector 3-form.
 
     Curvature term plus the cosmological term minus ``kappa`` times the
     stress 3-form.  Zero (to tolerance) exactly on solutions.
     """
-    _require_attached(matter, e, omega)
-    ej = e.jet(point, order)
-    wj = omega.jet(point, order + 1)
+    _require_attached(matter, jets)
+    ej = jets.e(order)
+    jets.omega(order + 1)
     ef = MixedForm(1, 1, ej)
-    resid = curvature_three_form(ej, field_strength_jet(wj))
+    resid = curvature_three_form(ej, jets.field_strength(order))
     if matter.lam != 0.0:
         ee = internal_wedge(ef, ef)
         vol3 = _eps_vector(internal_wedge(ee, ef)).scaled(1.0 / _MULT_E_E_E)
         resid = resid + vol3.scaled(matter.lam / 6.0)
     if matter.mode != "vacuum":
-        resid = resid - matter.stress_form(point, order, ej).scaled(matter.kappa)
+        resid = resid - matter.stress_form(jets, order).scaled(matter.kappa)
     return resid
 
 
 def torsion_equation_sides(
-    e: FrameSource,
-    omega: FrameSource,
-    point: Sequence[float],
-    order: int = 0,
+    jets: PointJets, order: int = 0
 ) -> tuple[MixedForm, MixedForm]:
     """Both routes to the torsion-equation left side, as internal-pair 3-forms.
 
@@ -431,22 +444,20 @@ def torsion_equation_sides(
     against the frame.  A product-rule fact makes them agree identically,
     so their gap doubles as a structural residual check.
     """
-    ej = e.jet(point, order + 1)
-    wj = omega.jet(point, order)
+    ej = jets.e(order + 1)
+    wj = jets.omega(order)
     ef = MixedForm(1, 1, ej)
     ee = internal_wedge(ef, ef)
     lhs = _eps_pair(covariant_exterior_derivative(wj, ee, (1, 1))).scaled(
         0.5 / _MULT_E_E
     )
-    rhs = torsion_three_form(torsion_jet(ej, wj), ej)
+    rhs = torsion_three_form(jets.torsion(order), ej)
     return lhs, rhs
 
 
 def torsion_equation_residual(
-    e: FrameSource,
-    omega: FrameSource,
+    jets: PointJets,
     matter: MatterModel,
-    point: Sequence[float],
     order: int = 0,
     *,
     product_rule_tol: float = 1e-12,
@@ -458,8 +469,8 @@ def torsion_equation_residual(
     ``FieldEquationError``.  The residual subtracts ``kappa`` times the
     spin 3-form from the derivative route.
     """
-    _require_attached(matter, e, omega)
-    lhs, rhs = torsion_equation_sides(e, omega, point, order)
+    _require_attached(matter, jets)
+    lhs, rhs = torsion_equation_sides(jets, order)
     gap = _jet_max_abs((lhs - rhs).jet)
     scale = max(1.0, _jet_max_abs(lhs.jet), _jet_max_abs(rhs.jet))
     if gap > product_rule_tol * scale:
@@ -468,8 +479,7 @@ def torsion_equation_residual(
         )
     resid = lhs
     if matter.mode != "vacuum":
-        ej = e.jet(point, order + 1)
-        resid = resid - matter.spin_form(point, order, ej).scaled(matter.kappa)
+        resid = resid - matter.spin_form(jets, order).scaled(matter.kappa)
     return resid
 
 
@@ -482,39 +492,30 @@ class ComponentResiduals:
 
 
 def component_field_equation_residuals(
-    e: FrameSource,
-    omega: FrameSource,
-    matter: MatterModel,
-    point: Sequence[float],
+    jets: PointJets, matter: MatterModel
 ) -> ComponentResiduals:
     """Einstein-tensor and torsion residuals against the component sources."""
-    _require_attached(matter, e, omega)
-    ej = e.jet(point, 1)
-    wj = omega.jet(point, 1)
-    stress = einstein_jet(ej, wj).value - EIGHT_PI * matter.stress_jet(point, 0).value
-    spin = torsion_q_jet(ej, wj).value + SIXTEEN_PI * matter.spin_jet(point, 0).value
+    _require_attached(matter, jets)
+    jets.e(1)
+    jets.omega(1)
+    stress = jets.einstein(0).value - EIGHT_PI * matter.stress_jet(jets, 0).value
+    spin = jets.torsion_tensor(0).value + SIXTEEN_PI * matter.spin_jet(jets, 0).value
     return ComponentResiduals(stress=stress, spin=spin)
 
 
-def validate_spin_antisymmetry(
-    e: FrameSource,
-    omega: FrameSource,
-    matter: MatterModel,
-    point: Sequence[float],
-    tol: float = 1e-10,
-):
+def validate_spin_antisymmetry(jets: PointJets, matter: MatterModel, tol: float = 1e-10):
     """Assert total antisymmetry of the spin source and of the torsion.
 
     Both tensors are lowered with the metric first; violation raises
     ``FieldEquationError``.  Meant for matter models carrying the
     ``totally_antisymmetric`` flag.
     """
-    ej = e.jet(point, 1)
-    wj = omega.jet(point, 1)
-    g = metric_jet(ej).value
+    jets.e(1)
+    jets.omega(1)
+    g = jets.metric(0).value
     checks = (
-        ("spin source", np.einsum("mns,sr->mnr", matter.spin_jet(point, 0).value, g)),
-        ("torsion", np.einsum("mns,sr->mnr", torsion_q_jet(ej, wj).value, g)),
+        ("spin source", np.einsum("mns,sr->mnr", matter.spin_jet(jets, 0).value, g)),
+        ("torsion", np.einsum("mns,sr->mnr", jets.torsion_tensor(0).value, g)),
     )
     for name, arr in checks:
         scale = max(1.0, float(np.abs(arr).max()))

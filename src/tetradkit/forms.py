@@ -18,6 +18,7 @@ Sign conventions, fixed once here and used everywhere:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -48,7 +49,8 @@ class AntisymmetryError(ValueError):
     """Components violate a required antisymmetry."""
 
 
-def _block_shuffles(n1: int, n2: int) -> list[tuple[int, tuple[int, ...]]]:
+@functools.cache
+def _block_shuffles(n1: int, n2: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Signed (n1, n2) shuffles as (sign, perm) with perm[out_slot] = src_axis."""
     out = []
     for comb in itertools.combinations(range(n1 + n2), n1):
@@ -59,28 +61,40 @@ def _block_shuffles(n1: int, n2: int) -> list[tuple[int, tuple[int, ...]]]:
         for src, dst in enumerate(rest):
             perm[dst] = n1 + src
         out.append((_perm_sign(perm), tuple(perm)))
-    return out
+    return tuple(out)
+
+
+@functools.cache
+def _block_shuffle_axes(start: int, n1: int, n2: int, nax: int) -> tuple:
+    """``_block_shuffles(n1, n2)`` as (sign, transposition) pairs for an
+    array of rank ``nax`` whose blocks begin at axis ``start``; the
+    transposition is None for the identity."""
+    identity = tuple(range(nax))
+    out = []
+    for sign, perm in _block_shuffles(n1, n2):
+        axes = tuple(range(start)) + tuple(start + s for s in perm) + tuple(
+            range(start + n1 + n2, nax)
+        )
+        out.append((sign, None if axes == identity else axes))
+    return tuple(out)
 
 
 def _alt_blocks(jet: Jet, start: int, n1: int, n2: int) -> Jet:
     """Signed shuffle sum merging two adjacent antisymmetric axis blocks."""
     if n1 == 0 or n2 == 0:
         return jet
-    shuffles = _block_shuffles(n1, n2)
     data = []
-    for k in range(jet.order + 1):
-        arr = jet.data[k]
-        nax = arr.ndim
+    for arr in jet.data:
         acc = None
-        for sign, perm in shuffles:
-            axes = list(range(start)) + [start + s for s in perm] + list(
-                range(start + n1 + n2, nax)
-            )
-            piece = arr if axes == list(range(nax)) else np.transpose(arr, axes)
-            term = sign * piece
-            acc = term if acc is None else acc + term
+        for sign, axes in _block_shuffle_axes(start, n1, n2, arr.ndim):
+            piece = arr if axes is None else arr.transpose(axes)
+            # adding or subtracting gives the bits of adding sign * piece
+            if acc is None:
+                acc = piece if sign > 0 else -piece
+            else:
+                acc = acc + piece if sign > 0 else acc - piece
         data.append(acc)
-    return Jet(jet.order, data)
+    return Jet._trusted(jet.order, data)
 
 
 def _antisym_project(arr: np.ndarray, start: int, n: int) -> np.ndarray:
@@ -96,6 +110,8 @@ def _antisym_project(arr: np.ndarray, start: int, n: int) -> np.ndarray:
 
 
 def _check_antisym(arr: np.ndarray, start: int, n: int, what: str):
+    if n < 2:
+        return
     scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
     for i in range(n - 1):
         axes = list(range(arr.ndim))

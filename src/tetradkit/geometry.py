@@ -35,7 +35,7 @@ from .jets import (
     _DLAB,
     Jet,
     JetDomainError,
-    _dist_perms,
+    _shuffle_axes,
     jet_einsum,
     jet_map,
     jet_matrix_inverse,
@@ -181,6 +181,8 @@ def christoffel_jet(e: Jet, omega: Jet, einv: Jet | None = None) -> Jet:
 def field_strength_jet(omega: Jet) -> Jet:
     dw = jet_transpose(jet_partial(omega), (0, 1, 3, 2))  # [a, b, mu, nu] = d_mu omega_nu
     lin = dw - jet_transpose(dw, (0, 1, 3, 2))
+    # the derivative term is one order short, so the product needs no more
+    omega = omega.truncated(lin.order)
     wmat = jet_map(lambda arr: np.einsum("adm...,de->aem...", arr, ETA), omega)
     quad = jet_einsum("aem,ebn->abmn", wmat, omega)
     quad = quad - jet_transpose(quad, (0, 1, 3, 2))
@@ -274,6 +276,32 @@ def torsion(e: FrameSource, omega: FrameSource, point) -> TorsionData:
 _ROWS = [(a, mn) for a in range(DIM) for mn in PAIRS]
 
 
+def _torsion_entries():
+    """Where each tetrad entry enters the torsion system, split by sign.
+
+    Row (a, mu < nu) of the system and column (p < q, rho) of the unknowns
+    meet in at most one term: +-eta e at (q, nu) or (p, nu) when rho = mu,
+    and at (q, mu) or (p, mu) when rho = nu.  Returns index arrays
+    (rows, cols, internal, coordinate) for the added and the subtracted
+    terms.
+    """
+    plus, minus = [], []
+    for i, (a, (mu, nu)) in enumerate(_ROWS):
+        for j, (p, q) in enumerate(PAIRS):
+            if a == p:
+                plus.append((i, 4 * j + mu, q, nu))
+                minus.append((i, 4 * j + nu, q, mu))
+            elif a == q:
+                minus.append((i, 4 * j + mu, p, nu))
+                plus.append((i, 4 * j + nu, p, mu))
+    return tuple(np.array(side).T for side in (plus, minus))
+
+
+_TORSION_PLUS, _TORSION_MINUS = _torsion_entries()
+_RHS_A, _RHS_MU, _RHS_NU = np.array([(a, mu, nu) for a, (mu, nu) in _ROWS]).T
+_PAIR_P, _PAIR_Q = np.array(PAIRS).T
+
+
 def _torsion_matrix(e_arr: np.ndarray) -> np.ndarray:
     """Coefficients of the torsion equations in the connection unknowns.
 
@@ -282,24 +310,11 @@ def _torsion_matrix(e_arr: np.ndarray) -> np.ndarray:
     to equations indexed by (a, mu < nu).
     """
     le = np.einsum("cn...,cb->bn...", e_arr, ETA)  # eta_{bc} e^c_nu
-    extra = e_arr.shape[2:]
-    mat = np.zeros((24, 24) + extra)
-    for i, (a, (mu, nu)) in enumerate(_ROWS):
-        for j, (p, q) in enumerate(PAIRS):
-            for rho in range(DIM):
-                col = 4 * j + rho
-                acc = 0.0
-                if rho == mu:
-                    if a == p:
-                        acc = acc + le[q, nu]
-                    if a == q:
-                        acc = acc - le[p, nu]
-                if rho == nu:
-                    if a == p:
-                        acc = acc - le[q, mu]
-                    if a == q:
-                        acc = acc + le[p, mu]
-                mat[i, col] = acc
+    mat = np.zeros((24, 24) + e_arr.shape[2:])
+    rows, cols, b, n = _TORSION_PLUS
+    mat[rows, cols] = 0.0 + le[b, n]
+    rows, cols, b, n = _TORSION_MINUS
+    mat[rows, cols] = 0.0 - le[b, n]
     return mat
 
 
@@ -309,21 +324,16 @@ def _torsion_rhs(de_arr: np.ndarray) -> np.ndarray:
     ``de_arr`` holds [a, mu, nu, extra...] = d_mu e^a_nu data, derivative
     direction in the middle slot.
     """
-    extra = de_arr.shape[3:]
-    out = np.zeros((24,) + extra)
-    for i, (a, (mu, nu)) in enumerate(_ROWS):
-        out[i] = de_arr[a, mu, nu] - de_arr[a, nu, mu]
-    return out
+    return de_arr[_RHS_A, _RHS_MU, _RHS_NU] - de_arr[_RHS_A, _RHS_NU, _RHS_MU]
 
 
 def _expand_pairs(w: np.ndarray) -> np.ndarray:
     """Unfold flat pair-major unknowns (24, extra) to [a, b, mu, extra]."""
     extra = w.shape[1:]
+    blocks = w.reshape((len(PAIRS), DIM) + extra)
     out = np.zeros((DIM, DIM, DIM) + extra)
-    for j, (p, q) in enumerate(PAIRS):
-        block = w[4 * j : 4 * j + 4]
-        out[p, q] = block
-        out[q, p] = -block
+    out[_PAIR_P, _PAIR_Q] = blocks
+    out[_PAIR_Q, _PAIR_P] = -blocks
     return out
 
 
@@ -363,12 +373,11 @@ class LeviCivitaConnection:
                 d1, d2 = _DLAB[:i], _DLAB[i:k]
                 prod = np.einsum(f"rc{d1},c{d2}->r{d1}{d2}", mats[i], sols[k - i])
                 # distribute the k derivative slots over the two factors
-                for perm in _dist_perms(k, i):
-                    axes = [0] + [1 + s for s in perm]
-                    rhs += prod if axes == list(range(1 + k)) else np.transpose(prod, axes)
+                for axes in _shuffle_axes(1, k, i):
+                    rhs += prod if axes is None else prod.transpose(axes)
             w = -np.einsum("rc,c...->r...", lu, rhs)
             sols.append(w)
-        return Jet(order, [_expand_pairs(w) for w in sols])
+        return Jet._trusted(order, [_expand_pairs(w) for w in sols])
 
 
 def levi_civita_connection(e: FrameSource) -> LeviCivitaConnection:

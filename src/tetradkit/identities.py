@@ -8,6 +8,10 @@ makes these useful as checks.  The conservation residuals are the one
 exception: they vanish exactly on solutions of the field equations and
 report a finite defect off solutions.
 
+The field-level functions read their jets from a ``PointJets``.  Each
+reads the tetrad and the connection first, in the order shown, because
+that order decides which fault a point reports when both fail.
+
 Two transcription facts thread through the module:
 
 * The derivative identities are computed on block-alternating wedge
@@ -26,7 +30,6 @@ Two transcription facts thread through the module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,9 +37,6 @@ from .fieldeqs import (
     MatterModel,
     _require_attached,
     curvature_three_form,
-    determinant_jet,
-    riemann_jet,
-    torsion_q_jet,
     torsion_three_form,
 )
 from .forms import (
@@ -47,15 +47,9 @@ from .forms import (
     covariant_D,
     covariant_exterior_derivative,
 )
-from .geometry import (
-    FrameSource,
-    christoffel_jet,
-    field_strength_jet,
-    inverse_tetrad_jet,
-    metric_jet,
-    torsion_jet,
-)
-from .jets import Jet, jet_einsum, jet_map, jet_matrix_inverse
+from .geometry import field_strength_jet
+from .jets import Jet, jet_einsum, jet_map
+from .pointjets import PointJets
 
 __all__ = [
     "ConservationComponentResiduals",
@@ -73,23 +67,19 @@ __all__ = [
 ]
 
 
-def second_bianchi_residual(
-    omega: FrameSource, point: Sequence[float], order: int = 0
-) -> MixedForm:
+def second_bianchi_residual(jets: PointJets, order: int = 0) -> MixedForm:
     """Twisted exterior derivative of the field strength.
 
     Identically zero for any connection; returns the internal-pair 3-form
     so callers can inspect where coherence fails.  Needs connection jets of
     order ``order + 2``.
     """
-    wj = omega.jet(point, order + 2)
-    f = MixedForm(2, 2, field_strength_jet(wj))
+    wj = jets.omega(order + 2)
+    f = MixedForm(2, 2, jets.field_strength(order + 1))
     return covariant_exterior_derivative(wj, f, (1, 1))
 
 
-def first_bianchi_residual(
-    e: FrameSource, omega: FrameSource, point: Sequence[float], order: int = 0
-) -> MixedForm:
+def first_bianchi_residual(jets: PointJets, order: int = 0) -> MixedForm:
     """Twisted derivative of torsion minus the curvature-coframe wedge.
 
     The subtracted term contracts the field strength's second internal slot
@@ -97,13 +87,13 @@ def first_bianchi_residual(
     so no block-alternation multiple appears.  Internal-vector 3-form, zero
     for every frame and connection.
     """
-    ej = e.jet(point, order + 2)
-    wj = omega.jet(point, order + 1)
-    theta = MixedForm(2, 1, torsion_jet(ej, wj))
+    ej = jets.e(order + 2)
+    wj = jets.omega(order + 1)
+    theta = MixedForm(2, 1, jets.torsion(order + 1))
     lhs = covariant_exterior_derivative(wj, theta, (1,))
     fl = jet_map(
         lambda arr: np.einsum("abmn...,bc->acmn...", arr, ETA),
-        field_strength_jet(wj),
+        jets.field_strength(order),
     )
     raw = jet_einsum("acmn,cr->amnr", fl, ej)
     rhs = _alt_blocks(raw, 1, 2, 1)
@@ -154,7 +144,7 @@ def _stress_coframe_wedge(t3: MixedForm, e_jet: Jet) -> Jet:
 
 
 def rewritten_lhs_check(
-    e: FrameSource, omega: FrameSource, point: Sequence[float], order: int = 0
+    jets: PointJets, order: int = 0
 ) -> tuple[MixedForm, MixedForm]:
     """Derivative expansions of the two geometric equation sides.
 
@@ -167,11 +157,11 @@ def rewritten_lhs_check(
     by a test).  Both residuals are 4-forms and vanish for every frame and
     connection with coherent jets.
     """
-    ej = e.jet(point, order + 2)
-    wj = omega.jet(point, order + 2)
-    einv = inverse_tetrad_jet(ej)
-    f = field_strength_jet(wj)
-    theta = torsion_jet(ej, wj)
+    ej = jets.e(order + 2)
+    wj = jets.omega(order + 2)
+    einv = jets.inverse_tetrad(order + 2)
+    f = jets.field_strength(order + 1)
+    theta = jets.torsion(order + 1)
     p3 = curvature_three_form(ej, f)
     s3 = torsion_three_form(theta, ej)
     dp = covariant_exterior_derivative(wj, p3, (-1,))
@@ -192,11 +182,7 @@ class ConservationFormResiduals:
 
 
 def conservation_form_residuals(
-    e: FrameSource,
-    omega: FrameSource,
-    matter: MatterModel,
-    point: Sequence[float],
-    order: int = 0,
+    jets: PointJets, matter: MatterModel, order: int = 0
 ) -> ConservationFormResiduals:
     """Covariant-exterior-derivative conservation defects of the sources.
 
@@ -207,14 +193,14 @@ def conservation_form_residuals(
     derivative of the spin 3-form.  Both vanish on solutions of the field
     equations; for vacuum matter they are identically zero.
     """
-    _require_attached(matter, e, omega)
-    ej = e.jet(point, order + 2)
-    wj = omega.jet(point, order + 2)
-    tf = matter.stress_form(point, order + 1, ej)
-    sf = matter.spin_form(point, order + 1, ej)
-    einv = inverse_tetrad_jet(ej)
-    theta = torsion_jet(ej, wj)
-    f = field_strength_jet(wj)
+    _require_attached(matter, jets)
+    ej = jets.e(order + 2)
+    wj = jets.omega(order + 2)
+    tf = matter.stress_form(jets, order + 1)
+    sf = matter.spin_form(jets, order + 1)
+    einv = jets.inverse_tetrad(order + 2)
+    theta = jets.torsion(order + 1)
+    f = jets.field_strength(order + 1)
     dt = covariant_exterior_derivative(wj, tf, (-1,))
     pair = _interior_pairings(einv, theta, f, tf, sf)
     stress = dt - MixedForm._wrap(4, 1, pair.truncated(dt.order))
@@ -248,10 +234,7 @@ class ConservationComponentResiduals:
 
 
 def conservation_component_residuals(
-    e: FrameSource,
-    omega: FrameSource,
-    matter: MatterModel,
-    point: Sequence[float],
+    jets: PointJets, matter: MatterModel
 ) -> ConservationComponentResiduals:
     """Conservation defects built from the full coordinate connection.
 
@@ -264,24 +247,24 @@ def conservation_component_residuals(
     ``conservation_form_residuals`` even off solutions; index placements
     are spelled out in docs/conventions.md.
     """
-    _require_attached(matter, e, omega)
-    ej = e.jet(point, 2)
-    wj = omega.jet(point, 2)
-    gin = jet_matrix_inverse(metric_jet(ej))
-    gamma = christoffel_jet(ej, wj).value
-    q = torsion_q_jet(ej, wj).value
+    _require_attached(matter, jets)
+    jets.e(2)
+    jets.omega(2)
+    gin = jets.inverse_metric(2)
+    gamma = jets.christoffel(1).value
+    q = jets.torsion_tensor(1).value
     trg = np.einsum("ssl->l", gamma)
     qtr = np.einsum("sll->s", q)
 
-    tj = matter.stress_jet(point, 1)
+    tj = matter.stress_jet(jets, 1)
     tmix = jet_einsum("mr,rs->ms", tj, gin)
     div_t = (
         np.einsum("mss->m", tmix.data[1])
         + np.einsum("l,ml->m", trg, tmix.value)
         - np.einsum("lsm,ls->m", gamma, tmix.value)
     )
-    yj = spin_potential_tensor(matter.spin_jet(point, 1))
-    riem = riemann_jet(ej, wj).value
+    yj = spin_potential_tensor(matter.spin_jet(jets, 1))
+    riem = jets.riemann(1).value
     curv = np.einsum("msxa,xb,abs->m", riem, gin.value, yj.value)
     stress_low = (
         div_t
@@ -305,19 +288,17 @@ def conservation_component_residuals(
     )
 
 
-def metric_compatibility_residual(
-    e: FrameSource, omega: FrameSource, point: Sequence[float]
-) -> np.ndarray:
+def metric_compatibility_residual(jets: PointJets) -> np.ndarray:
     """Full-connection covariant derivative of the metric, [sigma, mu, nu].
 
     Zero for every frame paired with an antisymmetric connection; breaking
     either the frame metric or the connection's antisymmetry shows up here
     first.
     """
-    ej = e.jet(point, 1)
-    wj = omega.jet(point, 1)
-    g = metric_jet(ej)
-    gamma = christoffel_jet(ej, wj).value
+    jets.e(1)
+    jets.omega(1)
+    g = jets.metric(1)
+    gamma = jets.christoffel(0).value
     dg = np.transpose(g.data[1], (2, 0, 1))
     corr = np.einsum("lsm,ln->smn", gamma, g.value) + np.einsum(
         "lsn,ml->smn", gamma, g.value

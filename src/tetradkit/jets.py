@@ -10,6 +10,7 @@ Leibniz rules, which keeps every derivative exact (no differencing).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -48,7 +49,8 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _dist_perms(k: int, i: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _dist_perms(k: int, i: int) -> tuple[tuple[int, ...], ...]:
     """Ways to hand i of k symmetric derivative slots to the left factor.
 
     Each returned tuple maps output slot -> source axis, where source axes
@@ -63,7 +65,24 @@ def _dist_perms(k: int, i: int) -> list[tuple[int, ...]]:
         for src, dst in enumerate(rest):
             perm[dst] = i + src
         perms.append(tuple(perm))
-    return perms
+    return tuple(perms)
+
+
+@functools.cache
+def _shuffle_axes(lead: int, k: int, i: int) -> tuple[tuple[int, ...] | None, ...]:
+    """Transpositions that apply each ``_dist_perms(k, i)`` shuffle to the
+    derivative axes behind ``lead`` component axes; None for the identity."""
+    identity = tuple(range(lead + k))
+    out = []
+    for perm in _dist_perms(k, i):
+        axes = tuple(range(lead)) + tuple(lead + s for s in perm)
+        out.append(None if axes == identity else axes)
+    return tuple(out)
+
+
+def _check_order(order: int):
+    if not 0 <= order <= MAX_ORDER:
+        raise JetError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
 
 
 class Jet:
@@ -72,8 +91,7 @@ class Jet:
     __slots__ = ("order", "data")
 
     def __init__(self, order: int, data: Sequence[np.ndarray]):
-        if not 0 <= order <= MAX_ORDER:
-            raise JetError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
+        _check_order(order)
         if len(data) != order + 1:
             raise JetError(f"expected {order + 1} derivative tensors, got {len(data)}")
         arrays = [np.asarray(d, dtype=float) for d in data]
@@ -87,16 +105,35 @@ class Jet:
         self.order = order
         self.data = arrays
 
+    @classmethod
+    def _trusted(cls, order: int, data: list) -> "Jet":
+        """Constructor for jets built by package code, without validation.
+
+        ``data`` must already hold float arrays of the shapes ``__init__``
+        enforces; only a NumPy scalar in slot 0 (what arithmetic on 0-d
+        arrays returns) is turned back into a 0-d array.
+        """
+        if type(data[0]) is not np.ndarray:
+            data[0] = np.asarray(data[0], dtype=float)
+        jet = object.__new__(cls)
+        jet.order = order
+        jet.data = data
+        return jet
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value, order: int) -> "Jet":
+        _check_order(order)
         value = np.asarray(value, dtype=float)
-        return cls(order, [value] + [np.zeros(value.shape + (DIM,) * k) for k in range(1, order + 1)])
+        return cls._trusted(
+            order, [value] + [np.zeros(value.shape + (DIM,) * k) for k in range(1, order + 1)]
+        )
 
     @classmethod
     def coordinate(cls, index: int, value: float, order: int) -> "Jet":
         """Scalar jet of the coordinate function x_index."""
+        _check_order(order)
         data = [np.asarray(float(value))]
         if order >= 1:
             d1 = np.zeros(DIM)
@@ -104,11 +141,12 @@ class Jet:
             data.append(d1)
         for k in range(2, order + 1):
             data.append(np.zeros((DIM,) * k))
-        return cls(order, data)
+        return cls._trusted(order, data)
 
     @classmethod
     def zeros(cls, comp_shape: tuple[int, ...], order: int) -> "Jet":
-        return cls(order, [np.zeros(comp_shape + (DIM,) * k) for k in range(order + 1)])
+        _check_order(order)
+        return cls._trusted(order, [np.zeros(comp_shape + (DIM,) * k) for k in range(order + 1)])
 
     # -- basic views -------------------------------------------------------
 
@@ -123,7 +161,7 @@ class Jet:
     def truncated(self, order: int) -> "Jet":
         if order > self.order:
             raise JetError(f"cannot extend a jet of order {self.order} to order {order}")
-        return Jet(order, self.data[: order + 1])
+        return Jet._trusted(order, self.data[: order + 1])
 
     def copy(self) -> "Jet":
         return Jet(self.order, [d.copy() for d in self.data])
@@ -139,7 +177,7 @@ class Jet:
         if other.comp_shape != self.comp_shape:
             raise JetError(f"component shapes differ: {self.comp_shape} vs {other.comp_shape}")
         k = min(self.order, other.order)
-        return Jet(k, [op(self.data[i], other.data[i]) for i in range(k + 1)])
+        return Jet._trusted(k, [op(self.data[i], other.data[i]) for i in range(k + 1)])
 
     def __add__(self, other) -> "Jet":
         return self._binary_linear(other, np.add)
@@ -153,10 +191,10 @@ class Jet:
         return (-self) + other
 
     def __neg__(self) -> "Jet":
-        return Jet(self.order, [-d for d in self.data])
+        return Jet._trusted(self.order, [-d for d in self.data])
 
     def scaled(self, factor: float) -> "Jet":
-        return Jet(self.order, [factor * d for d in self.data])
+        return Jet._trusted(self.order, [factor * d for d in self.data])
 
     # -- products ----------------------------------------------------------
 
@@ -200,7 +238,7 @@ def _mul_scalar(a: Jet, b: Jet) -> Jet:
         t12 = np.multiply.outer(A[1], B[2])
         s12 = t12 + t12.transpose(1, 0, 2) + t12.transpose(2, 1, 0)
         data.append(A[3] * B[0] + s21 + s12 + A[0] * B[3])
-    return Jet(K, data)
+    return Jet._trusted(K, data)
 
 
 def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
@@ -210,23 +248,35 @@ def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
     axes are appended automatically and distributed over both factors with
     the appropriate shuffle symmetrization.  Labels X, Y, Z are reserved.
     """
-    ins, out = spec.split("->")
-    in1, in2 = ins.split(",")
     K = min(a.order, b.order)
-    ncomp = len(out)
+    A, B = a.data, b.data
     data = []
-    for k in range(K + 1):
+    for terms in _einsum_plan(spec, K):
         acc = None
-        for i in range(k + 1):
-            j = k - i
-            d1, d2 = _DLAB[:i], _DLAB[i:k]
-            term = np.einsum(f"{in1}{d1},{in2}{d2}->{out}{d1}{d2}", a.data[i], b.data[j])
-            for perm in _dist_perms(k, i):
-                axes = list(range(ncomp)) + [ncomp + s for s in perm]
-                piece = term if axes == list(range(ncomp + k)) else np.transpose(term, axes)
+        for subscripts, i, j, shuffles in terms:
+            term = np.einsum(subscripts, A[i], B[j])
+            for axes in shuffles:
+                piece = term if axes is None else term.transpose(axes)
                 acc = piece.copy() if acc is None else acc + piece
         data.append(acc)
-    return Jet(K, data)
+    return Jet._trusted(K, data)
+
+
+@functools.cache
+def _einsum_plan(spec: str, K: int) -> tuple:
+    """``jet_einsum``'s work for one spec, per derivative order k up to K:
+    (subscripts, left order, right order, shuffle transpositions) terms."""
+    ins, out = spec.split("->")
+    in1, in2 = ins.split(",")
+    plan = []
+    for k in range(K + 1):
+        terms = []
+        for i in range(k + 1):
+            d1, d2 = _DLAB[:i], _DLAB[i:k]
+            subscripts = f"{in1}{d1},{in2}{d2}->{out}{d1}{d2}"
+            terms.append((subscripts, i, k - i, _shuffle_axes(len(out), k, i)))
+        plan.append(tuple(terms))
+    return tuple(plan)
 
 
 def jet_map(fn: Callable[[np.ndarray], np.ndarray], a: Jet) -> Jet:
@@ -244,7 +294,7 @@ def jet_transpose(a: Jet, perm: Sequence[int]) -> Jet:
     nc = len(a.comp_shape)
     if sorted(perm) != list(range(nc)):
         raise JetError(f"bad component permutation {perm} for shape {a.comp_shape}")
-    return Jet(
+    return Jet._trusted(
         a.order,
         [np.transpose(a.data[k], list(perm) + list(range(nc, nc + k))) for k in range(a.order + 1)],
     )
@@ -259,7 +309,7 @@ def jet_partial(a: Jet) -> Jet:
     """
     if a.order < 1:
         raise JetError("jet_partial needs a jet of order >= 1")
-    return Jet(a.order - 1, [a.data[k + 1] for k in range(a.order)])
+    return Jet._trusted(a.order - 1, [a.data[k + 1] for k in range(a.order)])
 
 
 def jet_stack(jets: Sequence[Jet], axis: int = 0) -> Jet:
@@ -268,7 +318,7 @@ def jet_stack(jets: Sequence[Jet], axis: int = 0) -> Jet:
     data = []
     for k in range(order + 1):
         data.append(np.stack([j.data[k] for j in jets], axis=axis))
-    return Jet(order, data)
+    return Jet._trusted(order, data)
 
 
 def jet_matrix_inverse(a: Jet) -> Jet:
@@ -288,11 +338,10 @@ def jet_matrix_inverse(a: Jet) -> Jet:
         for i in range(1, k + 1):
             d1, d2 = _DLAB[:i], _DLAB[i:k]
             term = np.einsum(f"ij{d1},jk{d2}->ik{d1}{d2}", a.data[i], data[k - i])
-            for perm in _dist_perms(k, i):
-                axes = [0, 1] + [2 + s for s in perm]
-                rhs += term if axes == list(range(2 + k)) else np.transpose(term, axes)
+            for axes in _shuffle_axes(2, k, i):
+                rhs += term if axes is None else term.transpose(axes)
         data.append(-np.einsum("ij,jk...->ik...", x0, rhs))
-    return Jet(a.order, data)
+    return Jet._trusted(a.order, data)
 
 
 # -- scalar chain rule ----------------------------------------------------
@@ -319,7 +368,7 @@ def _compose_scalar(a: Jet, derivs: Sequence[float]) -> Jet:
             + derivs[2] * sym12
             + derivs[3] * np.multiply.outer(np.multiply.outer(f1, f1), f1)
         )
-    return Jet(K, data)
+    return Jet._trusted(K, data)
 
 
 def jet_sin(a: Jet) -> Jet:

@@ -2,18 +2,24 @@
 
 The registry below names every residual check the package can run against
 a scenario, in the order reports list them.  Each check is a pure function
-of (fields, matter, point) plus, for checks that need auxiliary random
-objects, a dedicated generator seeded from (run seed, point index, check
-name), so disabling one check never shifts another's random stream.
+of the point's ``PointJets``, the matter model and, for checks that need
+auxiliary random objects, a dedicated generator seeded from (run seed,
+point index, check name), so disabling one check never shifts another's
+random stream.  All checks at a point read one ``PointJets``, so each
+field jet and derived tensor is computed once per point.  A check reads
+the tetrad before the connection, which decides the fault a point reports
+when both fail.
 
 Residuals are reported relative to the largest field magnitude seen at the
 point (floored at one), so tolerances survive regions where the fields or
-their derivatives grow large.
+their derivatives grow large.  A residual that is not finite is an error
+at its point, like a domain fault, so its check cannot pass.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -21,22 +27,17 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .exprkit import Chart
+from .exprkit import Chart, ExpressionError
 from .fieldeqs import (
+    FieldEquationError,
+    MatterModel,
     component_field_equation_residuals,
     curvature_equation_residual,
     torsion_equation_residual,
     torsion_equation_sides,
 )
-from .forms import MixedForm
-from .geometry import (
-    christoffel_jet,
-    field_strength_jet,
-    inverse_tetrad_jet,
-    metric_jet,
-    torsion_jet,
-    torsion_tensor_jet,
-)
+from .forms import ETA, MixedForm
+from .geometry import GeometryError
 from .identities import (
     commutator_residual,
     conservation_component_residuals,
@@ -47,80 +48,57 @@ from .identities import (
     rewritten_lhs_check,
     second_bianchi_residual,
 )
-from .jets import Jet
+from .jets import Jet, JetDomainError
+from .pointjets import PointJets
 from .scenarios import Scenario
 
 DIM = 4
 
 
 class RunnerError(ValueError):
-    """Bad run options: unknown check names or tolerance keys."""
+    """Bad run options (unknown check names or tolerance keys), or a point
+    the run cannot score: a mirrored tetrad or a non-finite residual."""
 
 
-class _CachingSource:
-    """Memoizes jets of a field source per (point, order) for one run."""
-
-    def __init__(self, source):
-        self._source = source
-        self._cache: dict[tuple, Jet] = {}
-
-    def jet(self, point, order: int) -> Jet:
-        key = (tuple(float(c) for c in point), order)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._source.jet(point, order)
-            self._cache[key] = hit
-        return hit
+# What a point may raise and still leave the run going: domain faults of
+# the fields and failed numerics.  Anything else is a bug and ends the run.
+POINT_FAULTS = (
+    ExpressionError,
+    JetDomainError,
+    GeometryError,
+    FieldEquationError,
+    RunnerError,
+    ArithmeticError,
+    np.linalg.LinAlgError,
+)
 
 
-class CheckContext:
-    """Everything a check evaluator may consume at one sample point."""
+def _aux_rng(stream: tuple[int, int], name: str) -> np.random.Generator:
+    """The generator of one check at one point; ``stream`` is (seed, index)."""
+    seed, index = stream
+    return np.random.default_rng([int(seed), int(index), zlib.crc32(name.encode())])
 
-    def __init__(self, e, omega, matter, point, index: int, seed: int):
-        self.e = e
-        self.omega = omega
-        self.matter = matter
-        self.point = point
-        self.index = index
-        self.seed = seed
-        self._magnitude = None
 
-    def e_jet(self, order: int) -> Jet:
-        return self.e.jet(self.point, order)
+def _magnitude(jets: PointJets, matter: MatterModel) -> float:
+    """Largest field magnitude at the point, floored at one.
 
-    def omega_jet(self, order: int) -> Jet:
-        return self.omega.jet(self.point, order)
-
-    def aux_rng(self, name: str) -> np.random.Generator:
-        return np.random.default_rng(
-            [int(self.seed), int(self.index), zlib.crc32(name.encode())]
+    Covers the tetrad and connection jets through second order and, when
+    matter is present, the source jets through first order.  Also enforces
+    the positive-orientation requirement on the tetrad.
+    """
+    ej = jets.e(2)
+    if float(np.linalg.det(ej.value)) <= 0.0:
+        raise RunnerError(
+            "tetrad determinant must be positive everywhere; "
+            f"found a non-positive value at {tuple(jets.point)}"
         )
-
-    def magnitude(self) -> float:
-        """Largest field magnitude at the point, floored at one.
-
-        Covers the tetrad and connection jets through second order and,
-        when matter is present, the source jets through first order.  Also
-        enforces the positive-orientation requirement on the tetrad.
-        """
-        if self._magnitude is None:
-            ej = self.e_jet(2)
-            if float(np.linalg.det(ej.value)) <= 0.0:
-                raise RunnerError(
-                    "tetrad determinant must be positive everywhere; "
-                    f"found a non-positive value at {tuple(self.point)}"
-                )
-            parts = [1.0]
-            for jet in (ej, self.omega_jet(2)):
-                parts.extend(float(np.max(np.abs(d))) for d in jet.data)
-            if self.matter.mode != "vacuum":
-                for jet in (
-                    self.matter.stress_jet(self.point, 1),
-                    self.matter.spin_jet(self.point, 1),
-                ):
-                    parts.extend(float(np.max(np.abs(d))) for d in jet.data)
-            self._magnitude = max(parts)
-        return self._magnitude
+    parts = [1.0]
+    for jet in (ej, jets.omega(2)):
+        parts.extend(float(np.max(np.abs(d))) for d in jet.data)
+    if matter.mode != "vacuum":
+        for jet in (matter.stress_jet(jets, 1), matter.spin_jet(jets, 1)):
+            parts.extend(float(np.max(np.abs(d))) for d in jet.data)
+    return max(parts)
 
 
 def _random_jet(rng: np.random.Generator, shape: tuple[int, ...], order: int) -> Jet:
@@ -148,50 +126,47 @@ def _jet_abs_max(jet: Jet) -> float:
 # -- check evaluators -------------------------------------------------------
 
 
-def _check_metric_compatibility(ctx: CheckContext) -> float:
-    return float(np.abs(metric_compatibility_residual(ctx.e, ctx.omega, ctx.point)).max())
+def _check_metric_compatibility(jets: PointJets, matter, stream) -> float:
+    return float(np.abs(metric_compatibility_residual(jets)).max())
 
 
-def _check_torsion_consistency(ctx: CheckContext) -> float:
-    ej = ctx.e_jet(1)
-    wj = ctx.omega_jet(1)
-    einv = inverse_tetrad_jet(ej)
-    q_frame = torsion_tensor_jet(torsion_jet(ej, wj), einv).value
-    gamma = christoffel_jet(ej, wj, einv).value
+def _check_torsion_consistency(jets: PointJets, matter, stream) -> float:
+    jets.e(1)
+    jets.omega(1)
+    q_frame = jets.torsion_tensor(0).value
+    gamma = jets.christoffel(0).value
     q_gamma = np.transpose(gamma - gamma.transpose(0, 2, 1), (1, 2, 0))
     return float(np.abs(q_frame - q_gamma).max())
 
 
-def _check_scalar_consistency(ctx: CheckContext) -> float:
-    ej = ctx.e_jet(1)
-    wj = ctx.omega_jet(1)
-    einv = inverse_tetrad_jet(ej).value
-    f = field_strength_jet(wj).value
-    g = metric_jet(ej).value
-    from .forms import ETA
-
-    riemann = np.einsum("sa,abmn,bc,cw->mnws", einv, f, ETA, ej.value)
+def _check_scalar_consistency(jets: PointJets, matter, stream) -> float:
+    e = jets.e(1).value
+    jets.omega(1)
+    einv = jets.inverse_tetrad(0).value
+    f = jets.field_strength(0).value
+    g = jets.metric(0).value
+    riemann = np.einsum("sa,abmn,bc,cw->mnws", einv, f, ETA, e)
     ricci = np.einsum("msws->mw", riemann)
     direct = -float(np.einsum("ma,wb,abmw->", einv, einv, f))
     traced = float(np.einsum("mw,mw->", np.linalg.inv(g), ricci))
     return abs(direct - traced)
 
 
-def _check_levi_civita_torsion(ctx: CheckContext) -> float:
-    return float(np.abs(torsion_jet(ctx.e_jet(1), ctx.omega_jet(1)).value).max())
+def _check_levi_civita_torsion(jets: PointJets, matter, stream) -> float:
+    return float(np.abs(jets.torsion(0).value).max())
 
 
-def _check_first_bianchi(ctx: CheckContext) -> float:
-    return first_bianchi_residual(ctx.e, ctx.omega, ctx.point).max_abs()
+def _check_first_bianchi(jets: PointJets, matter, stream) -> float:
+    return first_bianchi_residual(jets).max_abs()
 
 
-def _check_second_bianchi(ctx: CheckContext) -> float:
-    return second_bianchi_residual(ctx.omega, ctx.point).max_abs()
+def _check_second_bianchi(jets: PointJets, matter, stream) -> float:
+    return second_bianchi_residual(jets).max_abs()
 
 
-def _check_d_squared(ctx: CheckContext) -> float:
-    rng = ctx.aux_rng("d2-law")
-    wj = ctx.omega_jet(2)
+def _check_d_squared(jets: PointJets, matter, stream) -> float:
+    rng = _aux_rng(stream, "d2-law")
+    wj = jets.omega(2)
     worst = 0.0
     for variances, shape in (
         ((1,), (DIM,)),
@@ -206,42 +181,42 @@ def _check_d_squared(ctx: CheckContext) -> float:
     return worst
 
 
-def _check_commutator(ctx: CheckContext) -> float:
-    rng = ctx.aux_rng("commutator")
+def _check_commutator(jets: PointJets, matter, stream) -> float:
+    rng = _aux_rng(stream, "commutator")
     vector = _random_jet(rng, (DIM,), 2)
-    return _jet_abs_max(commutator_residual(ctx.omega_jet(2), vector))
+    return _jet_abs_max(commutator_residual(jets.omega(2), vector))
 
 
-def _check_nfe_leibniz(ctx: CheckContext) -> float:
-    lhs, rhs = torsion_equation_sides(ctx.e, ctx.omega, ctx.point)
+def _check_nfe_leibniz(jets: PointJets, matter, stream) -> float:
+    lhs, rhs = torsion_equation_sides(jets)
     return (lhs - rhs).max_abs()
 
 
-def _check_rewritten_lhs(ctx: CheckContext) -> float:
-    first, second = rewritten_lhs_check(ctx.e, ctx.omega, ctx.point)
+def _check_rewritten_lhs(jets: PointJets, matter, stream) -> float:
+    first, second = rewritten_lhs_check(jets)
     return max(first.max_abs(), second.max_abs())
 
 
-def _check_curvature_equation(ctx: CheckContext) -> float:
-    return curvature_equation_residual(ctx.e, ctx.omega, ctx.matter, ctx.point).max_abs()
+def _check_curvature_equation(jets: PointJets, matter, stream) -> float:
+    return curvature_equation_residual(jets, matter).max_abs()
 
 
-def _check_torsion_equation(ctx: CheckContext) -> float:
-    return torsion_equation_residual(ctx.e, ctx.omega, ctx.matter, ctx.point).max_abs()
+def _check_torsion_equation(jets: PointJets, matter, stream) -> float:
+    return torsion_equation_residual(jets, matter).max_abs()
 
 
-def _check_component_field_equations(ctx: CheckContext) -> float:
-    res = component_field_equation_residuals(ctx.e, ctx.omega, ctx.matter, ctx.point)
+def _check_component_field_equations(jets: PointJets, matter, stream) -> float:
+    res = component_field_equation_residuals(jets, matter)
     return max(float(np.abs(res.stress).max()), float(np.abs(res.spin).max()))
 
 
-def _check_conservation_form(ctx: CheckContext) -> float:
-    res = conservation_form_residuals(ctx.e, ctx.omega, ctx.matter, ctx.point)
+def _check_conservation_form(jets: PointJets, matter, stream) -> float:
+    res = conservation_form_residuals(jets, matter)
     return max(res.stress.max_abs(), res.spin.max_abs())
 
 
-def _check_conservation_component(ctx: CheckContext) -> float:
-    res = conservation_component_residuals(ctx.e, ctx.omega, ctx.matter, ctx.point)
+def _check_conservation_component(jets: PointJets, matter, stream) -> float:
+    res = conservation_component_residuals(jets, matter)
     return max(float(np.abs(res.stress).max()), float(np.abs(res.spin).max()))
 
 
@@ -255,12 +230,17 @@ def _needs_levi_civita(scenario: Scenario) -> bool:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """A named residual check with its jet-depth need and tolerance."""
+    """A named residual check with its jet-depth need and tolerance.
+
+    ``evaluate(jets, matter, stream)`` returns the raw residual at one
+    point; ``stream`` is the (seed, point index) pair that seeds the
+    check's auxiliary generator.
+    """
 
     name: str
     required_order: int
     tolerance: float
-    evaluate: Callable[[CheckContext], float]
+    evaluate: Callable[[PointJets, MatterModel, tuple[int, int]], float]
     applies: Callable[[Scenario], bool] = _always
 
     def __post_init__(self):
@@ -345,9 +325,10 @@ def run_checks(
     """Evaluate every enabled check at seeded sample points.
 
     The report is fully determined by (scenario, seed, options) apart from
-    the wall time.  Per-point evaluation errors are recorded with the point
-    and the check name without stopping other points; a run with any
-    recorded error never passes overall.
+    the wall time.  Per-point faults (``POINT_FAULTS``) and non-finite
+    residuals are recorded with the point and the check name without
+    stopping other points; a run with any recorded error never passes
+    overall.  Any other exception propagates.
     """
     n = points if points is not None else scenario.points
     s = seed if seed is not None else scenario.seed
@@ -380,8 +361,6 @@ def run_checks(
         )
 
     e, omega = scenario.frames()
-    e = _CachingSource(e)
-    omega = _CachingSource(omega)
     matter = scenario.matter_model(e, omega)
 
     start = time.perf_counter()
@@ -389,11 +368,18 @@ def run_checks(
     residuals: dict[str, list[float]] = {check.name: [] for check in enabled}
     errors: list[dict] = []
     for index, point in enumerate(pts):
-        ctx = CheckContext(e, omega, matter, point, index, s)
+        jets = PointJets(e, omega, point)
+        stream = (s, index)
+        scale = None
         for check in enabled:
             try:
-                value = check.evaluate(ctx) / ctx.magnitude()
-            except Exception as exc:
+                value = check.evaluate(jets, matter, stream)
+                if scale is None:
+                    scale = _magnitude(jets, matter)
+                value = float(value / scale)
+                if not math.isfinite(value):
+                    raise RunnerError(f"non-finite residual {value!r}")
+            except POINT_FAULTS as exc:
                 errors.append(
                     {
                         "check": check.name,
@@ -402,7 +388,7 @@ def run_checks(
                     }
                 )
             else:
-                residuals[check.name].append(float(value))
+                residuals[check.name].append(value)
 
     errored = {entry["check"] for entry in errors}
     results = []
@@ -513,7 +499,7 @@ def format_text(report: CheckReport) -> str:
 def emit_report(report: CheckReport, fmt: str = "text", path=None):
     """Write a report as text or JSON, to a file or standard output."""
     if fmt == "json":
-        payload = json.dumps(report_document(report), indent=2) + "\n"
+        payload = json.dumps(report_document(report), indent=2, allow_nan=False) + "\n"
     elif fmt == "text":
         payload = format_text(report)
     else:

@@ -39,6 +39,7 @@ from tetradkit.identities import (
     second_bianchi_residual,
 )
 from tetradkit.jets import Jet
+from tetradkit.pointjets import PointJets
 from tetradkit.runner import emit_report, report_document, run_checks, sample_points
 from tetradkit.scenarios import BUILTIN_NAMES, builtin_scenario
 
@@ -100,7 +101,8 @@ def test_c03_second_structure_identity_randomized():
         rng = np.random.default_rng(300 + trial)
         omega = random_connection(rng)
         for x in sample_points(UNIT_CHART, 100, trial):
-            worst = max(worst, second_bianchi_residual(omega, x).max_abs())
+            jets = PointJets(identity_tetrad(), omega, x)
+            worst = max(worst, second_bianchi_residual(jets).max_abs())
     assert worst < 1e-10
 
 
@@ -111,7 +113,7 @@ def test_c04_first_structure_identity_randomized():
         e = random_tetrad(rng)
         omega = random_connection(rng)
         for x in sample_points(UNIT_CHART, 100, trial):
-            worst = max(worst, first_bianchi_residual(e, omega, x).max_abs())
+            worst = max(worst, first_bianchi_residual(PointJets(e, omega, x)).max_abs())
     assert worst < 1e-10
 
 
@@ -185,7 +187,7 @@ def test_c07_derivative_and_algebraic_routes_agree():
         sc = builtin_scenario(name)
         e, omega = sc.frames()
         for x in sample_points(sc.chart, 100, sc.seed):
-            lhs, rhs = torsion_equation_sides(e, omega, x)
+            lhs, rhs = torsion_equation_sides(PointJets(e, omega, x))
             worst = max(worst, (lhs - rhs).max_abs())
     assert worst < 1e-12
 
@@ -196,7 +198,7 @@ def test_c08_expanded_equation_sides_vanish():
         e, omega = sc.frames()
         worst = 0.0
         for x in sample_points(sc.chart, 50, 8):
-            first, second = rewritten_lhs_check(e, omega, x)
+            first, second = rewritten_lhs_check(PointJets(e, omega, x))
             worst = max(worst, first.max_abs(), second.max_abs())
         assert worst < 1e-9, name
 
@@ -218,8 +220,9 @@ def test_c09_conservation_laws_and_fault_response():
     def worst_residual(e, omega, matter, pts):
         worst = 0.0
         for x in pts:
-            fr = conservation_form_residuals(e, omega, matter, x)
-            cr = conservation_component_residuals(e, omega, matter, x)
+            jets = PointJets(e, omega, x)
+            fr = conservation_form_residuals(jets, matter)
+            cr = conservation_component_residuals(jets, matter)
             worst = max(
                 worst,
                 fr.stress.max_abs(),
@@ -301,7 +304,7 @@ def test_c11_metric_compatibility_everywhere():
         sc = builtin_scenario(name)
         e, omega = sc.frames()
         for x in sample_points(sc.chart, 100, sc.seed):
-            worst = max(worst, _amax(metric_compatibility_residual(e, omega, x)))
+            worst = max(worst, _amax(metric_compatibility_residual(PointJets(e, omega, x))))
     assert worst < 1e-10
 
 

@@ -27,6 +27,7 @@ from tetradkit.exprkit import (
     format_expression,
     parse_expression,
 )
+from tetradkit.runner import sample_points
 
 from helpers import UNIT_CHART, random_smooth_text
 
@@ -43,8 +44,8 @@ class TestChart:
             Chart(("a", "b", "c", "d"), ((0, 0), (-1, 1), (-1, 1), (-1, 1)))
 
     def test_sampling_is_deterministic_and_inside(self):
-        pts1 = POLAR.sample_points(50, seed=3)
-        pts2 = POLAR.sample_points(50, seed=3)
+        pts1 = sample_points(POLAR, 50, 3)
+        pts2 = sample_points(POLAR, 50, 3)
         npt.assert_array_equal(pts1, pts2)
         lo = np.array([b[0] for b in POLAR.bounds])
         hi = np.array([b[1] for b in POLAR.bounds])

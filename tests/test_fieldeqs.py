@@ -40,6 +40,7 @@ from tetradkit.geometry import (
     point_geometry,
 )
 from tetradkit.jets import Jet
+from tetradkit.pointjets import PointJets
 
 from helpers import (
     UNIT_CHART,
@@ -179,7 +180,7 @@ class TestDeterminantJet:
 
 class TestActionDensity:
     def test_flat_zero(self):
-        assert pc_action_density(identity_tetrad(), ZeroConnection(), 0.0, np.zeros(4)) == 0.0
+        assert pc_action_density(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), 0.0) == 0.0
 
     def test_identity_tetrad_cosmological_term(self):
         # the epsilon contraction of the quadruple frame wedge, summed by
@@ -187,7 +188,7 @@ class TestActionDensity:
         # factor: 24 * det e, so the density is lam * det e
         lam = 2.5
         point = np.array([0.3, -0.1, 0.2, 0.1])
-        got = pc_action_density(identity_tetrad(), ZeroConnection(), lam, point)
+        got = pc_action_density(PointJets(identity_tetrad(), ZeroConnection(), point), lam)
         brute = 0.0
         emat = np.eye(4)
         for pi in itertools.permutations(range(4)):
@@ -214,7 +215,7 @@ class TestActionDensity:
                     * emat[pi[0], rho[0]] * emat[pi[1], rho[1]]
                     * emat[pi[2], rho[2]] * emat[pi[3], rho[3]]
                 )
-        got = pc_action_density(e, ZeroConnection(), lam, point)
+        got = pc_action_density(PointJets(e, ZeroConnection(), point), lam)
         assert np.isclose(got, (lam / 24.0) * brute, atol=1e-12)
         assert np.isclose(got, lam * np.linalg.det(emat), atol=1e-12)
 
@@ -231,23 +232,23 @@ class TestActionDensity:
         cases.append((rnd, levi_civita_connection(rnd), np.array([0.2, -0.3, 0.1, 0.4])))
         for e, w, point in cases:
             pg = point_geometry(e, w, point, order=1)
-            got = pc_action_density(e, w, 0.0, point)
+            got = pc_action_density(PointJets(e, w, point), 0.0)
             want = ratio * pg.scalar * pg.det_e
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
         sch = schwarzschild_tetrad()
         spt = np.array([4.0, 1.1, 0.7, 0.2])
-        assert abs(pc_action_density(sch, levi_civita_connection(sch), 0.0, spt)) < 1e-12
+        assert abs(pc_action_density(PointJets(sch, levi_civita_connection(sch), spt), 0.0)) < 1e-12
 
     def test_singular_tetrad_rejected(self):
         texts = [["x0" if i == j == 0 else ("1" if i == j else "0") for j in range(4)] for i in range(4)]
         e = TetradField(texts, UNIT_CHART)
         with pytest.raises(SingularTetradError):
-            pc_action_density(e, ZeroConnection(), 0.0, np.zeros(4))
+            pc_action_density(PointJets(e, ZeroConnection(), np.zeros(4)), 0.0)
 
 
 class TestCurvatureEquation:
     def test_flat_vacuum_exact_zero(self):
-        E = curvature_equation_residual(identity_tetrad(), ZeroConnection(), MatterModel.vacuum(), np.zeros(4))
+        E = curvature_equation_residual(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), MatterModel.vacuum())
         assert E.k == 3 and E.p == 1
         assert E.max_abs() == 0.0
 
@@ -255,7 +256,7 @@ class TestCurvatureEquation:
         e = schwarzschild_tetrad()
         w = levi_civita_connection(e)
         for point in (np.array([3.0, 1.2, 0.5, 0.0]), np.array([7.5, 2.0, 3.0, 0.4]), np.array([10.0, 0.8, 1.5, -0.2])):
-            E = curvature_equation_residual(e, w, MatterModel.vacuum(), point)
+            E = curvature_equation_residual(PointJets(e, w, point), MatterModel.vacuum())
             assert E.max_abs() < 1e-8
 
     def test_manufactured_matter_cancels(self):
@@ -264,7 +265,7 @@ class TestCurvatureEquation:
         w = random_connection(rng)
         matter = manufacture_matter(e, w)
         for point in (np.array([0.1, -0.2, 0.3, 0.4]), np.array([-0.4, 0.2, 0.0, -0.1])):
-            E = curvature_equation_residual(e, w, matter, point)
+            E = curvature_equation_residual(PointJets(e, w, point), matter)
             assert E.max_abs() < 1e-10
 
     def test_affine_in_cosmological_constant(self):
@@ -273,7 +274,7 @@ class TestCurvatureEquation:
         w = random_connection(rng)
         point = np.array([0.3, 0.1, -0.2, 0.4])
         vals = [
-            curvature_equation_residual(e, w, MatterModel.vacuum(lam=lam), point).values
+            curvature_equation_residual(PointJets(e, w, point), MatterModel.vacuum(lam=lam)).values
             for lam in (0.0, 1.0, 2.0)
         ]
         scale = max(1.0, *(np.abs(v).max() for v in vals))
@@ -287,7 +288,7 @@ class TestCurvatureEquation:
         rng = np.random.default_rng(10)
         e = random_tetrad(rng)
         w = random_connection(rng)
-        E = curvature_equation_residual(e, w, MatterModel.vacuum(), np.array([0.1, 0.2, 0.3, -0.1]), order=1)
+        E = curvature_equation_residual(PointJets(e, w, np.array([0.1, 0.2, 0.3, -0.1])), MatterModel.vacuum(), order=1)
         assert E.order == 1
         assert E.values.shape == (4, 4, 4, 4)
 
@@ -298,14 +299,14 @@ class TestCurvatureEquation:
         matter = manufacture_matter(e, w)
         other = random_tetrad(rng)
         with pytest.raises(FieldEquationError):
-            curvature_equation_residual(other, w, matter, np.zeros(4))
+            curvature_equation_residual(PointJets(other, w, np.zeros(4)), matter)
 
 
 class TestTorsionEquation:
     def test_torsion_free_vacuum(self):
         e = schwarzschild_tetrad()
         w = levi_civita_connection(e)
-        C = torsion_equation_residual(e, w, MatterModel.vacuum(), np.array([4.0, 1.1, 0.7, 0.2]))
+        C = torsion_equation_residual(PointJets(e, w, np.array([4.0, 1.1, 0.7, 0.2])), MatterModel.vacuum())
         assert C.k == 3 and C.p == 2
         assert C.max_abs() < 1e-10
 
@@ -323,7 +324,7 @@ class TestTorsionEquation:
         e = identity_tetrad()
         w = ConstantConnection(kvals)
         point = np.array([0.1, 0.2, 0.3, 0.4])
-        C = torsion_equation_residual(e, w, MatterModel.vacuum(), point)
+        C = torsion_equation_residual(PointJets(e, w, point), MatterModel.vacuum())
         assert C.max_abs() > 0.1
         ej = e.jet(point, 1)
         from tetradkit.geometry import torsion_jet
@@ -337,7 +338,7 @@ class TestTorsionEquation:
         e = random_tetrad(rng)
         w = random_connection(rng)
         matter = manufacture_matter(e, w)
-        C = torsion_equation_residual(e, w, matter, np.array([0.2, -0.1, 0.3, 0.0]))
+        C = torsion_equation_residual(PointJets(e, w, np.array([0.2, -0.1, 0.3, 0.0])), matter)
         assert C.max_abs() < 1e-10
 
     def test_product_rule_identity_holds_on_jets(self):
@@ -348,19 +349,19 @@ class TestTorsionEquation:
             e = random_tetrad(rng, scale=0.15)
             w = random_connection(rng, scale=0.4)
             point = rng.uniform(-0.5, 0.5, 4)
-            torsion_equation_residual(e, w, MatterModel.vacuum(), point, order=1)
+            torsion_equation_residual(PointJets(e, w, point), MatterModel.vacuum(), order=1)
 
 
 class TestComponentResiduals:
     def test_flat_vacuum(self):
-        res = component_field_equation_residuals(identity_tetrad(), ZeroConnection(), MatterModel.vacuum(), np.zeros(4))
+        res = component_field_equation_residuals(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), MatterModel.vacuum())
         assert np.abs(res.stress).max() == 0.0
         assert np.abs(res.spin).max() == 0.0
 
     def test_schwarzschild_vacuum(self):
         e = schwarzschild_tetrad()
         w = levi_civita_connection(e)
-        res = component_field_equation_residuals(e, w, MatterModel.vacuum(), np.array([5.0, 1.4, 2.0, 0.3]))
+        res = component_field_equation_residuals(PointJets(e, w, np.array([5.0, 1.4, 2.0, 0.3])), MatterModel.vacuum())
         assert np.abs(res.stress).max() < 1e-8
         assert np.abs(res.spin).max() < 1e-12
 
@@ -369,17 +370,18 @@ class TestComponentResiduals:
         e = random_tetrad(rng)
         w = random_connection(rng)
         matter = manufacture_matter(e, w)
-        res = component_field_equation_residuals(e, w, matter, np.array([0.3, -0.2, 0.1, 0.2]))
+        res = component_field_equation_residuals(PointJets(e, w, np.array([0.3, -0.2, 0.1, 0.2])), matter)
         assert np.abs(res.stress).max() < 1e-12
         assert np.abs(res.spin).max() < 1e-12
 
 
 class TestManufacturedMatter:
     def test_flat_sources_vanish(self):
-        matter = manufacture_matter(identity_tetrad(), ZeroConnection())
-        point = np.array([0.1, 0.2, 0.3, 0.4])
-        assert np.abs(matter.stress_jet(point, 1).value).max() == 0.0
-        assert np.abs(matter.spin_jet(point, 1).value).max() == 0.0
+        e, w = identity_tetrad(), ZeroConnection()
+        matter = manufacture_matter(e, w)
+        jets = PointJets(e, w, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert np.abs(matter.stress_jet(jets, 1).value).max() == 0.0
+        assert np.abs(matter.spin_jet(jets, 1).value).max() == 0.0
 
     def test_flrw_isotropy(self):
         hubble = 0.3
@@ -387,9 +389,10 @@ class TestManufacturedMatter:
         w = levi_civita_connection(e)
         matter = manufacture_matter(e, w)
         point = np.array([0.2, -0.1, 0.4, 0.5])
-        spin = matter.spin_jet(point, 0).value
+        jets = PointJets(e, w, point)
+        spin = matter.spin_jet(jets, 0).value
         assert np.abs(spin).max() < 1e-12
-        stress = matter.stress_jet(point, 0).value
+        stress = matter.stress_jet(jets, 0).value
         off = stress - np.diag(np.diag(stress))
         assert np.abs(off).max() < 1e-12
         assert np.isclose(stress[0, 0], stress[1, 1], atol=1e-12)
@@ -399,9 +402,10 @@ class TestManufacturedMatter:
 
     def test_singular_frame_raises_on_evaluation(self):
         texts = [["x0" if i == j == 0 else ("1" if i == j else "0") for j in range(4)] for i in range(4)]
-        matter = manufacture_matter(TetradField(texts, UNIT_CHART), ZeroConnection())
+        e, w = TetradField(texts, UNIT_CHART), ZeroConnection()
+        matter = manufacture_matter(e, w)
         with pytest.raises(SingularTetradError):
-            matter.stress_jet(np.zeros(4), 0)
+            matter.stress_jet(PointJets(e, w, np.zeros(4)), 0)
 
 
 class TestDualProjection:
@@ -445,8 +449,8 @@ class TestDualProjection:
         w4 = random_connection(rng)
         cases.append((e4, w4, manufacture_matter(e4, w4), np.array([-0.2, 0.1, 0.2, -0.3])))
         for e, w, matter, point in cases:
-            E = curvature_equation_residual(e, w, matter, point)
-            comp = component_field_equation_residuals(e, w, matter, point)
+            E = curvature_equation_residual(PointJets(e, w, point), matter)
+            comp = component_field_equation_residuals(PointJets(e, w, point), matter)
             projected = dual_component_projection(E, e.jet(point, 0)).value
             want = CURVATURE_DUAL_FACTOR * comp.stress
             scale = max(1.0, np.abs(want).max())
@@ -475,16 +479,17 @@ class TestMatterModel:
             {"01": ["x0", "0", "1", "0"]},
             UNIT_CHART,
         )
-        s = matter.spin_jet(np.array([0.5, 0.0, 0.0, 0.0]), 0).value
+        jets = PointJets(identity_tetrad(), ZeroConnection(), np.array([0.5, 0.0, 0.0, 0.0]))
+        s = matter.spin_jet(jets, 0).value
         assert s[0, 1, 0] == 0.5
         assert s[1, 0, 0] == -0.5
         assert s[0, 1, 2] == 1.0
 
     def test_vacuum_forms_zero(self):
         vac = MatterModel.vacuum()
-        ej = identity_tetrad().jet(np.zeros(4), 1)
-        assert vac.stress_form(np.zeros(4), 1, ej).max_abs() == 0.0
-        assert vac.spin_form(np.zeros(4), 1, ej).max_abs() == 0.0
+        jets = PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4))
+        assert vac.stress_form(jets, 1).max_abs() == 0.0
+        assert vac.spin_form(jets, 1).max_abs() == 0.0
 
     def test_explicit_matter_shifts_component_residuals(self):
         rng = np.random.default_rng(17)
@@ -492,9 +497,10 @@ class TestMatterModel:
         w = ZeroConnection()
         matter = random_matter(rng)
         point = np.array([0.3, 0.2, -0.1, 0.4])
-        res = component_field_equation_residuals(e, w, matter, point)
-        want_stress = -EIGHT_PI * matter.stress_jet(point, 0).value
-        want_spin = SIXTEEN_PI * matter.spin_jet(point, 0).value
+        jets = PointJets(e, w, point)
+        res = component_field_equation_residuals(jets, matter)
+        want_stress = -EIGHT_PI * matter.stress_jet(jets, 0).value
+        want_spin = SIXTEEN_PI * matter.spin_jet(jets, 0).value
         assert np.allclose(res.stress, want_stress, atol=1e-12)
         assert np.allclose(res.spin, want_spin, atol=1e-12)
 
@@ -515,7 +521,7 @@ class TestSpinAntisymmetryFlag:
         matter = MatterModel.explicit(
             [["0"] * 4 for _ in range(4)], entries, UNIT_CHART, totally_antisymmetric=True
         )
-        validate_spin_antisymmetry(identity_tetrad(), ZeroConnection(), matter, np.zeros(4))
+        validate_spin_antisymmetry(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), matter)
 
     def test_generic_source_fails(self):
         matter = MatterModel.explicit(
@@ -525,7 +531,7 @@ class TestSpinAntisymmetryFlag:
             totally_antisymmetric=True,
         )
         with pytest.raises(FieldEquationError):
-            validate_spin_antisymmetry(identity_tetrad(), ZeroConnection(), matter, np.zeros(4))
+            validate_spin_antisymmetry(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), matter)
 
     def test_torsion_side_checked(self):
         kvals = np.zeros((4, 4, 4))
@@ -536,7 +542,8 @@ class TestSpinAntisymmetryFlag:
         matter = MatterModel.vacuum()
         with pytest.raises(FieldEquationError):
             validate_spin_antisymmetry(
-                identity_tetrad(), ConstantConnection(kvals), matter, np.zeros(4)
+                PointJets(identity_tetrad(), ConstantConnection(kvals), np.zeros(4)),
+                matter,
             )
 
 
@@ -567,7 +574,6 @@ class TestJetConsistency:
         w = random_connection(rng)
         matter = manufacture_matter(e, w)
         point = np.array([0.1, 0.2, 0.3, -0.2])
-        ej = e.jet(point, 1)
-        lhs = torsion_equation_residual(e, w, MatterModel.vacuum(), point)
-        sigma = matter.spin_form(point, 0, ej)
+        lhs = torsion_equation_residual(PointJets(e, w, point), MatterModel.vacuum())
+        sigma = matter.spin_form(PointJets(e, w, point), 0)
         assert np.allclose(lhs.values, matter.kappa * sigma.values, atol=1e-12)

@@ -28,6 +28,7 @@ from tetradkit.identities import (
     spin_potential_tensor,
 )
 from tetradkit.jets import Jet, jet_map
+from tetradkit.pointjets import PointJets
 
 from helpers import (
     PAIR_KEYS,
@@ -85,7 +86,7 @@ def random_form_jet(rng, shape_dims, point, order=2):
 
 class TestSecondBianchi:
     def test_zero_connection_exact(self):
-        res = second_bianchi_residual(ZeroConnection(), POINTS[0])
+        res = second_bianchi_residual(PointJets(identity_tetrad(), ZeroConnection(), POINTS[0]))
         assert res.max_abs() == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -93,7 +94,7 @@ class TestSecondBianchi:
         rng = np.random.default_rng(seed)
         omega = random_connection(rng)
         for point in POINTS:
-            res = second_bianchi_residual(omega, point)
+            res = second_bianchi_residual(PointJets(identity_tetrad(), omega, point))
             f = field_strength_jet(omega.jet(point, 1))
             scale = max(1.0, float(np.abs(f.value).max()))
             assert res.max_abs() < 1e-10 * scale
@@ -117,13 +118,13 @@ class TestSecondBianchi:
         assert res.max_abs() > 1e-4
 
     def test_result_degrees(self):
-        res = second_bianchi_residual(random_connection(np.random.default_rng(3)), POINTS[1])
+        res = second_bianchi_residual(PointJets(identity_tetrad(), random_connection(np.random.default_rng(3)), POINTS[1]))
         assert (res.k, res.p) == (3, 2)
 
 
 class TestFirstBianchi:
     def test_flat_exact(self):
-        res = first_bianchi_residual(identity_tetrad(), ZeroConnection(), POINTS[0])
+        res = first_bianchi_residual(PointJets(identity_tetrad(), ZeroConnection(), POINTS[0]))
         assert res.max_abs() == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -132,25 +133,25 @@ class TestFirstBianchi:
         e = random_tetrad(rng)
         omega = random_connection(rng)
         for point in POINTS:
-            res = first_bianchi_residual(e, omega, point)
+            res = first_bianchi_residual(PointJets(e, omega, point))
             assert res.max_abs() < 1e-10
 
     def test_levi_civita_connection(self):
         rng = np.random.default_rng(9)
         e = random_tetrad(rng)
-        res = first_bianchi_residual(e, LeviCivitaConnection(e), POINTS[0])
+        res = first_bianchi_residual(PointJets(e, LeviCivitaConnection(e), POINTS[0]))
         assert res.max_abs() < 1e-10
 
     def test_schwarzschild(self):
         e = schwarzschild_tetrad()
         omega = LeviCivitaConnection(e)
         point = np.array([5.2, 1.1, 0.7, 0.0])
-        assert first_bianchi_residual(e, omega, point).max_abs() < 1e-10
+        assert first_bianchi_residual(PointJets(e, omega, point)).max_abs() < 1e-10
 
 
 class TestRewrittenLhs:
     def test_flat_exact(self):
-        first, second = rewritten_lhs_check(identity_tetrad(), ZeroConnection(), POINTS[0])
+        first, second = rewritten_lhs_check(PointJets(identity_tetrad(), ZeroConnection(), POINTS[0]))
         assert first.max_abs() == 0.0
         assert second.max_abs() == 0.0
 
@@ -158,7 +159,7 @@ class TestRewrittenLhs:
         e = schwarzschild_tetrad()
         omega = LeviCivitaConnection(e)
         for point in ([5.2, 1.1, 0.7, 0.0], [3.4, 2.0, 4.1, 0.3]):
-            first, second = rewritten_lhs_check(e, omega, np.array(point))
+            first, second = rewritten_lhs_check(PointJets(e, omega, np.array(point)))
             assert first.max_abs() < 1e-9
             assert second.max_abs() < 1e-9
 
@@ -167,7 +168,7 @@ class TestRewrittenLhs:
         rng = np.random.default_rng(seed)
         e, omega = contorted_levi_civita(rng)
         for point in POINTS:
-            first, second = rewritten_lhs_check(e, omega, point)
+            first, second = rewritten_lhs_check(PointJets(e, omega, point))
             assert first.max_abs() < 1e-9
             assert second.max_abs() < 1e-9
 
@@ -177,7 +178,7 @@ class TestRewrittenLhs:
         rng = np.random.default_rng(4)
         e, omega = contorted_levi_civita(rng)
         point = POINTS[0]
-        _, second = rewritten_lhs_check(e, omega, point)
+        _, second = rewritten_lhs_check(PointJets(e, omega, point))
         ej = e.jet(point, 2)
         wj = omega.jet(point, 2)
         from tetradkit.fieldeqs import curvature_three_form, torsion_three_form
@@ -197,8 +198,8 @@ class TestRewrittenLhs:
         texts[2][2] = "x0"
         e = TetradField(texts, UNIT_CHART)
         with pytest.raises(SingularTetradError):
-            rewritten_lhs_check(e, random_connection(np.random.default_rng(0)),
-                                np.array([0.0, 0.3, 0.1, 0.2]))
+            rewritten_lhs_check(PointJets(e, random_connection(np.random.default_rng(0)),
+                                          np.array([0.0, 0.3, 0.1, 0.2])))
 
 
 class TestConservationForm:
@@ -207,7 +208,7 @@ class TestConservationForm:
         e, omega = contorted_levi_civita(rng)
         from tetradkit.fieldeqs import MatterModel
 
-        res = conservation_form_residuals(e, omega, MatterModel.vacuum(), POINTS[0])
+        res = conservation_form_residuals(PointJets(e, omega, POINTS[0]), MatterModel.vacuum())
         assert res.stress.max_abs() == 0.0
         assert res.spin.max_abs() == 0.0
 
@@ -216,7 +217,7 @@ class TestConservationForm:
         omega = LeviCivitaConnection(e)
         matter = manufacture_matter(e, omega)
         for point in POINTS:
-            res = conservation_form_residuals(e, omega, matter, point)
+            res = conservation_form_residuals(PointJets(e, omega, point), matter)
             assert res.stress.max_abs() < 1e-8
             assert res.spin.max_abs() < 1e-8
 
@@ -226,7 +227,7 @@ class TestConservationForm:
         e, omega = contorted_levi_civita(rng)
         matter = manufacture_matter(e, omega)
         for point in POINTS:
-            res = conservation_form_residuals(e, omega, matter, point)
+            res = conservation_form_residuals(PointJets(e, omega, point), matter)
             assert res.stress.max_abs() < 1e-8
             assert res.spin.max_abs() < 1e-8
 
@@ -234,7 +235,7 @@ class TestConservationForm:
         rng = np.random.default_rng(5)
         e, omega = contorted_levi_civita(rng)
         matter = random_matter(rng)
-        res = conservation_form_residuals(e, omega, matter, POINTS[0])
+        res = conservation_form_residuals(PointJets(e, omega, POINTS[0]), matter)
         assert res.stress.max_abs() > 1e-3
 
     def test_residual_is_affine_in_the_sources(self):
@@ -259,7 +260,7 @@ class TestConservationForm:
                 for i in range(4)
             ]
             matter = MatterModel.explicit(texts, spin, UNIT_CHART, params={"eps": eps})
-            return conservation_form_residuals(e, omega, matter, POINTS[1]).stress
+            return conservation_form_residuals(PointJets(e, omega, POINTS[1]), matter).stress
 
         r0 = residual_at(0.0).jet.value
         r1 = residual_at(1e-3).jet.value
@@ -275,7 +276,7 @@ class TestConservationComponent:
         e, omega = contorted_levi_civita(rng)
         from tetradkit.fieldeqs import MatterModel
 
-        res = conservation_component_residuals(e, omega, MatterModel.vacuum(), POINTS[0])
+        res = conservation_component_residuals(PointJets(e, omega, POINTS[0]), MatterModel.vacuum())
         npt.assert_array_equal(res.stress, np.zeros(4))
         npt.assert_array_equal(res.spin, np.zeros((4, 4)))
 
@@ -284,7 +285,7 @@ class TestConservationComponent:
         omega = LeviCivitaConnection(e)
         matter = manufacture_matter(e, omega)
         for point in ([5.2, 1.1, 0.7, 0.0], [8.5, 0.9, 2.2, -0.4]):
-            res = conservation_component_residuals(e, omega, matter, np.array(point))
+            res = conservation_component_residuals(PointJets(e, omega, np.array(point)), matter)
             assert np.abs(res.stress).max() < 1e-7
             assert np.abs(res.spin).max() < 1e-7
 
@@ -294,7 +295,7 @@ class TestConservationComponent:
         e, omega = contorted_levi_civita(rng)
         matter = manufacture_matter(e, omega)
         for point in POINTS:
-            res = conservation_component_residuals(e, omega, matter, point)
+            res = conservation_component_residuals(PointJets(e, omega, point), matter)
             assert np.abs(res.stress).max() < 1e-12
             assert np.abs(res.spin).max() < 1e-12
 
@@ -314,7 +315,7 @@ class TestConservationComponent:
         matter = MatterModel.explicit(
             sym, {key: ["0"] * 4 for key in PAIR_KEYS}, UNIT_CHART
         )
-        res = conservation_component_residuals(e, omega, matter, POINTS[2])
+        res = conservation_component_residuals(PointJets(e, omega, POINTS[2]), matter)
         npt.assert_array_equal(res.spin, np.zeros((4, 4)))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -325,8 +326,8 @@ class TestConservationComponent:
         e, omega = contorted_levi_civita(rng)
         matter = random_matter(rng)
         for point in POINTS[:2]:
-            comp = conservation_component_residuals(e, omega, matter, point)
-            forms = conservation_form_residuals(e, omega, matter, point)
+            comp = conservation_component_residuals(PointJets(e, omega, point), matter)
+            forms = conservation_form_residuals(PointJets(e, omega, point), matter)
             ej = e.jet(point, 0)
             det = float(determinant_jet(ej).value)
             gin = np.linalg.inv(metric_jet(ej).value)
@@ -435,12 +436,12 @@ class TestMetricCompatibility:
         e = random_tetrad(rng)
         omega = random_connection(rng)
         for point in POINTS:
-            res = metric_compatibility_residual(e, omega, point)
+            res = metric_compatibility_residual(PointJets(e, omega, point))
             assert np.abs(res).max() < 1e-12
 
     def test_schwarzschild(self):
         e = schwarzschild_tetrad()
         res = metric_compatibility_residual(
-            e, LeviCivitaConnection(e), np.array([5.2, 1.1, 0.7, 0.0])
+            PointJets(e, LeviCivitaConnection(e), np.array([5.2, 1.1, 0.7, 0.0])),
         )
         assert np.abs(res).max() < 1e-12

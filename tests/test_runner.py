@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from tetradkit import runner
 from tetradkit.runner import (
     CHECK_NAMES,
     CHECKS,
@@ -172,6 +175,49 @@ class TestRunChecks:
         assert not report.errors
         assert not report.results[0].passed
         assert report.results[0].max_residual > 1e-3
+
+
+def _patch_check(monkeypatch, name, evaluate):
+    patched = tuple(
+        dataclasses.replace(c, evaluate=evaluate) if c.name == name else c
+        for c in runner.CHECKS
+    )
+    monkeypatch.setattr(runner, "CHECKS", patched)
+
+
+class TestPointFaults:
+    def test_non_finite_residual_is_an_error_and_fails(self, monkeypatch):
+        def nan_at_point_one(jets, matter, stream):
+            return math.nan if stream[1] == 1 else 0.0
+
+        _patch_check(monkeypatch, "torsion-consistency", nan_at_point_one)
+        sc = builtin_scenario("minkowski")
+        report = run_checks(sc, points=3, checks=["torsion-consistency"])
+        result = report.results[0]
+        assert result.points == 2
+        assert not result.passed
+        assert not report.overall_pass
+        assert [entry["point"] for entry in report.errors] == [
+            [float(c) for c in sample_points(sc.chart, 3, sc.seed)[1]]
+        ]
+        assert "non-finite residual" in report.errors[0]["message"]
+
+    def test_json_report_refuses_nan(self, tmp_path):
+        report = run_checks(builtin_scenario("minkowski"), points=2)
+        broken = dataclasses.replace(
+            report,
+            results=(dataclasses.replace(report.results[0], max_residual=math.nan),),
+        )
+        with pytest.raises(ValueError):
+            emit_report(broken, "json", tmp_path / "report.json")
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(jets, matter, stream):
+            raise TypeError("not a domain fault")
+
+        _patch_check(monkeypatch, "second-bianchi", broken)
+        with pytest.raises(TypeError, match="not a domain fault"):
+            run_checks(builtin_scenario("minkowski"), points=2)
 
 
 class TestFaultInjection:
