@@ -247,7 +247,6 @@ class MatterModel:
         stress=None,
         spin=None,
         frame=None,
-        totally_antisymmetric: bool = False,
     ):
         if mode not in ("vacuum", "explicit", "manufactured"):
             raise FieldEquationError(f"unknown matter mode {mode!r}")
@@ -256,7 +255,6 @@ class MatterModel:
         if self.kappa == 0.0:
             raise FieldEquationError("coupling kappa must be nonzero")
         self.lam = float(lam)
-        self.totally_antisymmetric = bool(totally_antisymmetric)
         self._stress = stress
         self._spin = spin
         self._frame = frame
@@ -277,18 +275,10 @@ class MatterModel:
         *,
         kappa: float | None = None,
         lam: float = 0.0,
-        totally_antisymmetric: bool = False,
     ) -> "MatterModel":
         stress = _parse_grid(stress_texts, chart, params)
         spin = SpinSourceField(spin_entries or {}, chart, params)
-        return cls(
-            "explicit",
-            kappa=kappa,
-            lam=lam,
-            stress=stress,
-            spin=spin,
-            totally_antisymmetric=totally_antisymmetric,
-        )
+        return cls("explicit", kappa=kappa, lam=lam, stress=stress, spin=spin)
 
     def attached_to(self, e: FrameSource, omega: FrameSource) -> bool:
         """Whether this model may be evaluated against the given frame."""
@@ -507,8 +497,8 @@ def validate_spin_antisymmetry(jets: PointJets, matter: MatterModel, tol: float 
     """Assert total antisymmetry of the spin source and of the torsion.
 
     Both tensors are lowered with the metric first; violation raises
-    ``FieldEquationError``.  Meant for matter models carrying the
-    ``totally_antisymmetric`` flag.
+    ``FieldEquationError``.  No registered check calls it; it serves
+    models whose spin source should be totally antisymmetric.
     """
     jets.e(1)
     jets.omega(1)

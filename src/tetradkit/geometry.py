@@ -1,9 +1,10 @@
-"""Frame fields and the quantities a point inherits from them.
+"""Frame fields and the jet formulas a point derives from them.
 
 Field objects hold expressions over a chart and evaluate to jets at a
 point; everything downstream (metric, Christoffel symbols, field strength,
-curvature tensors, torsion) is a pure function of those jets.  Index
-conventions, fixed here once:
+torsion) is a ``*_jet`` function of those jets.  ``pointjets.PointJets``
+applies these once per point for every consumer.  Index conventions,
+fixed here once:
 
 * tetrad components e[a, mu] with the internal (frame) index first;
 * inverse tetrad components einv[mu, a];
@@ -22,12 +23,11 @@ conventions, fixed here once:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .exprkit import Chart, Expression, eval_jet_grid, parse_expression
+from .exprkit import Chart, eval_jet_grid, parse_expression
 from .forms import ETA, covariant_D
 from .jets import (
     DIM,
@@ -198,79 +198,6 @@ def torsion_tensor_jet(theta: Jet, einv: Jet) -> Jet:
     return jet_einsum("sa,amn->mns", einv, theta)
 
 
-# -- field-level operations ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricData:
-    g: np.ndarray
-    g_inv: np.ndarray
-    det_e: float
-
-
-@dataclass(frozen=True)
-class CurvatureData:
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-    einstein: np.ndarray
-
-
-@dataclass(frozen=True)
-class TorsionData:
-    theta: np.ndarray
-    q: np.ndarray
-
-
-def metric_from_tetrad(e: FrameSource, point, threshold: float = 1e-10) -> MetricData:
-    ej = e.jet(point, 0)
-    det = float(np.linalg.det(ej.value))
-    if abs(det) < threshold:
-        raise SingularTetradError(f"tetrad determinant {det:.3e} below threshold {threshold:.1e}")
-    g = metric_jet(ej).value
-    return MetricData(g=g, g_inv=np.linalg.inv(g), det_e=det)
-
-
-def inverse_tetrad(e: FrameSource, point, threshold: float = 1e-10) -> np.ndarray:
-    return inverse_tetrad_jet(e.jet(point, 0), threshold).value
-
-
-def christoffel(e: FrameSource, omega: FrameSource, point) -> np.ndarray:
-    ej = e.jet(point, 1)
-    return christoffel_jet(ej, omega.jet(point, 0)).value
-
-
-def curvature_field_strength(omega: FrameSource, point) -> np.ndarray:
-    return field_strength_jet(omega.jet(point, 1)).value
-
-
-def curvature_tensors(e: FrameSource, omega: FrameSource, point) -> CurvatureData:
-    ej = e.jet(point, 0)
-    f = field_strength_jet(omega.jet(point, 1)).value
-    einv = inverse_tetrad_jet(ej).value
-    return _curvature_from_values(ej.value, einv, metric_jet(ej).value, f)
-
-
-def _curvature_from_values(e, einv, g, f) -> CurvatureData:
-    riemann = np.einsum("sa,abmn,bc,cw->mnws", einv, f, ETA, e)
-    ricci = np.einsum("msws->mw", riemann)
-    scalar = -float(np.einsum("ma,wb,abmw->", einv, einv, f))
-    check = float(np.einsum("mw,mw->", np.linalg.inv(g), ricci))
-    if abs(scalar - check) > 1e-10 * max(1.0, abs(scalar)):
-        raise GeometryError(
-            f"curvature scalar routes disagree: {scalar!r} vs {check!r}"
-        )
-    einstein = ricci - 0.5 * g * scalar
-    return CurvatureData(riemann=riemann, ricci=ricci, scalar=scalar, einstein=einstein)
-
-
-def torsion(e: FrameSource, omega: FrameSource, point) -> TorsionData:
-    ej = e.jet(point, 1)
-    theta = torsion_jet(ej, omega.jet(point, 0))
-    q = torsion_tensor_jet(theta, inverse_tetrad_jet(ej))
-    return TorsionData(theta=theta.value, q=q.value)
-
-
 # -- Levi-Civita solve -----------------------------------------------------
 
 _ROWS = [(a, mn) for a in range(DIM) for mn in PAIRS]
@@ -380,10 +307,6 @@ class LeviCivitaConnection:
         return Jet._trusted(order, [_expand_pairs(w) for w in sols])
 
 
-def levi_civita_connection(e: FrameSource) -> LeviCivitaConnection:
-    return LeviCivitaConnection(e)
-
-
 class SummedConnection:
     """Pointwise sum of a base connection and a contorsion source."""
 
@@ -393,10 +316,6 @@ class SummedConnection:
 
     def jet(self, point: Sequence[float], order: int) -> Jet:
         return self.base.jet(point, order) + self.extra.jet(point, order)
-
-
-def apply_contorsion(base: FrameSource, contorsion: FrameSource) -> SummedConnection:
-    return SummedConnection(base, contorsion)
 
 
 # -- local frame rotations -------------------------------------------------
@@ -480,77 +399,3 @@ def lorentz_transform(
 ) -> tuple[TransformedTetrad, TransformedConnection]:
     return TransformedTetrad(e, lam), TransformedConnection(omega, lam)
 
-
-# -- assembled point data --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointGeometry:
-    """Everything the pipeline produces from (e, omega) at one point."""
-
-    point: tuple[float, ...]
-    e_jet: Jet
-    omega_jet: Jet
-    einv_jet: Jet
-    g: np.ndarray
-    g_inv: np.ndarray
-    det_e: float
-    einv: np.ndarray
-    gamma: np.ndarray
-    f: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-    einstein: np.ndarray
-    theta: np.ndarray
-    q: np.ndarray
-
-
-def point_geometry(e: FrameSource, omega: FrameSource, point, order: int = 2) -> PointGeometry:
-    """Evaluate the full local pipeline at one point.
-
-    ``order`` sets the jet depth kept for e and omega (at least 1); the
-    numeric tensors come from the same jets, so a single evaluation serves
-    both the values and any derivative-hungry consumer.
-    """
-    if order < 1:
-        raise GeometryError("point geometry needs jets of order >= 1")
-    ej = e.jet(point, order)
-    wj = omega.jet(point, order)
-    det = float(np.linalg.det(ej.value))
-    if abs(det) < 1e-10:
-        raise SingularTetradError(f"tetrad determinant {det:.3e} below threshold 1e-10")
-    scale = max(1.0, float(np.max(np.abs(wj.value))))
-    if np.max(np.abs(wj.value + wj.value.transpose(1, 0, 2))) > 1e-12 * scale:
-        raise GeometryError("connection components must be antisymmetric in the internal pair")
-    einv_j = inverse_tetrad_jet(ej)
-    g = metric_jet(ej).value
-    g_inv = np.linalg.inv(g)
-    if np.max(np.abs(g @ g_inv - np.eye(DIM))) > 1e-12 * max(1.0, np.max(np.abs(g))):
-        raise GeometryError("metric inverse check failed")
-    gamma = christoffel_jet(ej, wj, einv_j).value
-    f = field_strength_jet(wj).value
-    curv = _curvature_from_values(ej.value, einv_j.value, g, f)
-    theta = torsion_jet(ej, wj)
-    q = torsion_tensor_jet(theta, einv_j).value
-    gamma_skew = gamma - gamma.transpose(0, 2, 1)
-    if np.max(np.abs(gamma_skew.transpose(1, 2, 0) - q)) > 1e-12 * max(1.0, np.max(np.abs(gamma))):
-        raise GeometryError("torsion tensor disagrees with the Christoffel antisymmetry")
-    return PointGeometry(
-        point=tuple(float(c) for c in point),
-        e_jet=ej,
-        omega_jet=wj,
-        einv_jet=einv_j,
-        g=g,
-        g_inv=g_inv,
-        det_e=det,
-        einv=einv_j.value,
-        gamma=gamma,
-        f=f,
-        riemann=curv.riemann,
-        ricci=curv.ricci,
-        scalar=curv.scalar,
-        einstein=curv.einstein,
-        theta=theta.value,
-        q=q,
-    )

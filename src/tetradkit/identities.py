@@ -47,7 +47,6 @@ from .forms import (
     covariant_D,
     covariant_exterior_derivative,
 )
-from .geometry import field_strength_jet
 from .jets import Jet, jet_einsum, jet_map
 from .pointjets import PointJets
 
@@ -121,7 +120,7 @@ def _lowered_coframe(e_jet: Jet) -> Jet:
 def _interior_pairings(
     einv: Jet, theta: Jet, f: Jet, vec3: MixedForm, pair3: MixedForm
 ) -> Jet:
-    """The two interior-product couplings shared by the derivative checks.
+    """The two interior-product couplings of ``_three_form_laws``.
 
     Contracts torsion against an internal-vector 3-form and the field
     strength against an internal-pair 3-form, wedging the leftover 1-form
@@ -143,18 +142,35 @@ def _stress_coframe_wedge(t3: MixedForm, e_jet: Jet) -> Jet:
     return wedged - swapped
 
 
+def _three_form_laws(
+    ej: Jet, wj: Jet, einv: Jet, theta: Jet, f: Jet, vec3: MixedForm, pair3: MixedForm
+) -> tuple[MixedForm, MixedForm]:
+    """The derivative laws shared by the geometric sides and the sources.
+
+    First: the twisted derivative of the internal-vector 3-form minus the
+    interior-product couplings of torsion to it and of the field strength
+    to the internal-pair 3-form.  Second: the twisted derivative of the
+    internal-pair 3-form minus half the antisymmetrized wedge of the
+    internal-vector 3-form with the lowered coframe.  Both are 4-forms.
+    """
+    dv = covariant_exterior_derivative(wj, vec3, (-1,))
+    pair = _interior_pairings(einv, theta, f, vec3, pair3)
+    first = dv - MixedForm._wrap(4, 1, pair.truncated(dv.order))
+    dp = covariant_exterior_derivative(wj, pair3, (-1, -1))
+    half = _stress_coframe_wedge(vec3, ej).scaled(0.5)
+    second = dp - MixedForm._wrap(4, 2, half.truncated(dp.order))
+    return first, second
+
+
 def rewritten_lhs_check(
     jets: PointJets, order: int = 0
 ) -> tuple[MixedForm, MixedForm]:
     """Derivative expansions of the two geometric equation sides.
 
-    First residual: the twisted derivative of the curvature 3-form minus
-    the interior-product pairing of torsion with the curvature 3-form and
-    of the field strength with the torsion 3-form.  Second residual: the
-    twisted derivative of the torsion 3-form minus half the antisymmetrized
-    curvature-coframe wedge; the half enters with the sign that closes the
-    identity under the torsion conventions used here (measured once, pinned
-    by a test).  Both residuals are 4-forms and vanish for every frame and
+    ``_three_form_laws`` of the curvature 3-form and the torsion 3-form.
+    The half in the second residual enters with the sign that closes the
+    identity under the torsion conventions used here (measured once,
+    pinned by a test).  Both residuals vanish for every frame and
     connection with coherent jets.
     """
     ej = jets.e(order + 2)
@@ -164,13 +180,7 @@ def rewritten_lhs_check(
     theta = jets.torsion(order + 1)
     p3 = curvature_three_form(ej, f)
     s3 = torsion_three_form(theta, ej)
-    dp = covariant_exterior_derivative(wj, p3, (-1,))
-    pair = _interior_pairings(einv, theta, f, p3, s3)
-    first = dp - MixedForm._wrap(4, 1, pair.truncated(dp.order))
-    ds = covariant_exterior_derivative(wj, s3, (-1, -1))
-    pe = _stress_coframe_wedge(p3, ej).scaled(0.5)
-    second = ds - MixedForm._wrap(4, 2, pe.truncated(ds.order))
-    return first, second
+    return _three_form_laws(ej, wj, einv, theta, f, p3, s3)
 
 
 @dataclass(frozen=True)
@@ -186,12 +196,9 @@ def conservation_form_residuals(
 ) -> ConservationFormResiduals:
     """Covariant-exterior-derivative conservation defects of the sources.
 
-    The stress defect subtracts the interior-product couplings of torsion
-    to the stress 3-form and of the field strength to the spin 3-form from
-    the twisted derivative of the stress 3-form.  The spin defect subtracts
-    half the antisymmetrized stress-coframe wedge from the twisted
-    derivative of the spin 3-form.  Both vanish on solutions of the field
-    equations; for vacuum matter they are identically zero.
+    ``_three_form_laws`` of the stress 3-form and the spin 3-form.  Both
+    defects vanish on solutions of the field equations; for vacuum matter
+    they are identically zero.
     """
     _require_attached(matter, jets)
     ej = jets.e(order + 2)
@@ -201,12 +208,7 @@ def conservation_form_residuals(
     einv = jets.inverse_tetrad(order + 2)
     theta = jets.torsion(order + 1)
     f = jets.field_strength(order + 1)
-    dt = covariant_exterior_derivative(wj, tf, (-1,))
-    pair = _interior_pairings(einv, theta, f, tf, sf)
-    stress = dt - MixedForm._wrap(4, 1, pair.truncated(dt.order))
-    ds = covariant_exterior_derivative(wj, sf, (-1, -1))
-    te = _stress_coframe_wedge(tf, ej).scaled(0.5)
-    spin = ds - MixedForm._wrap(4, 2, te.truncated(ds.order))
+    stress, spin = _three_form_laws(ej, wj, einv, theta, f, tf, sf)
     return ConservationFormResiduals(stress=stress, spin=spin)
 
 
@@ -306,19 +308,21 @@ def metric_compatibility_residual(jets: PointJets) -> np.ndarray:
     return dg - corr
 
 
-def commutator_residual(omega_jet: Jet, vector_jet: Jet) -> Jet:
+def commutator_residual(jets: PointJets, vector_jet: Jet, order: int = 0) -> Jet:
     """Frame-derivative commutator minus the field-strength action.
 
-    ``vector_jet`` holds an internal vector field v[a]; the result has
-    components [mu, nu] trailing the internal axis, [a, mu, nu].  Zero to
-    rounding whenever both jets are coherent.
+    ``vector_jet`` holds an internal vector field v[a] with jets of order
+    ``order + 2``; the result has components [mu, nu] trailing the
+    internal axis, [a, mu, nu].  Zero to rounding whenever the vector and
+    connection jets are coherent.
     """
-    once = covariant_D(omega_jet, vector_jet, (+1,))
-    twice = covariant_D(omega_jet, once, (+1,))
+    wj = jets.omega(order + 2)
+    once = covariant_D(wj, vector_jet, (+1,))
+    twice = covariant_D(wj, once, (+1,))
     anti = twice - jet_map(lambda arr: np.swapaxes(arr, 1, 2), twice)
     fmat = jet_map(
         lambda arr: np.einsum("abmn...,bc->acmn...", arr, ETA),
-        field_strength_jet(omega_jet),
+        jets.field_strength(order + 1),
     )
     action = jet_einsum("acmn,c->amn", fmat, vector_jet)
     return anti - action.truncated(anti.order)
@@ -359,18 +363,18 @@ def curvature_wedge_action(
 
 
 def d_squared_residual(
-    omega_jet: Jet, alpha: MixedForm, variances: tuple[int, ...]
+    jets: PointJets, alpha: MixedForm, variances: tuple[int, ...], order: int = 0
 ) -> MixedForm:
     """Twice-applied twisted derivative minus the field-strength action.
 
     Zero to rounding for coherent jets; for a field strength that
     identically vanishes the twice-applied derivative is zero on its own.
-    ``alpha`` needs jets of order at least 2 and the connection order at
-    least 1.
+    ``alpha`` needs jets of order at least ``order + 2``.
     """
-    once = covariant_exterior_derivative(omega_jet, alpha, variances)
-    twice = covariant_exterior_derivative(omega_jet, once, variances)
+    wj = jets.omega(order + 2)
+    once = covariant_exterior_derivative(wj, alpha, variances)
+    twice = covariant_exterior_derivative(wj, once, variances)
     action = curvature_wedge_action(
-        field_strength_jet(omega_jet), alpha, variances
+        jets.field_strength(order + 1), alpha, variances
     )
     return twice - action.truncated(twice.order)

@@ -103,7 +103,11 @@ class PointJets:
         )
 
     def determinant(self, order: int) -> Jet:
-        return self._serve("det", order, DEPTH, lambda k: determinant_jet(self.e(k)))
+        """det e, served through order ``DEPTH - 1``: the stress form reads
+        it at orders 0 and 1 only."""
+        return self._serve(
+            "det", order, DEPTH - 1, lambda k: determinant_jet(self.e(k))
+        )
 
     def field_strength(self, order: int) -> Jet:
         """F[a, b, mu, nu], from the connection one order deeper."""

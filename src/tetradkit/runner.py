@@ -36,7 +36,7 @@ from .fieldeqs import (
     torsion_equation_residual,
     torsion_equation_sides,
 )
-from .forms import ETA, MixedForm
+from .forms import MixedForm
 from .geometry import GeometryError
 from .identities import (
     commutator_residual,
@@ -140,13 +140,12 @@ def _check_torsion_consistency(jets: PointJets, matter, stream) -> float:
 
 
 def _check_scalar_consistency(jets: PointJets, matter, stream) -> float:
-    e = jets.e(1).value
+    jets.e(1)
     jets.omega(1)
     einv = jets.inverse_tetrad(0).value
     f = jets.field_strength(0).value
     g = jets.metric(0).value
-    riemann = np.einsum("sa,abmn,bc,cw->mnws", einv, f, ETA, e)
-    ricci = np.einsum("msws->mw", riemann)
+    ricci = np.einsum("msws->mw", jets.riemann(0).value)
     direct = -float(np.einsum("ma,wb,abmw->", einv, einv, f))
     traced = float(np.einsum("mw,mw->", np.linalg.inv(g), ricci))
     return abs(direct - traced)
@@ -166,7 +165,7 @@ def _check_second_bianchi(jets: PointJets, matter, stream) -> float:
 
 def _check_d_squared(jets: PointJets, matter, stream) -> float:
     rng = _aux_rng(stream, "d2-law")
-    wj = jets.omega(2)
+    jets.omega(2)
     worst = 0.0
     for variances, shape in (
         ((1,), (DIM,)),
@@ -174,17 +173,17 @@ def _check_d_squared(jets: PointJets, matter, stream) -> float:
         ((1, -1), (DIM, DIM)),
     ):
         alpha = MixedForm._wrap(0, len(variances), _random_jet(rng, shape, 2))
-        worst = max(worst, d_squared_residual(wj, alpha, variances).max_abs())
+        worst = max(worst, d_squared_residual(jets, alpha, variances).max_abs())
     raw = _random_jet(rng, (DIM, DIM), 2)
     anti = Jet(raw.order, [0.5 * (d - d.swapaxes(0, 1)) for d in raw.data])
-    worst = max(worst, d_squared_residual(wj, MixedForm._wrap(2, 0, anti), ()).max_abs())
+    worst = max(worst, d_squared_residual(jets, MixedForm._wrap(2, 0, anti), ()).max_abs())
     return worst
 
 
 def _check_commutator(jets: PointJets, matter, stream) -> float:
     rng = _aux_rng(stream, "commutator")
     vector = _random_jet(rng, (DIM,), 2)
-    return _jet_abs_max(commutator_residual(jets.omega(2), vector))
+    return _jet_abs_max(commutator_residual(jets, vector))
 
 
 def _check_nfe_leibniz(jets: PointJets, matter, stream) -> float:

@@ -24,8 +24,8 @@ from .geometry import (
     FrameSource,
     LeviCivitaConnection,
     SpinConnectionField,
+    SummedConnection,
     TetradField,
-    apply_contorsion,
 )
 
 DIM = 4
@@ -180,7 +180,6 @@ class Scenario:
     matter_mode: str
     stress_texts: list[list[str]] | None
     spin_entries: dict[str, list[str]] | None
-    totally_antisymmetric: bool
     kappa: float | None
     lambda_cc: float
     points: int
@@ -205,7 +204,7 @@ class Scenario:
             contorsion = ContorsionField(
                 self.connection_entries or {}, self.chart, self.parameters
             )
-            omega = apply_contorsion(LeviCivitaConnection(e), contorsion)
+            omega = SummedConnection(LeviCivitaConnection(e), contorsion)
         return e, omega
 
     def matter_model(self, e: FrameSource, omega: FrameSource) -> MatterModel:
@@ -220,7 +219,6 @@ class Scenario:
             self.parameters,
             kappa=self.kappa,
             lam=self.lambda_cc,
-            totally_antisymmetric=self.totally_antisymmetric,
         )
 
 
@@ -267,7 +265,6 @@ def scenario_from_dict(doc, source: str = "<dict>") -> Scenario:
     matter = doc.get("matter", "vacuum")
     stress_texts = None
     spin_entries = None
-    totally_antisymmetric = False
     if isinstance(matter, str):
         if matter not in ("vacuum", "manufactured"):
             raise _fail(f"matter mode must be one of {MATTER_MODES}, got {matter!r}")
@@ -278,7 +275,7 @@ def scenario_from_dict(doc, source: str = "<dict>") -> Scenario:
             raise _fail(
                 f"matter mode must be one of {MATTER_MODES}, got {block.get('mode')!r}"
             )
-        unknown = set(block) - {"mode", "stress", "spin", "totally_antisymmetric"}
+        unknown = set(block) - {"mode", "stress", "spin"}
         if unknown:
             raise _fail(f"matter has unknown keys {sorted(unknown)}")
         matter_mode = "explicit"
@@ -290,7 +287,6 @@ def scenario_from_dict(doc, source: str = "<dict>") -> Scenario:
         spin_entries = _validate_pair_entries(
             block.get("spin", {}), chart, params, "Sigma", names
         )
-        totally_antisymmetric = bool(block.get("totally_antisymmetric", False))
 
     kappa = doc.get("kappa")
     if kappa is not None:
@@ -333,12 +329,7 @@ def scenario_from_dict(doc, source: str = "<dict>") -> Scenario:
         "matter": (
             matter_mode
             if matter_mode in ("vacuum", "manufactured")
-            else {
-                "mode": "explicit",
-                "stress": stress_texts,
-                "spin": spin_entries,
-                "totally_antisymmetric": totally_antisymmetric,
-            }
+            else {"mode": "explicit", "stress": stress_texts, "spin": spin_entries}
         ),
         "kappa": kappa,
         "lambda_cc": lambda_cc,
@@ -356,7 +347,6 @@ def scenario_from_dict(doc, source: str = "<dict>") -> Scenario:
         matter_mode=matter_mode,
         stress_texts=stress_texts,
         spin_entries=spin_entries,
-        totally_antisymmetric=totally_antisymmetric,
         kappa=kappa,
         lambda_cc=lambda_cc,
         points=points,

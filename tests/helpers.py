@@ -7,11 +7,19 @@ for, so derivative oracles never step outside a function's domain.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from tetradkit.exprkit import Chart, Expression, parse_expression
 from tetradkit.fieldeqs import MatterModel
-from tetradkit.geometry import ContorsionField, SpinConnectionField, TetradField
+from tetradkit.forms import ETA
+from tetradkit.geometry import (
+    ContorsionField,
+    GeometryError,
+    SpinConnectionField,
+    TetradField,
+)
 
 UNIT_CHART = Chart(("x0", "x1", "x2", "x3"), ((-1.0, 1.0),) * 4)
 SCHW_CHART = Chart(
@@ -149,3 +157,40 @@ def random_matter(rng, **kwargs):
         for key in PAIR_KEYS
     }
     return MatterModel.explicit(stress, spin, UNIT_CHART, **kwargs)
+
+
+def ricci(jets) -> np.ndarray:
+    """Ricci components [mu, omega]: the second and fourth slots of
+    ``jets.riemann(0)`` contracted."""
+    return np.einsum("msws->mw", jets.riemann(0).value)
+
+
+def curvature_scalar(jets) -> float:
+    """The Ricci tensor traced with the inverse metric."""
+    return float(np.einsum("mw,mw->", jets.inverse_metric(0).value, ricci(jets)))
+
+
+@dataclass(frozen=True)
+class CurvatureData:
+    riemann: np.ndarray
+    ricci: np.ndarray
+    scalar: float
+    einstein: np.ndarray
+
+
+def curvature_from_values(e, einv, g, f) -> CurvatureData:
+    """Curvature tensors from the values of e, e^-1, g and F alone.
+
+    An independent value-level route that the jet formulas are compared
+    against.
+    """
+    riemann = np.einsum("sa,abmn,bc,cw->mnws", einv, f, ETA, e)
+    ricci = np.einsum("msws->mw", riemann)
+    scalar = -float(np.einsum("ma,wb,abmw->", einv, einv, f))
+    check = float(np.einsum("mw,mw->", np.linalg.inv(g), ricci))
+    if abs(scalar - check) > 1e-10 * max(1.0, abs(scalar)):
+        raise GeometryError(
+            f"curvature scalar routes disagree: {scalar!r} vs {check!r}"
+        )
+    einstein = ricci - 0.5 * g * scalar
+    return CurvatureData(riemann=riemann, ricci=ricci, scalar=scalar, einstein=einstein)

@@ -18,17 +18,7 @@ from tetradkit.fieldeqs import (
     torsion_equation_sides,
 )
 from tetradkit.forms import ETA, MixedForm, covariant_exterior_derivative
-from tetradkit.geometry import (
-    LeviCivitaConnection,
-    ZeroConnection,
-    christoffel,
-    curvature_field_strength,
-    curvature_tensors,
-    lorentz_transform,
-    metric_from_tetrad,
-    point_geometry,
-    torsion,
-)
+from tetradkit.geometry import LeviCivitaConnection, ZeroConnection, lorentz_transform
 from tetradkit.identities import (
     conservation_component_residuals,
     conservation_form_residuals,
@@ -45,10 +35,12 @@ from tetradkit.scenarios import BUILTIN_NAMES, builtin_scenario
 
 from helpers import (
     UNIT_CHART,
+    curvature_scalar,
     identity_tetrad,
     random_connection,
     random_smooth_text,
     random_tetrad,
+    ricci,
 )
 from test_geometry import boost_field, rotation_field
 from test_identities import boosted_flat_connection, random_form_jet
@@ -58,15 +50,27 @@ def _amax(arr) -> float:
     return float(np.max(np.abs(arr)))
 
 
+def metric(e, x) -> np.ndarray:
+    return PointJets(e, ZeroConnection(), x).metric(0).value
+
+
 def test_c01_flat_frame_degenerates_to_zero():
     sc = builtin_scenario("minkowski")
     e, omega = sc.frames()
     worst = 0.0
     for x in sample_points(sc.chart, 100, 0):
-        pg = point_geometry(e, omega, x, order=2)
-        for arr in (pg.gamma, pg.f, pg.riemann, pg.ricci, pg.einstein, pg.theta, pg.q):
+        jets = PointJets(e, omega, x)
+        for arr in (
+            jets.christoffel(0).value,
+            jets.field_strength(0).value,
+            jets.riemann(0).value,
+            ricci(jets),
+            jets.einstein(0).value,
+            jets.torsion(0).value,
+            jets.torsion_tensor(0).value,
+        ):
             worst = max(worst, _amax(arr))
-        worst = max(worst, abs(pg.scalar))
+        worst = max(worst, abs(curvature_scalar(jets)))
     report = run_checks(sc, points=100, seed=0)
     assert report.overall_pass and not report.errors
     residuals = [r.max_residual for r in report.results]
@@ -79,16 +83,16 @@ def test_c02_schwarzschild_vacuum_curvature():
     e, omega = sc.frames()
     worst_ricci = worst_einstein = worst_quad = 0.0
     for x in sample_points(sc.chart, 100, 0):
-        out = curvature_tensors(e, omega, x)
-        g = metric_from_tetrad(e, x).g
+        jets = PointJets(e, omega, x)
+        g = jets.metric(0).value
         ginv = np.linalg.inv(g)
-        low = np.einsum("mnwa,as->mnws", out.riemann, g)
+        low = np.einsum("mnwa,as->mnws", jets.riemann(0).value, g)
         quad = float(
             np.einsum("mnws,ma,nb,wc,sd,abcd->", low, ginv, ginv, ginv, ginv, low)
         )
         expect = 48.0 / x[0] ** 6
-        worst_ricci = max(worst_ricci, _amax(out.ricci))
-        worst_einstein = max(worst_einstein, _amax(out.einstein))
+        worst_ricci = max(worst_ricci, _amax(ricci(jets)))
+        worst_einstein = max(worst_einstein, _amax(jets.einstein(0).value))
         worst_quad = max(worst_quad, abs(quad - expect) / expect)
     assert worst_ricci < 1e-8
     assert worst_einstein < 1e-8
@@ -128,7 +132,8 @@ def test_c05_twice_applied_derivative_is_curvature_action():
             alpha = MixedForm._wrap(
                 k, len(variances), random_form_jet(rng, k + len(variances), x)
             )
-            res = d_squared_residual(omega.jet(x, 2), alpha, variances)
+            jets = PointJets(identity_tetrad(), omega, x)
+            res = d_squared_residual(jets, alpha, variances)
             worst = max(worst, res.max_abs())
     assert worst < 1e-10
 
@@ -151,14 +156,14 @@ def test_c06_solved_connection_has_no_torsion():
         e, _ = sc.frames()
         lc = LeviCivitaConnection(e)
         for x in sample_points(sc.chart, 100, sc.seed):
-            worst = max(worst, _amax(torsion(e, lc, x).theta))
+            worst = max(worst, _amax(PointJets(e, lc, x).torsion(0).value))
     assert worst < 1e-12
 
     sc = builtin_scenario("flat-polar")
     e, omega = sc.frames()
     step = 1e-5
     for x in sample_points(sc.chart, 5, 6):
-        gamma = christoffel(e, omega, x)
+        gamma = PointJets(e, omega, x).christoffel(0).value
         r = x[0]
         assert abs(gamma[0, 1, 1] + r) < 1e-10
         assert abs(gamma[1, 0, 1] - 1.0 / r) < 1e-10
@@ -168,14 +173,12 @@ def test_c06_solved_connection_has_no_torsion():
             lo = np.array(x, dtype=float)
             hi[axis] += step
             lo[axis] -= step
-            dg[axis] = (metric_from_tetrad(e, hi).g - metric_from_tetrad(e, lo).g) / (
-                2 * step
-            )
+            dg[axis] = (metric(e, hi) - metric(e, lo)) / (2 * step)
         low = 0.5 * (
             np.einsum("mln->lmn", dg) + np.einsum("nlm->lmn", dg) - dg
         )
         oracle = np.einsum(
-            "sl,lmn->smn", np.linalg.inv(metric_from_tetrad(e, x).g), low
+            "sl,lmn->smn", np.linalg.inv(metric(e, x)), low
         )
         scale = max(1.0, _amax(oracle))
         assert _amax(gamma - oracle) / scale < 1e-6
@@ -267,35 +270,32 @@ def test_c10_local_frame_changes_preserve_invariants():
     ]
 
     def torsion_square(ef, wf, x):
-        pg = point_geometry(ef, wf, x, order=1)
-        return float(
-            np.einsum(
-                "amn,brs,ab,mr,ns->", pg.theta, pg.theta, ETA, pg.g_inv, pg.g_inv
-            )
-        )
+        jets = PointJets(ef, wf, x)
+        theta = jets.torsion(0).value
+        g_inv = jets.inverse_metric(0).value
+        return float(np.einsum("amn,brs,ab,mr,ns->", theta, theta, ETA, g_inv, g_inv))
 
     pts = sample_points(UNIT_CHART, 10, 10)
     for lam in fields:
         e2, w2 = lorentz_transform(e, omega, lam)
         for x in pts:
-            m1 = metric_from_tetrad(e, x)
-            m2 = metric_from_tetrad(e2, x)
-            assert _amax(m2.g - m1.g) < 1e-10
-            assert abs(m2.det_e - m1.det_e) < 1e-10
-            c1 = curvature_tensors(e, omega, x)
-            c2 = curvature_tensors(e2, w2, x)
-            assert abs(c2.scalar - c1.scalar) < 1e-10
+            j1 = PointJets(e, omega, x)
+            j2 = PointJets(e2, w2, x)
+            assert _amax(j2.metric(0).value - j1.metric(0).value) < 1e-10
+            assert abs(float(j2.determinant(0).value - j1.determinant(0).value)) < 1e-10
+            assert abs(curvature_scalar(j2) - curvature_scalar(j1)) < 1e-10
             assert abs(torsion_square(e2, w2, x) - torsion_square(e, omega, x)) < 1e-10
             lv = lam.jet(x, 0).value
             conjugated = np.einsum(
-                "ac,bd,cdmn->abmn", lv, lv, curvature_field_strength(omega, x)
+                "ac,bd,cdmn->abmn", lv, lv, j1.field_strength(0).value
             )
-            assert _amax(curvature_field_strength(w2, x) - conjugated) < 1e-10
+            assert _amax(j2.field_strength(0).value - conjugated) < 1e-10
 
     gauge = boost_field("0.4*x0 - 0.3*x1")
     _, wg = lorentz_transform(identity_tetrad(), ZeroConnection(), gauge)
     for x in pts:
-        assert _amax(curvature_field_strength(wg, x)) < 1e-10
+        f = PointJets(identity_tetrad(), wg, x).field_strength(0).value
+        assert _amax(f) < 1e-10
 
 
 def test_c11_metric_compatibility_everywhere():

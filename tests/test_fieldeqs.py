@@ -27,23 +27,23 @@ from tetradkit.fieldeqs import (
     pc_action_density,
     stress_tensor_to_form,
     torsion_equation_residual,
-    torsion_q_jet,
     validate_spin_antisymmetry,
 )
 from tetradkit.forms import EPSILON, MixedForm, epsilon_trace, internal_wedge
 from tetradkit.geometry import (
     GeometryError,
+    LeviCivitaConnection,
     SingularTetradError,
     TetradField,
     ZeroConnection,
-    levi_civita_connection,
-    point_geometry,
 )
 from tetradkit.jets import Jet
 from tetradkit.pointjets import PointJets
 
 from helpers import (
     UNIT_CHART,
+    curvature_from_values,
+    curvature_scalar,
     flrw_tetrad,
     identity_tetrad,
     random_connection,
@@ -226,18 +226,18 @@ class TestActionDensity:
         ratio = -1.0
         cases = []
         flrw = flrw_tetrad()
-        cases.append((flrw, levi_civita_connection(flrw), np.array([0.1, -0.2, 0.3, 0.4])))
+        cases.append((flrw, LeviCivitaConnection(flrw), np.array([0.1, -0.2, 0.3, 0.4])))
         rng = np.random.default_rng(7)
         rnd = random_tetrad(rng)
-        cases.append((rnd, levi_civita_connection(rnd), np.array([0.2, -0.3, 0.1, 0.4])))
+        cases.append((rnd, LeviCivitaConnection(rnd), np.array([0.2, -0.3, 0.1, 0.4])))
         for e, w, point in cases:
-            pg = point_geometry(e, w, point, order=1)
-            got = pc_action_density(PointJets(e, w, point), 0.0)
-            want = ratio * pg.scalar * pg.det_e
+            jets = PointJets(e, w, point)
+            got = pc_action_density(jets, 0.0)
+            want = ratio * curvature_scalar(jets) * float(jets.determinant(0).value)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
         sch = schwarzschild_tetrad()
         spt = np.array([4.0, 1.1, 0.7, 0.2])
-        assert abs(pc_action_density(PointJets(sch, levi_civita_connection(sch), spt), 0.0)) < 1e-12
+        assert abs(pc_action_density(PointJets(sch, LeviCivitaConnection(sch), spt), 0.0)) < 1e-12
 
     def test_singular_tetrad_rejected(self):
         texts = [["x0" if i == j == 0 else ("1" if i == j else "0") for j in range(4)] for i in range(4)]
@@ -254,7 +254,7 @@ class TestCurvatureEquation:
 
     def test_schwarzschild_vacuum(self):
         e = schwarzschild_tetrad()
-        w = levi_civita_connection(e)
+        w = LeviCivitaConnection(e)
         for point in (np.array([3.0, 1.2, 0.5, 0.0]), np.array([7.5, 2.0, 3.0, 0.4]), np.array([10.0, 0.8, 1.5, -0.2])):
             E = curvature_equation_residual(PointJets(e, w, point), MatterModel.vacuum())
             assert E.max_abs() < 1e-8
@@ -305,7 +305,7 @@ class TestCurvatureEquation:
 class TestTorsionEquation:
     def test_torsion_free_vacuum(self):
         e = schwarzschild_tetrad()
-        w = levi_civita_connection(e)
+        w = LeviCivitaConnection(e)
         C = torsion_equation_residual(PointJets(e, w, np.array([4.0, 1.1, 0.7, 0.2])), MatterModel.vacuum())
         assert C.k == 3 and C.p == 2
         assert C.max_abs() < 1e-10
@@ -360,7 +360,7 @@ class TestComponentResiduals:
 
     def test_schwarzschild_vacuum(self):
         e = schwarzschild_tetrad()
-        w = levi_civita_connection(e)
+        w = LeviCivitaConnection(e)
         res = component_field_equation_residuals(PointJets(e, w, np.array([5.0, 1.4, 2.0, 0.3])), MatterModel.vacuum())
         assert np.abs(res.stress).max() < 1e-8
         assert np.abs(res.spin).max() < 1e-12
@@ -386,7 +386,7 @@ class TestManufacturedMatter:
     def test_flrw_isotropy(self):
         hubble = 0.3
         e = flrw_tetrad(hubble)
-        w = levi_civita_connection(e)
+        w = LeviCivitaConnection(e)
         matter = manufacture_matter(e, w)
         point = np.array([0.2, -0.1, 0.4, 0.5])
         jets = PointJets(e, w, point)
@@ -442,9 +442,9 @@ class TestDualProjection:
         w1 = random_connection(rng)
         cases.append((e1, w1, random_matter(rng), np.array([0.2, -0.1, 0.3, 0.1])))
         e2 = flrw_tetrad()
-        cases.append((e2, levi_civita_connection(e2), MatterModel.vacuum(), np.array([0.1, 0.3, -0.2, 0.4])))
+        cases.append((e2, LeviCivitaConnection(e2), MatterModel.vacuum(), np.array([0.1, 0.3, -0.2, 0.4])))
         e3 = schwarzschild_tetrad()
-        cases.append((e3, levi_civita_connection(e3), MatterModel.vacuum(), np.array([6.0, 1.0, 2.5, 0.1])))
+        cases.append((e3, LeviCivitaConnection(e3), MatterModel.vacuum(), np.array([6.0, 1.0, 2.5, 0.1])))
         e4 = random_tetrad(rng)
         w4 = random_connection(rng)
         cases.append((e4, w4, manufacture_matter(e4, w4), np.array([-0.2, 0.1, 0.2, -0.3])))
@@ -518,9 +518,7 @@ class TestSpinAntisymmetryFlag:
         for m in range(4):
             for n in range(m + 1, 4):
                 entries[f"{m}{n}"] = [repr(float(up[m, n, s])) for s in range(4)]
-        matter = MatterModel.explicit(
-            [["0"] * 4 for _ in range(4)], entries, UNIT_CHART, totally_antisymmetric=True
-        )
+        matter = MatterModel.explicit([["0"] * 4 for _ in range(4)], entries, UNIT_CHART)
         validate_spin_antisymmetry(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), matter)
 
     def test_generic_source_fails(self):
@@ -528,7 +526,6 @@ class TestSpinAntisymmetryFlag:
             [["0"] * 4 for _ in range(4)],
             {"01": ["1", "0", "0", "0"]},
             UNIT_CHART,
-            totally_antisymmetric=True,
         )
         with pytest.raises(FieldEquationError):
             validate_spin_antisymmetry(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), matter)
@@ -553,18 +550,15 @@ class TestJetConsistency:
         e = random_tetrad(rng)
         w = random_connection(rng)
         point = np.array([0.1, -0.3, 0.2, 0.4])
-        pg = point_geometry(e, w, point, order=2)
+        jets = PointJets(e, w, point)
+        want = curvature_from_values(
+            jets.e(0).value,
+            jets.inverse_tetrad(0).value,
+            jets.metric(0).value,
+            jets.field_strength(0).value,
+        )
         got = einstein_jet(e.jet(point, 1), w.jet(point, 2))
-        assert np.allclose(got.value, pg.einstein, atol=1e-12)
-
-    def test_torsion_q_jet_matches_point_geometry(self):
-        rng = np.random.default_rng(19)
-        e = random_tetrad(rng)
-        w = random_connection(rng)
-        point = np.array([0.4, 0.1, -0.2, 0.3])
-        pg = point_geometry(e, w, point, order=2)
-        got = torsion_q_jet(e.jet(point, 1), w.jet(point, 1))
-        assert np.allclose(got.value, pg.q, atol=1e-12)
+        assert np.allclose(got.value, want.einstein, atol=1e-12)
 
     def test_spin_form_matches_torsion_route(self):
         # kappa times the manufactured spin form must reproduce the torsion

@@ -4,36 +4,28 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import UNIT_CHART, random_polynomial_text
+from helpers import UNIT_CHART, curvature_scalar, random_polynomial_text, ricci
 from tetradkit.exprkit import Chart, eval_jet_grid, parse_expression
 from tetradkit.forms import ETA, covariant_D
 from tetradkit.geometry import (
     ConstantConnection,
     ContorsionField,
     GeometryError,
+    LeviCivitaConnection,
     LorentzError,
     LorentzField,
     SingularTetradError,
     SpinConnectionField,
+    SummedConnection,
     TetradField,
     ZeroConnection,
-    apply_contorsion,
-    christoffel,
     christoffel_jet,
-    curvature_field_strength,
-    curvature_tensors,
-    field_strength_jet,
-    inverse_tetrad,
-    inverse_tetrad_jet,
-    levi_civita_connection,
     lorentz_transform,
-    metric_from_tetrad,
     metric_jet,
-    point_geometry,
-    torsion,
     torsion_jet,
 )
 from tetradkit.jets import Jet, jet_einsum, jet_partial
+from tetradkit.pointjets import PointJets
 
 POLAR = Chart(("r", "th", "z", "t"), ((0.5, 4.0), (0.1, 3.0), (-1.0, 1.0), (-1.0, 1.0)))
 SCHW = Chart(("r", "th", "ph", "t"), ((2.5, 12.0), (0.3, 2.8), (0.0, 6.28), (-1.0, 1.0)))
@@ -104,47 +96,59 @@ def random_connection(rng, scale=0.3):
     return SpinConnectionField(entries, UNIT_CHART)
 
 
+def tetrad_jets(e, x):
+    """The point's jets when only the tetrad matters."""
+    return PointJets(e, ZeroConnection(), x)
+
+
+def field_strength(omega, x):
+    return PointJets(identity_tetrad(), omega, x).field_strength(0).value
+
+
 class TestMetric:
     def test_identity_tetrad_gives_internal_metric(self):
-        data = metric_from_tetrad(identity_tetrad(), (0.1, 0.2, 0.3, 0.4))
-        npt.assert_allclose(data.g, ETA, atol=1e-15)
-        assert data.det_e == pytest.approx(1.0)
+        jets = tetrad_jets(identity_tetrad(), (0.1, 0.2, 0.3, 0.4))
+        npt.assert_allclose(jets.metric(0).value, ETA, atol=1e-15)
+        assert float(jets.determinant(0).value) == pytest.approx(1.0)
 
     def test_schwarzschild_values(self):
-        data = metric_from_tetrad(schwarzschild_tetrad(), (4.0, np.pi / 3, 1.0, 0.2))
+        g = tetrad_jets(schwarzschild_tetrad(), (4.0, np.pi / 3, 1.0, 0.2)).metric(0).value
         npt.assert_allclose(
-            np.diag(data.g), [2.0, 16.0, 12.0, -0.5], atol=1e-12,
+            np.diag(g), [2.0, 16.0, 12.0, -0.5], atol=1e-12,
             err_msg="diagonal metric entries at r=4, th=pi/3, M=1",
         )
-        off = data.g - np.diag(np.diag(data.g))
+        off = g - np.diag(np.diag(g))
         npt.assert_allclose(off, 0.0, atol=1e-14)
 
     def test_inverse_is_exact(self):
         rng = np.random.default_rng(101)
         e = random_tetrad(rng)
         x = rng.uniform(-0.5, 0.5, 4)
-        data = metric_from_tetrad(e, x)
-        npt.assert_allclose(data.g @ data.g_inv, np.eye(4), atol=1e-12)
+        jets = tetrad_jets(e, x)
+        npt.assert_allclose(
+            jets.metric(0).value @ jets.inverse_metric(0).value, np.eye(4), atol=1e-12
+        )
 
     def test_zero_row_is_singular(self):
         texts = [["1", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
         e = TetradField(texts, UNIT_CHART)
         with pytest.raises(SingularTetradError):
-            metric_from_tetrad(e, (0.0, 0.0, 0.0, 0.0))
+            tetrad_jets(e, (0.0, 0.0, 0.0, 0.0)).inverse_tetrad(0)
 
     def test_det_sign_preserved(self):
         texts = [["-2", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
-        data = metric_from_tetrad(TetradField(texts, UNIT_CHART), (0.0,) * 4)
-        assert data.det_e == pytest.approx(-2.0)
+        det = tetrad_jets(TetradField(texts, UNIT_CHART), (0.0,) * 4).determinant(0)
+        assert float(det.value) == pytest.approx(-2.0)
 
 
 class TestInverseTetrad:
     def test_identity(self):
-        npt.assert_allclose(inverse_tetrad(identity_tetrad(), (0.0,) * 4), np.eye(4), atol=1e-15)
+        einv = tetrad_jets(identity_tetrad(), (0.0,) * 4).inverse_tetrad(0).value
+        npt.assert_allclose(einv, np.eye(4), atol=1e-15)
 
     def test_diagonal(self):
         texts = [["2", "0", "0", "0"], ["0", "4", "0", "0"], ["0", "0", "0.5", "0"], ["0", "0", "0", "1"]]
-        out = inverse_tetrad(TetradField(texts, UNIT_CHART), (0.0,) * 4)
+        out = tetrad_jets(TetradField(texts, UNIT_CHART), (0.0,) * 4).inverse_tetrad(0).value
         npt.assert_allclose(out, np.diag([0.5, 0.25, 2.0, 1.0]), atol=1e-14)
 
     def test_both_contractions(self):
@@ -152,7 +156,7 @@ class TestInverseTetrad:
         e = random_tetrad(rng)
         x = rng.uniform(-0.5, 0.5, 4)
         ej = e.jet(x, 0)
-        einv = inverse_tetrad(e, x)
+        einv = tetrad_jets(e, x).inverse_tetrad(0).value
         npt.assert_allclose(np.einsum("am,mb->ab", ej.value, einv), np.eye(4), atol=1e-12)
         npt.assert_allclose(np.einsum("ma,an->mn", einv, ej.value), np.eye(4), atol=1e-12)
 
@@ -187,14 +191,14 @@ class TestCovariantD:
 
 class TestChristoffel:
     def test_flat_identity_vanishes(self):
-        out = christoffel(identity_tetrad(), ZeroConnection(), (0.1, 0.2, 0.3, 0.4))
+        out = tetrad_jets(identity_tetrad(), (0.1, 0.2, 0.3, 0.4)).christoffel(0).value
         npt.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_flat_polar_values(self):
         e = polar_tetrad()
-        lc = levi_civita_connection(e)
+        lc = LeviCivitaConnection(e)
         x = (1.7, 0.8, 0.3, 0.2)
-        gamma = christoffel(e, lc, x)
+        gamma = PointJets(e, lc, x).christoffel(0).value
         assert gamma[0, 1, 1] == pytest.approx(-1.7, abs=1e-12)
         assert gamma[1, 0, 1] == pytest.approx(1.0 / 1.7, abs=1e-12)
         assert gamma[1, 1, 0] == pytest.approx(1.0 / 1.7, abs=1e-12)
@@ -224,8 +228,9 @@ class TestChristoffel:
         e = random_tetrad(rng)
         omega = random_connection(rng)
         x = rng.uniform(-0.5, 0.5, 4)
-        gamma = christoffel(e, omega, x)
-        q = torsion(e, omega, x).q
+        jets = PointJets(e, omega, x)
+        gamma = jets.christoffel(0).value
+        q = jets.torsion_tensor(0).value
         npt.assert_allclose(
             (gamma - gamma.transpose(0, 2, 1)).transpose(1, 2, 0), q, atol=1e-12
         )
@@ -235,14 +240,14 @@ class TestFieldStrength:
     def test_single_constant_generator_is_flat(self):
         w = np.zeros((4, 4, 4))
         w[0, 1, 0], w[1, 0, 0] = 1.3, -1.3
-        out = curvature_field_strength(ConstantConnection(w), (0.0,) * 4)
+        out = field_strength(ConstantConnection(w), (0.0,) * 4)
         npt.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_coordinate_dependent_single_pair(self):
         entries = {"01": ["0", "0", "0", "sin(x0)"]}
         omega = SpinConnectionField(entries, UNIT_CHART)
         x = (0.4, 0.0, 0.0, 0.0)
-        out = curvature_field_strength(omega, x)
+        out = field_strength(omega, x)
         expect = np.zeros((4, 4, 4, 4))
         c = np.cos(0.4)
         expect[0, 1, 0, 3], expect[0, 1, 3, 0] = c, -c
@@ -253,7 +258,7 @@ class TestFieldStrength:
         rng = np.random.default_rng(108)
         arr = rng.uniform(-1, 1, (4, 4, 4))
         w = arr - arr.transpose(1, 0, 2)
-        out = curvature_field_strength(ConstantConnection(w), (0.0,) * 4)
+        out = field_strength(ConstantConnection(w), (0.0,) * 4)
         comm = np.einsum("adm,de,ebn->abmn", w, ETA, w)
         expect = comm - comm.transpose(0, 1, 3, 2)
         npt.assert_allclose(out, expect, atol=1e-13)
@@ -261,7 +266,7 @@ class TestFieldStrength:
     def test_antisymmetries_exact(self):
         rng = np.random.default_rng(109)
         omega = random_connection(rng)
-        out = curvature_field_strength(omega, rng.uniform(-0.5, 0.5, 4))
+        out = field_strength(omega, rng.uniform(-0.5, 0.5, 4))
         npt.assert_allclose(out + out.transpose(1, 0, 2, 3), 0.0, atol=1e-14)
         npt.assert_allclose(out + out.transpose(0, 1, 3, 2), 0.0, atol=1e-14)
 
@@ -269,12 +274,12 @@ class TestFieldStrength:
 class TestTorsion:
     def test_levi_civita_torsion_free(self):
         for e in (polar_tetrad(), schwarzschild_tetrad()):
-            lc = levi_civita_connection(e)
+            lc = LeviCivitaConnection(e)
             rng = np.random.default_rng(110)
             for _ in range(5):
                 x = [rng.uniform(lo + 0.1, hi - 0.1) for lo, hi in e.chart.bounds]
-                out = torsion(e, lc, x)
-                npt.assert_allclose(out.theta, 0.0, atol=1e-12)
+                theta = PointJets(e, lc, x).torsion(0).value
+                npt.assert_allclose(theta, 0.0, atol=1e-12)
 
     def test_constant_connection_brute_force(self):
         c = 0.7
@@ -282,28 +287,34 @@ class TestTorsion:
         w[0, 1, 2], w[1, 0, 2] = c, -c
         e = identity_tetrad()
         x = (0.0,) * 4
-        out = torsion(e, ConstantConnection(w), x)
+        jets = PointJets(e, ConstantConnection(w), x)
         expect = np.einsum("abm,bc,cn->amn", w, ETA, np.eye(4))
         expect = expect - expect.transpose(0, 2, 1)
-        npt.assert_allclose(out.theta, expect, atol=1e-14)
-        npt.assert_allclose(out.q, np.einsum("sa,amn->mns", np.eye(4), expect), atol=1e-14)
+        npt.assert_allclose(jets.torsion(0).value, expect, atol=1e-14)
+        npt.assert_allclose(
+            jets.torsion_tensor(0).value,
+            np.einsum("sa,amn->mns", np.eye(4), expect),
+            atol=1e-14,
+        )
 
     def test_antisymmetry_exact(self):
         rng = np.random.default_rng(111)
         e = random_tetrad(rng)
         omega = random_connection(rng)
-        out = torsion(e, omega, rng.uniform(-0.5, 0.5, 4))
-        npt.assert_allclose(out.theta + out.theta.transpose(0, 2, 1), 0.0, atol=1e-16)
-        npt.assert_allclose(out.q + out.q.transpose(1, 0, 2), 0.0, atol=1e-16)
+        jets = PointJets(e, omega, rng.uniform(-0.5, 0.5, 4))
+        theta = jets.torsion(0).value
+        q = jets.torsion_tensor(0).value
+        npt.assert_allclose(theta + theta.transpose(0, 2, 1), 0.0, atol=1e-16)
+        npt.assert_allclose(q + q.transpose(1, 0, 2), 0.0, atol=1e-16)
 
 
 class TestLeviCivita:
     def test_identity_tetrad_gives_zero(self):
-        lc = levi_civita_connection(identity_tetrad())
+        lc = LeviCivitaConnection(identity_tetrad())
         npt.assert_allclose(lc.jet((0.2, 0.1, -0.3, 0.0), 2).value, 0.0, atol=1e-14)
 
     def test_flat_polar_single_component(self):
-        lc = levi_civita_connection(polar_tetrad())
+        lc = LeviCivitaConnection(polar_tetrad())
         w = lc.jet((1.7, 0.8, 0.3, 0.2), 0).value
         expect = np.zeros((4, 4, 4))
         expect[1, 2, 1], expect[2, 1, 1] = -1.0, 1.0
@@ -312,16 +323,16 @@ class TestLeviCivita:
 
     def test_schwarzschild_residual_many_points(self):
         e = schwarzschild_tetrad()
-        lc = levi_civita_connection(e)
+        lc = LeviCivitaConnection(e)
         rng = np.random.default_rng(112)
         for _ in range(10):
             x = (rng.uniform(3.0, 10.0), rng.uniform(0.5, 2.6), rng.uniform(0.5, 5.5), rng.uniform(-0.5, 0.5))
-            out = torsion(e, lc, x)
-            npt.assert_allclose(out.theta, 0.0, atol=1e-12)
+            theta = PointJets(e, lc, x).torsion(0).value
+            npt.assert_allclose(theta, 0.0, atol=1e-12)
 
     def test_derivatives_match_finite_differences(self):
         e = schwarzschild_tetrad()
-        lc = levi_civita_connection(e)
+        lc = LeviCivitaConnection(e)
         x = np.array([4.5, 1.1, 2.0, 0.1])
         jet = lc.jet(x, 2)
         h = 1e-5
@@ -338,7 +349,7 @@ class TestLeviCivita:
     def test_random_tetrad_unique_and_torsion_free(self):
         rng = np.random.default_rng(113)
         e = random_tetrad(rng)
-        lc = levi_civita_connection(e)
+        lc = LeviCivitaConnection(e)
         x = rng.uniform(-0.5, 0.5, 4)
         w = lc.jet(x, 0)
         npt.assert_allclose(torsion_jet(e.jet(x, 1), w).value, 0.0, atol=1e-13)
@@ -350,37 +361,35 @@ class TestLeviCivita:
         assert np.max(np.abs(torsion_jet(e.jet(x, 1), perturbed).value)) > 1e-5
 
     def test_order_cap(self):
-        lc = levi_civita_connection(identity_tetrad())
+        lc = LeviCivitaConnection(identity_tetrad())
         with pytest.raises(GeometryError):
             lc.jet((0.0,) * 4, 3)
 
 
 class TestCurvatureTensors:
     def test_flat_zero(self):
-        out = curvature_tensors(identity_tetrad(), ZeroConnection(), (0.0,) * 4)
-        npt.assert_allclose(out.riemann, 0.0, atol=1e-15)
-        assert out.scalar == 0.0
+        jets = tetrad_jets(identity_tetrad(), (0.0,) * 4)
+        npt.assert_allclose(jets.riemann(0).value, 0.0, atol=1e-15)
+        assert curvature_scalar(jets) == 0.0
 
     def test_schwarzschild_vacuum(self):
         e = schwarzschild_tetrad()
-        lc = levi_civita_connection(e)
+        lc = LeviCivitaConnection(e)
         rng = np.random.default_rng(114)
         for _ in range(5):
             x = (rng.uniform(3.0, 10.0), rng.uniform(0.5, 2.6), 1.0, 0.0)
-            out = curvature_tensors(e, lc, x)
-            assert np.max(np.abs(out.ricci)) < 1e-8, f"vacuum violated at {x}"
+            assert np.max(np.abs(ricci(PointJets(e, lc, x)))) < 1e-8, f"vacuum violated at {x}"
 
     def test_schwarzschild_quadratic_invariant(self):
         e = schwarzschild_tetrad()
-        lc = levi_civita_connection(e)
+        lc = LeviCivitaConnection(e)
         rng = np.random.default_rng(115)
         for _ in range(5):
             x = (rng.uniform(3.0, 10.0), rng.uniform(0.5, 2.6), 1.0, 0.0)
-            pg = point_geometry(e, lc, x, order=1)
-            rlow = np.einsum("mnws,sl->mnwl", pg.riemann, pg.g)
-            rup = np.einsum(
-                "ma,nb,wc,ld,abcd->mnwl", pg.g_inv, pg.g_inv, pg.g_inv, pg.g_inv, rlow
-            )
+            jets = PointJets(e, lc, x)
+            g_inv = jets.inverse_metric(0).value
+            rlow = np.einsum("mnws,sl->mnwl", jets.riemann(0).value, jets.metric(0).value)
+            rup = np.einsum("ma,nb,wc,ld,abcd->mnwl", g_inv, g_inv, g_inv, g_inv, rlow)
             invariant = np.einsum("mnwl,mnwl->", rlow, rup)
             expect = 48.0 / x[0] ** 6
             npt.assert_allclose(invariant, expect, rtol=1e-6,
@@ -391,44 +400,45 @@ class TestCurvatureTensors:
         # -12 H^2, the Ricci tensor -3 H^2 g, the einstein tensor +3 H^2 g
         hubble = 0.3
         e = exponential_scale_tetrad(hubble)
-        lc = levi_civita_connection(e)
-        out = curvature_tensors(e, lc, (0.2, -0.3, 0.1, 0.4))
-        g = metric_from_tetrad(e, (0.2, -0.3, 0.1, 0.4)).g
-        npt.assert_allclose(out.scalar, -12.0 * hubble**2, rtol=1e-10)
-        npt.assert_allclose(out.ricci, -3.0 * hubble**2 * g, atol=1e-12)
-        npt.assert_allclose(out.einstein, 3.0 * hubble**2 * g, atol=1e-12)
+        lc = LeviCivitaConnection(e)
+        jets = PointJets(e, lc, (0.2, -0.3, 0.1, 0.4))
+        g = jets.metric(0).value
+        npt.assert_allclose(curvature_scalar(jets), -12.0 * hubble**2, rtol=1e-10)
+        npt.assert_allclose(ricci(jets), -3.0 * hubble**2 * g, atol=1e-12)
+        npt.assert_allclose(jets.einstein(0).value, 3.0 * hubble**2 * g, atol=1e-12)
 
     def test_scalar_routes_consistent(self):
         rng = np.random.default_rng(116)
         e = random_tetrad(rng)
         omega = random_connection(rng)
         x = rng.uniform(-0.5, 0.5, 4)
-        out = curvature_tensors(e, omega, x)
-        pg = point_geometry(e, omega, x, order=1)
-        check = float(np.einsum("mw,mw->", pg.g_inv, out.ricci))
-        assert out.scalar == pytest.approx(check, abs=1e-10 * max(1.0, abs(out.scalar)))
+        jets = PointJets(e, omega, x)
+        einv = jets.inverse_tetrad(0).value
+        scalar = -float(np.einsum("ma,wb,abmw->", einv, einv, jets.field_strength(0).value))
+        check = curvature_scalar(jets)
+        assert scalar == pytest.approx(check, abs=1e-10 * max(1.0, abs(scalar)))
 
 
 class TestContorsion:
     def test_zero_contorsion_is_identity(self):
         rng = np.random.default_rng(117)
         omega = random_connection(rng)
-        summed = apply_contorsion(omega, ZeroConnection())
+        summed = SummedConnection(omega, ZeroConnection())
         x = rng.uniform(-0.5, 0.5, 4)
         npt.assert_allclose(summed.jet(x, 1).value, omega.jet(x, 1).value, atol=1e-16)
 
     def test_torsion_shift_is_linear(self):
         rng = np.random.default_rng(118)
         e = random_tetrad(rng)
-        lc = levi_civita_connection(e)
+        lc = LeviCivitaConnection(e)
         arr = rng.uniform(-1, 1, (4, 4, 4))
         kappa_term = arr - arr.transpose(1, 0, 2)
-        summed = apply_contorsion(lc, ConstantConnection(kappa_term))
+        summed = SummedConnection(lc, ConstantConnection(kappa_term))
         x = rng.uniform(-0.5, 0.5, 4)
-        out = torsion(e, summed, x)
+        theta = PointJets(e, summed, x).torsion(0).value
         contrib = np.einsum("abm,bc,cn->amn", kappa_term, ETA, e.jet(x, 0).value)
         expect = contrib - contrib.transpose(0, 2, 1)
-        npt.assert_allclose(out.theta, expect, atol=1e-12,
+        npt.assert_allclose(theta, expect, atol=1e-12,
                             err_msg="torsion should shift by exactly the contorsion wedge")
 
     def test_successive_contorsions_add(self):
@@ -437,8 +447,8 @@ class TestContorsion:
         k1 = ContorsionField({"01": ["0.3", "0", "x1", "0"]}, UNIT_CHART)
         k2 = ContorsionField({"12": ["0", "x0", "0", "0.5"]}, UNIT_CHART)
         x = rng.uniform(-0.5, 0.5, 4)
-        ab = apply_contorsion(apply_contorsion(base, k1), k2)
-        ba = apply_contorsion(apply_contorsion(base, k2), k1)
+        ab = SummedConnection(SummedConnection(base, k1), k2)
+        ba = SummedConnection(SummedConnection(base, k2), k1)
         npt.assert_allclose(ab.jet(x, 1).value, ba.jet(x, 1).value, atol=1e-16)
 
 
@@ -495,7 +505,7 @@ class TestLorentzTransform:
         rng = np.random.default_rng(122)
         for _ in range(3):
             x = rng.uniform(-0.5, 0.5, 4)
-            f = curvature_field_strength(w2, x)
+            f = field_strength(w2, x)
             npt.assert_allclose(f, 0.0, atol=1e-10,
                                 err_msg="derivative-term connection must carry no curvature")
 
@@ -505,10 +515,11 @@ class TestLorentzTransform:
         lam = rotation_field("0.3*x1")
         e2, _ = lorentz_transform(e, ZeroConnection(), lam)
         x = rng.uniform(-0.5, 0.5, 4)
-        d1 = metric_from_tetrad(e, x)
-        d2 = metric_from_tetrad(e2, x)
-        npt.assert_allclose(d2.g, d1.g, atol=1e-10)
-        assert d2.det_e == pytest.approx(d1.det_e, rel=1e-10)
+        d1 = tetrad_jets(e, x)
+        d2 = tetrad_jets(e2, x)
+        npt.assert_allclose(d2.metric(0).value, d1.metric(0).value, atol=1e-10)
+        det1, det2 = (float(d.determinant(0).value) for d in (d1, d2))
+        assert det2 == pytest.approx(det1, rel=1e-10)
 
     def test_field_strength_transforms_tensorially(self):
         rng = np.random.default_rng(124)
@@ -516,14 +527,14 @@ class TestLorentzTransform:
         lam = rotation_field("0.5*x0")
         _, w2 = lorentz_transform(identity_tetrad(), omega, lam)
         x = rng.uniform(-0.5, 0.5, 4)
-        f2 = curvature_field_strength(w2, x)
+        f2 = field_strength(w2, x)
         lam_val = lam.jet(x, 0).value
-        expect = np.einsum("ac,bd,cdmn->abmn", lam_val, lam_val, curvature_field_strength(omega, x))
+        expect = np.einsum("ac,bd,cdmn->abmn", lam_val, lam_val, field_strength(omega, x))
         npt.assert_allclose(f2, expect, atol=1e-10)
 
     def test_scalar_curvature_invariant(self):
         e = schwarzschild_tetrad()
-        lc = levi_civita_connection(e)
+        lc = LeviCivitaConnection(e)
         lam = LorentzField(
             [
                 ["1", "0", "0", "0"],
@@ -535,9 +546,9 @@ class TestLorentzTransform:
         )
         e2, w2 = lorentz_transform(e, lc, lam)
         x = (4.5, 1.2, 2.0, 0.1)
-        out1 = curvature_tensors(e, lc, x)
-        out2 = curvature_tensors(e2, w2, x)
-        assert out2.scalar == pytest.approx(out1.scalar, abs=1e-10)
+        scalar1 = curvature_scalar(PointJets(e, lc, x))
+        scalar2 = curvature_scalar(PointJets(e2, w2, x))
+        assert scalar2 == pytest.approx(scalar1, abs=1e-10)
 
     def test_torsion_norm_invariant(self):
         rng = np.random.default_rng(125)
@@ -548,13 +559,10 @@ class TestLorentzTransform:
         x = rng.uniform(-0.5, 0.5, 4)
 
         def torsion_square(ef, wf):
-            pg = point_geometry(ef, wf, x, order=1)
-            return float(
-                np.einsum(
-                    "amn,brs,ab,mr,ns->",
-                    pg.theta, pg.theta, ETA, pg.g_inv, pg.g_inv,
-                )
-            )
+            jets = PointJets(ef, wf, x)
+            theta = jets.torsion(0).value
+            g_inv = jets.inverse_metric(0).value
+            return float(np.einsum("amn,brs,ab,mr,ns->", theta, theta, ETA, g_inv, g_inv))
 
         assert torsion_square(e2, w2) == pytest.approx(torsion_square(e, omega), abs=1e-10)
 
@@ -573,26 +581,6 @@ class TestLorentzTransform:
 
 
 class TestPointGeometry:
-    def test_assembles_and_validates(self):
-        rng = np.random.default_rng(126)
-        e = random_tetrad(rng)
-        omega = random_connection(rng)
-        x = rng.uniform(-0.5, 0.5, 4)
-        pg = point_geometry(e, omega, x, order=2)
-        assert pg.e_jet.order == 2 and pg.omega_jet.order == 2
-        npt.assert_allclose(pg.g, pg.g.T, atol=1e-14)
-        npt.assert_allclose(pg.f + pg.f.transpose(1, 0, 2, 3), 0.0, atol=1e-13)
-        npt.assert_allclose(pg.riemann + pg.riemann.transpose(1, 0, 2, 3), 0.0, atol=1e-12)
-        assert pg.det_e != 0.0
-
-    def test_rejects_symmetric_connection_junk(self):
-        class Bad:
-            def jet(self, point, order):
-                return Jet.constant(np.ones((4, 4, 4)), order)
-
-        with pytest.raises(GeometryError):
-            point_geometry(identity_tetrad(), Bad(), (0.0,) * 4)
-
     def test_commutator_identity_with_torsion(self):
         rng = np.random.default_rng(127)
         e = random_tetrad(rng)
@@ -603,20 +591,21 @@ class TestPointGeometry:
         ]
         for _ in range(3):
             x = rng.uniform(-0.5, 0.5, 4)
-            pg = point_geometry(e, omega, x, order=2)
-            gamma1 = christoffel_jet(pg.e_jet, pg.omega_jet, pg.einv_jet)
+            jets = PointJets(e, omega, x)
+            gamma1 = christoffel_jet(jets.e(2), jets.omega(2), jets.inverse_tetrad(2))
+            gamma = gamma1.value
             vec = eval_jet_grid(vec_exprs, x, 2)
             # first covariant derivative as a jet, components [s, n]
             grad = jet_partial(vec) + jet_einsum("snr,r->sn", gamma1, vec.truncated(1))
             dgrad = jet_partial(grad).value  # [s, n, m]
             second = (
                 np.einsum("snm->smn", dgrad)
-                + np.einsum("smr,rn->smn", pg.gamma, grad.value)
-                - np.einsum("lmn,sl->smn", pg.gamma, grad.value)
+                + np.einsum("smr,rn->smn", gamma, grad.value)
+                - np.einsum("lmn,sl->smn", gamma, grad.value)
             )
             lhs = second - second.transpose(0, 2, 1)
-            rhs = np.einsum("mnws,w->smn", pg.riemann, vec.value) - np.einsum(
-                "mnl,sl->smn", pg.q, grad.value
+            rhs = np.einsum("mnws,w->smn", jets.riemann(0).value, vec.value) - np.einsum(
+                "mnl,sl->smn", jets.torsion_tensor(0).value, grad.value
             )
             scale = max(1.0, np.max(np.abs(second)))
             npt.assert_allclose(lhs, rhs, atol=1e-8 * scale,

@@ -8,10 +8,10 @@ from tetradkit.forms import DegreeError, MixedForm, covariant_exterior_derivativ
 from tetradkit.geometry import (
     LeviCivitaConnection,
     SingularTetradError,
+    SummedConnection,
     TetradField,
     TransformedConnection,
     ZeroConnection,
-    apply_contorsion,
     field_strength_jet,
     metric_jet,
 )
@@ -52,7 +52,7 @@ POINTS = [
 
 def contorted_levi_civita(rng, scale=0.25):
     e = random_tetrad(rng, scale=0.1)
-    return e, apply_contorsion(LeviCivitaConnection(e), random_contorsion(rng, scale))
+    return e, SummedConnection(LeviCivitaConnection(e), random_contorsion(rng, scale))
 
 
 def boosted_flat_connection():
@@ -360,7 +360,7 @@ class TestDSquared:
         omega = random_connection(rng)
         for point in POINTS:
             alpha = MixedForm._wrap(0, dims, random_form_jet(rng, dims, point))
-            res = d_squared_residual(omega.jet(point, 2), alpha, variances)
+            res = d_squared_residual(PointJets(identity_tetrad(), omega, point), alpha, variances)
             assert res.max_abs() < 1e-10
 
     def test_one_form_alpha(self):
@@ -369,7 +369,7 @@ class TestDSquared:
         point = POINTS[0]
         aj = random_form_jet(rng, 2, point)
         alpha = MixedForm._wrap(1, 1, aj)
-        res = d_squared_residual(omega.jet(point, 2), alpha, (1,))
+        res = d_squared_residual(PointJets(identity_tetrad(), omega, point), alpha, (1,))
         assert res.max_abs() < 1e-10
         assert (res.k, res.p) == (3, 1)
 
@@ -389,7 +389,8 @@ class TestDSquared:
         point = POINTS[1]
         raw = random_form_jet(rng, 2, point)
         anti = (raw - jet_map(lambda a: np.swapaxes(a, 0, 1), raw)).scaled(0.5)
-        res = d_squared_residual(omega.jet(point, 2), MixedForm._wrap(2, 0, anti), ())
+        jets = PointJets(identity_tetrad(), omega, point)
+        res = d_squared_residual(jets, MixedForm._wrap(2, 0, anti), ())
         assert res.max_abs() < 1e-10
 
     def test_variance_count_checked(self):
@@ -408,7 +409,7 @@ class TestCommutator:
         omega = random_connection(rng)
         for point in POINTS:
             vj = random_form_jet(rng, 1, point)
-            res = commutator_residual(omega.jet(point, 2), vj)
+            res = commutator_residual(PointJets(identity_tetrad(), omega, point), vj)
             assert max(np.abs(d).max() for d in res.data) < 1e-12
 
     def test_action_sign_is_pinned(self):
@@ -422,7 +423,7 @@ class TestCommutator:
         point = POINTS[0]
         vj = random_form_jet(rng, 1, point)
         wj = omega.jet(point, 2)
-        res = commutator_residual(wj, vj)
+        res = commutator_residual(PointJets(identity_tetrad(), omega, point), vj)
         f = field_strength_jet(wj)
         action = np.einsum("abmn,bc,c->amn", f.value, ETA, vj.value)
         assert max(np.abs(d).max() for d in res.data) < 1e-12
@@ -438,6 +439,16 @@ class TestMetricCompatibility:
         for point in POINTS:
             res = metric_compatibility_residual(PointJets(e, omega, point))
             assert np.abs(res).max() < 1e-12
+
+    def test_rejects_symmetric_connection_junk(self):
+        # a connection that is not antisymmetric in its internal pair does
+        # not preserve the metric
+        class Bad:
+            def jet(self, point, order):
+                return Jet.constant(np.ones((4, 4, 4)), order)
+
+        res = metric_compatibility_residual(PointJets(identity_tetrad(), Bad(), POINTS[0]))
+        assert np.abs(res).max() > 1.0
 
     def test_schwarzschild(self):
         e = schwarzschild_tetrad()

@@ -1,6 +1,8 @@
 """PointJets: one memoized derivation per point, bit-identical to deriving
 each quantity directly, lazy, and remembering faults."""
 
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -27,7 +29,7 @@ DIRECT = {
     "inverse_tetrad": (2, lambda e, w, x, k: inverse_tetrad_jet(e.jet(x, k))),
     "metric": (2, lambda e, w, x, k: metric_jet(e.jet(x, k))),
     "inverse_metric": (2, lambda e, w, x, k: jet_matrix_inverse(metric_jet(e.jet(x, k)))),
-    "determinant": (2, lambda e, w, x, k: determinant_jet(e.jet(x, k))),
+    "determinant": (1, lambda e, w, x, k: determinant_jet(e.jet(x, k))),
     "field_strength": (1, lambda e, w, x, k: field_strength_jet(w.jet(x, k + 1))),
     "torsion": (1, lambda e, w, x, k: torsion_jet(e.jet(x, k + 1), w.jet(x, k))),
     "christoffel": (1, lambda e, w, x, k: christoffel_jet(e.jet(x, k + 1), w.jet(x, k))),
@@ -71,6 +73,22 @@ def test_each_source_is_evaluated_once():
         jets.einstein(k - 1 if k else 0)
     # the Levi-Civita solve reads the memoized tetrad one order deeper
     assert calls == [3]
+
+
+def test_field_strength_is_derived_once_per_point(monkeypatch):
+    # every check, d2-law and commutator included, reads the point's F
+    calls = []
+
+    def counting(omega):
+        calls.append(omega.order)
+        return field_strength_jet(omega)
+
+    for name, module in list(sys.modules.items()):
+        bound = vars(module).get("field_strength_jet")
+        if name.startswith("tetradkit") and bound is field_strength_jet:
+            monkeypatch.setattr(module, "field_strength_jet", counting)
+    run_checks(builtin_scenario("random-fields"), points=5, seed=0)
+    assert calls == [2] * 5
 
 
 def _horizon_scenario():

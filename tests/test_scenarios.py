@@ -117,6 +117,18 @@ class TestDocumentValidation:
         with pytest.raises(ScenarioError, match="matter mode"):
             scenario_from_dict(minimal_document(matter="dust"))
 
+    def test_matter_unknown_key(self):
+        # explicit matter takes mode, stress and spin only
+        doc = minimal_document(
+            matter={
+                "mode": "explicit",
+                "stress": [["0"] * 4 for _ in range(4)],
+                "totally_antisymmetric": True,
+            }
+        )
+        with pytest.raises(ScenarioError, match="matter has unknown keys.*totally_antisymmetric"):
+            scenario_from_dict(doc)
+
     def test_explicit_matter_needs_stress(self):
         with pytest.raises(ScenarioError, match="stress"):
             scenario_from_dict(minimal_document(matter={"mode": "explicit"}))
@@ -192,9 +204,9 @@ class TestBuiltins:
         sc = builtin_scenario("flat-contorsion")
         e, omega = sc.frames()
         point = np.array([0.3, -0.2, 0.4, 0.1])
-        from tetradkit.geometry import torsion
+        from tetradkit.pointjets import PointJets
 
-        assert np.abs(torsion(e, omega, point).theta).max() > 1e-3
+        assert np.abs(PointJets(e, omega, point).torsion(0).value).max() > 1e-3
 
     def test_digests_are_stable(self):
         for name in BUILTIN_NAMES:
