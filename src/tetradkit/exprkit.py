@@ -23,7 +23,6 @@ exponent requires a positive base.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 

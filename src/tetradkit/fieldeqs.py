@@ -44,11 +44,10 @@ from .forms import (
     internal_wedge,
 )
 from .geometry import (
-    FrameSource,
+    DET_THRESHOLD,
     SingularTetradError,
     _PairField,
     _parse_grid,
-    field_strength_jet,
     inverse_tetrad_jet,
     metric_jet,
     torsion_jet,
@@ -60,7 +59,6 @@ from .jets import (
     _perm_sign,
     jet_einsum,
     jet_map,
-    jet_matrix_inverse,
     jet_reciprocal,
 )
 
@@ -91,6 +89,10 @@ _MULT_PAIR_E = -2.0  # eps_abcd wedge(beta, e) vs eps_abcd beta^c ^ e^d
 _MULT_EEF_TRACE = -12.0  # eps contraction of wedge(wedge(e, e), F) vs labeled
 _MULT_E4_TRACE = 24.0  # eps contraction of wedge(wedge(e, e), wedge(e, e))
 
+# Largest gap, relative to the larger side, allowed between the two routes
+# to the torsion-equation left side.
+PRODUCT_RULE_TOL = 1e-12
+
 
 class FieldEquationError(ValueError):
     """Inconsistent matter data or a broken structural postcondition."""
@@ -116,38 +118,17 @@ def determinant_jet(e_jet: Jet) -> Jet:
     return total
 
 
-def riemann_jet(e_jet: Jet, omega_jet: Jet) -> Jet:
-    """Riemann components r[mu, nu, omega, sigma], last index up.
-
-    The result order is one less than the connection jet's, since the field
-    strength consumes a derivative.
-    """
-    f = field_strength_jet(omega_jet)
-    return _riemann_from(e_jet, inverse_tetrad_jet(e_jet), f)
-
-
-def _riemann_from(e_jet: Jet, einv: Jet, f: Jet) -> Jet:
-    """``riemann_jet`` from the inverse tetrad and field strength jets."""
+def riemann_jet(e_jet: Jet, einv: Jet, f: Jet) -> Jet:
+    """Riemann components r[mu, nu, omega, sigma], last index up, from the
+    tetrad, inverse tetrad and field strength jets."""
     mixed = jet_einsum("sa,abmn->sbmn", einv, f)
     lowered = jet_map(lambda arr: np.einsum("sbmn...,bc->scmn...", arr, ETA), mixed)
     return jet_einsum("scmn,cw->mnws", lowered, e_jet)
 
 
-def einstein_jet(e_jet: Jet, omega_jet: Jet) -> Jet:
-    """Einstein tensor components [mu, nu] with derivatives.
-
-    The result order is one less than the connection jet's, like
-    ``riemann_jet`` which supplies the contraction.
-    """
-    f = field_strength_jet(omega_jet)
-    einv = inverse_tetrad_jet(e_jet)
-    g = metric_jet(e_jet)
-    return _einstein_from(_riemann_from(e_jet, einv, f), einv, g, f)
-
-
-def _einstein_from(riemann: Jet, einv: Jet, g: Jet, f: Jet) -> Jet:
-    """``einstein_jet`` from the Riemann, inverse tetrad, metric and field
-    strength jets."""
+def einstein_jet(riemann: Jet, einv: Jet, g: Jet, f: Jet) -> Jet:
+    """Einstein tensor components [mu, nu] from the Riemann, inverse tetrad,
+    metric and field strength jets."""
     ricci = jet_map(lambda arr: np.einsum("msws...->mw...", arr), riemann)
     half = jet_einsum("ma,abmw->bw", einv, f)
     scalar = jet_einsum("wb,bw->", einv, half).scaled(-1.0)
@@ -173,7 +154,7 @@ def dual_component_projection(form: MixedForm, e_jet: Jet) -> Jet:
             f"expected an internal-vector 3-form, got (k={form.k}, p={form.p})"
         )
     det = determinant_jet(e_jet)
-    if abs(float(det.value)) <= 1e-10:
+    if abs(float(det.value)) <= DET_THRESHOLD:
         raise SingularTetradError("tetrad determinant vanishes at this point")
     dvec = jet_map(
         lambda arr: np.einsum("mnrs,amnr...->as...", EPSILON, arr) / 6.0, form.jet
@@ -184,20 +165,15 @@ def dual_component_projection(form: MixedForm, e_jet: Jet) -> Jet:
     return jet_einsum("mn,->mn", out, jet_reciprocal(det))
 
 
-def stress_tensor_to_form(t_jet: Jet, e_jet: Jet, kappa: float) -> MixedForm:
+def stress_tensor_to_form(t_jet: Jet, einv: Jet, ginv: Jet, det: Jet, kappa: float) -> MixedForm:
     """Frame-valued 3-form encoding of rank-2 stress components.
 
+    Reads the inverse tetrad, inverse metric and tetrad determinant jets.
     Scaled so that ``kappa`` times the result projects back (through
     ``dual_component_projection``) onto ``CURVATURE_DUAL_FACTOR * 8 pi``
     times the component tensor, matching the stress side of the component
     equations.
     """
-    einv = inverse_tetrad_jet(e_jet)
-    ginv = jet_matrix_inverse(metric_jet(e_jet))
-    return _stress_form_from(t_jet, einv, ginv, determinant_jet(e_jet), kappa)
-
-
-def _stress_form_from(t_jet: Jet, einv: Jet, ginv: Jet, det: Jet, kappa: float) -> MixedForm:
     d = jet_einsum("ma,mn->an", einv, t_jet)
     d = jet_einsum("an,ns->as", d, ginv)
     d = jet_einsum("as,->as", d, det)
@@ -233,9 +209,10 @@ class MatterModel:
 
     Three modes: ``vacuum`` (no sources), ``explicit`` (component
     expressions over a chart), and ``manufactured`` (sources computed from
-    a bound frame so every residual cancels identically).  ``kappa`` is the
-    form-level coupling, ``lam`` the cosmological constant.  Construct via
-    the classmethods or :func:`manufacture_matter`.
+    the point's own frame so every residual cancels identically).
+    ``kappa`` is the form-level coupling, ``lam`` the cosmological
+    constant.  Construct via the classmethods or :func:`manufacture_matter`.
+    Only a ``PointJets`` calls the builders below, and it serves their results.
     """
 
     def __init__(
@@ -246,7 +223,6 @@ class MatterModel:
         lam: float = 0.0,
         stress=None,
         spin=None,
-        frame=None,
     ):
         if mode not in ("vacuum", "explicit", "manufactured"):
             raise FieldEquationError(f"unknown matter mode {mode!r}")
@@ -257,9 +233,6 @@ class MatterModel:
         self.lam = float(lam)
         self._stress = stress
         self._spin = spin
-        self._frame = frame
-        if mode == "manufactured" and frame is None:
-            raise FieldEquationError("manufactured matter needs a bound frame")
 
     @classmethod
     def vacuum(cls, *, kappa: float | None = None, lam: float = 0.0) -> "MatterModel":
@@ -280,19 +253,12 @@ class MatterModel:
         spin = SpinSourceField(spin_entries or {}, chart, params)
         return cls("explicit", kappa=kappa, lam=lam, stress=stress, spin=spin)
 
-    def attached_to(self, e: FrameSource, omega: FrameSource) -> bool:
-        """Whether this model may be evaluated against the given frame."""
-        if self.mode != "manufactured":
-            return True
-        return self._frame[0] is e and self._frame[1] is omega
-
     def stress_jet(self, jets: PointJets, order: int) -> Jet:
         """Stress components t[mu, nu] at the point, with derivatives."""
         if self.mode == "vacuum":
             return Jet.zeros((DIM, DIM), order)
         if self.mode == "explicit":
             return eval_jet_grid(self._stress, jets.point, order)
-        _require_attached(self, jets)
         return jets.einstein(order).scaled(1.0 / EIGHT_PI)
 
     def spin_jet(self, jets: PointJets, order: int) -> Jet:
@@ -301,16 +267,14 @@ class MatterModel:
             return Jet.zeros((DIM, DIM, DIM), order)
         if self.mode == "explicit":
             return self._spin.jet(jets.point, order)
-        _require_attached(self, jets)
         return jets.torsion_tensor(order).scaled(-1.0 / SIXTEEN_PI)
 
     def stress_form(self, jets: PointJets, order: int) -> MixedForm:
-        """``stress_tensor_to_form`` of the stress jet, sharing the point's
-        inverse tetrad, inverse metric and determinant."""
+        """``stress_tensor_to_form`` of the point's stress jet."""
         if self.mode == "vacuum":
             return MixedForm.zero(3, 1, order)
-        return _stress_form_from(
-            self.stress_jet(jets, order),
+        return stress_tensor_to_form(
+            jets.stress(order),
             jets.inverse_tetrad(order),
             jets.inverse_metric(order),
             jets.determinant(order),
@@ -318,31 +282,21 @@ class MatterModel:
         )
 
     def spin_form(self, jets: PointJets, order: int) -> MixedForm:
+        """``spin_tensor_to_form`` of the point's spin jet."""
         if self.mode == "vacuum":
             return MixedForm.zero(3, 2, order)
-        return spin_tensor_to_form(self.spin_jet(jets, order), jets.e(order), self.kappa)
+        return spin_tensor_to_form(jets.spin(order), jets.e(order), self.kappa)
 
 
-def manufacture_matter(
-    e: FrameSource,
-    omega: FrameSource,
-    *,
-    kappa: float | None = None,
-    lam: float = 0.0,
-) -> MatterModel:
+def manufacture_matter(*, kappa: float | None = None, lam: float = 0.0) -> MatterModel:
     """Matter whose sources cancel the component equations identically.
 
     Stress is the Einstein tensor over 8 pi, spin is the torsion over
-    -16 pi, both read from the ``PointJets`` of the bound frame so
+    -16 pi, both read from the ``PointJets`` they are evaluated at, so
     identities can differentiate them.  Evaluation raises
     ``SingularTetradError`` where the frame degenerates.
     """
-    return MatterModel("manufactured", kappa=kappa, lam=lam, frame=(e, omega))
-
-
-def _require_attached(matter: MatterModel, jets: PointJets):
-    if not matter.attached_to(jets.e_source, jets.omega_source):
-        raise FieldEquationError("manufactured matter is bound to a different frame")
+    return MatterModel("manufactured", kappa=kappa, lam=lam)
 
 
 def _eps_vector(form: MixedForm) -> MixedForm:
@@ -391,7 +345,7 @@ def pc_action_density(jets: PointJets, lam: float) -> float:
     """
     ej = jets.e(0)
     det = float(np.linalg.det(ej.value))
-    if abs(det) <= 1e-10:
+    if abs(det) <= DET_THRESHOLD:
         raise SingularTetradError("tetrad determinant vanishes at this point")
     jets.omega(1)
     ef = MixedForm(1, 1, ej)
@@ -402,26 +356,22 @@ def pc_action_density(jets: PointJets, lam: float) -> float:
     return float(geo + (lam / 24.0) * vol / _MULT_E4_TRACE)
 
 
-def curvature_equation_residual(
-    jets: PointJets, matter: MatterModel, order: int = 0
-) -> MixedForm:
+def curvature_equation_residual(jets: PointJets, order: int = 0) -> MixedForm:
     """Residual E[a] of the curvature equation as an internal-vector 3-form.
 
     Curvature term plus the cosmological term minus ``kappa`` times the
     stress 3-form.  Zero (to tolerance) exactly on solutions.
     """
-    _require_attached(matter, jets)
+    matter = jets.matter
     ej = jets.e(order)
     jets.omega(order + 1)
-    ef = MixedForm(1, 1, ej)
-    resid = curvature_three_form(ej, jets.field_strength(order))
+    resid = jets.curvature_three_form(order)
     if matter.lam != 0.0:
+        ef = MixedForm(1, 1, ej)
         ee = internal_wedge(ef, ef)
         vol3 = _eps_vector(internal_wedge(ee, ef)).scaled(1.0 / _MULT_E_E_E)
         resid = resid + vol3.scaled(matter.lam / 6.0)
-    if matter.mode != "vacuum":
-        resid = resid - matter.stress_form(jets, order).scaled(matter.kappa)
-    return resid
+    return resid - jets.stress_form(order).scaled(matter.kappa)
 
 
 def torsion_equation_sides(
@@ -441,36 +391,26 @@ def torsion_equation_sides(
     lhs = _eps_pair(covariant_exterior_derivative(wj, ee, (1, 1))).scaled(
         0.5 / _MULT_E_E
     )
-    rhs = torsion_three_form(jets.torsion(order), ej)
+    rhs = jets.torsion_three_form(order)
     return lhs, rhs
 
 
-def torsion_equation_residual(
-    jets: PointJets,
-    matter: MatterModel,
-    order: int = 0,
-    *,
-    product_rule_tol: float = 1e-12,
-) -> MixedForm:
+def torsion_equation_residual(jets: PointJets, order: int = 0) -> MixedForm:
     """Residual C[a, b] of the torsion equation as an internal-pair 3-form.
 
     The left side is computed twice via ``torsion_equation_sides``; the two
-    routes must agree to ``product_rule_tol`` (a structural identity), else
+    routes must agree to ``PRODUCT_RULE_TOL`` (a structural identity), else
     ``FieldEquationError``.  The residual subtracts ``kappa`` times the
     spin 3-form from the derivative route.
     """
-    _require_attached(matter, jets)
     lhs, rhs = torsion_equation_sides(jets, order)
     gap = _jet_max_abs((lhs - rhs).jet)
     scale = max(1.0, _jet_max_abs(lhs.jet), _jet_max_abs(rhs.jet))
-    if gap > product_rule_tol * scale:
+    if gap > PRODUCT_RULE_TOL * scale:
         raise FieldEquationError(
             f"product-rule identity violated: gap {gap:.3e} at scale {scale:.3e}"
         )
-    resid = lhs
-    if matter.mode != "vacuum":
-        resid = resid - matter.spin_form(jets, order).scaled(matter.kappa)
-    return resid
+    return lhs - jets.spin_form(order).scaled(jets.matter.kappa)
 
 
 @dataclass(frozen=True)
@@ -481,19 +421,16 @@ class ComponentResiduals:
     spin: np.ndarray  # [mu, nu, sigma]
 
 
-def component_field_equation_residuals(
-    jets: PointJets, matter: MatterModel
-) -> ComponentResiduals:
+def component_field_equation_residuals(jets: PointJets) -> ComponentResiduals:
     """Einstein-tensor and torsion residuals against the component sources."""
-    _require_attached(matter, jets)
     jets.e(1)
     jets.omega(1)
-    stress = jets.einstein(0).value - EIGHT_PI * matter.stress_jet(jets, 0).value
-    spin = jets.torsion_tensor(0).value + SIXTEEN_PI * matter.spin_jet(jets, 0).value
+    stress = jets.einstein(0).value - EIGHT_PI * jets.stress(0).value
+    spin = jets.torsion_tensor(0).value + SIXTEEN_PI * jets.spin(0).value
     return ComponentResiduals(stress=stress, spin=spin)
 
 
-def validate_spin_antisymmetry(jets: PointJets, matter: MatterModel, tol: float = 1e-10):
+def validate_spin_antisymmetry(jets: PointJets, tol: float = 1e-10):
     """Assert total antisymmetry of the spin source and of the torsion.
 
     Both tensors are lowered with the metric first; violation raises
@@ -504,7 +441,7 @@ def validate_spin_antisymmetry(jets: PointJets, matter: MatterModel, tol: float 
     jets.omega(1)
     g = jets.metric(0).value
     checks = (
-        ("spin source", np.einsum("mns,sr->mnr", matter.spin_jet(jets, 0).value, g)),
+        ("spin source", np.einsum("mns,sr->mnr", jets.spin(0).value, g)),
         ("torsion", np.einsum("mns,sr->mnr", jets.torsion_tensor(0).value, g)),
     )
     for name, arr in checks:

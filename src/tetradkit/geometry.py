@@ -45,6 +45,9 @@ from .jets import (
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+# Smallest |det e| of a frame that is not singular.
+DET_THRESHOLD = 1e-10
+
 
 class GeometryError(ValueError):
     """Inconsistent frame data or an operation outside its domain."""
@@ -157,10 +160,10 @@ def metric_jet(e: Jet) -> Jet:
     return jet_einsum("am,an->mn", el, e)
 
 
-def inverse_tetrad_jet(e: Jet, threshold: float = 1e-10) -> Jet:
+def inverse_tetrad_jet(e: Jet) -> Jet:
     det = np.linalg.det(e.value)
-    if abs(det) < threshold:
-        raise SingularTetradError(f"tetrad determinant {det:.3e} below threshold {threshold:.1e}")
+    if abs(det) < DET_THRESHOLD:
+        raise SingularTetradError(f"tetrad determinant {det:.3e} below threshold {DET_THRESHOLD:.1e}")
     try:
         return jet_matrix_inverse(e)
     except JetDomainError as exc:
@@ -283,8 +286,8 @@ class LeviCivitaConnection:
             )
         ej = self.e.jet(point, order + 1)
         det = np.linalg.det(ej.value)
-        if abs(det) < 1e-10:
-            raise SingularTetradError(f"tetrad determinant {det:.3e} below threshold 1e-10")
+        if abs(det) < DET_THRESHOLD:
+            raise SingularTetradError(f"tetrad determinant {det:.3e} below threshold {DET_THRESHOLD:g}")
         mats = [_torsion_matrix(ej.data[k]) for k in range(order + 1)]
         rhs0 = [
             _torsion_rhs(np.moveaxis(ej.data[k + 1], 2, 1)) for k in range(order + 1)

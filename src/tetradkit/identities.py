@@ -33,12 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldeqs import (
-    MatterModel,
-    _require_attached,
-    curvature_three_form,
-    torsion_three_form,
-)
 from .forms import (
     ETA,
     DegreeError,
@@ -178,8 +172,8 @@ def rewritten_lhs_check(
     einv = jets.inverse_tetrad(order + 2)
     f = jets.field_strength(order + 1)
     theta = jets.torsion(order + 1)
-    p3 = curvature_three_form(ej, f)
-    s3 = torsion_three_form(theta, ej)
+    p3 = jets.curvature_three_form(order + 1)
+    s3 = jets.torsion_three_form(order + 1)
     return _three_form_laws(ej, wj, einv, theta, f, p3, s3)
 
 
@@ -192,7 +186,7 @@ class ConservationFormResiduals:
 
 
 def conservation_form_residuals(
-    jets: PointJets, matter: MatterModel, order: int = 0
+    jets: PointJets, order: int = 0
 ) -> ConservationFormResiduals:
     """Covariant-exterior-derivative conservation defects of the sources.
 
@@ -200,11 +194,10 @@ def conservation_form_residuals(
     defects vanish on solutions of the field equations; for vacuum matter
     they are identically zero.
     """
-    _require_attached(matter, jets)
     ej = jets.e(order + 2)
     wj = jets.omega(order + 2)
-    tf = matter.stress_form(jets, order + 1)
-    sf = matter.spin_form(jets, order + 1)
+    tf = jets.stress_form(order + 1)
+    sf = jets.spin_form(order + 1)
     einv = jets.inverse_tetrad(order + 2)
     theta = jets.torsion(order + 1)
     f = jets.field_strength(order + 1)
@@ -236,7 +229,7 @@ class ConservationComponentResiduals:
 
 
 def conservation_component_residuals(
-    jets: PointJets, matter: MatterModel
+    jets: PointJets,
 ) -> ConservationComponentResiduals:
     """Conservation defects built from the full coordinate connection.
 
@@ -249,7 +242,6 @@ def conservation_component_residuals(
     ``conservation_form_residuals`` even off solutions; index placements
     are spelled out in docs/conventions.md.
     """
-    _require_attached(matter, jets)
     jets.e(2)
     jets.omega(2)
     gin = jets.inverse_metric(2)
@@ -258,14 +250,14 @@ def conservation_component_residuals(
     trg = np.einsum("ssl->l", gamma)
     qtr = np.einsum("sll->s", q)
 
-    tj = matter.stress_jet(jets, 1)
+    tj = jets.stress(1)
     tmix = jet_einsum("mr,rs->ms", tj, gin)
     div_t = (
         np.einsum("mss->m", tmix.data[1])
         + np.einsum("l,ml->m", trg, tmix.value)
         - np.einsum("lsm,ls->m", gamma, tmix.value)
     )
-    yj = spin_potential_tensor(matter.spin_jet(jets, 1))
+    yj = spin_potential_tensor(jets.spin(1))
     riem = jets.riemann(1).value
     curv = np.einsum("msxa,xb,abs->m", riem, gin.value, yj.value)
     stress_low = (

@@ -1,13 +1,15 @@
 """One sample point's jets, each derived once and read by every consumer.
 
-A ``PointJets`` holds a tetrad source, a connection source and a point.
-It serves the two source jets and the tensors derived from them: the
-inverse tetrad, the metric and its inverse, the Christoffel symbols, the
-field strength F, the torsion form and tensor, the Riemann and Einstein
-tensors and the tetrad determinant.  Each is computed at most once, by the
-``geometry`` or ``fieldeqs`` function a caller would apply to the jets
-directly, at the deepest order the point serves (``DEPTH`` for the source
-jets).  A lower order is served by truncation.  Every order-k
+A ``PointJets`` holds a tetrad source, a connection source, a point and
+the matter model whose sources live on that frame.  It serves the two
+source jets and the tensors derived from them: the inverse tetrad, the
+metric and its inverse, the Christoffel symbols, the field strength F, the
+torsion form and tensor, the Riemann and Einstein tensors, the tetrad
+determinant, the stress and spin sources with their 3-forms, and the
+geometric 3-forms of the two field equations.  Each is computed at most
+once, by the ``geometry`` or ``fieldeqs`` function a caller would apply to
+the jets directly, at the deepest order the point serves (``DEPTH`` for
+the source jets).  A lower order is served by truncation.  Every order-k
 jet formula reads only orders up to k, so a truncated jet holds the same
 bits as one derived at the lower order.
 
@@ -27,7 +29,14 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .fieldeqs import _einstein_from, _riemann_from, determinant_jet
+from .fieldeqs import (
+    MatterModel,
+    curvature_three_form,
+    determinant_jet,
+    einstein_jet,
+    riemann_jet,
+    torsion_three_form,
+)
 from .geometry import (
     FrameSource,
     LeviCivitaConnection,
@@ -39,6 +48,7 @@ from .geometry import (
     torsion_jet,
     torsion_tensor_jet,
 )
+from .forms import MixedForm
 from .jets import Jet, jet_matrix_inverse
 
 # Source jet order served from memory: the deepest any check, or the
@@ -47,17 +57,23 @@ DEPTH = 2
 
 
 class PointJets:
-    """Lazily filled derivation of the field jets at one point."""
+    """Lazily filled derivation of the field jets at one point.
 
-    def __init__(self, e: FrameSource, omega: FrameSource, point: Sequence[float]):
+    ``matter`` defaults to ``MatterModel.vacuum()``, whose sources are zero.
+    """
+
+    def __init__(
+        self, e: FrameSource, omega: FrameSource, point: Sequence[float], matter: MatterModel | None = None
+    ):
         self.e_source = e
         self.omega_source = omega
         self.point = point
+        self.matter = MatterModel.vacuum() if matter is None else matter
         # the tetrad goes one order deeper when the connection is solved from it
         self._e_top = DEPTH + _reads_tetrad(omega, e)
-        self._memo: dict[str, Jet | Exception] = {}
+        self._memo: dict[str, Jet | MixedForm | Exception] = {}
 
-    def _serve(self, key: str, order: int, top: int, build: Callable[[int], Jet]) -> Jet:
+    def _serve(self, key: str, order: int, top: int, build: Callable[[int], Jet | MixedForm]):
         if order > top:
             return build(order)
         hit = self._memo.get(key)
@@ -144,25 +160,55 @@ class PointJets:
         )
 
     def riemann(self, order: int) -> Jet:
-        """``riemann_jet`` of the tetrad and connection, from the shared
-        inverse tetrad and field strength."""
+        """Riemann components r[mu, nu, omega, sigma], last index up."""
         return self._serve("riemann", order, DEPTH - 1, self._riemann)
 
     def _riemann(self, k: int) -> Jet:
         e = self.e(k)
         f = self.field_strength(k)
-        return _riemann_from(e, self.inverse_tetrad(k), f)
+        return riemann_jet(e, self.inverse_tetrad(k), f)
 
     def einstein(self, order: int) -> Jet:
-        """``einstein_jet`` of the tetrad and connection, from the shared
-        Riemann tensor, inverse tetrad, metric and field strength."""
+        """Einstein tensor components [mu, nu]."""
         return self._serve("einstein", order, DEPTH - 1, self._einstein)
 
     def _einstein(self, k: int) -> Jet:
         self.e(k)
         f = self.field_strength(k)
         einv = self.inverse_tetrad(k)
-        return _einstein_from(self.riemann(k), einv, self.metric(k), f)
+        return einstein_jet(self.riemann(k), einv, self.metric(k), f)
+
+    def curvature_three_form(self, order: int) -> MixedForm:
+        """Geometric side of the curvature equation."""
+        return self._serve("curvature3", order, DEPTH - 1, self._curvature_three_form)
+
+    def _curvature_three_form(self, k: int) -> MixedForm:
+        return curvature_three_form(self.e(k), self.field_strength(k))
+
+    def torsion_three_form(self, order: int) -> MixedForm:
+        """Geometric side of the torsion equation, algebraic route."""
+        return self._serve("torsion3", order, DEPTH - 1, self._torsion_three_form)
+
+    def _torsion_three_form(self, k: int) -> MixedForm:
+        return torsion_three_form(self.torsion(k), self.e(k))
+
+    # -- matter sources, from ``matter``'s builders ------------------------
+
+    def stress(self, order: int) -> Jet:
+        """Stress components t[mu, nu]."""
+        return self._serve("stress", order, DEPTH - 1, lambda k: self.matter.stress_jet(self, k))
+
+    def spin(self, order: int) -> Jet:
+        """Spin components s[mu, nu, sigma]."""
+        return self._serve("spin", order, DEPTH - 1, lambda k: self.matter.spin_jet(self, k))
+
+    def stress_form(self, order: int) -> MixedForm:
+        """Stress 3-form, internal vector."""
+        return self._serve("stress3", order, DEPTH - 1, lambda k: self.matter.stress_form(self, k))
+
+    def spin_form(self, order: int) -> MixedForm:
+        """Spin 3-form, internal pair."""
+        return self._serve("spin3", order, DEPTH - 1, lambda k: self.matter.spin_form(self, k))
 
 
 class _MemoTetrad:

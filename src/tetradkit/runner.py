@@ -2,11 +2,12 @@
 
 The registry below names every residual check the package can run against
 a scenario, in the order reports list them.  Each check is a pure function
-of the point's ``PointJets``, the matter model and, for checks that need
-auxiliary random objects, a dedicated generator seeded from (run seed,
-point index, check name), so disabling one check never shifts another's
-random stream.  All checks at a point read one ``PointJets``, so each
-field jet and derived tensor is computed once per point.  A check reads
+of the point's ``PointJets``, which carries the matter model, and, for
+checks that need auxiliary random objects, a dedicated generator seeded
+from (run seed, point index, check name), so disabling one check never
+shifts another's random stream.  All checks at a point read one
+``PointJets``, so each field jet, source and derived tensor is computed
+once per point.  A check reads
 the tetrad before the connection, which decides the fault a point reports
 when both fail.
 
@@ -30,7 +31,6 @@ import numpy as np
 from .exprkit import Chart, ExpressionError
 from .fieldeqs import (
     FieldEquationError,
-    MatterModel,
     component_field_equation_residuals,
     curvature_equation_residual,
     torsion_equation_residual,
@@ -79,12 +79,12 @@ def _aux_rng(stream: tuple[int, int], name: str) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index), zlib.crc32(name.encode())])
 
 
-def _magnitude(jets: PointJets, matter: MatterModel) -> float:
+def _magnitude(jets: PointJets) -> float:
     """Largest field magnitude at the point, floored at one.
 
-    Covers the tetrad and connection jets through second order and, when
-    matter is present, the source jets through first order.  Also enforces
-    the positive-orientation requirement on the tetrad.
+    Covers the tetrad and connection jets through second order and the
+    source jets through first order.  Also enforces the positive-orientation
+    requirement on the tetrad.
     """
     ej = jets.e(2)
     if float(np.linalg.det(ej.value)) <= 0.0:
@@ -93,30 +93,17 @@ def _magnitude(jets: PointJets, matter: MatterModel) -> float:
             f"found a non-positive value at {tuple(jets.point)}"
         )
     parts = [1.0]
-    for jet in (ej, jets.omega(2)):
+    for jet in (ej, jets.omega(2), jets.stress(1), jets.spin(1)):
         parts.extend(float(np.max(np.abs(d))) for d in jet.data)
-    if matter.mode != "vacuum":
-        for jet in (matter.stress_jet(jets, 1), matter.spin_jet(jets, 1)):
-            parts.extend(float(np.max(np.abs(d))) for d in jet.data)
     return max(parts)
 
 
-def _random_jet(rng: np.random.Generator, shape: tuple[int, ...], order: int) -> Jet:
-    """A random coherent jet: trailing derivative axes fully symmetric."""
-    data = [rng.uniform(-1.0, 1.0, shape)]
-    for k in range(1, order + 1):
-        arr = rng.uniform(-1.0, 1.0, shape + (DIM,) * k)
-        if k == 2:
-            arr = 0.5 * (arr + arr.swapaxes(-1, -2))
-        elif k == 3:
-            total = np.zeros_like(arr)
-            base = tuple(range(arr.ndim - 3))
-            for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-                axes = base + tuple(arr.ndim - 3 + p for p in perm)
-                total = total + np.transpose(arr, axes)
-            arr = total / 6.0
-        data.append(arr)
-    return Jet(order, data)
+def _random_jet(rng: np.random.Generator, shape: tuple[int, ...]) -> Jet:
+    """A random coherent order-2 jet: the second derivative axes symmetric."""
+    value = rng.uniform(-1.0, 1.0, shape)
+    first = rng.uniform(-1.0, 1.0, shape + (DIM,))
+    second = rng.uniform(-1.0, 1.0, shape + (DIM, DIM))
+    return Jet(2, [value, first, 0.5 * (second + second.swapaxes(-1, -2))])
 
 
 def _jet_abs_max(jet: Jet) -> float:
@@ -126,11 +113,11 @@ def _jet_abs_max(jet: Jet) -> float:
 # -- check evaluators -------------------------------------------------------
 
 
-def _check_metric_compatibility(jets: PointJets, matter, stream) -> float:
+def _check_metric_compatibility(jets: PointJets, stream) -> float:
     return float(np.abs(metric_compatibility_residual(jets)).max())
 
 
-def _check_torsion_consistency(jets: PointJets, matter, stream) -> float:
+def _check_torsion_consistency(jets: PointJets, stream) -> float:
     jets.e(1)
     jets.omega(1)
     q_frame = jets.torsion_tensor(0).value
@@ -139,7 +126,7 @@ def _check_torsion_consistency(jets: PointJets, matter, stream) -> float:
     return float(np.abs(q_frame - q_gamma).max())
 
 
-def _check_scalar_consistency(jets: PointJets, matter, stream) -> float:
+def _check_scalar_consistency(jets: PointJets, stream) -> float:
     jets.e(1)
     jets.omega(1)
     einv = jets.inverse_tetrad(0).value
@@ -151,19 +138,19 @@ def _check_scalar_consistency(jets: PointJets, matter, stream) -> float:
     return abs(direct - traced)
 
 
-def _check_levi_civita_torsion(jets: PointJets, matter, stream) -> float:
+def _check_levi_civita_torsion(jets: PointJets, stream) -> float:
     return float(np.abs(jets.torsion(0).value).max())
 
 
-def _check_first_bianchi(jets: PointJets, matter, stream) -> float:
+def _check_first_bianchi(jets: PointJets, stream) -> float:
     return first_bianchi_residual(jets).max_abs()
 
 
-def _check_second_bianchi(jets: PointJets, matter, stream) -> float:
+def _check_second_bianchi(jets: PointJets, stream) -> float:
     return second_bianchi_residual(jets).max_abs()
 
 
-def _check_d_squared(jets: PointJets, matter, stream) -> float:
+def _check_d_squared(jets: PointJets, stream) -> float:
     rng = _aux_rng(stream, "d2-law")
     jets.omega(2)
     worst = 0.0
@@ -172,50 +159,50 @@ def _check_d_squared(jets: PointJets, matter, stream) -> float:
         ((-1,), (DIM,)),
         ((1, -1), (DIM, DIM)),
     ):
-        alpha = MixedForm._wrap(0, len(variances), _random_jet(rng, shape, 2))
+        alpha = MixedForm._wrap(0, len(variances), _random_jet(rng, shape))
         worst = max(worst, d_squared_residual(jets, alpha, variances).max_abs())
-    raw = _random_jet(rng, (DIM, DIM), 2)
+    raw = _random_jet(rng, (DIM, DIM))
     anti = Jet(raw.order, [0.5 * (d - d.swapaxes(0, 1)) for d in raw.data])
     worst = max(worst, d_squared_residual(jets, MixedForm._wrap(2, 0, anti), ()).max_abs())
     return worst
 
 
-def _check_commutator(jets: PointJets, matter, stream) -> float:
+def _check_commutator(jets: PointJets, stream) -> float:
     rng = _aux_rng(stream, "commutator")
-    vector = _random_jet(rng, (DIM,), 2)
+    vector = _random_jet(rng, (DIM,))
     return _jet_abs_max(commutator_residual(jets, vector))
 
 
-def _check_nfe_leibniz(jets: PointJets, matter, stream) -> float:
+def _check_nfe_leibniz(jets: PointJets, stream) -> float:
     lhs, rhs = torsion_equation_sides(jets)
     return (lhs - rhs).max_abs()
 
 
-def _check_rewritten_lhs(jets: PointJets, matter, stream) -> float:
+def _check_rewritten_lhs(jets: PointJets, stream) -> float:
     first, second = rewritten_lhs_check(jets)
     return max(first.max_abs(), second.max_abs())
 
 
-def _check_curvature_equation(jets: PointJets, matter, stream) -> float:
-    return curvature_equation_residual(jets, matter).max_abs()
+def _check_curvature_equation(jets: PointJets, stream) -> float:
+    return curvature_equation_residual(jets).max_abs()
 
 
-def _check_torsion_equation(jets: PointJets, matter, stream) -> float:
-    return torsion_equation_residual(jets, matter).max_abs()
+def _check_torsion_equation(jets: PointJets, stream) -> float:
+    return torsion_equation_residual(jets).max_abs()
 
 
-def _check_component_field_equations(jets: PointJets, matter, stream) -> float:
-    res = component_field_equation_residuals(jets, matter)
+def _check_component_field_equations(jets: PointJets, stream) -> float:
+    res = component_field_equation_residuals(jets)
     return max(float(np.abs(res.stress).max()), float(np.abs(res.spin).max()))
 
 
-def _check_conservation_form(jets: PointJets, matter, stream) -> float:
-    res = conservation_form_residuals(jets, matter)
+def _check_conservation_form(jets: PointJets, stream) -> float:
+    res = conservation_form_residuals(jets)
     return max(res.stress.max_abs(), res.spin.max_abs())
 
 
-def _check_conservation_component(jets: PointJets, matter, stream) -> float:
-    res = conservation_component_residuals(jets, matter)
+def _check_conservation_component(jets: PointJets, stream) -> float:
+    res = conservation_component_residuals(jets)
     return max(float(np.abs(res.stress).max()), float(np.abs(res.spin).max()))
 
 
@@ -231,7 +218,7 @@ def _needs_levi_civita(scenario: Scenario) -> bool:
 class IdentityCheck:
     """A named residual check with its jet-depth need and tolerance.
 
-    ``evaluate(jets, matter, stream)`` returns the raw residual at one
+    ``evaluate(jets, stream)`` returns the raw residual at one
     point; ``stream`` is the (seed, point index) pair that seeds the
     check's auxiliary generator.
     """
@@ -239,7 +226,7 @@ class IdentityCheck:
     name: str
     required_order: int
     tolerance: float
-    evaluate: Callable[[PointJets, MatterModel, tuple[int, int]], float]
+    evaluate: Callable[[PointJets, tuple[int, int]], float]
     applies: Callable[[Scenario], bool] = _always
 
     def __post_init__(self):
@@ -360,21 +347,21 @@ def run_checks(
         )
 
     e, omega = scenario.frames()
-    matter = scenario.matter_model(e, omega)
+    matter = scenario.matter_model()
 
     start = time.perf_counter()
     pts = sample_points(scenario.chart, n, s)
     residuals: dict[str, list[float]] = {check.name: [] for check in enabled}
     errors: list[dict] = []
     for index, point in enumerate(pts):
-        jets = PointJets(e, omega, point)
+        jets = PointJets(e, omega, point, matter)
         stream = (s, index)
         scale = None
         for check in enabled:
             try:
-                value = check.evaluate(jets, matter, stream)
+                value = check.evaluate(jets, stream)
                 if scale is None:
-                    scale = _magnitude(jets, matter)
+                    scale = _magnitude(jets)
                 value = float(value / scale)
                 if not math.isfinite(value):
                     raise RunnerError(f"non-finite residual {value!r}")

@@ -207,11 +207,11 @@ class Scenario:
             omega = SummedConnection(LeviCivitaConnection(e), contorsion)
         return e, omega
 
-    def matter_model(self, e: FrameSource, omega: FrameSource) -> MatterModel:
+    def matter_model(self) -> MatterModel:
         if self.matter_mode == "vacuum":
             return MatterModel.vacuum(kappa=self.kappa, lam=self.lambda_cc)
         if self.matter_mode == "manufactured":
-            return manufacture_matter(e, omega, kappa=self.kappa, lam=self.lambda_cc)
+            return manufacture_matter(kappa=self.kappa, lam=self.lambda_cc)
         return MatterModel.explicit(
             self.stress_texts,
             self.spin_entries,

@@ -100,7 +100,7 @@ def identity_tetrad(chart=UNIT_CHART):
     )
 
 
-def schwarzschild_tetrad(mass=1.0):
+def schwarzschild_tetrad(mass=1.0, chart=SCHW_CHART):
     return TetradField(
         [
             ["1/sqrt(1 - 2*M/r)", "0", "0", "0"],
@@ -108,7 +108,7 @@ def schwarzschild_tetrad(mass=1.0):
             ["0", "0", "r*sin(th)", "0"],
             ["0", "0", "0", "sqrt(1 - 2*M/r)"],
         ],
-        SCHW_CHART,
+        chart,
         params={"M": mass},
     )
 

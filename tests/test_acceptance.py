@@ -209,13 +209,13 @@ def test_c08_expanded_equation_sides_vanish():
 class PerturbedStress(MatterModel):
     """Manufactured sources with a constant stress offset, for fault runs."""
 
-    def __init__(self, e, omega, eps, bump):
-        super().__init__("manufactured", frame=(e, omega))
+    def __init__(self, eps, bump):
+        super().__init__("manufactured")
         self._eps = float(eps)
         self._bump = np.asarray(bump, dtype=float)
 
-    def stress_jet(self, point, order):
-        base = super().stress_jet(point, order)
+    def stress_jet(self, jets, order):
+        base = super().stress_jet(jets, order)
         return base + Jet.constant(self._eps * self._bump, base.order)
 
 
@@ -223,9 +223,9 @@ def test_c09_conservation_laws_and_fault_response():
     def worst_residual(e, omega, matter, pts):
         worst = 0.0
         for x in pts:
-            jets = PointJets(e, omega, x)
-            fr = conservation_form_residuals(jets, matter)
-            cr = conservation_component_residuals(jets, matter)
+            jets = PointJets(e, omega, x, matter)
+            fr = conservation_form_residuals(jets)
+            cr = conservation_component_residuals(jets)
             worst = max(
                 worst,
                 fr.stress.max_abs(),
@@ -238,7 +238,7 @@ def test_c09_conservation_laws_and_fault_response():
     for name in ("flrw", "schwarzschild", "flat-contorsion"):
         sc = builtin_scenario(name)
         e, omega = sc.frames()
-        matter = manufacture_matter(e, omega)
+        matter = manufacture_matter()
         pts = sample_points(sc.chart, 100, 9)
         assert worst_residual(e, omega, matter, pts) < 1e-7, name
 
@@ -251,7 +251,7 @@ def test_c09_conservation_laws_and_fault_response():
     pts = sample_points(sc.chart, 10, 99)
     slopes = []
     for eps in (1e-4, 1e-3):
-        perturbed = PerturbedStress(e, omega, eps, bump)
+        perturbed = PerturbedStress(eps, bump)
         slopes.append(worst_residual(e, omega, perturbed, pts) / eps)
     assert min(slopes) > 1e-7
     assert abs(slopes[1] - slopes[0]) <= 0.2 * max(slopes)

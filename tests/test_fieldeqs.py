@@ -25,6 +25,7 @@ from tetradkit.fieldeqs import (
     einstein_jet,
     manufacture_matter,
     pc_action_density,
+    riemann_jet,
     stress_tensor_to_form,
     torsion_equation_residual,
     validate_spin_antisymmetry,
@@ -36,6 +37,9 @@ from tetradkit.geometry import (
     SingularTetradError,
     TetradField,
     ZeroConnection,
+    field_strength_jet,
+    inverse_tetrad_jet,
+    metric_jet,
 )
 from tetradkit.jets import Jet
 from tetradkit.pointjets import PointJets
@@ -248,7 +252,7 @@ class TestActionDensity:
 
 class TestCurvatureEquation:
     def test_flat_vacuum_exact_zero(self):
-        E = curvature_equation_residual(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), MatterModel.vacuum())
+        E = curvature_equation_residual(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)))
         assert E.k == 3 and E.p == 1
         assert E.max_abs() == 0.0
 
@@ -256,16 +260,16 @@ class TestCurvatureEquation:
         e = schwarzschild_tetrad()
         w = LeviCivitaConnection(e)
         for point in (np.array([3.0, 1.2, 0.5, 0.0]), np.array([7.5, 2.0, 3.0, 0.4]), np.array([10.0, 0.8, 1.5, -0.2])):
-            E = curvature_equation_residual(PointJets(e, w, point), MatterModel.vacuum())
+            E = curvature_equation_residual(PointJets(e, w, point))
             assert E.max_abs() < 1e-8
 
     def test_manufactured_matter_cancels(self):
         rng = np.random.default_rng(8)
         e = random_tetrad(rng)
         w = random_connection(rng)
-        matter = manufacture_matter(e, w)
+        matter = manufacture_matter()
         for point in (np.array([0.1, -0.2, 0.3, 0.4]), np.array([-0.4, 0.2, 0.0, -0.1])):
-            E = curvature_equation_residual(PointJets(e, w, point), matter)
+            E = curvature_equation_residual(PointJets(e, w, point, matter))
             assert E.max_abs() < 1e-10
 
     def test_affine_in_cosmological_constant(self):
@@ -274,7 +278,7 @@ class TestCurvatureEquation:
         w = random_connection(rng)
         point = np.array([0.3, 0.1, -0.2, 0.4])
         vals = [
-            curvature_equation_residual(PointJets(e, w, point), MatterModel.vacuum(lam=lam)).values
+            curvature_equation_residual(PointJets(e, w, point, MatterModel.vacuum(lam=lam))).values
             for lam in (0.0, 1.0, 2.0)
         ]
         scale = max(1.0, *(np.abs(v).max() for v in vals))
@@ -288,25 +292,16 @@ class TestCurvatureEquation:
         rng = np.random.default_rng(10)
         e = random_tetrad(rng)
         w = random_connection(rng)
-        E = curvature_equation_residual(PointJets(e, w, np.array([0.1, 0.2, 0.3, -0.1])), MatterModel.vacuum(), order=1)
+        E = curvature_equation_residual(PointJets(e, w, np.array([0.1, 0.2, 0.3, -0.1])), order=1)
         assert E.order == 1
         assert E.values.shape == (4, 4, 4, 4)
-
-    def test_detached_manufactured_matter_rejected(self):
-        rng = np.random.default_rng(11)
-        e = random_tetrad(rng)
-        w = random_connection(rng)
-        matter = manufacture_matter(e, w)
-        other = random_tetrad(rng)
-        with pytest.raises(FieldEquationError):
-            curvature_equation_residual(PointJets(other, w, np.zeros(4)), matter)
 
 
 class TestTorsionEquation:
     def test_torsion_free_vacuum(self):
         e = schwarzschild_tetrad()
         w = LeviCivitaConnection(e)
-        C = torsion_equation_residual(PointJets(e, w, np.array([4.0, 1.1, 0.7, 0.2])), MatterModel.vacuum())
+        C = torsion_equation_residual(PointJets(e, w, np.array([4.0, 1.1, 0.7, 0.2])))
         assert C.k == 3 and C.p == 2
         assert C.max_abs() < 1e-10
 
@@ -324,7 +319,7 @@ class TestTorsionEquation:
         e = identity_tetrad()
         w = ConstantConnection(kvals)
         point = np.array([0.1, 0.2, 0.3, 0.4])
-        C = torsion_equation_residual(PointJets(e, w, point), MatterModel.vacuum())
+        C = torsion_equation_residual(PointJets(e, w, point))
         assert C.max_abs() > 0.1
         ej = e.jet(point, 1)
         from tetradkit.geometry import torsion_jet
@@ -337,8 +332,7 @@ class TestTorsionEquation:
         rng = np.random.default_rng(12)
         e = random_tetrad(rng)
         w = random_connection(rng)
-        matter = manufacture_matter(e, w)
-        C = torsion_equation_residual(PointJets(e, w, np.array([0.2, -0.1, 0.3, 0.0])), matter)
+        C = torsion_equation_residual(PointJets(e, w, np.array([0.2, -0.1, 0.3, 0.0]), manufacture_matter()))
         assert C.max_abs() < 1e-10
 
     def test_product_rule_identity_holds_on_jets(self):
@@ -349,19 +343,19 @@ class TestTorsionEquation:
             e = random_tetrad(rng, scale=0.15)
             w = random_connection(rng, scale=0.4)
             point = rng.uniform(-0.5, 0.5, 4)
-            torsion_equation_residual(PointJets(e, w, point), MatterModel.vacuum(), order=1)
+            torsion_equation_residual(PointJets(e, w, point), order=1)
 
 
 class TestComponentResiduals:
     def test_flat_vacuum(self):
-        res = component_field_equation_residuals(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), MatterModel.vacuum())
+        res = component_field_equation_residuals(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)))
         assert np.abs(res.stress).max() == 0.0
         assert np.abs(res.spin).max() == 0.0
 
     def test_schwarzschild_vacuum(self):
         e = schwarzschild_tetrad()
         w = LeviCivitaConnection(e)
-        res = component_field_equation_residuals(PointJets(e, w, np.array([5.0, 1.4, 2.0, 0.3])), MatterModel.vacuum())
+        res = component_field_equation_residuals(PointJets(e, w, np.array([5.0, 1.4, 2.0, 0.3])))
         assert np.abs(res.stress).max() < 1e-8
         assert np.abs(res.spin).max() < 1e-12
 
@@ -369,8 +363,7 @@ class TestComponentResiduals:
         rng = np.random.default_rng(14)
         e = random_tetrad(rng)
         w = random_connection(rng)
-        matter = manufacture_matter(e, w)
-        res = component_field_equation_residuals(PointJets(e, w, np.array([0.3, -0.2, 0.1, 0.2])), matter)
+        res = component_field_equation_residuals(PointJets(e, w, np.array([0.3, -0.2, 0.1, 0.2]), manufacture_matter()))
         assert np.abs(res.stress).max() < 1e-12
         assert np.abs(res.spin).max() < 1e-12
 
@@ -378,21 +371,19 @@ class TestComponentResiduals:
 class TestManufacturedMatter:
     def test_flat_sources_vanish(self):
         e, w = identity_tetrad(), ZeroConnection()
-        matter = manufacture_matter(e, w)
-        jets = PointJets(e, w, np.array([0.1, 0.2, 0.3, 0.4]))
-        assert np.abs(matter.stress_jet(jets, 1).value).max() == 0.0
-        assert np.abs(matter.spin_jet(jets, 1).value).max() == 0.0
+        jets = PointJets(e, w, np.array([0.1, 0.2, 0.3, 0.4]), manufacture_matter())
+        assert np.abs(jets.stress(1).value).max() == 0.0
+        assert np.abs(jets.spin(1).value).max() == 0.0
 
     def test_flrw_isotropy(self):
         hubble = 0.3
         e = flrw_tetrad(hubble)
         w = LeviCivitaConnection(e)
-        matter = manufacture_matter(e, w)
         point = np.array([0.2, -0.1, 0.4, 0.5])
-        jets = PointJets(e, w, point)
-        spin = matter.spin_jet(jets, 0).value
+        jets = PointJets(e, w, point, manufacture_matter())
+        spin = jets.spin(0).value
         assert np.abs(spin).max() < 1e-12
-        stress = matter.stress_jet(jets, 0).value
+        stress = jets.stress(0).value
         off = stress - np.diag(np.diag(stress))
         assert np.abs(off).max() < 1e-12
         assert np.isclose(stress[0, 0], stress[1, 1], atol=1e-12)
@@ -403,9 +394,8 @@ class TestManufacturedMatter:
     def test_singular_frame_raises_on_evaluation(self):
         texts = [["x0" if i == j == 0 else ("1" if i == j else "0") for j in range(4)] for i in range(4)]
         e, w = TetradField(texts, UNIT_CHART), ZeroConnection()
-        matter = manufacture_matter(e, w)
         with pytest.raises(SingularTetradError):
-            matter.stress_jet(PointJets(e, w, np.zeros(4)), 0)
+            PointJets(e, w, np.zeros(4), manufacture_matter()).stress(0)
 
 
 class TestDualProjection:
@@ -421,7 +411,10 @@ class TestDualProjection:
                 arr = 0.5 * (arr + np.transpose(arr, (0, 1, 3, 2)))
             data.append(arr)
         t_jet = Jet(2, data)
-        form = stress_tensor_to_form(t_jet, ej, DEFAULT_KAPPA)
+        jets = PointJets(e, ZeroConnection(), point)
+        form = stress_tensor_to_form(
+            t_jet, jets.inverse_tetrad(2), jets.inverse_metric(2), jets.determinant(2), DEFAULT_KAPPA
+        )
         back = dual_component_projection(form, ej)
         # kappa * form projects to FACTOR * 8 pi * t; undo that scale
         factor = EIGHT_PI * CURVATURE_DUAL_FACTOR / DEFAULT_KAPPA
@@ -447,10 +440,10 @@ class TestDualProjection:
         cases.append((e3, LeviCivitaConnection(e3), MatterModel.vacuum(), np.array([6.0, 1.0, 2.5, 0.1])))
         e4 = random_tetrad(rng)
         w4 = random_connection(rng)
-        cases.append((e4, w4, manufacture_matter(e4, w4), np.array([-0.2, 0.1, 0.2, -0.3])))
+        cases.append((e4, w4, manufacture_matter(), np.array([-0.2, 0.1, 0.2, -0.3])))
         for e, w, matter, point in cases:
-            E = curvature_equation_residual(PointJets(e, w, point), matter)
-            comp = component_field_equation_residuals(PointJets(e, w, point), matter)
+            E = curvature_equation_residual(PointJets(e, w, point, matter))
+            comp = component_field_equation_residuals(PointJets(e, w, point, matter))
             projected = dual_component_projection(E, e.jet(point, 0)).value
             want = CURVATURE_DUAL_FACTOR * comp.stress
             scale = max(1.0, np.abs(want).max())
@@ -479,8 +472,8 @@ class TestMatterModel:
             {"01": ["x0", "0", "1", "0"]},
             UNIT_CHART,
         )
-        jets = PointJets(identity_tetrad(), ZeroConnection(), np.array([0.5, 0.0, 0.0, 0.0]))
-        s = matter.spin_jet(jets, 0).value
+        jets = PointJets(identity_tetrad(), ZeroConnection(), np.array([0.5, 0.0, 0.0, 0.0]), matter)
+        s = jets.spin(0).value
         assert s[0, 1, 0] == 0.5
         assert s[1, 0, 0] == -0.5
         assert s[0, 1, 2] == 1.0
@@ -497,10 +490,10 @@ class TestMatterModel:
         w = ZeroConnection()
         matter = random_matter(rng)
         point = np.array([0.3, 0.2, -0.1, 0.4])
-        jets = PointJets(e, w, point)
-        res = component_field_equation_residuals(jets, matter)
-        want_stress = -EIGHT_PI * matter.stress_jet(jets, 0).value
-        want_spin = SIXTEEN_PI * matter.spin_jet(jets, 0).value
+        jets = PointJets(e, w, point, matter)
+        res = component_field_equation_residuals(jets)
+        want_stress = -EIGHT_PI * jets.stress(0).value
+        want_spin = SIXTEEN_PI * jets.spin(0).value
         assert np.allclose(res.stress, want_stress, atol=1e-12)
         assert np.allclose(res.spin, want_spin, atol=1e-12)
 
@@ -519,7 +512,7 @@ class TestSpinAntisymmetryFlag:
             for n in range(m + 1, 4):
                 entries[f"{m}{n}"] = [repr(float(up[m, n, s])) for s in range(4)]
         matter = MatterModel.explicit([["0"] * 4 for _ in range(4)], entries, UNIT_CHART)
-        validate_spin_antisymmetry(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), matter)
+        validate_spin_antisymmetry(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4), matter))
 
     def test_generic_source_fails(self):
         matter = MatterModel.explicit(
@@ -528,7 +521,7 @@ class TestSpinAntisymmetryFlag:
             UNIT_CHART,
         )
         with pytest.raises(FieldEquationError):
-            validate_spin_antisymmetry(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), matter)
+            validate_spin_antisymmetry(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4), matter))
 
     def test_torsion_side_checked(self):
         kvals = np.zeros((4, 4, 4))
@@ -536,11 +529,9 @@ class TestSpinAntisymmetryFlag:
         kvals[1, 0, 0] = -0.5
         from tetradkit.geometry import ConstantConnection
 
-        matter = MatterModel.vacuum()
         with pytest.raises(FieldEquationError):
             validate_spin_antisymmetry(
-                PointJets(identity_tetrad(), ConstantConnection(kvals), np.zeros(4)),
-                matter,
+                PointJets(identity_tetrad(), ConstantConnection(kvals), np.zeros(4), MatterModel.vacuum())
             )
 
 
@@ -557,7 +548,10 @@ class TestJetConsistency:
             jets.metric(0).value,
             jets.field_strength(0).value,
         )
-        got = einstein_jet(e.jet(point, 1), w.jet(point, 2))
+        ej = e.jet(point, 1)
+        einv = inverse_tetrad_jet(ej)
+        f = field_strength_jet(w.jet(point, 2))
+        got = einstein_jet(riemann_jet(ej, einv, f), einv, metric_jet(ej), f)
         assert np.allclose(got.value, want.einstein, atol=1e-12)
 
     def test_spin_form_matches_torsion_route(self):
@@ -566,8 +560,8 @@ class TestJetConsistency:
         rng = np.random.default_rng(20)
         e = random_tetrad(rng)
         w = random_connection(rng)
-        matter = manufacture_matter(e, w)
+        matter = manufacture_matter()
         point = np.array([0.1, 0.2, 0.3, -0.2])
-        lhs = torsion_equation_residual(PointJets(e, w, point), MatterModel.vacuum())
-        sigma = matter.spin_form(PointJets(e, w, point), 0)
+        lhs = torsion_equation_residual(PointJets(e, w, point))
+        sigma = PointJets(e, w, point, matter).spin_form(0)
         assert np.allclose(lhs.values, matter.kappa * sigma.values, atol=1e-12)

@@ -4,7 +4,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import UNIT_CHART, curvature_scalar, random_polynomial_text, ricci
+from helpers import (
+    UNIT_CHART,
+    curvature_scalar,
+    identity_tetrad,
+    random_connection,
+    random_polynomial_text,
+    random_tetrad,
+    ricci,
+    schwarzschild_tetrad,
+)
 from tetradkit.exprkit import Chart, eval_jet_grid, parse_expression
 from tetradkit.forms import ETA, covariant_D
 from tetradkit.geometry import (
@@ -32,12 +41,6 @@ SCHW = Chart(("r", "th", "ph", "t"), ((2.5, 12.0), (0.3, 2.8), (0.0, 6.28), (-1.
 FLRW = Chart(("x", "y", "z", "t"), ((-1.0, 1.0),) * 4)
 
 
-def identity_tetrad(chart=UNIT_CHART):
-    return TetradField(
-        [["1" if a == m else "0" for m in range(4)] for a in range(4)], chart
-    )
-
-
 def polar_tetrad():
     # flat space in cylindrical coordinates: frame rows dz, dr, r dth, dt
     return TetradField(
@@ -48,19 +51,6 @@ def polar_tetrad():
             ["0", "0", "0", "1"],
         ],
         POLAR,
-    )
-
-
-def schwarzschild_tetrad(mass=1.0):
-    return TetradField(
-        [
-            ["1/sqrt(1 - 2*M/r)", "0", "0", "0"],
-            ["0", "r", "0", "0"],
-            ["0", "0", "r*sin(th)", "0"],
-            ["0", "0", "0", "sqrt(1 - 2*M/r)"],
-        ],
-        SCHW,
-        params={"M": mass},
     )
 
 
@@ -76,24 +66,6 @@ def exponential_scale_tetrad(hubble=0.3):
         FLRW,
         params={"H": hubble},
     )
-
-
-def random_tetrad(rng, scale=0.12):
-    texts = []
-    for a in range(4):
-        row = []
-        for m in range(4):
-            base = "1" if a == m else "0"
-            row.append(f"{base} + {random_polynomial_text(rng, UNIT_CHART, scale=scale)}")
-        texts.append(row)
-    return TetradField(texts, UNIT_CHART)
-
-
-def random_connection(rng, scale=0.3):
-    entries = {}
-    for key in ("01", "02", "03", "12", "13", "23"):
-        entries[key] = [random_polynomial_text(rng, UNIT_CHART, scale=scale) for _ in range(4)]
-    return SpinConnectionField(entries, UNIT_CHART)
 
 
 def tetrad_jets(e, x):
@@ -112,7 +84,7 @@ class TestMetric:
         assert float(jets.determinant(0).value) == pytest.approx(1.0)
 
     def test_schwarzschild_values(self):
-        g = tetrad_jets(schwarzschild_tetrad(), (4.0, np.pi / 3, 1.0, 0.2)).metric(0).value
+        g = tetrad_jets(schwarzschild_tetrad(chart=SCHW), (4.0, np.pi / 3, 1.0, 0.2)).metric(0).value
         npt.assert_allclose(
             np.diag(g), [2.0, 16.0, 12.0, -0.5], atol=1e-12,
             err_msg="diagonal metric entries at r=4, th=pi/3, M=1",
@@ -122,7 +94,7 @@ class TestMetric:
 
     def test_inverse_is_exact(self):
         rng = np.random.default_rng(101)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         x = rng.uniform(-0.5, 0.5, 4)
         jets = tetrad_jets(e, x)
         npt.assert_allclose(
@@ -153,7 +125,7 @@ class TestInverseTetrad:
 
     def test_both_contractions(self):
         rng = np.random.default_rng(102)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         x = rng.uniform(-0.5, 0.5, 4)
         ej = e.jet(x, 0)
         einv = tetrad_jets(e, x).inverse_tetrad(0).value
@@ -208,7 +180,7 @@ class TestChristoffel:
 
     def test_metric_compatibility(self):
         rng = np.random.default_rng(106)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         omega = random_connection(rng)
         x = rng.uniform(-0.5, 0.5, 4)
         ej = e.jet(x, 1)
@@ -225,7 +197,7 @@ class TestChristoffel:
 
     def test_antisymmetric_part_matches_torsion(self):
         rng = np.random.default_rng(107)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         omega = random_connection(rng)
         x = rng.uniform(-0.5, 0.5, 4)
         jets = PointJets(e, omega, x)
@@ -273,7 +245,7 @@ class TestFieldStrength:
 
 class TestTorsion:
     def test_levi_civita_torsion_free(self):
-        for e in (polar_tetrad(), schwarzschild_tetrad()):
+        for e in (polar_tetrad(), schwarzschild_tetrad(chart=SCHW)):
             lc = LeviCivitaConnection(e)
             rng = np.random.default_rng(110)
             for _ in range(5):
@@ -299,7 +271,7 @@ class TestTorsion:
 
     def test_antisymmetry_exact(self):
         rng = np.random.default_rng(111)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         omega = random_connection(rng)
         jets = PointJets(e, omega, rng.uniform(-0.5, 0.5, 4))
         theta = jets.torsion(0).value
@@ -322,7 +294,7 @@ class TestLeviCivita:
                             err_msg="planar rotation connection of the polar frame")
 
     def test_schwarzschild_residual_many_points(self):
-        e = schwarzschild_tetrad()
+        e = schwarzschild_tetrad(chart=SCHW)
         lc = LeviCivitaConnection(e)
         rng = np.random.default_rng(112)
         for _ in range(10):
@@ -331,7 +303,7 @@ class TestLeviCivita:
             npt.assert_allclose(theta, 0.0, atol=1e-12)
 
     def test_derivatives_match_finite_differences(self):
-        e = schwarzschild_tetrad()
+        e = schwarzschild_tetrad(chart=SCHW)
         lc = LeviCivitaConnection(e)
         x = np.array([4.5, 1.1, 2.0, 0.1])
         jet = lc.jet(x, 2)
@@ -348,7 +320,7 @@ class TestLeviCivita:
 
     def test_random_tetrad_unique_and_torsion_free(self):
         rng = np.random.default_rng(113)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         lc = LeviCivitaConnection(e)
         x = rng.uniform(-0.5, 0.5, 4)
         w = lc.jet(x, 0)
@@ -373,7 +345,7 @@ class TestCurvatureTensors:
         assert curvature_scalar(jets) == 0.0
 
     def test_schwarzschild_vacuum(self):
-        e = schwarzschild_tetrad()
+        e = schwarzschild_tetrad(chart=SCHW)
         lc = LeviCivitaConnection(e)
         rng = np.random.default_rng(114)
         for _ in range(5):
@@ -381,7 +353,7 @@ class TestCurvatureTensors:
             assert np.max(np.abs(ricci(PointJets(e, lc, x)))) < 1e-8, f"vacuum violated at {x}"
 
     def test_schwarzschild_quadratic_invariant(self):
-        e = schwarzschild_tetrad()
+        e = schwarzschild_tetrad(chart=SCHW)
         lc = LeviCivitaConnection(e)
         rng = np.random.default_rng(115)
         for _ in range(5):
@@ -409,7 +381,7 @@ class TestCurvatureTensors:
 
     def test_scalar_routes_consistent(self):
         rng = np.random.default_rng(116)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         omega = random_connection(rng)
         x = rng.uniform(-0.5, 0.5, 4)
         jets = PointJets(e, omega, x)
@@ -429,7 +401,7 @@ class TestContorsion:
 
     def test_torsion_shift_is_linear(self):
         rng = np.random.default_rng(118)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         lc = LeviCivitaConnection(e)
         arr = rng.uniform(-1, 1, (4, 4, 4))
         kappa_term = arr - arr.transpose(1, 0, 2)
@@ -481,7 +453,7 @@ def boost_field(rapidity_text):
 class TestLorentzTransform:
     def test_identity_rotation_is_noop(self):
         rng = np.random.default_rng(120)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         omega = random_connection(rng)
         lam = rotation_field("0")
         e2, w2 = lorentz_transform(e, omega, lam)
@@ -511,7 +483,7 @@ class TestLorentzTransform:
 
     def test_metric_and_det_invariant(self):
         rng = np.random.default_rng(123)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         lam = rotation_field("0.3*x1")
         e2, _ = lorentz_transform(e, ZeroConnection(), lam)
         x = rng.uniform(-0.5, 0.5, 4)
@@ -533,7 +505,7 @@ class TestLorentzTransform:
         npt.assert_allclose(f2, expect, atol=1e-10)
 
     def test_scalar_curvature_invariant(self):
-        e = schwarzschild_tetrad()
+        e = schwarzschild_tetrad(chart=SCHW)
         lc = LeviCivitaConnection(e)
         lam = LorentzField(
             [
@@ -552,7 +524,7 @@ class TestLorentzTransform:
 
     def test_torsion_norm_invariant(self):
         rng = np.random.default_rng(125)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         omega = random_connection(rng)
         lam = rotation_field("0.4*x2")
         e2, w2 = lorentz_transform(e, omega, lam)
@@ -583,7 +555,7 @@ class TestLorentzTransform:
 class TestPointGeometry:
     def test_commutator_identity_with_torsion(self):
         rng = np.random.default_rng(127)
-        e = random_tetrad(rng)
+        e = random_tetrad(rng, scale=0.12)
         omega = random_connection(rng)
         vec_exprs = [
             parse_expression(random_polynomial_text(rng, UNIT_CHART, scale=0.4), UNIT_CHART)

@@ -1,0 +1,59 @@
+"""Source hygiene: every module-level import in the package is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "tetradkit").glob("*.py"))
+
+
+def _imported_names(tree: ast.Module):
+    """(bound name, line) for each import at module level, including those
+    under a module-level ``if`` such as ``if TYPE_CHECKING:``."""
+    nodes = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.If):
+            nodes.extend(node.body + node.orelse)
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            yield from (a.annotation for a in every if a is not None and a.annotation)
+            if node.returns:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: in code, in quoted annotations and in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for note in _annotations(tree):
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            inner = ast.parse(note.value, mode="eval")
+            used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

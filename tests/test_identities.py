@@ -208,16 +208,16 @@ class TestConservationForm:
         e, omega = contorted_levi_civita(rng)
         from tetradkit.fieldeqs import MatterModel
 
-        res = conservation_form_residuals(PointJets(e, omega, POINTS[0]), MatterModel.vacuum())
+        res = conservation_form_residuals(PointJets(e, omega, POINTS[0], MatterModel.vacuum()))
         assert res.stress.max_abs() == 0.0
         assert res.spin.max_abs() == 0.0
 
     def test_manufactured_flrw(self):
         e = flrw_tetrad()
         omega = LeviCivitaConnection(e)
-        matter = manufacture_matter(e, omega)
+        matter = manufacture_matter()
         for point in POINTS:
-            res = conservation_form_residuals(PointJets(e, omega, point), matter)
+            res = conservation_form_residuals(PointJets(e, omega, point, matter))
             assert res.stress.max_abs() < 1e-8
             assert res.spin.max_abs() < 1e-8
 
@@ -225,9 +225,9 @@ class TestConservationForm:
     def test_manufactured_contorted(self, seed):
         rng = np.random.default_rng(seed)
         e, omega = contorted_levi_civita(rng)
-        matter = manufacture_matter(e, omega)
+        matter = manufacture_matter()
         for point in POINTS:
-            res = conservation_form_residuals(PointJets(e, omega, point), matter)
+            res = conservation_form_residuals(PointJets(e, omega, point, matter))
             assert res.stress.max_abs() < 1e-8
             assert res.spin.max_abs() < 1e-8
 
@@ -235,7 +235,7 @@ class TestConservationForm:
         rng = np.random.default_rng(5)
         e, omega = contorted_levi_civita(rng)
         matter = random_matter(rng)
-        res = conservation_form_residuals(PointJets(e, omega, POINTS[0]), matter)
+        res = conservation_form_residuals(PointJets(e, omega, POINTS[0], matter))
         assert res.stress.max_abs() > 1e-3
 
     def test_residual_is_affine_in_the_sources(self):
@@ -260,7 +260,7 @@ class TestConservationForm:
                 for i in range(4)
             ]
             matter = MatterModel.explicit(texts, spin, UNIT_CHART, params={"eps": eps})
-            return conservation_form_residuals(PointJets(e, omega, POINTS[1]), matter).stress
+            return conservation_form_residuals(PointJets(e, omega, POINTS[1], matter)).stress
 
         r0 = residual_at(0.0).jet.value
         r1 = residual_at(1e-3).jet.value
@@ -276,16 +276,16 @@ class TestConservationComponent:
         e, omega = contorted_levi_civita(rng)
         from tetradkit.fieldeqs import MatterModel
 
-        res = conservation_component_residuals(PointJets(e, omega, POINTS[0]), MatterModel.vacuum())
+        res = conservation_component_residuals(PointJets(e, omega, POINTS[0], MatterModel.vacuum()))
         npt.assert_array_equal(res.stress, np.zeros(4))
         npt.assert_array_equal(res.spin, np.zeros((4, 4)))
 
     def test_manufactured_schwarzschild(self):
         e = schwarzschild_tetrad()
         omega = LeviCivitaConnection(e)
-        matter = manufacture_matter(e, omega)
+        matter = manufacture_matter()
         for point in ([5.2, 1.1, 0.7, 0.0], [8.5, 0.9, 2.2, -0.4]):
-            res = conservation_component_residuals(PointJets(e, omega, np.array(point)), matter)
+            res = conservation_component_residuals(PointJets(e, omega, np.array(point), matter))
             assert np.abs(res.stress).max() < 1e-7
             assert np.abs(res.spin).max() < 1e-7
 
@@ -293,9 +293,9 @@ class TestConservationComponent:
     def test_manufactured_contorted(self, seed):
         rng = np.random.default_rng(seed)
         e, omega = contorted_levi_civita(rng)
-        matter = manufacture_matter(e, omega)
+        matter = manufacture_matter()
         for point in POINTS:
-            res = conservation_component_residuals(PointJets(e, omega, point), matter)
+            res = conservation_component_residuals(PointJets(e, omega, point, matter))
             assert np.abs(res.stress).max() < 1e-12
             assert np.abs(res.spin).max() < 1e-12
 
@@ -315,7 +315,7 @@ class TestConservationComponent:
         matter = MatterModel.explicit(
             sym, {key: ["0"] * 4 for key in PAIR_KEYS}, UNIT_CHART
         )
-        res = conservation_component_residuals(PointJets(e, omega, POINTS[2]), matter)
+        res = conservation_component_residuals(PointJets(e, omega, POINTS[2], matter))
         npt.assert_array_equal(res.spin, np.zeros((4, 4)))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -326,8 +326,8 @@ class TestConservationComponent:
         e, omega = contorted_levi_civita(rng)
         matter = random_matter(rng)
         for point in POINTS[:2]:
-            comp = conservation_component_residuals(PointJets(e, omega, point), matter)
-            forms = conservation_form_residuals(PointJets(e, omega, point), matter)
+            comp = conservation_component_residuals(PointJets(e, omega, point, matter))
+            forms = conservation_form_residuals(PointJets(e, omega, point, matter))
             ej = e.jet(point, 0)
             det = float(determinant_jet(ej).value)
             gin = np.linalg.inv(metric_jet(ej).value)

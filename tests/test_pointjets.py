@@ -8,7 +8,18 @@ import numpy.testing as npt
 import pytest
 
 from tetradkit.exprkit import DomainFault
-from tetradkit.fieldeqs import determinant_jet, einstein_jet, riemann_jet, torsion_q_jet
+from tetradkit.fieldeqs import (
+    MatterModel,
+    curvature_three_form,
+    determinant_jet,
+    einstein_jet,
+    riemann_jet,
+    spin_tensor_to_form,
+    stress_tensor_to_form,
+    torsion_q_jet,
+    torsion_three_form,
+)
+from tetradkit.forms import MixedForm
 from tetradkit.geometry import (
     LeviCivitaConnection,
     christoffel_jet,
@@ -22,34 +33,77 @@ from tetradkit.pointjets import PointJets
 from tetradkit.runner import CHECKS, run_checks, sample_points
 from tetradkit.scenarios import builtin_document, builtin_scenario, scenario_from_dict
 
+
+def _riemann(e, w, x, k):
+    ek = e.jet(x, k)
+    return riemann_jet(ek, inverse_tetrad_jet(ek), field_strength_jet(w.jet(x, k + 1)))
+
+
+def _einstein(e, w, x, k):
+    ek = e.jet(x, k)
+    f = field_strength_jet(w.jet(x, k + 1))
+    return einstein_jet(_riemann(e, w, x, k), inverse_tetrad_jet(ek), metric_jet(ek), f)
+
+
+def _stress_form(e, w, m, x, k):
+    ek = e.jet(x, k)
+    t = m.stress_jet(PointJets(e, w, x, m), k)
+    ginv = jet_matrix_inverse(metric_jet(ek))
+    return stress_tensor_to_form(t, inverse_tetrad_jet(ek), ginv, determinant_jet(ek), m.kappa)
+
+
 # quantity -> (deepest order served from memory, direct route at order k)
 DIRECT = {
-    "e": (2, lambda e, w, x, k: e.jet(x, k)),
-    "omega": (2, lambda e, w, x, k: w.jet(x, k)),
-    "inverse_tetrad": (2, lambda e, w, x, k: inverse_tetrad_jet(e.jet(x, k))),
-    "metric": (2, lambda e, w, x, k: metric_jet(e.jet(x, k))),
-    "inverse_metric": (2, lambda e, w, x, k: jet_matrix_inverse(metric_jet(e.jet(x, k)))),
-    "determinant": (1, lambda e, w, x, k: determinant_jet(e.jet(x, k))),
-    "field_strength": (1, lambda e, w, x, k: field_strength_jet(w.jet(x, k + 1))),
-    "torsion": (1, lambda e, w, x, k: torsion_jet(e.jet(x, k + 1), w.jet(x, k))),
-    "christoffel": (1, lambda e, w, x, k: christoffel_jet(e.jet(x, k + 1), w.jet(x, k))),
-    "torsion_tensor": (1, lambda e, w, x, k: torsion_q_jet(e.jet(x, k + 1), w.jet(x, k))),
-    "riemann": (1, lambda e, w, x, k: riemann_jet(e.jet(x, k), w.jet(x, k + 1))),
-    "einstein": (1, lambda e, w, x, k: einstein_jet(e.jet(x, k), w.jet(x, k + 1))),
+    "e": (2, lambda e, w, m, x, k: e.jet(x, k)),
+    "omega": (2, lambda e, w, m, x, k: w.jet(x, k)),
+    "inverse_tetrad": (2, lambda e, w, m, x, k: inverse_tetrad_jet(e.jet(x, k))),
+    "metric": (2, lambda e, w, m, x, k: metric_jet(e.jet(x, k))),
+    "inverse_metric": (2, lambda e, w, m, x, k: jet_matrix_inverse(metric_jet(e.jet(x, k)))),
+    "determinant": (1, lambda e, w, m, x, k: determinant_jet(e.jet(x, k))),
+    "field_strength": (1, lambda e, w, m, x, k: field_strength_jet(w.jet(x, k + 1))),
+    "torsion": (1, lambda e, w, m, x, k: torsion_jet(e.jet(x, k + 1), w.jet(x, k))),
+    "christoffel": (1, lambda e, w, m, x, k: christoffel_jet(e.jet(x, k + 1), w.jet(x, k))),
+    "torsion_tensor": (1, lambda e, w, m, x, k: torsion_q_jet(e.jet(x, k + 1), w.jet(x, k))),
+    "riemann": (1, lambda e, w, m, x, k: _riemann(e, w, x, k)),
+    "einstein": (1, lambda e, w, m, x, k: _einstein(e, w, x, k)),
+    "curvature_three_form": (
+        1,
+        lambda e, w, m, x, k: curvature_three_form(e.jet(x, k), field_strength_jet(w.jet(x, k + 1))),
+    ),
+    "torsion_three_form": (
+        1,
+        lambda e, w, m, x, k: torsion_three_form(
+            torsion_jet(e.jet(x, k + 1), w.jet(x, k)), e.jet(x, k)
+        ),
+    ),
+    "stress": (1, lambda e, w, m, x, k: m.stress_jet(PointJets(e, w, x, m), k)),
+    "spin": (1, lambda e, w, m, x, k: m.spin_jet(PointJets(e, w, x, m), k)),
+    "stress_form": (1, _stress_form),
+    "spin_form": (
+        1,
+        lambda e, w, m, x, k: spin_tensor_to_form(
+            m.spin_jet(PointJets(e, w, x, m), k), e.jet(x, k), m.kappa
+        ),
+    ),
 }
+
+
+def _as_jet(value):
+    return value.jet if isinstance(value, MixedForm) else value
 
 
 @pytest.mark.parametrize("name", ["random-fields", "flat-polar", "schwarzschild"])
 def test_served_jets_equal_direct_derivation(name):
     sc = builtin_scenario(name)
     e, omega = sc.frames()
+    matter = sc.matter_model()
     for x in sample_points(sc.chart, 3, 0):
-        jets = PointJets(e, omega, x)
+        jets = PointJets(e, omega, x, matter)
         for quantity, (top, direct) in DIRECT.items():
             # highest order first, so the lower ones are truncations
             for k in range(top, -1, -1):
-                served = getattr(jets, quantity)(k)
-                want = direct(e, omega, x, k)
+                served = _as_jet(getattr(jets, quantity)(k))
+                want = _as_jet(direct(e, omega, matter, x, k))
                 assert served.order == want.order == k, (quantity, k)
                 for got_k, want_k in zip(served.data, want.data):
                     npt.assert_array_equal(got_k, want_k, err_msg=f"{quantity} order {k}")
@@ -75,20 +129,55 @@ def test_each_source_is_evaluated_once():
     assert calls == [3]
 
 
-def test_field_strength_is_derived_once_per_point(monkeypatch):
-    # every check, d2-law and commutator included, reads the point's F
+@pytest.mark.parametrize(
+    "function, first_order",
+    [
+        (field_strength_jet, 2),
+        (curvature_three_form, 1),
+        (torsion_three_form, 1),
+        (spin_tensor_to_form, 1),
+        (stress_tensor_to_form, 1),
+    ],
+    ids=lambda v: getattr(v, "__name__", ""),
+)
+def test_derived_once_per_point(monkeypatch, function, first_order):
+    # every check, d2-law and commutator included, reads the point's F, its
+    # geometric 3-forms and its manufactured source forms
     calls = []
 
-    def counting(omega):
-        calls.append(omega.order)
-        return field_strength_jet(omega)
+    def counting(first, *rest):
+        calls.append(first.order)
+        return function(first, *rest)
 
     for name, module in list(sys.modules.items()):
-        bound = vars(module).get("field_strength_jet")
-        if name.startswith("tetradkit") and bound is field_strength_jet:
-            monkeypatch.setattr(module, "field_strength_jet", counting)
+        bound = vars(module).get(function.__name__)
+        if name.startswith("tetradkit") and bound is function:
+            monkeypatch.setattr(module, function.__name__, counting)
     run_checks(builtin_scenario("random-fields"), points=5, seed=0)
-    assert calls == [2] * 5
+    assert calls == [first_order] * 5
+
+
+def test_explicit_sources_are_evaluated_once_per_point(monkeypatch):
+    doc = builtin_document("flrw")
+    doc["matter"] = {
+        "mode": "explicit",
+        "stress": [["0.1*x*y + 0.05", "0.02*t", "0", "0.01"],
+                   ["0.02*t", "0.2 + 0.1*z*z", "0.03*x", "0"],
+                   ["0", "0.03*x", "0.15 - 0.05*t*y", "0.02*z"],
+                   ["0.01", "0", "0.02*z", "0.3 + 0.1*x*t"]],
+        "spin": {"01": ["0.1*t", "0.05", "0.02*x*y", "0"], "23": ["0", "0.03*z", "0.04", "0.01*t*t"]},
+    }
+    calls = {"stress_jet": [], "spin_jet": []}
+    for attr, seen in calls.items():
+        original = getattr(MatterModel, attr)
+
+        def counting(self, jets, order, original=original, seen=seen):
+            seen.append(order)
+            return original(self, jets, order)
+
+        monkeypatch.setattr(MatterModel, attr, counting)
+    run_checks(scenario_from_dict(doc), points=5, seed=0)
+    assert calls == {"stress_jet": [1] * 5, "spin_jet": [1] * 5}
 
 
 def _horizon_scenario():

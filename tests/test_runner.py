@@ -187,7 +187,7 @@ def _patch_check(monkeypatch, name, evaluate):
 
 class TestPointFaults:
     def test_non_finite_residual_is_an_error_and_fails(self, monkeypatch):
-        def nan_at_point_one(jets, matter, stream):
+        def nan_at_point_one(jets, stream):
             return math.nan if stream[1] == 1 else 0.0
 
         _patch_check(monkeypatch, "torsion-consistency", nan_at_point_one)
@@ -212,7 +212,7 @@ class TestPointFaults:
             emit_report(broken, "json", tmp_path / "report.json")
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(jets, matter, stream):
+        def broken(jets, stream):
             raise TypeError("not a domain fault")
 
         _patch_check(monkeypatch, "second-bianchi", broken)

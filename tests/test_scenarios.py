@@ -181,8 +181,8 @@ class TestBuiltins:
     def test_every_builtin_validates(self, name):
         sc = builtin_scenario(name)
         assert sc.name == name
-        e, omega = sc.frames()
-        matter = sc.matter_model(e, omega)
+        sc.frames()
+        matter = sc.matter_model()
         assert matter.mode in ("vacuum", "manufactured", "explicit")
 
     def test_minkowski_shape(self):
