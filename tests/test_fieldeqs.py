@@ -41,8 +41,10 @@ from tetradkit.geometry import (
     inverse_tetrad_jet,
     metric_jet,
 )
-from tetradkit.jets import Jet
+from tetradkit.jets import Jet, jet_map
 from tetradkit.pointjets import PointJets
+from tetradkit.runner import sample_points
+from tetradkit.scenarios import builtin_scenario
 
 from helpers import (
     UNIT_CHART,
@@ -173,6 +175,25 @@ class TestDeterminantJet:
         )
         for k in range(4):
             assert np.allclose(got.data[k], want.data[k], atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["flat-polar", "schwarzschild", "flrw", "random-fields"])
+    def test_matches_permutation_sum(self, name):
+        # reference: the Leibniz sum over all 24 permutations of scalar jet
+        # products; the contraction sums in another order, so agreement is
+        # to a tolerance set from the dtype
+        e, _ = builtin_scenario(name).frames()
+        for x in sample_points(builtin_scenario(name).chart, 3, 0):
+            ej = e.jet(x, 3)
+            comps = [[jet_map(lambda arr, a=a, m=m: arr[a, m], ej) for m in range(4)] for a in range(4)]
+            want = None
+            for perm in itertools.permutations(range(4)):
+                term = comps[0][perm[0]] * comps[1][perm[1]] * comps[2][perm[2]] * comps[3][perm[3]]
+                term = term.scaled(float(EPSILON[perm]))
+                want = term if want is None else want + term
+            got = determinant_jet(ej)
+            for k in range(4):
+                scale = max(1.0, float(np.abs(want.data[k]).max()))
+                assert np.abs(got.data[k] - want.data[k]).max() <= 64 * np.finfo(float).eps * scale
 
     def test_matches_numpy_on_random(self):
         rng = np.random.default_rng(5)
