@@ -37,6 +37,7 @@ from .fieldeqs import (
     riemann_jet,
     torsion_three_form,
 )
+from .forms import MixedForm
 from .geometry import (
     FrameSource,
     LeviCivitaConnection,
@@ -48,7 +49,6 @@ from .geometry import (
     torsion_jet,
     torsion_tensor_jet,
 )
-from .forms import MixedForm
 from .jets import Jet, jet_matrix_inverse
 
 # Source jet order served from memory: the deepest any check, or the

@@ -7,9 +7,8 @@ checks that need auxiliary random objects, a dedicated generator seeded
 from (run seed, point index, check name), so disabling one check never
 shifts another's random stream.  All checks at a point read one
 ``PointJets``, so each field jet, source and derived tensor is computed
-once per point.  A check reads
-the tetrad before the connection, which decides the fault a point reports
-when both fail.
+once per point.  A check reads the tetrad before the connection, which
+decides the fault a point reports when both fail.
 
 Residuals are reported relative to the largest field magnitude seen at the
 point (floored at one), so tolerances survive regions where the fields or

@@ -132,13 +132,15 @@ def test_each_source_is_evaluated_once():
 @pytest.mark.parametrize(
     "function, first_order",
     [
-        (field_strength_jet, 2),
-        (curvature_three_form, 1),
-        (torsion_three_form, 1),
-        (spin_tensor_to_form, 1),
-        (stress_tensor_to_form, 1),
+        pytest.param(function, order, id=function.__name__)
+        for function, order in (
+            (field_strength_jet, 2),
+            (curvature_three_form, 1),
+            (torsion_three_form, 1),
+            (spin_tensor_to_form, 1),
+            (stress_tensor_to_form, 1),
+        )
     ],
-    ids=lambda v: getattr(v, "__name__", ""),
 )
 def test_derived_once_per_point(monkeypatch, function, first_order):
     # every check, d2-law and commutator included, reads the point's F, its
