@@ -32,10 +32,10 @@ from .forms import ETA, covariant_D
 from .jets import (
     DIM,
     MAX_ORDER,
-    _DLAB,
     Jet,
     JetDomainError,
-    _shuffle_axes,
+    _einsum_plan,
+    _leibniz_sum,
     jet_einsum,
     jet_map,
     jet_matrix_inverse,
@@ -297,16 +297,11 @@ class LeviCivitaConnection:
         except np.linalg.LinAlgError as exc:
             raise SingularTetradError(f"torsion system singular: {exc}") from exc
         sols = []
+        plan = _einsum_plan("rc,c->r", order, mats[0].shape, (mats[0].shape[1],))
         for k in range(order + 1):
-            rhs = rhs0[k].copy()
-            for i in range(1, k + 1):
-                d1, d2 = _DLAB[:i], _DLAB[i:k]
-                prod = np.einsum(f"rc{d1},c{d2}->r{d1}{d2}", mats[i], sols[k - i])
-                # distribute the k derivative slots over the two factors
-                for axes in _shuffle_axes(1, k, i):
-                    rhs += prod if axes is None else prod.transpose(axes)
-            w = -np.einsum("rc,c...->r...", lu, rhs)
-            sols.append(w)
+            # the Leibniz terms of D^k(M w) that hold a lower derivative of w
+            rhs = _leibniz_sum(plan[k][1:], mats, sols, rhs0[k])
+            sols.append(-(lu @ rhs.reshape(len(rhs), -1)).reshape(rhs.shape))
         return Jet._trusted(order, [_expand_pairs(w) for w in sols])
 
 

@@ -247,34 +247,139 @@ def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
     ``spec`` addresses only component axes (e.g. ``"ab,bc->ac"``); derivative
     axes are appended automatically and distributed over both factors with
     the appropriate shuffle symmetrization.  Labels X, Y, Z are reserved.
+    The spec must be a pure pairwise contraction: every label appears once
+    per operand, a label shared by both operands is summed, and every other
+    label is an output axis.
     """
     K = min(a.order, b.order)
-    A, B = a.data, b.data
-    data = []
-    for terms in _einsum_plan(spec, K):
-        acc = None
-        for subscripts, i, j, shuffles in terms:
-            term = np.einsum(subscripts, A[i], B[j])
-            for axes in shuffles:
-                piece = term if axes is None else term.transpose(axes)
-                acc = piece.copy() if acc is None else acc + piece
-        data.append(acc)
-    return Jet._trusted(K, data)
+    plan = _einsum_plan(spec, K, a.comp_shape, b.comp_shape)
+    return Jet._trusted(K, [_leibniz_sum(terms, a.data, b.data) for terms in plan])
+
+
+def _leibniz_sum(terms: tuple, A: Sequence[np.ndarray], B: Sequence[np.ndarray], acc=None):
+    """Add the given Leibniz terms of one derivative order onto ``acc``.
+
+    ``terms`` is a slice of one order of an ``_einsum_plan``; ``A`` and ``B``
+    hold the factors' derivative tensors by order.  Returns None when there
+    is nothing to add and ``acc`` is None.
+    """
+    for i, j, gemm, outs in terms:
+        prod = gemm(A[i], B[j])
+        for axes in outs:
+            piece = prod if axes is None else prod.transpose(axes)
+            acc = piece if acc is None else acc + piece
+    return acc
+
+
+class _Gemm:
+    """One pairwise contraction as a matrix product.
+
+    Each operand is brought to a matrix with the contracted axes on the
+    inner side, by a transposition and a reshape (or, when its contracted
+    axes already lead, a reshape and a transposed view).  The product is
+    reshaped to the free axes of the left operand followed by those of the
+    right one, in their operand order.
+    """
+
+    __slots__ = ("perm_a", "shape_a", "flip_a", "perm_b", "shape_b", "flip_b", "shape_out")
+
+    def __init__(self, la: str, lb: str, dims: dict, contracted: str):
+        free_a = "".join(c for c in la if c not in contracted)
+        free_b = "".join(c for c in lb if c not in contracted)
+        na = math.prod(dims[c] for c in free_a)
+        nb = math.prod(dims[c] for c in free_b)
+        nc = math.prod(dims[c] for c in contracted)
+        # left operand as (free_a, contracted); right as (contracted, free_b)
+        self.perm_a, self.flip_a = _matrix_layout(la, contracted, free_a, inner_last=True)
+        self.perm_b, self.flip_b = _matrix_layout(lb, contracted, free_b, inner_last=False)
+        self.shape_a = (nc, na) if self.flip_a else (na, nc)
+        self.shape_b = (nb, nc) if self.flip_b else (nc, nb)
+        self.shape_out = tuple(dims[c] for c in free_a + free_b)
+
+    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        if self.perm_a is not None:
+            x = x.transpose(self.perm_a)
+        x = x.reshape(self.shape_a)
+        if self.flip_a:
+            x = x.T
+        if self.perm_b is not None:
+            y = y.transpose(self.perm_b)
+        y = y.reshape(self.shape_b)
+        if self.flip_b:
+            y = y.T
+        return (x @ y).reshape(self.shape_out)
+
+
+def _matrix_layout(labels: str, contracted: str, free: str, inner_last: bool):
+    """Transposition (None for the identity) and flip flag that bring an
+    operand to a matrix whose contracted axes, in ``contracted`` order, sit on
+    the inner side of the product: last for the left operand, first for the
+    right one.  The flip is a transposed view, which the product takes as it
+    is, so an operand whose contracted block already sits on the outer side
+    needs no copy."""
+    natural = free + contracted if inner_last else contracted + free
+    flipped = contracted + free if inner_last else free + contracted
+    for order, flip in ((natural, False), (flipped, True)):
+        if labels == order:
+            return None, flip
+    perm = tuple(labels.index(c) for c in natural)
+    return perm, False
+
+
+def _pairwise_labels(spec: str, shape_a: tuple, shape_b: tuple):
+    """Split a pure pairwise contraction spec into its parts, or raise."""
+    try:
+        ins, out = spec.split("->")
+        in1, in2 = ins.split(",")
+    except ValueError:
+        raise JetError(f"jet_einsum spec {spec!r} needs the form 'ab,bc->ac'") from None
+    for labels, what in ((in1, "left operand"), (in2, "right operand"), (out, "output")):
+        if not all(c.isalpha() and c.isascii() and c not in _DLAB for c in labels):
+            raise JetError(f"jet_einsum spec {spec!r}: bad {what} labels {labels!r}; X, Y, Z are reserved")
+        if len(set(labels)) != len(labels):
+            raise JetError(f"jet_einsum spec {spec!r}: repeated label in the {what}")
+    shared = set(in1) & set(in2)
+    if shared & set(out):
+        raise JetError(f"jet_einsum spec {spec!r}: batch labels {sorted(shared & set(out))} are not a contraction")
+    if set(out) != (set(in1) | set(in2)) - shared:
+        raise JetError(f"jet_einsum spec {spec!r}: output must hold exactly the unshared labels")
+    if (len(in1), len(in2)) != (len(shape_a), len(shape_b)):
+        raise JetError(f"jet_einsum spec {spec!r} does not fit component shapes {shape_a}, {shape_b}")
+    dims = dict(zip(in1, shape_a))
+    for c, n in zip(in2, shape_b):
+        if dims.setdefault(c, n) != n:
+            raise JetError(f"jet_einsum spec {spec!r}: label {c!r} has sizes {dims[c]} and {n}")
+    return in1, in2, out, "".join(c for c in in1 if c in shared), dims
 
 
 @functools.cache
-def _einsum_plan(spec: str, K: int) -> tuple:
-    """``jet_einsum``'s work for one spec, per derivative order k up to K:
-    (subscripts, left order, right order, shuffle transpositions) terms."""
-    ins, out = spec.split("->")
-    in1, in2 = ins.split(",")
+def _einsum_plan(spec: str, K: int, shape_a: tuple, shape_b: tuple) -> tuple:
+    """``jet_einsum``'s work for one spec and operand component shapes, per
+    derivative order k up to K: (left order i, right order k - i, kernel,
+    output transpositions) terms, one transposition per derivative shuffle.
+
+    Each transposition maps the kernel's product (left free axes, then right
+    free axes) to the output axes followed by the shuffled derivative axes;
+    None stands for the identity.
+    """
+    in1, in2, out, contracted, dims = _pairwise_labels(spec, shape_a, shape_b)
+    dims.update(dict.fromkeys(_DLAB, DIM))
     plan = []
     for k in range(K + 1):
         terms = []
         for i in range(k + 1):
             d1, d2 = _DLAB[:i], _DLAB[i:k]
-            subscripts = f"{in1}{d1},{in2}{d2}->{out}{d1}{d2}"
-            terms.append((subscripts, i, k - i, _shuffle_axes(len(out), k, i)))
+            la, lb = in1 + d1, in2 + d2
+            prod = "".join(c for c in la if c not in contracted) + "".join(
+                c for c in lb if c not in contracted
+            )
+            to_out = [prod.index(c) for c in out + d1 + d2]
+            identity = list(range(len(to_out)))
+            outs = []
+            for shuffle in _shuffle_axes(len(out), k, i):
+                axes = to_out if shuffle is None else [to_out[s] for s in shuffle]
+                outs.append(None if axes == identity else tuple(axes))
+            terms.append((i, k - i, _Gemm(la, lb, dims, contracted), tuple(outs)))
         plan.append(tuple(terms))
     return tuple(plan)
 
@@ -332,15 +437,11 @@ def jet_matrix_inverse(a: Jet) -> Jet:
     except np.linalg.LinAlgError as exc:
         raise JetDomainError(f"singular matrix in jet inverse: {exc}") from exc
     data = [x0]
+    plan = _einsum_plan("ij,jk->ik", a.order, shape, shape)
     for k in range(1, a.order + 1):
         # D^k(M M^-1) = 0  =>  M0 . Xk = -sum_{i>=1} shuffles(D^i M . X_{k-i})
-        rhs = np.zeros((n, n) + (DIM,) * k)
-        for i in range(1, k + 1):
-            d1, d2 = _DLAB[:i], _DLAB[i:k]
-            term = np.einsum(f"ij{d1},jk{d2}->ik{d1}{d2}", a.data[i], data[k - i])
-            for axes in _shuffle_axes(2, k, i):
-                rhs += term if axes is None else term.transpose(axes)
-        data.append(-np.einsum("ij,jk...->ik...", x0, rhs))
+        rhs = _leibniz_sum(plan[k][1:], a.data, data)
+        data.append(-(x0 @ rhs.reshape(n, -1)).reshape(rhs.shape))
     return Jet._trusted(a.order, data)
 
 
