@@ -36,10 +36,10 @@ import numpy as np
 from .exprkit import Chart, eval_jet_grid
 from .forms import (
     EPSILON,
-    ETA,
     MixedForm,
     covariant_exterior_derivative,
     epsilon_trace,
+    eta_lower,
     internal_wedge,
 )
 from .geometry import (
@@ -114,8 +114,7 @@ def riemann_jet(e_jet: Jet, einv: Jet, f: Jet) -> Jet:
     """Riemann components r[mu, nu, omega, sigma], last index up, from the
     tetrad, inverse tetrad and field strength jets."""
     mixed = jet_einsum("sa,abmn->sbmn", einv, f)
-    lowered = jet_map(lambda arr: np.einsum("sbmn...,bc->scmn...", arr, ETA), mixed)
-    return jet_einsum("scmn,cw->mnws", lowered, e_jet)
+    return jet_einsum("scmn,cw->mnws", eta_lower(mixed, 1), e_jet)
 
 
 def einstein_jet(riemann: Jet, einv: Jet, g: Jet, f: Jet) -> Jet:

@@ -246,6 +246,29 @@ def raise_lower(x, slot: int, direction: str, metric: np.ndarray = ETA):
     return apply(np.asarray(x, float))
 
 
+def eta_lower(x, axis: int):
+    """Lower one internal index with eta, on an array or on every derivative
+    tensor of a jet; eta is its own inverse, so this also raises.
+
+    eta is diagonal, so this flips the sign of the timelike entries along
+    component axis ``axis``.  The result equals the contraction with ETA
+    except for the sign of zeros.
+    """
+    if isinstance(x, Jet):
+        return Jet._trusted(x.order, [_eta_flip(d, axis) for d in x.data])
+    return _eta_flip(x, axis)
+
+
+def _eta_flip(arr: np.ndarray, axis: int) -> np.ndarray:
+    return arr * _eta_signs(arr.ndim - axis - 1)
+
+
+@functools.cache
+def _eta_signs(trailing: int) -> np.ndarray:
+    """eta's diagonal shaped to broadcast over ``trailing`` later axes."""
+    return np.diagonal(ETA).reshape((DIM,) + (1,) * trailing)
+
+
 def interior_product(direction: np.ndarray, x: MixedForm) -> MixedForm:
     """Contract a spacetime vector into the first spacetime slot.
 
@@ -291,7 +314,7 @@ def covariant_D(omega: Jet, alpha: Jet, variances: tuple[int, ...]) -> Jet:
     out = jet_transpose(shifted, list(range(ni)) + [nc] + list(range(ni, nc)))
     if ni == 0:
         return out
-    wmat = jet_map(lambda arr: np.einsum("abm...,bc->acm...", arr, ETA), omega)  # omega^a_c
+    wmat = eta_lower(omega, 1)  # omega^a_c
     xi, xs = _LABELS[:ni], _LABELS[ni:nc]
     for slot, variance in enumerate(variances):
         xi_in = xi[:slot] + "q" + xi[slot + 1 :]

@@ -28,7 +28,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .exprkit import Chart, eval_jet_grid, parse_expression
-from .forms import ETA, covariant_D
+from .forms import ETA, covariant_D, eta_lower
 from .jets import (
     DIM,
     MAX_ORDER,
@@ -37,7 +37,6 @@ from .jets import (
     _einsum_plan,
     _leibniz_sum,
     jet_einsum,
-    jet_map,
     jet_matrix_inverse,
     jet_partial,
     jet_transpose,
@@ -156,8 +155,7 @@ class ZeroConnection:
 
 
 def metric_jet(e: Jet) -> Jet:
-    el = jet_map(lambda arr: np.einsum("am...,ab->bm...", arr, ETA), e)
-    return jet_einsum("am,an->mn", el, e)
+    return jet_einsum("am,an->mn", eta_lower(e, 0), e)
 
 
 def inverse_tetrad_jet(e: Jet) -> Jet:
@@ -186,7 +184,7 @@ def field_strength_jet(omega: Jet) -> Jet:
     lin = dw - jet_transpose(dw, (0, 1, 3, 2))
     # the derivative term is one order short, so the product needs no more
     omega = omega.truncated(lin.order)
-    wmat = jet_map(lambda arr: np.einsum("adm...,de->aem...", arr, ETA), omega)
+    wmat = eta_lower(omega, 1)
     quad = jet_einsum("aem,ebn->abmn", wmat, omega)
     quad = quad - jet_transpose(quad, (0, 1, 3, 2))
     return lin + quad
@@ -239,7 +237,7 @@ def _torsion_matrix(e_arr: np.ndarray) -> np.ndarray:
     shape (24, 24, extra...) mapping unknowns w[(p, q), rho] (pairs p < q)
     to equations indexed by (a, mu < nu).
     """
-    le = np.einsum("cn...,cb->bn...", e_arr, ETA)  # eta_{bc} e^c_nu
+    le = eta_lower(e_arr, 0)  # eta_{bc} e^c_nu
     mat = np.zeros((24, 24) + e_arr.shape[2:])
     rows, cols, b, n = _TORSION_PLUS
     mat[rows, cols] = 0.0 + le[b, n]
@@ -376,13 +374,11 @@ class TransformedConnection:
         lam = self.lam.jet(point, order + 1)
         lam_inv = jet_matrix_inverse(lam)
         w = self.omega.jet(point, order)
-        wmat = jet_map(lambda arr: np.einsum("acm...,cb->abm...", arr, ETA), w)
+        wmat = eta_lower(w, 1)
         conj = jet_einsum("acm,cb->abm", jet_einsum("ac,cbm->abm", lam, wmat), lam_inv)
         dlam = jet_partial(lam)  # [a, b, mu]
         inhom = jet_einsum("abm,bc->acm", dlam, lam_inv)
-        wprime = jet_map(
-            lambda arr: np.einsum("abm...,bc->acm...", arr, ETA), conj - inhom
-        )  # eta^{cb} = eta
+        wprime = eta_lower(conj - inhom, 1)  # eta^{cb} = eta
         skew = wprime.value + wprime.value.transpose(1, 0, 2)
         if np.max(np.abs(skew)) > 1e-8 * max(1.0, np.max(np.abs(wprime.value))):
             raise LorentzError("transformed connection lost internal antisymmetry")

@@ -34,12 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import (
-    ETA,
     DegreeError,
     MixedForm,
     _alt_blocks,
     covariant_D,
     covariant_exterior_derivative,
+    eta_lower,
 )
 from .jets import Jet, jet_einsum, jet_map
 from .pointjets import PointJets
@@ -84,11 +84,7 @@ def first_bianchi_residual(jets: PointJets, order: int = 0) -> MixedForm:
     wj = jets.omega(order + 1)
     theta = MixedForm(2, 1, jets.torsion(order + 1))
     lhs = covariant_exterior_derivative(wj, theta, (1,))
-    fl = jet_map(
-        lambda arr: np.einsum("abmn...,bc->acmn...", arr, ETA),
-        jets.field_strength(order),
-    )
-    raw = jet_einsum("acmn,cr->amnr", fl, ej)
+    raw = jet_einsum("acmn,cr->amnr", eta_lower(jets.field_strength(order), 1), ej)
     rhs = _alt_blocks(raw, 1, 2, 1)
     return lhs - MixedForm._wrap(3, 1, rhs.truncated(lhs.order))
 
@@ -108,7 +104,7 @@ def _frame_interior(einv: Jet, form: MixedForm) -> Jet:
 
 
 def _lowered_coframe(e_jet: Jet) -> Jet:
-    return jet_map(lambda arr: np.einsum("cm...,cb->bm...", arr, ETA), e_jet)
+    return eta_lower(e_jet, 0)
 
 
 def _interior_pairings(
@@ -312,11 +308,7 @@ def commutator_residual(jets: PointJets, vector_jet: Jet, order: int = 0) -> Jet
     once = covariant_D(wj, vector_jet, (+1,))
     twice = covariant_D(wj, once, (+1,))
     anti = twice - jet_map(lambda arr: np.swapaxes(arr, 1, 2), twice)
-    fmat = jet_map(
-        lambda arr: np.einsum("abmn...,bc->acmn...", arr, ETA),
-        jets.field_strength(order + 1),
-    )
-    action = jet_einsum("acmn,c->amn", fmat, vector_jet)
+    action = jet_einsum("acmn,c->amn", eta_lower(jets.field_strength(order + 1), 1), vector_jet)
     return anti - action.truncated(anti.order)
 
 
@@ -335,9 +327,7 @@ def curvature_wedge_action(
         )
     if alpha.p == 0:
         return MixedForm.zero(alpha.k + 2, 0, order=max(alpha.order - 2, 0))
-    fmat = jet_map(
-        lambda arr: np.einsum("abuv...,bc->acuv...", arr, ETA), f_jet
-    )
+    fmat = eta_lower(f_jet, 1)
     ints = "abcd"[: alpha.p]
     sts = "mnrs"[: alpha.k]
     total = None

@@ -17,6 +17,7 @@ from tetradkit.forms import (
     MixedForm,
     covariant_exterior_derivative,
     epsilon_trace,
+    eta_lower,
     exterior_derivative,
     interior_product,
     internal_wedge,
@@ -235,6 +236,25 @@ class TestRaiseLower:
         jet = Jet(1, [rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (4, 4, 4))])
         out = raise_lower(jet, 1, "lower")
         npt.assert_allclose(out.data[1], np.einsum("abX,bc->acX", jet.data[1], ETA), atol=1e-15)
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_sign_flip_matches_eta_contraction(self, rank):
+        # bit-identical on finite data, zeros included up to their sign
+        rng = np.random.default_rng(35 + rank)
+        arr = rng.uniform(-1.0, 1.0, (4,) * rank)
+        arr[arr < -0.8] = 0.0
+        labels = "abcde"[:rank]
+        for axis in range(rank):
+            out = labels[:axis] + "z" + labels[axis + 1 :]
+            ref = np.einsum(f"{labels},{labels[axis]}z->{out}", arr, ETA)
+            assert np.array_equal(eta_lower(arr, axis), ref)
+
+    def test_sign_flip_on_jets_leaves_derivative_axes(self):
+        rng = np.random.default_rng(36)
+        jet = Jet(2, [rng.uniform(-1, 1, (4, 4) + (4,) * k) for k in range(3)])
+        out = eta_lower(jet, 1)
+        for k in range(3):
+            assert np.array_equal(out.data[k], np.einsum("ab...,bc->ac...", jet.data[k], ETA))
 
     def test_rejects_derivative_slots(self):
         jet = Jet(1, [np.zeros((4,)), np.zeros((4, 4))])

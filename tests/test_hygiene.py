@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+η is applied one way."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,24 @@ def test_every_module_level_import_is_used(path):
     used = _used_names(tree)
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _einsum_calls_reading(tree: ast.Module, name: str):
+    """Lines of ``np.einsum``/``numpy.einsum`` calls with ``name`` among their arguments."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "einsum"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and any(isinstance(a, ast.Name) and a.id == name for a in node.args)
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_eta_is_applied_as_a_sign_flip(path):
+    """Lowering an internal index is ``forms.eta_lower``, not an einsum with ETA."""
+    lines = list(_einsum_calls_reading(ast.parse(path.read_text(encoding="utf-8")), "ETA"))
+    assert not lines, f"{path.name} contracts ETA with np.einsum at lines {lines}; use forms.eta_lower"
