@@ -96,10 +96,6 @@ class FieldEquationError(ValueError):
     """Inconsistent matter data or a broken structural postcondition."""
 
 
-def _jet_max_abs(jet: Jet) -> float:
-    return max(float(np.max(np.abs(d))) if d.size else 0.0 for d in jet.data)
-
-
 def determinant_jet(e_jet: Jet) -> Jet:
     """Determinant of the 4x4 component block, carried to the jet's order:
     eps_abcd e^a_0 e^b_1 e^c_2 e^d_3, one column at a time."""
@@ -395,8 +391,8 @@ def torsion_equation_residual(jets: PointJets, order: int = 0) -> MixedForm:
     spin 3-form from the derivative route.
     """
     lhs, rhs = torsion_equation_sides(jets, order)
-    gap = _jet_max_abs((lhs - rhs).jet)
-    scale = max(1.0, _jet_max_abs(lhs.jet), _jet_max_abs(rhs.jet))
+    gap = (lhs - rhs).jet.max_abs()
+    scale = max(1.0, lhs.jet.max_abs(), rhs.jet.max_abs())
     if gap > PRODUCT_RULE_TOL * scale:
         raise FieldEquationError(
             f"product-rule identity violated: gap {gap:.3e} at scale {scale:.3e}"

@@ -105,10 +105,6 @@ def _random_jet(rng: np.random.Generator, shape: tuple[int, ...]) -> Jet:
     return Jet(2, [value, first, 0.5 * (second + second.swapaxes(-1, -2))])
 
 
-def _jet_abs_max(jet: Jet) -> float:
-    return max(float(np.max(np.abs(d))) for d in jet.data)
-
-
 # -- check evaluators -------------------------------------------------------
 
 
@@ -169,7 +165,7 @@ def _check_d_squared(jets: PointJets, stream) -> float:
 def _check_commutator(jets: PointJets, stream) -> float:
     rng = _aux_rng(stream, "commutator")
     vector = _random_jet(rng, (DIM,))
-    return _jet_abs_max(commutator_residual(jets, vector))
+    return commutator_residual(jets, vector).max_abs()
 
 
 def _check_nfe_leibniz(jets: PointJets, stream) -> float:

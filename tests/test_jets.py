@@ -1,5 +1,7 @@
 """Jet arithmetic: chain and Leibniz rules against independent routes."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -104,8 +106,6 @@ class TestTensorOps:
             arr = rng.normal(size=shape + (DIM,) * k)
             nc = len(shape)
             out = np.zeros_like(arr)
-            import itertools
-
             perms = list(itertools.permutations(range(k)))
             for p in perms:
                 out += np.transpose(arr, list(range(nc)) + [nc + i for i in p])
@@ -141,6 +141,81 @@ class TestTensorOps:
             + np.einsum("i,imn->mn", a.value, b.data[2])
         )
         npt.assert_allclose(c.data[2], expect, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "spec, shape_a, shape_b",
+        [
+            ("ij,jk->ik", (4, 4), (4, 4)),  # plain contraction
+            ("amnr,bs->abmnrs", (4, 4, 4, 4), (4, 4)),  # outer product
+            ("mw,->mw", (4, 4), ()),  # scalar operand
+            ("wb,bw->", (4, 4), (4, 4)),  # full contraction
+            ("sa,amn->mns", (4, 4), (4, 4, 4)),  # permuted output
+            ("qpm,aqcde->apmcde", (4, 4, 4), (4, 4, 4, 4, 4)),
+            ("rc,c->r", (24, 24), (24,)),  # the Levi-Civita system's shapes
+        ],
+    )
+    def test_einsum_matches_leibniz_reference_through_order3(self, spec, shape_a, shape_b):
+        rng = np.random.default_rng(8)
+        a = self.sym_jet(rng, shape_a, order=3)
+        b = self.sym_jet(rng, shape_b, order=3)
+        got = jet_einsum(spec, a, b)
+        (in1, in2), out = spec.split("->")[0].split(","), spec.split("->")[1]
+        for k in range(4):
+            # D^k(ab) sums, over the subsets of the k slots, a's derivative
+            # along the subset times b's along the rest
+            slots = "XYZ"[:k]
+            expect = np.zeros_like(got.data[k])
+            for i in range(k + 1):
+                for left in itertools.combinations(slots, i):
+                    right = "".join(c for c in slots if c not in left)
+                    expect += np.einsum(
+                        f"{in1}{''.join(left)},{in2}{right}->{out}{slots}", a.data[i], b.data[k - i]
+                    )
+            scale = max(1.0, float(np.max(np.abs(expect))))
+            npt.assert_allclose(got.data[k], expect, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "ab,bc->abc",  # b is a batch label: shared and kept
+            "aa,ab->b",  # repeated label within an operand
+            "ab,b->",  # a is summed within one operand
+            "ab,bc->acc",  # repeated output label
+            "aX,b->abX",  # derivative labels are reserved
+        ],
+    )
+    def test_einsum_rejects_non_pairwise_specs(self, spec):
+        a = Jet.zeros((4, 4), 1)
+        b = Jet.zeros((4,) * (len(spec.split(",")[1].split("-")[0])), 1)
+        with pytest.raises(JetError):
+            jet_einsum(spec, a, b)
+
+    def test_einsum_rejects_mismatched_shapes(self):
+        with pytest.raises(JetError):
+            jet_einsum("ij,jk->ik", Jet.zeros((4, 3), 1), Jet.zeros((4, 4), 1))
+
+    def test_contractions_make_no_einsum_calls(self, monkeypatch):
+        calls = []
+        real = np.einsum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counted)
+        rng = np.random.default_rng(9)
+        a = self.sym_jet(rng, (4, 4, 4), order=3)
+        b = self.sym_jet(rng, (4, 4, 4, 4, 4), order=3)
+        jet_einsum("qpm,aqcde->apmcde", a, b)
+        m = self.sym_jet(rng, (4, 4), order=3)
+        m.data[0] += 3.0 * np.eye(4)
+        jet_matrix_inverse(m)
+        assert calls == []
+
+    def test_max_abs_covers_every_order(self):
+        a = Jet(2, [np.array([0.5, -1.0]), np.zeros((2, 4)), np.full((2, 4, 4), -3.0)])
+        assert a.max_abs() == 3.0
+        assert Jet.zeros((0,), 1).max_abs() == 0.0
 
     def test_partial_shift(self):
         rng = np.random.default_rng(3)
