@@ -295,9 +295,9 @@ class LeviCivitaConnection:
         except np.linalg.LinAlgError as exc:
             raise SingularTetradError(f"torsion system singular: {exc}") from exc
         sols = []
-        plan = _einsum_plan("rc,c->r", order, mats[0].shape, (mats[0].shape[1],))
+        plan = _einsum_plan("rc,c->r", order, lu.shape, lu.shape[:1])
         for k in range(order + 1):
-            # the Leibniz terms of D^k(M w) that hold a lower derivative of w
+            # M0 . w_k = -(rhs0_k + the terms of D^k(M w) with i >= 1 derivatives on M)
             rhs = _leibniz_sum(plan[k][1:], mats, sols, rhs0[k])
             sols.append(-(lu @ rhs.reshape(len(rhs), -1)).reshape(rhs.shape))
         return Jet._trusted(order, [_expand_pairs(w) for w in sols])

@@ -282,14 +282,15 @@ class _Gemm:
     inner side, by a transposition and a reshape (or, when its contracted
     axes already lead, a reshape and a transposed view).  The product is
     reshaped to the free axes of the left operand followed by those of the
-    right one, in their operand order.
+    right one, in their operand order; ``labels`` names those axes.
     """
 
-    __slots__ = ("perm_a", "shape_a", "flip_a", "perm_b", "shape_b", "flip_b", "shape_out")
+    __slots__ = ("perm_a", "shape_a", "flip_a", "perm_b", "shape_b", "flip_b", "shape_out", "labels")
 
     def __init__(self, la: str, lb: str, dims: dict, contracted: str):
         free_a = "".join(c for c in la if c not in contracted)
         free_b = "".join(c for c in lb if c not in contracted)
+        self.labels = free_a + free_b
         na = math.prod(dims[c] for c in free_a)
         nb = math.prod(dims[c] for c in free_b)
         nc = math.prod(dims[c] for c in contracted)
@@ -298,7 +299,7 @@ class _Gemm:
         self.perm_b, self.flip_b = _matrix_layout(lb, contracted, free_b, inner_last=False)
         self.shape_a = (nc, na) if self.flip_a else (na, nc)
         self.shape_b = (nb, nc) if self.flip_b else (nc, nb)
-        self.shape_out = tuple(dims[c] for c in free_a + free_b)
+        self.shape_out = tuple(dims[c] for c in self.labels)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.perm_a is not None:
@@ -339,16 +340,23 @@ def _pairwise_labels(spec: str, shape_a: tuple, shape_b: tuple):
         raise JetError(f"jet_einsum spec {spec!r} needs the form 'ab,bc->ac'") from None
     for labels, what in ((in1, "left operand"), (in2, "right operand"), (out, "output")):
         if not all(c.isalpha() and c.isascii() and c not in _DLAB for c in labels):
-            raise JetError(f"jet_einsum spec {spec!r}: bad {what} labels {labels!r}; X, Y, Z are reserved")
+            raise JetError(
+                f"jet_einsum spec {spec!r}: bad {what} labels {labels!r}; X, Y, Z are reserved"
+            )
         if len(set(labels)) != len(labels):
             raise JetError(f"jet_einsum spec {spec!r}: repeated label in the {what}")
     shared = set(in1) & set(in2)
     if shared & set(out):
-        raise JetError(f"jet_einsum spec {spec!r}: batch labels {sorted(shared & set(out))} are not a contraction")
+        raise JetError(
+            f"jet_einsum spec {spec!r}: labels {sorted(shared & set(out))} are kept "
+            "and summed at once; only pure contractions are supported"
+        )
     if set(out) != (set(in1) | set(in2)) - shared:
         raise JetError(f"jet_einsum spec {spec!r}: output must hold exactly the unshared labels")
     if (len(in1), len(in2)) != (len(shape_a), len(shape_b)):
-        raise JetError(f"jet_einsum spec {spec!r} does not fit component shapes {shape_a}, {shape_b}")
+        raise JetError(
+            f"jet_einsum spec {spec!r} does not fit component shapes {shape_a}, {shape_b}"
+        )
     dims = dict(zip(in1, shape_a))
     for c, n in zip(in2, shape_b):
         if dims.setdefault(c, n) != n:
@@ -373,17 +381,14 @@ def _einsum_plan(spec: str, K: int, shape_a: tuple, shape_b: tuple) -> tuple:
         terms = []
         for i in range(k + 1):
             d1, d2 = _DLAB[:i], _DLAB[i:k]
-            la, lb = in1 + d1, in2 + d2
-            prod = "".join(c for c in la if c not in contracted) + "".join(
-                c for c in lb if c not in contracted
-            )
-            to_out = [prod.index(c) for c in out + d1 + d2]
+            gemm = _Gemm(in1 + d1, in2 + d2, dims, contracted)
+            to_out = [gemm.labels.index(c) for c in out + d1 + d2]
             identity = list(range(len(to_out)))
             outs = []
             for shuffle in _shuffle_axes(len(out), k, i):
                 axes = to_out if shuffle is None else [to_out[s] for s in shuffle]
                 outs.append(None if axes == identity else tuple(axes))
-            terms.append((i, k - i, _Gemm(la, lb, dims, contracted), tuple(outs)))
+            terms.append((i, k - i, gemm, tuple(outs)))
         plan.append(tuple(terms))
     return tuple(plan)
 
