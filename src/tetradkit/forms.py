@@ -255,12 +255,8 @@ def eta_lower(x, axis: int):
     except for the sign of zeros.
     """
     if isinstance(x, Jet):
-        return Jet._trusted(x.order, [_eta_flip(d, axis) for d in x.data])
-    return _eta_flip(x, axis)
-
-
-def _eta_flip(arr: np.ndarray, axis: int) -> np.ndarray:
-    return arr * _eta_signs(arr.ndim - axis - 1)
+        return Jet._trusted(x.order, [eta_lower(d, axis) for d in x.data])
+    return x * _eta_signs(x.ndim - axis - 1)
 
 
 @functools.cache

@@ -103,10 +103,6 @@ def _frame_interior(einv: Jet, form: MixedForm) -> Jet:
     return jet_einsum(spec, einv, form.jet)
 
 
-def _lowered_coframe(e_jet: Jet) -> Jet:
-    return eta_lower(e_jet, 0)
-
-
 def _interior_pairings(
     einv: Jet, theta: Jet, f: Jet, vec3: MixedForm, pair3: MixedForm
 ) -> Jet:
@@ -126,7 +122,7 @@ def _interior_pairings(
 def _stress_coframe_wedge(t3: MixedForm, e_jet: Jet) -> Jet:
     """Antisymmetrized wedge of an internal-vector 3-form with the lowered
     coframe, raw [a, b, mu, nu, rho, sigma] jet."""
-    raw = jet_einsum("amnr,bs->abmnrs", t3.jet, _lowered_coframe(e_jet))
+    raw = jet_einsum("amnr,bs->abmnrs", t3.jet, eta_lower(e_jet, 0))
     wedged = _alt_blocks(raw, 2, 3, 1)
     swapped = jet_map(lambda arr: np.swapaxes(arr, 0, 1), wedged)
     return wedged - swapped
