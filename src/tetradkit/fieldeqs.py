@@ -1,4 +1,4 @@
-"""Action density, field-equation residuals, and matter sources.
+"""Field-equation residuals and matter sources.
 
 Everything here is a pure function of jets produced by the frame fields in
 ``geometry``.  The field-level functions read those jets from a
@@ -38,7 +38,6 @@ from .forms import (
     EPSILON,
     MixedForm,
     covariant_exterior_derivative,
-    epsilon_trace,
     eta_lower,
     internal_wedge,
 )
@@ -47,10 +46,7 @@ from .geometry import (
     SingularTetradError,
     _PairField,
     _parse_grid,
-    inverse_tetrad_jet,
     metric_jet,
-    torsion_jet,
-    torsion_tensor_jet,
 )
 from .jets import (
     DIM,
@@ -84,12 +80,6 @@ _MULT_E_F = 3.0  # eps_abcd wedge(e, F) vs eps_abcd e^b ^ F^cd
 _MULT_E_E_E = -6.0  # eps_abcd wedge(wedge(e, e), e) vs eps_abcd e^b ^ e^c ^ e^d
 _MULT_E_E = -2.0  # wedge(e, e) vs e^c ^ e^d
 _MULT_PAIR_E = -2.0  # eps_abcd wedge(beta, e) vs eps_abcd beta^c ^ e^d
-_MULT_EEF_TRACE = -12.0  # eps contraction of wedge(wedge(e, e), F) vs labeled
-_MULT_E4_TRACE = 24.0  # eps contraction of wedge(wedge(e, e), wedge(e, e))
-
-# Largest gap, relative to the larger side, allowed between the two routes
-# to the torsion-equation left side.
-PRODUCT_RULE_TOL = 1e-12
 
 
 class FieldEquationError(ValueError):
@@ -120,12 +110,6 @@ def einstein_jet(riemann: Jet, einv: Jet, g: Jet, f: Jet) -> Jet:
     half = jet_einsum("ma,abmw->bw", einv, f)
     scalar = jet_einsum("wb,bw->", einv, half).scaled(-1.0)
     return ricci - jet_einsum("mw,->mw", g, scalar).scaled(0.5)
-
-
-def torsion_q_jet(e_jet: Jet, omega_jet: Jet) -> Jet:
-    """Torsion components q[mu, nu, sigma] with derivatives."""
-    theta = torsion_jet(e_jet, omega_jet)
-    return torsion_tensor_jet(theta, inverse_tetrad_jet(e_jet))
 
 
 def dual_component_projection(form: MixedForm, e_jet: Jet) -> Jet:
@@ -323,81 +307,58 @@ def torsion_three_form(theta_jet: Jet, e_jet: Jet) -> MixedForm:
     return _eps_pair(w).scaled(1.0 / _MULT_PAIR_E)
 
 
-def pc_action_density(jets: PointJets, lam: float) -> float:
-    """Coefficient of the coordinate volume form in the action integrand.
+def derivative_torsion_three_form(e_jet: Jet, omega_jet: Jet) -> MixedForm:
+    """Geometric side of the torsion equation by the derivative route.
 
-    Geometric part plus the cosmological term; for a torsion-free
-    connection the geometric part is a fixed multiple of the curvature
-    scalar times the tetrad determinant.
+    Epsilon contraction of the twisted exterior derivative of the frame-pair
+    2-form e ^ e, normalized like ``torsion_three_form``; a product-rule
+    fact makes the two routes agree identically.  The tetrad jet must be one
+    order deeper than the connection jet.
     """
-    ej = jets.e(0)
-    det = float(np.linalg.det(ej.value))
-    if abs(det) <= DET_THRESHOLD:
-        raise SingularTetradError("tetrad determinant vanishes at this point")
-    jets.omega(1)
-    ef = MixedForm(1, 1, ej)
+    ef = MixedForm(1, 1, e_jet)
     ee = internal_wedge(ef, ef)
-    eef = internal_wedge(ee, MixedForm(2, 2, jets.field_strength(0)))
-    geo = 0.5 * 24.0 * epsilon_trace(eef).values[0, 1, 2, 3] / _MULT_EEF_TRACE
-    vol = 24.0 * epsilon_trace(internal_wedge(ee, ee)).values[0, 1, 2, 3]
-    return float(geo + (lam / 24.0) * vol / _MULT_E4_TRACE)
+    return _eps_pair(covariant_exterior_derivative(omega_jet, ee, (1, 1))).scaled(
+        0.5 / _MULT_E_E
+    )
 
 
-def curvature_equation_residual(jets: PointJets, order: int = 0) -> MixedForm:
+def curvature_equation_residual(jets: PointJets) -> MixedForm:
     """Residual E[a] of the curvature equation as an internal-vector 3-form.
 
     Curvature term plus the cosmological term minus ``kappa`` times the
     stress 3-form.  Zero (to tolerance) exactly on solutions.
     """
     matter = jets.matter
-    ej = jets.e(order)
-    jets.omega(order + 1)
-    resid = jets.curvature_three_form(order)
+    ej = jets.e(0)
+    jets.omega(1)
+    resid = jets.curvature_three_form(0)
     if matter.lam != 0.0:
         ef = MixedForm(1, 1, ej)
         ee = internal_wedge(ef, ef)
         vol3 = _eps_vector(internal_wedge(ee, ef)).scaled(1.0 / _MULT_E_E_E)
         resid = resid + vol3.scaled(matter.lam / 6.0)
-    return resid - jets.stress_form(order).scaled(matter.kappa)
+    return resid - jets.stress_form(0).scaled(matter.kappa)
 
 
-def torsion_equation_sides(
-    jets: PointJets, order: int = 0
-) -> tuple[MixedForm, MixedForm]:
+def torsion_equation_sides(jets: PointJets) -> tuple[MixedForm, MixedForm]:
     """Both routes to the torsion-equation left side, as internal-pair 3-forms.
 
-    The derivative route applies the twisted exterior derivative to the
-    frame-pair 2-form; the algebraic route contracts the torsion 2-form
-    against the frame.  A product-rule fact makes them agree identically,
-    so their gap doubles as a structural residual check.
+    The derivative route (``derivative_torsion_three_form``) comes first,
+    the algebraic route (``torsion_three_form``) second.  They agree
+    identically, so their gap doubles as a structural residual check.
     """
-    ej = jets.e(order + 1)
-    wj = jets.omega(order)
-    ef = MixedForm(1, 1, ej)
-    ee = internal_wedge(ef, ef)
-    lhs = _eps_pair(covariant_exterior_derivative(wj, ee, (1, 1))).scaled(
-        0.5 / _MULT_E_E
-    )
-    rhs = jets.torsion_three_form(order)
-    return lhs, rhs
+    return jets.derivative_torsion_three_form(0), jets.torsion_three_form(0)
 
 
-def torsion_equation_residual(jets: PointJets, order: int = 0) -> MixedForm:
+def torsion_equation_residual(jets: PointJets) -> MixedForm:
     """Residual C[a, b] of the torsion equation as an internal-pair 3-form.
 
-    The left side is computed twice via ``torsion_equation_sides``; the two
-    routes must agree to ``PRODUCT_RULE_TOL`` (a structural identity), else
-    ``FieldEquationError``.  The residual subtracts ``kappa`` times the
-    spin 3-form from the derivative route.
+    The derivative route to the left side minus ``kappa`` times the spin
+    3-form.  Its gap to the algebraic route is what the ``nfe-leibniz``
+    check reports.
     """
-    lhs, rhs = torsion_equation_sides(jets, order)
-    gap = (lhs - rhs).jet.max_abs()
-    scale = max(1.0, lhs.jet.max_abs(), rhs.jet.max_abs())
-    if gap > PRODUCT_RULE_TOL * scale:
-        raise FieldEquationError(
-            f"product-rule identity violated: gap {gap:.3e} at scale {scale:.3e}"
-        )
-    return lhs - jets.spin_form(order).scaled(jets.matter.kappa)
+    lhs = jets.derivative_torsion_three_form(0)
+    return lhs - jets.spin_form(0).scaled(jets.matter.kappa)
 
 
 @dataclass(frozen=True)
@@ -415,28 +376,3 @@ def component_field_equation_residuals(jets: PointJets) -> ComponentResiduals:
     stress = jets.einstein(0).value - EIGHT_PI * jets.stress(0).value
     spin = jets.torsion_tensor(0).value + SIXTEEN_PI * jets.spin(0).value
     return ComponentResiduals(stress=stress, spin=spin)
-
-
-def validate_spin_antisymmetry(jets: PointJets, tol: float = 1e-10):
-    """Assert total antisymmetry of the spin source and of the torsion.
-
-    Both tensors are lowered with the metric first; violation raises
-    ``FieldEquationError``.  No registered check calls it; it serves
-    models whose spin source should be totally antisymmetric.
-    """
-    jets.e(1)
-    jets.omega(1)
-    g = jets.metric(0).value
-    checks = (
-        ("spin source", np.einsum("mns,sr->mnr", jets.spin(0).value, g)),
-        ("torsion", np.einsum("mns,sr->mnr", jets.torsion_tensor(0).value, g)),
-    )
-    for name, arr in checks:
-        scale = max(1.0, float(np.abs(arr).max()))
-        for ax in ((0, 1), (1, 2)):
-            sym = arr + np.swapaxes(arr, *ax)
-            if float(np.abs(sym).max()) > tol * scale:
-                raise FieldEquationError(
-                    f"{name} is not totally antisymmetric: "
-                    f"symmetric part {np.abs(sym).max():.3e} in axes {ax}"
-                )

@@ -129,21 +129,6 @@ class ContorsionField(_PairField):
     """Difference of two frame connections; same symmetry as the connection."""
 
 
-class ConstantConnection:
-    """Connection-shaped source with constant components (zero derivatives)."""
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, float)
-        if values.shape != (DIM, DIM, DIM):
-            raise GeometryError(f"expected components [a, b, mu], got shape {values.shape}")
-        if np.max(np.abs(values + values.transpose(1, 0, 2))) > 1e-12 * max(1.0, np.max(np.abs(values))):
-            raise GeometryError("connection components must be antisymmetric in the internal pair")
-        self.values = values
-
-    def jet(self, point: Sequence[float], order: int) -> Jet:
-        return Jet.constant(self.values, order)
-
-
 class ZeroConnection:
     """The flat frame connection."""
 

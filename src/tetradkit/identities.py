@@ -60,19 +60,19 @@ __all__ = [
 ]
 
 
-def second_bianchi_residual(jets: PointJets, order: int = 0) -> MixedForm:
+def second_bianchi_residual(jets: PointJets) -> MixedForm:
     """Twisted exterior derivative of the field strength.
 
     Identically zero for any connection; returns the internal-pair 3-form
-    so callers can inspect where coherence fails.  Needs connection jets of
-    order ``order + 2``.
+    so callers can inspect where coherence fails.  Reads the connection
+    through order 2.
     """
-    wj = jets.omega(order + 2)
-    f = MixedForm(2, 2, jets.field_strength(order + 1))
+    wj = jets.omega(2)
+    f = MixedForm(2, 2, jets.field_strength(1))
     return covariant_exterior_derivative(wj, f, (1, 1))
 
 
-def first_bianchi_residual(jets: PointJets, order: int = 0) -> MixedForm:
+def first_bianchi_residual(jets: PointJets) -> MixedForm:
     """Twisted derivative of torsion minus the curvature-coframe wedge.
 
     The subtracted term contracts the field strength's second internal slot
@@ -80,11 +80,11 @@ def first_bianchi_residual(jets: PointJets, order: int = 0) -> MixedForm:
     so no block-alternation multiple appears.  Internal-vector 3-form, zero
     for every frame and connection.
     """
-    ej = jets.e(order + 2)
-    wj = jets.omega(order + 1)
-    theta = MixedForm(2, 1, jets.torsion(order + 1))
+    ej = jets.e(2)
+    wj = jets.omega(1)
+    theta = MixedForm(2, 1, jets.torsion(1))
     lhs = covariant_exterior_derivative(wj, theta, (1,))
-    raw = jet_einsum("acmn,cr->amnr", eta_lower(jets.field_strength(order), 1), ej)
+    raw = jet_einsum("acmn,cr->amnr", eta_lower(jets.field_strength(0), 1), ej)
     rhs = _alt_blocks(raw, 1, 2, 1)
     return lhs - MixedForm._wrap(3, 1, rhs.truncated(lhs.order))
 
@@ -148,9 +148,7 @@ def _three_form_laws(
     return first, second
 
 
-def rewritten_lhs_check(
-    jets: PointJets, order: int = 0
-) -> tuple[MixedForm, MixedForm]:
+def rewritten_lhs_check(jets: PointJets) -> tuple[MixedForm, MixedForm]:
     """Derivative expansions of the two geometric equation sides.
 
     ``_three_form_laws`` of the curvature 3-form and the torsion 3-form.
@@ -159,13 +157,13 @@ def rewritten_lhs_check(
     pinned by a test).  Both residuals vanish for every frame and
     connection with coherent jets.
     """
-    ej = jets.e(order + 2)
-    wj = jets.omega(order + 2)
-    einv = jets.inverse_tetrad(order + 2)
-    f = jets.field_strength(order + 1)
-    theta = jets.torsion(order + 1)
-    p3 = jets.curvature_three_form(order + 1)
-    s3 = jets.torsion_three_form(order + 1)
+    ej = jets.e(2)
+    wj = jets.omega(2)
+    einv = jets.inverse_tetrad(2)
+    f = jets.field_strength(1)
+    theta = jets.torsion(1)
+    p3 = jets.curvature_three_form(1)
+    s3 = jets.torsion_three_form(1)
     return _three_form_laws(ej, wj, einv, theta, f, p3, s3)
 
 
@@ -177,22 +175,20 @@ class ConservationFormResiduals:
     spin: MixedForm  # internal-pair 4-form
 
 
-def conservation_form_residuals(
-    jets: PointJets, order: int = 0
-) -> ConservationFormResiduals:
+def conservation_form_residuals(jets: PointJets) -> ConservationFormResiduals:
     """Covariant-exterior-derivative conservation defects of the sources.
 
     ``_three_form_laws`` of the stress 3-form and the spin 3-form.  Both
     defects vanish on solutions of the field equations; for vacuum matter
     they are identically zero.
     """
-    ej = jets.e(order + 2)
-    wj = jets.omega(order + 2)
-    tf = jets.stress_form(order + 1)
-    sf = jets.spin_form(order + 1)
-    einv = jets.inverse_tetrad(order + 2)
-    theta = jets.torsion(order + 1)
-    f = jets.field_strength(order + 1)
+    ej = jets.e(2)
+    wj = jets.omega(2)
+    tf = jets.stress_form(1)
+    sf = jets.spin_form(1)
+    einv = jets.inverse_tetrad(2)
+    theta = jets.torsion(1)
+    f = jets.field_strength(1)
     stress, spin = _three_form_laws(ej, wj, einv, theta, f, tf, sf)
     return ConservationFormResiduals(stress=stress, spin=spin)
 
@@ -292,19 +288,19 @@ def metric_compatibility_residual(jets: PointJets) -> np.ndarray:
     return dg - corr
 
 
-def commutator_residual(jets: PointJets, vector_jet: Jet, order: int = 0) -> Jet:
+def commutator_residual(jets: PointJets, vector_jet: Jet) -> Jet:
     """Frame-derivative commutator minus the field-strength action.
 
     ``vector_jet`` holds an internal vector field v[a] with jets of order
-    ``order + 2``; the result has components [mu, nu] trailing the
-    internal axis, [a, mu, nu].  Zero to rounding whenever the vector and
-    connection jets are coherent.
+    2; the result has components [mu, nu] trailing the internal axis,
+    [a, mu, nu].  Zero to rounding whenever the vector and connection jets
+    are coherent.
     """
-    wj = jets.omega(order + 2)
+    wj = jets.omega(2)
     once = covariant_D(wj, vector_jet, (+1,))
     twice = covariant_D(wj, once, (+1,))
     anti = twice - jet_map(lambda arr: np.swapaxes(arr, 1, 2), twice)
-    action = jet_einsum("acmn,c->amn", eta_lower(jets.field_strength(order + 1), 1), vector_jet)
+    action = jet_einsum("acmn,c->amn", eta_lower(jets.field_strength(1), 1), vector_jet)
     return anti - action.truncated(anti.order)
 
 
@@ -341,18 +337,16 @@ def curvature_wedge_action(
 
 
 def d_squared_residual(
-    jets: PointJets, alpha: MixedForm, variances: tuple[int, ...], order: int = 0
+    jets: PointJets, alpha: MixedForm, variances: tuple[int, ...]
 ) -> MixedForm:
     """Twice-applied twisted derivative minus the field-strength action.
 
     Zero to rounding for coherent jets; for a field strength that
     identically vanishes the twice-applied derivative is zero on its own.
-    ``alpha`` needs jets of order at least ``order + 2``.
+    ``alpha`` needs jets of order 2.
     """
-    wj = jets.omega(order + 2)
+    wj = jets.omega(2)
     once = covariant_exterior_derivative(wj, alpha, variances)
     twice = covariant_exterior_derivative(wj, once, variances)
-    action = curvature_wedge_action(
-        jets.field_strength(order + 1), alpha, variances
-    )
+    action = curvature_wedge_action(jets.field_strength(1), alpha, variances)
     return twice - action.truncated(twice.order)

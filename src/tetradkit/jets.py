@@ -167,9 +167,6 @@ class Jet:
         """Largest absolute entry over the value and every derivative tensor."""
         return max(float(np.max(np.abs(d))) if d.size else 0.0 for d in self.data)
 
-    def copy(self) -> "Jet":
-        return Jet(self.order, [d.copy() for d in self.data])
-
     def __repr__(self) -> str:
         return f"Jet(order={self.order}, comp_shape={self.comp_shape}, value={self.value!r})"
 

@@ -6,12 +6,14 @@ source jets and the tensors derived from them: the inverse tetrad, the
 metric and its inverse, the Christoffel symbols, the field strength F, the
 torsion form and tensor, the Riemann and Einstein tensors, the tetrad
 determinant, the stress and spin sources with their 3-forms, and the
-geometric 3-forms of the two field equations.  Each is computed at most
-once, by the ``geometry`` or ``fieldeqs`` function a caller would apply to
-the jets directly, at the deepest order the point serves (``DEPTH`` for
-the source jets).  A lower order is served by truncation.  Every order-k
-jet formula reads only orders up to k, so a truncated jet holds the same
-bits as one derived at the lower order.
+geometric 3-forms of the two field equations, the torsion side by both of
+its routes.  Each is computed at most once, by the ``geometry`` or
+``fieldeqs`` function a caller would apply to the jets directly, at the
+deepest order the point serves (``DEPTH`` for the source jets).  A lower
+order is served by truncation.  Every order-k jet formula reads only
+orders up to k, so a truncated jet holds the same bits as one derived at
+the lower order.  A deeper order than the point serves raises
+``JetError``.
 
 Two rules keep a consumer's errors what they would be if it derived
 everything itself:
@@ -20,9 +22,6 @@ everything itself:
   from a quantity it did not read.
 * A derivation that raises remembers the exception, and every later
   request for that quantity raises it again.
-
-A request deeper than the point serves is derived afresh each time and
-not remembered.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from typing import Callable, Sequence
 from .fieldeqs import (
     MatterModel,
     curvature_three_form,
+    derivative_torsion_three_form,
     determinant_jet,
     einstein_jet,
     riemann_jet,
@@ -74,8 +74,6 @@ class PointJets:
         self._memo: dict[str, Jet | MixedForm | Exception] = {}
 
     def _serve(self, key: str, order: int, top: int, build: Callable[[int], Jet | MixedForm]):
-        if order > top:
-            return build(order)
         hit = self._memo.get(key)
         if hit is None:
             try:
@@ -191,6 +189,16 @@ class PointJets:
 
     def _torsion_three_form(self, k: int) -> MixedForm:
         return torsion_three_form(self.torsion(k), self.e(k))
+
+    def derivative_torsion_three_form(self, order: int) -> MixedForm:
+        """Geometric side of the torsion equation, derivative route, served
+        at order 0 only: its two readers compare and use it there."""
+        return self._serve(
+            "torsion3d",
+            order,
+            0,
+            lambda k: derivative_torsion_three_form(self.e(k + 1), self.omega(k)),
+        )
 
     # -- matter sources, from ``matter``'s builders ------------------------
 

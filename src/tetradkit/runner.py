@@ -97,6 +97,19 @@ def _magnitude(jets: PointJets) -> float:
     return max(parts)
 
 
+def _drop_tracebacks(exc: BaseException) -> None:
+    """Detach the tracebacks of a recorded fault and of the exceptions it
+    chains to.  Their frames hold the point's ``PointJets``, which remembers
+    the fault, so each faulted point would otherwise leave a reference cycle
+    that only the cyclic collector frees."""
+    stack = [exc]
+    while stack:
+        exc = stack.pop()
+        if exc is not None and exc.__traceback__ is not None:
+            exc.__traceback__ = None
+            stack += (exc.__cause__, exc.__context__)
+
+
 def _random_jet(rng: np.random.Generator, shape: tuple[int, ...]) -> Jet:
     """A random coherent order-2 jet: the second derivative axes symmetric."""
     value = rng.uniform(-1.0, 1.0, shape)
@@ -368,6 +381,7 @@ def run_checks(
                         "message": f"{type(exc).__name__}: {exc}",
                     }
                 )
+                _drop_tracebacks(exc)
             else:
                 residuals[check.name].append(value)
 

@@ -139,6 +139,16 @@ def random_connection(rng, scale=0.3):
     return SpinConnectionField(entries, UNIT_CHART)
 
 
+def constant_connection(values):
+    """The connection with constant components w[a, b, mu], the (a, b)
+    entries with a < b written as ``repr`` literals."""
+    entries = {
+        key: [repr(float(values[int(key[0]), int(key[1]), m])) for m in range(4)]
+        for key in PAIR_KEYS
+    }
+    return SpinConnectionField(entries, UNIT_CHART)
+
+
 def random_contorsion(rng, scale=0.25):
     entries = {
         key: [random_polynomial_text(rng, UNIT_CHART, scale=scale) for _ in range(4)]

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     UNIT_CHART,
+    constant_connection,
     curvature_scalar,
     identity_tetrad,
     random_connection,
@@ -17,7 +18,6 @@ from helpers import (
 from tetradkit.exprkit import Chart, eval_jet_grid, parse_expression
 from tetradkit.forms import ETA, covariant_D
 from tetradkit.geometry import (
-    ConstantConnection,
     ContorsionField,
     GeometryError,
     LeviCivitaConnection,
@@ -212,7 +212,7 @@ class TestFieldStrength:
     def test_single_constant_generator_is_flat(self):
         w = np.zeros((4, 4, 4))
         w[0, 1, 0], w[1, 0, 0] = 1.3, -1.3
-        out = field_strength(ConstantConnection(w), (0.0,) * 4)
+        out = field_strength(constant_connection(w), (0.0,) * 4)
         npt.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_coordinate_dependent_single_pair(self):
@@ -230,7 +230,7 @@ class TestFieldStrength:
         rng = np.random.default_rng(108)
         arr = rng.uniform(-1, 1, (4, 4, 4))
         w = arr - arr.transpose(1, 0, 2)
-        out = field_strength(ConstantConnection(w), (0.0,) * 4)
+        out = field_strength(constant_connection(w), (0.0,) * 4)
         comm = np.einsum("adm,de,ebn->abmn", w, ETA, w)
         expect = comm - comm.transpose(0, 1, 3, 2)
         npt.assert_allclose(out, expect, atol=1e-13)
@@ -259,7 +259,7 @@ class TestTorsion:
         w[0, 1, 2], w[1, 0, 2] = c, -c
         e = identity_tetrad()
         x = (0.0,) * 4
-        jets = PointJets(e, ConstantConnection(w), x)
+        jets = PointJets(e, constant_connection(w), x)
         expect = np.einsum("abm,bc,cn->amn", w, ETA, np.eye(4))
         expect = expect - expect.transpose(0, 2, 1)
         npt.assert_allclose(jets.torsion(0).value, expect, atol=1e-14)
@@ -405,7 +405,7 @@ class TestContorsion:
         lc = LeviCivitaConnection(e)
         arr = rng.uniform(-1, 1, (4, 4, 4))
         kappa_term = arr - arr.transpose(1, 0, 2)
-        summed = SummedConnection(lc, ConstantConnection(kappa_term))
+        summed = SummedConnection(lc, constant_connection(kappa_term))
         x = rng.uniform(-0.5, 0.5, 4)
         theta = PointJets(e, summed, x).torsion(0).value
         contrib = np.einsum("abm,bc,cn->amn", kappa_term, ETA, e.jet(x, 0).value)

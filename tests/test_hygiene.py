@@ -79,3 +79,49 @@ def test_eta_is_applied_as_a_sign_flip(path):
     """Lowering an internal index is ``forms.eta_lower``, not an einsum with ETA."""
     lines = list(_einsum_calls_reading(ast.parse(path.read_text(encoding="utf-8")), "ETA"))
     assert not lines, f"{path.name} contracts ETA with np.einsum at lines {lines}; use forms.eta_lower"
+
+
+# Definitions that no module in the package reads, each with the reason it
+# stays: a tool of the acceptance gate, or a reference the tests compare to.
+UNREAD_ALLOWED = {
+    "exprkit.finite_difference_oracle": "acceptance gate: derivative oracle",
+    "geometry.LorentzField": "acceptance gate: frame rotation invariance",
+    "geometry.lorentz_transform": "acceptance gate: frame rotation invariance",
+    "geometry.ZeroConnection": "acceptance gate: flat-frame reduction",
+    "forms.exterior_derivative": "test reference for the twisted derivative",
+    "fieldeqs.dual_component_projection": "test reference: pins CURVATURE_DUAL_FACTOR",
+}
+
+
+def _readers(tree: ast.Module):
+    """(name, top-level statement) for each name a module reads, in code or
+    in a quoted annotation."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield node.id, stmt
+        for note in _annotations(ast.Module(body=[stmt], type_ignores=[])):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                for node in ast.walk(ast.parse(note.value, mode="eval")):
+                    if isinstance(node, ast.Name):
+                        yield node.id, stmt
+
+
+def test_every_definition_has_a_reader():
+    """A top-level function or class is read somewhere in the package,
+    outside its own body, or is listed in ``UNREAD_ALLOWED``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    read: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for name, stmt in _readers(tree):
+            read.setdefault(name, set()).add(id(stmt))
+    unread = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if not read.get(stmt.name, set()) - {id(stmt)}:
+                    unread.append(f"{module}.{stmt.name}")
+    unexpected = sorted(set(unread) - set(UNREAD_ALLOWED))
+    assert not unexpected, f"definitions nothing in src/ reads: {', '.join(unexpected)}"
+    stale = sorted(set(UNREAD_ALLOWED) - set(unread))
+    assert not stale, f"allowlisted definitions that now have a reader: {', '.join(stale)}"

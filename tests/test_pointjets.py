@@ -11,12 +11,12 @@ from tetradkit.exprkit import DomainFault
 from tetradkit.fieldeqs import (
     MatterModel,
     curvature_three_form,
+    derivative_torsion_three_form,
     determinant_jet,
     einstein_jet,
     riemann_jet,
     spin_tensor_to_form,
     stress_tensor_to_form,
-    torsion_q_jet,
     torsion_three_form,
 )
 from tetradkit.forms import MixedForm
@@ -27,8 +27,9 @@ from tetradkit.geometry import (
     inverse_tetrad_jet,
     metric_jet,
     torsion_jet,
+    torsion_tensor_jet,
 )
-from tetradkit.jets import jet_matrix_inverse
+from tetradkit.jets import JetError, jet_matrix_inverse
 from tetradkit.pointjets import PointJets
 from tetradkit.runner import CHECKS, run_checks, sample_points
 from tetradkit.scenarios import builtin_document, builtin_scenario, scenario_from_dict
@@ -63,7 +64,12 @@ DIRECT = {
     "field_strength": (1, lambda e, w, m, x, k: field_strength_jet(w.jet(x, k + 1))),
     "torsion": (1, lambda e, w, m, x, k: torsion_jet(e.jet(x, k + 1), w.jet(x, k))),
     "christoffel": (1, lambda e, w, m, x, k: christoffel_jet(e.jet(x, k + 1), w.jet(x, k))),
-    "torsion_tensor": (1, lambda e, w, m, x, k: torsion_q_jet(e.jet(x, k + 1), w.jet(x, k))),
+    "torsion_tensor": (
+        1,
+        lambda e, w, m, x, k: torsion_tensor_jet(
+            torsion_jet(e.jet(x, k + 1), w.jet(x, k)), inverse_tetrad_jet(e.jet(x, k))
+        ),
+    ),
     "riemann": (1, lambda e, w, m, x, k: _riemann(e, w, x, k)),
     "einstein": (1, lambda e, w, m, x, k: _einstein(e, w, x, k)),
     "curvature_three_form": (
@@ -75,6 +81,10 @@ DIRECT = {
         lambda e, w, m, x, k: torsion_three_form(
             torsion_jet(e.jet(x, k + 1), w.jet(x, k)), e.jet(x, k)
         ),
+    ),
+    "derivative_torsion_three_form": (
+        0,
+        lambda e, w, m, x, k: derivative_torsion_three_form(e.jet(x, k + 1), w.jet(x, k)),
     ),
     "stress": (1, lambda e, w, m, x, k: m.stress_jet(PointJets(e, w, x, m), k)),
     "spin": (1, lambda e, w, m, x, k: m.spin_jet(PointJets(e, w, x, m), k)),
@@ -109,6 +119,16 @@ def test_served_jets_equal_direct_derivation(name):
                     npt.assert_array_equal(got_k, want_k, err_msg=f"{quantity} order {k}")
 
 
+def test_a_request_deeper_than_served_raises():
+    sc = builtin_scenario("random-fields")
+    e, omega = sc.frames()
+    jets = PointJets(e, omega, sample_points(sc.chart, 1, 0)[0])
+    with pytest.raises(JetError):
+        jets.omega(3)
+    with pytest.raises(JetError):
+        jets.derivative_torsion_three_form(1)
+
+
 def test_each_source_is_evaluated_once():
     sc = builtin_scenario("schwarzschild")
     e, _ = sc.frames()
@@ -137,6 +157,7 @@ def test_each_source_is_evaluated_once():
             (field_strength_jet, 2),
             (curvature_three_form, 1),
             (torsion_three_form, 1),
+            (derivative_torsion_three_form, 1),
             (spin_tensor_to_form, 1),
             (stress_tensor_to_form, 1),
         )
@@ -144,7 +165,9 @@ def test_each_source_is_evaluated_once():
 )
 def test_derived_once_per_point(monkeypatch, function, first_order):
     # every check, d2-law and commutator included, reads the point's F, its
-    # geometric 3-forms and its manufactured source forms
+    # geometric 3-forms and its manufactured source forms; the first
+    # argument's order is recorded, and the derivative route to the torsion
+    # side takes the tetrad one order above its own
     calls = []
 
     def counting(first, *rest):

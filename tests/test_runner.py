@@ -1,11 +1,13 @@
 import dataclasses
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
 
-from tetradkit import runner
+from tetradkit import pointjets, runner
+from tetradkit.fieldeqs import torsion_three_form
 from tetradkit.runner import (
     CHECK_NAMES,
     CHECKS,
@@ -211,6 +213,22 @@ class TestPointFaults:
         with pytest.raises(ValueError):
             emit_report(broken, "json", tmp_path / "report.json")
 
+    def test_faulted_points_leave_no_reference_cycles(self):
+        # a point remembers its fault, and the fault's traceback holds the
+        # frames that hold the point
+        doc = builtin_document("schwarzschild")
+        doc["chart"]["bounds"][0] = [1.0, 10.0]
+        sc = scenario_from_dict(doc)
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_checks(sc, points=30, seed=0)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert report.errors
+        assert unreachable == 0
+
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(jets, stream):
             raise TypeError("not a domain fault")
@@ -231,6 +249,23 @@ class TestFaultInjection:
         assert not report.overall_pass
         for result in report.results:
             assert result.max_residual > 1e-5
+
+    def test_broken_product_rule_fails_nfe_leibniz(self, monkeypatch):
+        # the algebraic route to the torsion side, as the point serves it,
+        # is off by one part in a million: nfe-leibniz reports the gap, and
+        # the torsion equation, which reads the derivative route, is unmoved
+        def skewed(theta_jet, e_jet):
+            return torsion_three_form(theta_jet, e_jet).scaled(1.0 + 1e-6)
+
+        monkeypatch.setattr(pointjets, "torsion_three_form", skewed)
+        report = run_checks(
+            builtin_scenario("random-fields"), points=5, checks=["nfe-leibniz", "torsion-equation"]
+        )
+        nfe, torsion = report.results
+        assert not nfe.passed
+        assert nfe.max_residual > 1e3 * nfe.tolerance
+        assert torsion.passed
+        assert not report.errors
 
 
 class TestReports:
