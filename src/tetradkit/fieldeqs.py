@@ -1,4 +1,4 @@
-"""Field-equation residuals and matter sources.
+"""Action density, field-equation residuals, and matter sources.
 
 Everything here is a pure function of jets produced by the frame fields in
 ``geometry``.  The field-level functions read those jets from a
@@ -38,6 +38,7 @@ from .forms import (
     EPSILON,
     MixedForm,
     covariant_exterior_derivative,
+    epsilon_trace,
     eta_lower,
     internal_wedge,
 )
@@ -46,7 +47,10 @@ from .geometry import (
     SingularTetradError,
     _PairField,
     _parse_grid,
+    inverse_tetrad_jet,
     metric_jet,
+    torsion_jet,
+    torsion_tensor_jet,
 )
 from .jets import (
     DIM,
@@ -80,6 +84,8 @@ _MULT_E_F = 3.0  # eps_abcd wedge(e, F) vs eps_abcd e^b ^ F^cd
 _MULT_E_E_E = -6.0  # eps_abcd wedge(wedge(e, e), e) vs eps_abcd e^b ^ e^c ^ e^d
 _MULT_E_E = -2.0  # wedge(e, e) vs e^c ^ e^d
 _MULT_PAIR_E = -2.0  # eps_abcd wedge(beta, e) vs eps_abcd beta^c ^ e^d
+_MULT_EEF_TRACE = -12.0  # eps contraction of wedge(wedge(e, e), F) vs labeled
+_MULT_E4_TRACE = 24.0  # eps contraction of wedge(wedge(e, e), wedge(e, e))
 
 
 class FieldEquationError(ValueError):
@@ -110,6 +116,12 @@ def einstein_jet(riemann: Jet, einv: Jet, g: Jet, f: Jet) -> Jet:
     half = jet_einsum("ma,abmw->bw", einv, f)
     scalar = jet_einsum("wb,bw->", einv, half).scaled(-1.0)
     return ricci - jet_einsum("mw,->mw", g, scalar).scaled(0.5)
+
+
+def torsion_q_jet(e_jet: Jet, omega_jet: Jet) -> Jet:
+    """Torsion components q[mu, nu, sigma] with derivatives."""
+    theta = torsion_jet(e_jet, omega_jet)
+    return torsion_tensor_jet(theta, inverse_tetrad_jet(e_jet))
 
 
 def dual_component_projection(form: MixedForm, e_jet: Jet) -> Jet:
@@ -320,6 +332,26 @@ def derivative_torsion_three_form(e_jet: Jet, omega_jet: Jet) -> MixedForm:
     return _eps_pair(covariant_exterior_derivative(omega_jet, ee, (1, 1))).scaled(
         0.5 / _MULT_E_E
     )
+
+
+def pc_action_density(jets: PointJets, lam: float) -> float:
+    """Coefficient of the coordinate volume form in the action integrand.
+
+    Geometric part plus the cosmological term; for a torsion-free
+    connection the geometric part is a fixed multiple of the curvature
+    scalar times the tetrad determinant.
+    """
+    ej = jets.e(0)
+    det = float(np.linalg.det(ej.value))
+    if abs(det) <= DET_THRESHOLD:
+        raise SingularTetradError("tetrad determinant vanishes at this point")
+    jets.omega(1)
+    ef = MixedForm(1, 1, ej)
+    ee = internal_wedge(ef, ef)
+    eef = internal_wedge(ee, MixedForm(2, 2, jets.field_strength(0)))
+    geo = 0.5 * 24.0 * epsilon_trace(eef).values[0, 1, 2, 3] / _MULT_EEF_TRACE
+    vol = 24.0 * epsilon_trace(internal_wedge(ee, ee)).values[0, 1, 2, 3]
+    return float(geo + (lam / 24.0) * vol / _MULT_E4_TRACE)
 
 
 def curvature_equation_residual(jets: PointJets) -> MixedForm:

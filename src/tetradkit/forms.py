@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import DIM, Jet, _perm_sign, jet_einsum, jet_partial, jet_transpose
+from .jets import DIM, Jet, _perm_sign, jet_einsum, jet_map, jet_partial, jet_transpose
 
 ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -209,6 +209,43 @@ def internal_wedge(x: MixedForm, y: MixedForm) -> MixedForm:
     return MixedForm._wrap(k + l, p + q, merged)
 
 
+def epsilon_trace(x: MixedForm) -> MixedForm:
+    """Contract a full internal 4-block with the alternating symbol.
+
+    Normalized so the wedge of the four internal basis vectors (unit
+    coefficient) traces to eps of their index order; a scalar 1 for 0123.
+    """
+    if x.p != DIM:
+        raise DegreeError(f"epsilon_trace needs internal degree {DIM}, got {x.p}")
+    jet = jet_map(lambda arr: np.einsum("abcd,abcd...->...", EPSILON, arr) / 24.0, x.jet)
+    return MixedForm._wrap(x.k, 0, jet)
+
+
+def raise_lower(x, slot: int, direction: str, metric: np.ndarray = ETA):
+    """Raise or lower one index slot with the given lowering metric.
+
+    ``metric`` is always the index-lowering matrix; raising applies its
+    inverse.  Works on plain arrays and on jets (metric held constant).
+    """
+    if direction not in ("raise", "lower"):
+        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    mat = np.asarray(metric, float)
+    if direction == "raise":
+        mat = np.linalg.inv(mat)
+
+    def apply(arr: np.ndarray) -> np.ndarray:
+        if not 0 <= slot < arr.ndim:
+            raise ValueError(f"slot {slot} out of range for tensor of rank {arr.ndim}")
+        return np.moveaxis(np.tensordot(arr, mat, axes=([slot], [0])), -1, slot)
+
+    if isinstance(x, Jet):
+        # guard the slot against derivative axes
+        if not 0 <= slot < len(x.comp_shape):
+            raise ValueError(f"slot {slot} out of range for component rank {len(x.comp_shape)}")
+        return jet_map(apply, x)
+    return apply(np.asarray(x, float))
+
+
 def eta_lower(x, axis: int):
     """Lower one internal index with eta, on an array or on every derivative
     tensor of a jet; eta is its own inverse, so this also raises.
@@ -226,6 +263,20 @@ def eta_lower(x, axis: int):
 def _eta_signs(trailing: int) -> np.ndarray:
     """eta's diagonal shaped to broadcast over ``trailing`` later axes."""
     return np.diagonal(ETA).reshape((DIM,) + (1,) * trailing)
+
+
+def interior_product(direction: np.ndarray, x: MixedForm) -> MixedForm:
+    """Contract a spacetime vector into the first spacetime slot.
+
+    The direction is treated as constant: derivative data of the result
+    only tracks the form, so use order 0 when the direction varies.
+    """
+    if x.k == 0:
+        raise DegreeError("interior product needs spacetime degree >= 1")
+    direction = np.asarray(direction, float)
+    p = x.p
+    jet = jet_map(lambda arr: np.tensordot(direction, arr, axes=([0], [p])), x.jet)
+    return MixedForm._wrap(x.k - 1, p, jet)
 
 
 def exterior_derivative(x: MixedForm) -> MixedForm:

@@ -15,6 +15,8 @@ from tetradkit.fieldeqs import (
     _MULT_E_E,
     _MULT_E_E_E,
     _MULT_E_F,
+    _MULT_E4_TRACE,
+    _MULT_EEF_TRACE,
     _MULT_PAIR_E,
     component_field_equation_residuals,
     curvature_equation_residual,
@@ -22,12 +24,13 @@ from tetradkit.fieldeqs import (
     dual_component_projection,
     einstein_jet,
     manufacture_matter,
+    pc_action_density,
     riemann_jet,
     stress_tensor_to_form,
     torsion_equation_residual,
     torsion_equation_sides,
 )
-from tetradkit.forms import EPSILON, MixedForm, internal_wedge
+from tetradkit.forms import EPSILON, MixedForm, epsilon_trace, internal_wedge
 from tetradkit.geometry import (
     GeometryError,
     LeviCivitaConnection,
@@ -47,6 +50,7 @@ from helpers import (
     UNIT_CHART,
     constant_connection,
     curvature_from_values,
+    curvature_scalar,
     flrw_tetrad,
     identity_tetrad,
     random_connection,
@@ -143,6 +147,19 @@ class TestWedgeMultiplicities:
         ref = np.einsum("abcd,cdmnr->abmnr", EPSILON, labeled_wedge([(beta, 2), (emat, 1)]))
         assert np.allclose(mine, _MULT_PAIR_E * ref, atol=1e-12)
 
+    def test_action_traces(self):
+        emat, f = random_frame_values(np.random.default_rng(4))
+        ef = MixedForm(1, 1, Jet(0, [emat]))
+        ee = internal_wedge(ef, ef)
+        mine_geo = 24.0 * epsilon_trace(internal_wedge(ee, MixedForm(2, 2, Jet(0, [f])))).values
+        ref_geo = np.einsum("abcd,abcdmnrs->mnrs", EPSILON, labeled_wedge([(emat, 1), (emat, 1), (f, 2)]))
+        assert np.allclose(mine_geo, _MULT_EEF_TRACE * ref_geo, atol=1e-10)
+        mine_vol = 24.0 * epsilon_trace(internal_wedge(ee, ee)).values
+        ref_vol = np.einsum("abcd,abcdmnrs->mnrs", EPSILON, labeled_wedge([(emat, 1)] * 4))
+        assert np.allclose(mine_vol, _MULT_E4_TRACE * ref_vol, atol=1e-10)
+        assert np.isclose(ref_vol[0, 1, 2, 3], 24.0 * np.linalg.det(emat), atol=1e-10)
+
+
 class TestDeterminantJet:
     def test_matches_product_rule_on_diagonal(self):
         from tetradkit.exprkit import eval_jet, parse_expression
@@ -185,6 +202,74 @@ class TestDeterminantJet:
         point = np.array([0.1, 0.2, -0.3, 0.4])
         det = determinant_jet(e.jet(point, 2))
         assert np.isclose(float(det.value), np.linalg.det(e.jet(point, 0).value), atol=1e-12)
+
+
+class TestActionDensity:
+    def test_flat_zero(self):
+        assert pc_action_density(PointJets(identity_tetrad(), ZeroConnection(), np.zeros(4)), 0.0) == 0.0
+
+    def test_identity_tetrad_cosmological_term(self):
+        # the epsilon contraction of the quadruple frame wedge, summed by
+        # brute force over both index orderings, fixes the combinatorial
+        # factor: 24 * det e, so the density is lam * det e
+        lam = 2.5
+        point = np.array([0.3, -0.1, 0.2, 0.1])
+        got = pc_action_density(PointJets(identity_tetrad(), ZeroConnection(), point), lam)
+        brute = 0.0
+        emat = np.eye(4)
+        for pi in itertools.permutations(range(4)):
+            for rho in itertools.permutations(range(4)):
+                brute += (
+                    EPSILON[pi] * EPSILON[rho]
+                    * emat[pi[0], rho[0]] * emat[pi[1], rho[1]]
+                    * emat[pi[2], rho[2]] * emat[pi[3], rho[3]]
+                )
+        assert np.isclose(got, (lam / 24.0) * brute, atol=1e-12)
+        assert np.isclose(got, lam, atol=1e-12)
+
+    def test_cosmological_term_general_tetrad(self):
+        rng = np.random.default_rng(6)
+        e = random_tetrad(rng)
+        lam = -1.7
+        point = np.array([0.2, 0.4, -0.1, -0.3])
+        emat = e.jet(point, 0).value
+        brute = 0.0
+        for pi in itertools.permutations(range(4)):
+            for rho in itertools.permutations(range(4)):
+                brute += (
+                    EPSILON[pi] * EPSILON[rho]
+                    * emat[pi[0], rho[0]] * emat[pi[1], rho[1]]
+                    * emat[pi[2], rho[2]] * emat[pi[3], rho[3]]
+                )
+        got = pc_action_density(PointJets(e, ZeroConnection(), point), lam)
+        assert np.isclose(got, (lam / 24.0) * brute, atol=1e-12)
+        assert np.isclose(got, lam * np.linalg.det(emat), atol=1e-12)
+
+    def test_curvature_ratio_constant_across_scenarios(self):
+        # measured once on the exponential-scale frame and held fixed: the
+        # geometric density is -1 times curvature scalar times det e for
+        # every torsion-free frame
+        ratio = -1.0
+        cases = []
+        flrw = flrw_tetrad()
+        cases.append((flrw, LeviCivitaConnection(flrw), np.array([0.1, -0.2, 0.3, 0.4])))
+        rng = np.random.default_rng(7)
+        rnd = random_tetrad(rng)
+        cases.append((rnd, LeviCivitaConnection(rnd), np.array([0.2, -0.3, 0.1, 0.4])))
+        for e, w, point in cases:
+            jets = PointJets(e, w, point)
+            got = pc_action_density(jets, 0.0)
+            want = ratio * curvature_scalar(jets) * float(jets.determinant(0).value)
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        sch = schwarzschild_tetrad()
+        spt = np.array([4.0, 1.1, 0.7, 0.2])
+        assert abs(pc_action_density(PointJets(sch, LeviCivitaConnection(sch), spt), 0.0)) < 1e-12
+
+    def test_singular_tetrad_rejected(self):
+        texts = [["x0" if i == j == 0 else ("1" if i == j else "0") for j in range(4)] for i in range(4)]
+        e = TetradField(texts, UNIT_CHART)
+        with pytest.raises(SingularTetradError):
+            pc_action_density(PointJets(e, ZeroConnection(), np.zeros(4)), 0.0)
 
 
 class TestCurvatureEquation:

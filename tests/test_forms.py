@@ -16,9 +16,12 @@ from tetradkit.forms import (
     DegreeError,
     MixedForm,
     covariant_exterior_derivative,
+    epsilon_trace,
     eta_lower,
     exterior_derivative,
+    interior_product,
     internal_wedge,
+    raise_lower,
 )
 from tetradkit.jets import Jet
 
@@ -174,28 +177,65 @@ class TestEpsilon:
     def test_unit_basis_trace(self):
         vs = [MixedForm(0, 1, np.eye(4)[a]) for a in range(4)]
         w = internal_wedge(internal_wedge(vs[0], vs[1]), internal_wedge(vs[2], vs[3]))
-        # the full epsilon contraction, normalized so the basis wedge 0123 gives 1
-        assert np.einsum("abcd,abcd->", EPSILON, w.values) / 24 == pytest.approx(1.0)
+        assert epsilon_trace(w).values == pytest.approx(1.0)
         w_swapped = internal_wedge(internal_wedge(vs[1], vs[0]), internal_wedge(vs[2], vs[3]))
-        assert np.einsum("abcd,abcd->", EPSILON, w_swapped.values) / 24 == pytest.approx(-1.0)
+        assert epsilon_trace(w_swapped).values == pytest.approx(-1.0)
 
     def test_vector_quadruple_gives_determinant(self):
         rng = np.random.default_rng(21)
         mat = rng.uniform(-1.0, 1.0, (4, 4))
         vs = [MixedForm(0, 1, mat[i]) for i in range(4)]
         w = internal_wedge(internal_wedge(vs[0], vs[1]), internal_wedge(vs[2], vs[3]))
-        trace = np.einsum("abcd,abcd->", EPSILON, w.values) / 24
-        npt.assert_allclose(trace, np.linalg.det(mat), rtol=1e-12)
+        npt.assert_allclose(
+            float(epsilon_trace(w).values), np.linalg.det(mat), rtol=1e-12
+        )
+
+    def test_trace_against_direct_sum(self):
+        rng = np.random.default_rng(22)
+        x = random_form(rng, 2, 4)
+        got = epsilon_trace(x).values
+        expect = np.zeros((4, 4))
+        for perm in itertools.permutations(range(4)):
+            expect += EPSILON[perm] * x.values[perm]
+        npt.assert_allclose(got, expect / 24.0, atol=1e-14)
 
     def test_full_contraction_with_raised_copy(self):
-        # one timelike index among four: raising all of them flips the sign
-        raised = np.einsum("abcd,ae,bf,cg,dh->efgh", EPSILON, ETA, ETA, ETA, ETA)
+        raised = EPSILON
+        for slot in range(4):
+            raised = raise_lower(raised, slot, "raise")
         total = np.einsum("abcd,abcd->", EPSILON, raised)
         assert total == pytest.approx(-24.0)
 
+    def test_needs_full_internal_block(self):
+        rng = np.random.default_rng(23)
+        with pytest.raises(DegreeError):
+            epsilon_trace(random_form(rng, 1, 3))
+
 
 class TestRaiseLower:
-    """Lowering, and so raising, an internal index with eta."""
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_raise_inverts_lower(self, slot):
+        rng = np.random.default_rng(31 + slot)
+        t = rng.uniform(-1.0, 1.0, (4, 4, 4))
+        back = raise_lower(raise_lower(t, slot, "lower"), slot, "raise")
+        npt.assert_allclose(back, t, atol=1e-14)
+
+    def test_lowering_identity_gives_metric(self):
+        npt.assert_allclose(raise_lower(np.eye(4), 1, "lower"), ETA, atol=1e-15)
+
+    def test_general_metric_uses_inverse_for_raising(self):
+        rng = np.random.default_rng(33)
+        a = rng.uniform(-1.0, 1.0, (4, 4))
+        g = a @ a.T + 4.0 * np.eye(4)
+        v = rng.uniform(-1.0, 1.0, 4)
+        raised = raise_lower(v, 0, "raise", metric=g)
+        npt.assert_allclose(g @ raised, v, atol=1e-12)
+
+    def test_applies_to_jets_componentwise(self):
+        rng = np.random.default_rng(34)
+        jet = Jet(1, [rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (4, 4, 4))])
+        out = raise_lower(jet, 1, "lower")
+        npt.assert_allclose(out.data[1], np.einsum("abX,bc->acX", jet.data[1], ETA), atol=1e-15)
 
     @pytest.mark.parametrize("rank", [3, 4, 5])
     def test_sign_flip_matches_eta_contraction(self, rank):
@@ -215,6 +255,48 @@ class TestRaiseLower:
         out = eta_lower(jet, 1)
         for k in range(3):
             assert np.array_equal(out.data[k], np.einsum("ab...,bc->ac...", jet.data[k], ETA))
+
+    def test_rejects_derivative_slots(self):
+        jet = Jet(1, [np.zeros((4,)), np.zeros((4, 4))])
+        with pytest.raises(ValueError):
+            raise_lower(jet, 1, "lower")
+
+    def test_rejects_unknown_direction(self):
+        with pytest.raises(ValueError):
+            raise_lower(np.eye(4), 0, "up")
+
+
+class TestInteriorProduct:
+    def test_contracts_first_spacetime_slot(self):
+        rng = np.random.default_rng(41)
+        x = random_form(rng, 2, 1)
+        v = rng.uniform(-1.0, 1.0, 4)
+        got = interior_product(v, x)
+        assert (got.k, got.p) == (1, 1)
+        npt.assert_allclose(got.values, np.einsum("m,amn->an", v, x.values), atol=1e-14)
+
+    def test_double_contraction_vanishes(self):
+        rng = np.random.default_rng(42)
+        x = random_form(rng, 2, 0)
+        v = rng.uniform(-1.0, 1.0, 4)
+        npt.assert_allclose(interior_product(v, interior_product(v, x)).values, 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1)])
+    def test_antiderivation_on_spacetime_forms(self, k, l):
+        rng = np.random.default_rng(43 + k + 5 * l)
+        a = random_form(rng, k, 0)
+        b = random_form(rng, l, 0)
+        v = rng.uniform(-1.0, 1.0, 4)
+        left = interior_product(v, internal_wedge(a, b))
+        right = internal_wedge(interior_product(v, a), b) + internal_wedge(
+            a, interior_product(v, b)
+        ).scaled((-1.0) ** k)
+        npt.assert_allclose(left.values, right.values, atol=1e-12)
+
+    def test_rejects_zero_degree(self):
+        rng = np.random.default_rng(44)
+        with pytest.raises(DegreeError):
+            interior_product(np.ones(4), random_form(rng, 0, 2))
 
 
 class TestExteriorDerivative:

@@ -82,7 +82,9 @@ def test_eta_is_applied_as_a_sign_flip(path):
 
 
 # Definitions that no module in the package reads, each with the reason it
-# stays: a tool of the acceptance gate, or a reference the tests compare to.
+# stays: a tool of the acceptance gate, a reference the tests compare to, or
+# a target that perfbench/layertrace.py times by name (these go once the
+# benchmark's trace list drops them).
 UNREAD_ALLOWED = {
     "exprkit.finite_difference_oracle": "acceptance gate: derivative oracle",
     "geometry.LorentzField": "acceptance gate: frame rotation invariance",
@@ -90,6 +92,10 @@ UNREAD_ALLOWED = {
     "geometry.ZeroConnection": "acceptance gate: flat-frame reduction",
     "forms.exterior_derivative": "test reference for the twisted derivative",
     "fieldeqs.dual_component_projection": "test reference: pins CURVATURE_DUAL_FACTOR",
+    "fieldeqs.pc_action_density": "benchmark trace target",
+    "fieldeqs.torsion_q_jet": "benchmark trace target",
+    "forms.raise_lower": "benchmark trace target",
+    "forms.interior_product": "benchmark trace target",
 }
 
 

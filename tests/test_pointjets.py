@@ -17,6 +17,7 @@ from tetradkit.fieldeqs import (
     riemann_jet,
     spin_tensor_to_form,
     stress_tensor_to_form,
+    torsion_q_jet,
     torsion_three_form,
 )
 from tetradkit.forms import MixedForm
@@ -27,7 +28,6 @@ from tetradkit.geometry import (
     inverse_tetrad_jet,
     metric_jet,
     torsion_jet,
-    torsion_tensor_jet,
 )
 from tetradkit.jets import JetError, jet_matrix_inverse
 from tetradkit.pointjets import PointJets
@@ -64,12 +64,7 @@ DIRECT = {
     "field_strength": (1, lambda e, w, m, x, k: field_strength_jet(w.jet(x, k + 1))),
     "torsion": (1, lambda e, w, m, x, k: torsion_jet(e.jet(x, k + 1), w.jet(x, k))),
     "christoffel": (1, lambda e, w, m, x, k: christoffel_jet(e.jet(x, k + 1), w.jet(x, k))),
-    "torsion_tensor": (
-        1,
-        lambda e, w, m, x, k: torsion_tensor_jet(
-            torsion_jet(e.jet(x, k + 1), w.jet(x, k)), inverse_tetrad_jet(e.jet(x, k))
-        ),
-    ),
+    "torsion_tensor": (1, lambda e, w, m, x, k: torsion_q_jet(e.jet(x, k + 1), w.jet(x, k))),
     "riemann": (1, lambda e, w, m, x, k: _riemann(e, w, x, k)),
     "einstein": (1, lambda e, w, m, x, k: _einstein(e, w, x, k)),
     "curvature_three_form": (
