@@ -46,9 +46,9 @@ from .geometry import (
     DET_THRESHOLD,
     SingularTetradError,
     _PairField,
-    _parse_grid,
     inverse_tetrad_jet,
     metric_jet,
+    parse_grid,
     torsion_jet,
     torsion_tensor_jet,
 )
@@ -186,6 +186,8 @@ class SpinSourceField(_PairField):
     the four sigma components.
     """
 
+    symbol = "Sigma"
+
 
 class MatterModel:
     """Source terms for the field equations.
@@ -194,8 +196,11 @@ class MatterModel:
     expressions over a chart), and ``manufactured`` (sources computed from
     the point's own frame so every residual cancels identically).
     ``kappa`` is the form-level coupling, ``lam`` the cosmological
-    constant.  Construct via the classmethods or :func:`manufacture_matter`.
-    Only a ``PointJets`` calls the builders below, and it serves their results.
+    constant.  Manufactured stress is the Einstein tensor over 8 pi and
+    manufactured spin the torsion over -16 pi, both read from the
+    ``PointJets`` they are evaluated at, so identities can differentiate
+    them.  Only a ``PointJets`` calls the builders below, and it serves
+    their results.
     """
 
     def __init__(
@@ -225,15 +230,15 @@ class MatterModel:
     def explicit(
         cls,
         stress_texts: Sequence[Sequence[str]],
-        spin_entries: Mapping[str, Sequence[str]] | None,
+        spin_entries: Mapping[str, Sequence[str]],
         chart: Chart,
         params: Mapping[str, float] | None = None,
         *,
         kappa: float | None = None,
         lam: float = 0.0,
     ) -> "MatterModel":
-        stress = _parse_grid(stress_texts, chart, params)
-        spin = SpinSourceField(spin_entries or {}, chart, params)
+        stress = parse_grid(stress_texts, chart, params, "stress")
+        spin = SpinSourceField(spin_entries, chart, params)
         return cls("explicit", kappa=kappa, lam=lam, stress=stress, spin=spin)
 
     def stress_jet(self, jets: PointJets, order: int) -> Jet:
@@ -269,17 +274,6 @@ class MatterModel:
         if self.mode == "vacuum":
             return MixedForm.zero(3, 2, order)
         return spin_tensor_to_form(jets.spin(order), jets.e(order), self.kappa)
-
-
-def manufacture_matter(*, kappa: float | None = None, lam: float = 0.0) -> MatterModel:
-    """Matter whose sources cancel the component equations identically.
-
-    Stress is the Einstein tensor over 8 pi, spin is the torsion over
-    -16 pi, both read from the ``PointJets`` they are evaluated at, so
-    identities can differentiate them.  Evaluation raises
-    ``SingularTetradError`` where the frame degenerates.
-    """
-    return MatterModel("manufactured", kappa=kappa, lam=lam)
 
 
 def _eps_vector(form: MixedForm) -> MixedForm:
@@ -345,7 +339,6 @@ def pc_action_density(jets: PointJets, lam: float) -> float:
     det = float(np.linalg.det(ej.value))
     if abs(det) <= DET_THRESHOLD:
         raise SingularTetradError("tetrad determinant vanishes at this point")
-    jets.omega(1)
     ef = MixedForm(1, 1, ej)
     ee = internal_wedge(ef, ef)
     eef = internal_wedge(ee, MixedForm(2, 2, jets.field_strength(0)))
@@ -361,11 +354,9 @@ def curvature_equation_residual(jets: PointJets) -> MixedForm:
     stress 3-form.  Zero (to tolerance) exactly on solutions.
     """
     matter = jets.matter
-    ej = jets.e(0)
-    jets.omega(1)
     resid = jets.curvature_three_form(0)
     if matter.lam != 0.0:
-        ef = MixedForm(1, 1, ej)
+        ef = MixedForm(1, 1, jets.e(0))
         ee = internal_wedge(ef, ef)
         vol3 = _eps_vector(internal_wedge(ee, ef)).scaled(1.0 / _MULT_E_E_E)
         resid = resid + vol3.scaled(matter.lam / 6.0)
@@ -403,8 +394,6 @@ class ComponentResiduals:
 
 def component_field_equation_residuals(jets: PointJets) -> ComponentResiduals:
     """Einstein-tensor and torsion residuals against the component sources."""
-    jets.e(1)
-    jets.omega(1)
     stress = jets.einstein(0).value - EIGHT_PI * jets.stress(0).value
     spin = jets.torsion_tensor(0).value + SIXTEEN_PI * jets.spin(0).value
     return ComponentResiduals(stress=stress, spin=spin)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import DIM, Jet, _perm_sign, jet_einsum, jet_map, jet_partial, jet_transpose
+from .jets import DIM, Jet, _dist_perms, _perm_sign, jet_einsum, jet_map, jet_partial, jet_transpose
 
 ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -50,32 +50,17 @@ class AntisymmetryError(ValueError):
 
 
 @functools.cache
-def _block_shuffles(n1: int, n2: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Signed (n1, n2) shuffles as (sign, perm) with perm[out_slot] = src_axis."""
-    out = []
-    for comb in itertools.combinations(range(n1 + n2), n1):
-        rest = [t for t in range(n1 + n2) if t not in comb]
-        perm = [0] * (n1 + n2)
-        for src, dst in enumerate(comb):
-            perm[dst] = src
-        for src, dst in enumerate(rest):
-            perm[dst] = n1 + src
-        out.append((_perm_sign(perm), tuple(perm)))
-    return tuple(out)
-
-
-@functools.cache
 def _block_shuffle_axes(start: int, n1: int, n2: int, nax: int) -> tuple:
-    """``_block_shuffles(n1, n2)`` as (sign, transposition) pairs for an
+    """Signed (n1, n2) block shuffles as (sign, transposition) pairs for an
     array of rank ``nax`` whose blocks begin at axis ``start``; the
     transposition is None for the identity."""
     identity = tuple(range(nax))
     out = []
-    for sign, perm in _block_shuffles(n1, n2):
+    for perm in _dist_perms(n1 + n2, n1):
         axes = tuple(range(start)) + tuple(start + s for s in perm) + tuple(
             range(start + n1 + n2, nax)
         )
-        out.append((sign, None if axes == identity else axes))
+        out.append((_perm_sign(perm), None if axes == identity else axes))
     return tuple(out)
 
 
@@ -97,18 +82,6 @@ def _alt_blocks(jet: Jet, start: int, n1: int, n2: int) -> Jet:
     return Jet._trusted(jet.order, data)
 
 
-def _antisym_project(arr: np.ndarray, start: int, n: int) -> np.ndarray:
-    if n <= 1:
-        return arr
-    acc = np.zeros_like(arr)
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        axes = list(range(start)) + [start + s for s in perm] + list(range(start + n, arr.ndim))
-        acc += _perm_sign(perm) * np.transpose(arr, axes)
-        count += 1
-    return acc / count
-
-
 def _check_antisym(arr: np.ndarray, start: int, n: int, what: str):
     if n < 2:
         return
@@ -128,7 +101,7 @@ class MixedForm:
     p: int
     jet: Jet
 
-    def __init__(self, k: int, p: int, components, *, antisymmetrize: bool = False, _checked: bool = False):
+    def __init__(self, k: int, p: int, components, *, _checked: bool = False):
         if not (0 <= k <= DIM and 0 <= p <= DIM):
             raise DegreeError(f"degrees (k={k}, p={p}) outside 0..{DIM}")
         jet = components if isinstance(components, Jet) else Jet.constant(np.asarray(components, float), 0)
@@ -136,11 +109,7 @@ class MixedForm:
             raise DegreeError(
                 f"component shape {jet.comp_shape} does not match degrees (k={k}, p={p})"
             )
-        if antisymmetrize:
-            jet = Jet(jet.order, [
-                _antisym_project(_antisym_project(d, 0, p), p, k) for d in jet.data
-            ])
-        elif not _checked:
+        if not _checked:
             for d in jet.data:
                 _check_antisym(d, 0, p, "internal")
                 _check_antisym(d, p, k, "spacetime")

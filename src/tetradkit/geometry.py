@@ -1,10 +1,14 @@
 """Frame fields and the jet formulas a point derives from them.
 
 Field objects hold expressions over a chart and evaluate to jets at a
-point; everything downstream (metric, Christoffel symbols, field strength,
-torsion) is a ``*_jet`` function of those jets.  ``pointjets.PointJets``
-applies these once per point for every consumer.  Index conventions,
-fixed here once:
+point.  This module owns the two input formats the fields are given in:
+``parse_grid`` validates and parses a 4x4 expression grid (tetrad, frame
+rotation, explicit stress) and ``_PairField`` a pair-keyed entry mapping
+(connection, contorsion, spin source), each raising ``GeometryError``
+that names the offending entry.  Everything downstream (metric,
+Christoffel symbols, field strength, torsion) is a ``*_jet`` function of
+those jets.  ``pointjets.PointJets`` applies these once per point for
+every consumer.  Index conventions, fixed here once:
 
 * tetrad components e[a, mu] with the internal (frame) index first;
 * inverse tetrad components einv[mu, a];
@@ -27,7 +31,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .exprkit import Chart, eval_jet_grid, parse_expression
+from .exprkit import Chart, ExpressionError, eval_jet_grid, parse_expression
 from .forms import ETA, covariant_D, eta_lower
 from .jets import (
     DIM,
@@ -66,50 +70,93 @@ class FrameSource(Protocol):
     def jet(self, point: Sequence[float], order: int) -> Jet: ...
 
 
-def _parse_grid(texts, chart: Chart, params) -> list:
-    return [[parse_expression(t, chart, params) for t in row] for row in texts]
+def parse_grid(texts, chart: Chart, params: Mapping[str, float] | None, label: str) -> list:
+    """Parse a 4x4 grid of expression strings against the chart.
+
+    ``label`` names the grid in errors, which give the offending entry as
+    ``label entry [i][j]`` and raise ``GeometryError``.
+    """
+    if not isinstance(texts, Sequence) or isinstance(texts, str) or len(texts) != DIM:
+        raise GeometryError(f"{label} must be a {DIM}x{DIM} grid of expression strings")
+    parsed = []
+    for i, row in enumerate(texts):
+        if not isinstance(row, Sequence) or isinstance(row, str) or len(row) != DIM:
+            raise GeometryError(f"{label} row {i} must hold {DIM} expression strings")
+        out_row = []
+        for j, text in enumerate(row):
+            if not isinstance(text, str):
+                raise GeometryError(f"{label} entry [{i}][{j}] must be a string, got {text!r}")
+            try:
+                out_row.append(parse_expression(text, chart, params))
+            except ExpressionError as exc:
+                raise GeometryError(
+                    f"{label} entry [{i}][{j}] (column {chart.coord_names[j]}): {exc}"
+                ) from exc
+        parsed.append(out_row)
+    return parsed
 
 
 class TetradField:
     """Coframe e^a = e[a, mu] dx^mu given as a 4x4 grid of expressions."""
 
     def __init__(self, texts: Sequence[Sequence[str]], chart: Chart, params: Mapping[str, float] | None = None):
-        if len(texts) != DIM or any(len(row) != DIM for row in texts):
-            raise GeometryError("tetrad needs a 4x4 grid of component expressions")
         self.chart = chart
-        self.exprs = _parse_grid(texts, chart, params)
+        self.exprs = parse_grid(texts, chart, params, "tetrad")
 
     def jet(self, point: Sequence[float], order: int) -> Jet:
         return eval_jet_grid(self.exprs, point, order)
 
 
 class _PairField:
-    """Internal-pair-indexed one-form components, stored only for a < b."""
+    """Internal-pair-indexed one-form components, stored only for a < b.
+
+    Keys are two-digit strings like '01' with the first index strictly
+    below the second; each value lists one expression per chart coordinate.
+    Errors name the entry as ``symbol^{key}``.
+    """
+
+    symbol: str
 
     def __init__(self, entries: Mapping[str, Sequence[str]], chart: Chart, params: Mapping[str, float] | None = None):
-        self.chart = chart
+        if not isinstance(entries, Mapping):
+            raise GeometryError(
+                f"{self.symbol} entries must be an object, got {type(entries).__name__}"
+            )
         self.exprs = {}
         for key, comps in entries.items():
-            pair = self._parse_key(key)
-            if len(comps) != DIM:
-                raise GeometryError(f"entry {key!r} needs {DIM} component expressions")
-            self.exprs[pair] = [parse_expression(t, chart, params) for t in comps]
+            if not isinstance(key, str) or len(key) != 2 or not (key.isascii() and key.isdigit()):
+                raise self._entry_error(key, ": keys are two digits like '01'")
+            a, b = int(key[0]), int(key[1])
+            if a == b:
+                raise self._entry_error(
+                    key,
+                    ": the diagonal pair must vanish identically by antisymmetry "
+                    "and may not be listed",
+                )
+            if a > b:
+                raise self._entry_error(
+                    key,
+                    ": store only the first-below-second component; "
+                    f"{self.symbol}^{{{key[1]}{key[0]}}} is fixed by antisymmetry",
+                )
+            if b >= DIM:
+                raise self._entry_error(key, ": indices out of range")
+            if not isinstance(comps, Sequence) or isinstance(comps, str) or len(comps) != DIM:
+                raise self._entry_error(key, f" needs {DIM} component expressions")
+            row = []
+            for mu, text in enumerate(comps):
+                if not isinstance(text, str):
+                    raise self._entry_error(
+                        key, f" component {chart.coord_names[mu]}: expected a string, got {text!r}"
+                    )
+                try:
+                    row.append(parse_expression(text, chart, params))
+                except ExpressionError as exc:
+                    raise self._entry_error(key, f" component {chart.coord_names[mu]}: {exc}") from exc
+            self.exprs[(a, b)] = row
 
-    @staticmethod
-    def _parse_key(key) -> tuple[int, int]:
-        if isinstance(key, str):
-            if len(key) != 2 or not key.isdigit():
-                raise GeometryError(f"bad internal-pair key {key!r}; use two digits like '01'")
-            pair = (int(key[0]), int(key[1]))
-        else:
-            pair = (int(key[0]), int(key[1]))
-        a, b = pair
-        if not (0 <= a < DIM and 0 <= b < DIM) or a >= b:
-            raise GeometryError(
-                f"internal pair {pair} must satisfy 0 <= a < b <= {DIM - 1}; "
-                "the (b, a) component is fixed by antisymmetry"
-            )
-        return pair
+    def _entry_error(self, key, detail: str) -> GeometryError:
+        return GeometryError(f"{self.symbol} entry {self.symbol}^{{{key}}}{detail}")
 
     def jet(self, point: Sequence[float], order: int) -> Jet:
         out = Jet.zeros((DIM, DIM, DIM), order)
@@ -124,9 +171,13 @@ class _PairField:
 class SpinConnectionField(_PairField):
     """Connection one-form omega[a, b, mu], antisymmetric internal pair."""
 
+    symbol = "omega"
+
 
 class ContorsionField(_PairField):
     """Difference of two frame connections; same symmetry as the connection."""
+
+    symbol = "K"
 
 
 class ZeroConnection:
@@ -158,9 +209,7 @@ def tetrad_covariant_jet(e: Jet, omega: Jet) -> Jet:
     return covariant_D(omega, e, (+1,))
 
 
-def christoffel_jet(e: Jet, omega: Jet, einv: Jet | None = None) -> Jet:
-    if einv is None:
-        einv = inverse_tetrad_jet(e)
+def christoffel_jet(e: Jet, omega: Jet, einv: Jet) -> Jet:
     return jet_einsum("sa,amn->smn", einv, tetrad_covariant_jet(e, omega))
 
 
@@ -310,10 +359,7 @@ class LorentzField:
     """
 
     def __init__(self, texts: Sequence[Sequence[str]], chart: Chart, params: Mapping[str, float] | None = None):
-        if len(texts) != DIM or any(len(row) != DIM for row in texts):
-            raise GeometryError("frame rotation needs a 4x4 grid of component expressions")
-        self.chart = chart
-        self.exprs = _parse_grid(texts, chart, params)
+        self.exprs = parse_grid(texts, chart, params, "frame rotation")
 
     def jet(self, point: Sequence[float], order: int) -> Jet:
         lam = eval_jet_grid(self.exprs, point, order)

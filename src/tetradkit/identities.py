@@ -277,8 +277,6 @@ def metric_compatibility_residual(jets: PointJets) -> np.ndarray:
     either the frame metric or the connection's antisymmetry shows up here
     first.
     """
-    jets.e(1)
-    jets.omega(1)
     g = jets.metric(1)
     gamma = jets.christoffel(0).value
     dg = np.transpose(g.data[1], (2, 0, 1))

@@ -126,8 +126,6 @@ def _check_metric_compatibility(jets: PointJets, stream) -> float:
 
 
 def _check_torsion_consistency(jets: PointJets, stream) -> float:
-    jets.e(1)
-    jets.omega(1)
     q_frame = jets.torsion_tensor(0).value
     gamma = jets.christoffel(0).value
     q_gamma = np.transpose(gamma - gamma.transpose(0, 2, 1), (1, 2, 0))
@@ -135,8 +133,6 @@ def _check_torsion_consistency(jets: PointJets, stream) -> float:
 
 
 def _check_scalar_consistency(jets: PointJets, stream) -> float:
-    jets.e(1)
-    jets.omega(1)
     einv = jets.inverse_tetrad(0).value
     f = jets.field_strength(0).value
     g = jets.metric(0).value
@@ -160,7 +156,6 @@ def _check_second_bianchi(jets: PointJets, stream) -> float:
 
 def _check_d_squared(jets: PointJets, stream) -> float:
     rng = _aux_rng(stream, "d2-law")
-    jets.omega(2)
     worst = 0.0
     for variances, shape in (
         ((1,), (DIM,)),
@@ -354,15 +349,12 @@ def run_checks(
             "cap left nothing to run"
         )
 
-    e, omega = scenario.frames()
-    matter = scenario.matter_model()
-
     start = time.perf_counter()
     pts = sample_points(scenario.chart, n, s)
     residuals: dict[str, list[float]] = {check.name: [] for check in enabled}
     errors: list[dict] = []
     for index, point in enumerate(pts):
-        jets = PointJets(e, omega, point, matter)
+        jets = PointJets(scenario.tetrad, scenario.connection, point, scenario.matter)
         stream = (s, index)
         scale = None
         for check in enabled:

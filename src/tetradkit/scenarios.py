@@ -1,11 +1,14 @@
-"""Scenario documents: schema, validation, and the builtin catalog.
+"""Scenario documents: schema, loading, and the builtin catalog.
 
 A scenario is a JSON document that names a chart, a tetrad, a connection
-recipe, a matter model, and sampling defaults.  Loading validates every
-expression against the chart and pins antisymmetry constraints on
-pair-indexed inputs, reporting the offending entry by name.  Builtin
-scenarios are generated documents, so ``dump`` output is a valid input
-file and digests are stable across runs.
+recipe, a matter model, and sampling defaults.  This module checks the
+document's structure; the field classes of ``geometry`` own the two
+expression formats (``parse_grid`` for 4x4 grids, ``_PairField`` for
+pair-keyed entries) and ``MatterModel`` owns the coupling.  Loading builds
+the tetrad, the connection and the matter once, reporting their errors,
+which name the offending entry, as ``ScenarioError``.  Builtin scenarios
+are generated documents, so ``dump`` output is a valid input file and
+digests are stable across runs.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exprkit import Chart, ChartError, ExpressionError, parse_expression
-from .fieldeqs import MatterModel, manufacture_matter
+from .exprkit import Chart, ChartError
+from .fieldeqs import FieldEquationError, MatterModel
 from .geometry import (
     ContorsionField,
     FrameSource,
+    GeometryError,
     LeviCivitaConnection,
     SpinConnectionField,
     SummedConnection,
@@ -94,94 +98,22 @@ def _parse_parameters(doc) -> dict[str, float]:
     return {str(k): _expect_number(v, f"parameter '{k}'") for k, v in block.items()}
 
 
-def _parse_expression_grid(rows, chart, params, label, coord_names):
-    if not isinstance(rows, Sequence) or len(rows) != DIM:
-        raise _fail(f"{label} must be a {DIM}x{DIM} grid of expression strings")
-    parsed = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, Sequence) or isinstance(row, str) or len(row) != DIM:
-            raise _fail(f"{label} row {i} must hold {DIM} expression strings")
-        out_row = []
-        for j, text in enumerate(row):
-            if not isinstance(text, str):
-                raise _fail(f"{label} entry [{i}][{j}] must be a string, got {text!r}")
-            try:
-                out_row.append(parse_expression(text, chart, params))
-            except ExpressionError as exc:
-                raise _fail(
-                    f"{label} entry [{i}][{j}] (column {coord_names[j]}): {exc}"
-                ) from exc
-        parsed.append(out_row)
-    return parsed
+def _copy_entries(entries: Mapping) -> dict[str, list[str]]:
+    return {key: list(comps) for key, comps in entries.items()}
 
 
-def _validate_pair_entries(entries, chart, params, symbol, component_names):
-    """Check pair-keyed one-form entries; return the raw text mapping.
-
-    ``symbol`` names the field in error messages (e.g. ``omega`` produces
-    complaints about ``omega^{00}``).  Keys must be two-digit strings with
-    the first index strictly below the second; each value lists one
-    expression per component, in chart coordinate order.
-    """
-    block = _expect_mapping(entries, f"{symbol} entries")
-    out = {}
-    for key, comps in block.items():
-        key = str(key)
-        if len(key) != 2 or not key.isdigit():
-            raise _fail(
-                f"{symbol} entry {symbol}^{{{key}}}: keys are two digits like '01'"
-            )
-        a, b = int(key[0]), int(key[1])
-        if a == b:
-            raise _fail(
-                f"{symbol} entry {symbol}^{{{key}}}: the diagonal pair must vanish "
-                "identically by antisymmetry and may not be listed"
-            )
-        if a > b:
-            raise _fail(
-                f"{symbol} entry {symbol}^{{{key}}}: store only the first-below-second "
-                f"component; {symbol}^{{{key[1]}{key[0]}}} is fixed by antisymmetry"
-            )
-        if not (0 <= a < DIM and 0 <= b < DIM):
-            raise _fail(f"{symbol} entry {symbol}^{{{key}}}: indices out of range")
-        if not isinstance(comps, Sequence) or isinstance(comps, str) or len(comps) != DIM:
-            raise _fail(
-                f"{symbol} entry {symbol}^{{{key}}} needs {DIM} component expressions"
-            )
-        texts = []
-        for mu, text in enumerate(comps):
-            if not isinstance(text, str):
-                raise _fail(
-                    f"{symbol} entry {symbol}^{{{key}}} component {component_names[mu]}: "
-                    f"expected a string, got {text!r}"
-                )
-            try:
-                parse_expression(text, chart, params)
-            except ExpressionError as exc:
-                raise _fail(
-                    f"{symbol} entry {symbol}^{{{key}}} component "
-                    f"{component_names[mu]}: {exc}"
-                ) from exc
-            texts.append(text)
-        out[key] = texts
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A validated scenario: fields, matter recipe, sampling defaults."""
+    """A loaded scenario: its built fields and matter, sampling defaults,
+    and the normalized document they were built from."""
 
     name: str
     chart: Chart
     parameters: dict[str, float]
-    tetrad_texts: list[list[str]]
     connection_mode: str
-    connection_entries: dict[str, list[str]] | None
-    matter_mode: str
-    stress_texts: list[list[str]] | None
-    spin_entries: dict[str, list[str]] | None
-    kappa: float | None
-    lambda_cc: float
+    tetrad: TetradField
+    connection: FrameSource
+    matter: MatterModel
     points: int
     seed: int
     tolerances: dict[str, float]
@@ -192,38 +124,16 @@ class Scenario:
         payload = json.dumps(self.document, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def frames(self) -> tuple[TetradField, FrameSource]:
-        e = TetradField(self.tetrad_texts, self.chart, self.parameters)
-        if self.connection_mode == "explicit":
-            omega = SpinConnectionField(
-                self.connection_entries or {}, self.chart, self.parameters
-            )
-        elif self.connection_mode == "levi-civita":
-            omega = LeviCivitaConnection(e)
-        else:
-            contorsion = ContorsionField(
-                self.connection_entries or {}, self.chart, self.parameters
-            )
-            omega = SummedConnection(LeviCivitaConnection(e), contorsion)
-        return e, omega
-
-    def matter_model(self) -> MatterModel:
-        if self.matter_mode == "vacuum":
-            return MatterModel.vacuum(kappa=self.kappa, lam=self.lambda_cc)
-        if self.matter_mode == "manufactured":
-            return manufacture_matter(kappa=self.kappa, lam=self.lambda_cc)
-        return MatterModel.explicit(
-            self.stress_texts,
-            self.spin_entries,
-            self.chart,
-            self.parameters,
-            kappa=self.kappa,
-            lam=self.lambda_cc,
-        )
-
 
 def scenario_from_dict(doc, source: str = "<dict>") -> Scenario:
     """Validate a scenario document and build the Scenario."""
+    try:
+        return _build_scenario(doc, source)
+    except (GeometryError, FieldEquationError) as exc:
+        raise ScenarioError(str(exc)) from exc
+
+
+def _build_scenario(doc, source: str) -> Scenario:
     doc = _expect_mapping(doc, "scenario document")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
@@ -237,40 +147,43 @@ def scenario_from_dict(doc, source: str = "<dict>") -> Scenario:
 
     chart = _parse_chart(doc["chart"])
     params = _parse_parameters(doc.get("parameters"))
-    names = chart.coord_names
-    tetrad_rows = doc["tetrad"]
-    _parse_expression_grid(tetrad_rows, chart, params, "tetrad", names)
-    tetrad_texts = [[str(t) for t in row] for row in tetrad_rows]
+    tetrad = TetradField(doc["tetrad"], chart, params)
 
-    connection = doc["connection"]
-    connection_entries = None
-    if connection == "levi-civita":
+    connection_doc = doc["connection"]
+    if connection_doc == "levi-civita":
         connection_mode = "levi-civita"
+        connection = LeviCivitaConnection(tetrad)
     else:
-        block = _expect_mapping(connection, "connection")
-        mode = block.get("mode")
-        if mode not in ("explicit", "levi-civita+contorsion"):
+        block = _expect_mapping(connection_doc, "connection")
+        connection_mode = block.get("mode")
+        if connection_mode not in ("explicit", "levi-civita+contorsion"):
             raise _fail(
-                f"connection mode must be one of {CONNECTION_MODES}, got {mode!r}"
+                f"connection mode must be one of {CONNECTION_MODES}, got {connection_mode!r}"
             )
         unknown = set(block) - {"mode", "entries"}
         if unknown:
             raise _fail(f"connection has unknown keys {sorted(unknown)}")
-        connection_mode = mode
-        symbol = "omega" if mode == "explicit" else "K"
-        connection_entries = _validate_pair_entries(
-            block.get("entries", {}), chart, params, symbol, names
-        )
+        entries = block.get("entries", {})
+        if connection_mode == "explicit":
+            connection = SpinConnectionField(entries, chart, params)
+        else:
+            connection = SummedConnection(
+                LeviCivitaConnection(tetrad), ContorsionField(entries, chart, params)
+            )
+        connection_doc = {"mode": connection_mode, "entries": _copy_entries(entries)}
 
-    matter = doc.get("matter", "vacuum")
-    stress_texts = None
-    spin_entries = None
-    if isinstance(matter, str):
-        if matter not in ("vacuum", "manufactured"):
-            raise _fail(f"matter mode must be one of {MATTER_MODES}, got {matter!r}")
-        matter_mode = matter
+    kappa = doc.get("kappa")
+    if kappa is not None:
+        kappa = _expect_number(kappa, "kappa")
+    lambda_cc = _expect_number(doc.get("lambda_cc", 0.0), "lambda_cc")
+
+    matter_doc = doc.get("matter", "vacuum")
+    if isinstance(matter_doc, str):
+        if matter_doc not in ("vacuum", "manufactured"):
+            raise _fail(f"matter mode must be one of {MATTER_MODES}, got {matter_doc!r}")
+        matter = MatterModel(matter_doc, kappa=kappa, lam=lambda_cc)
     else:
-        block = _expect_mapping(matter, "matter")
+        block = _expect_mapping(matter_doc, "matter")
         if block.get("mode") != "explicit":
             raise _fail(
                 f"matter mode must be one of {MATTER_MODES}, got {block.get('mode')!r}"
@@ -278,20 +191,16 @@ def scenario_from_dict(doc, source: str = "<dict>") -> Scenario:
         unknown = set(block) - {"mode", "stress", "spin"}
         if unknown:
             raise _fail(f"matter has unknown keys {sorted(unknown)}")
-        matter_mode = "explicit"
-        stress_rows = block.get("stress")
-        if stress_rows is None:
+        stress = block.get("stress")
+        if stress is None:
             raise _fail("explicit matter needs a 'stress' grid")
-        _parse_expression_grid(stress_rows, chart, params, "stress", names)
-        stress_texts = [[str(t) for t in row] for row in stress_rows]
-        spin_entries = _validate_pair_entries(
-            block.get("spin", {}), chart, params, "Sigma", names
-        )
-
-    kappa = doc.get("kappa")
-    if kappa is not None:
-        kappa = _expect_number(kappa, "kappa")
-    lambda_cc = _expect_number(doc.get("lambda_cc", 0.0), "lambda_cc")
+        spin = block.get("spin", {})
+        matter = MatterModel.explicit(stress, spin, chart, params, kappa=kappa, lam=lambda_cc)
+        matter_doc = {
+            "mode": "explicit",
+            "stress": [list(row) for row in stress],
+            "spin": _copy_entries(spin),
+        }
 
     sampling = _expect_mapping(doc.get("sampling", {}), "sampling")
     unknown = set(sampling) - {"points", "seed"}
@@ -320,17 +229,9 @@ def scenario_from_dict(doc, source: str = "<dict>") -> Scenario:
             "bounds": [list(b) for b in chart.bounds],
         },
         "parameters": dict(params),
-        "tetrad": tetrad_texts,
-        "connection": (
-            "levi-civita"
-            if connection_mode == "levi-civita"
-            else {"mode": connection_mode, "entries": connection_entries}
-        ),
-        "matter": (
-            matter_mode
-            if matter_mode in ("vacuum", "manufactured")
-            else {"mode": "explicit", "stress": stress_texts, "spin": spin_entries}
-        ),
+        "tetrad": [list(row) for row in doc["tetrad"]],
+        "connection": connection_doc,
+        "matter": matter_doc,
         "kappa": kappa,
         "lambda_cc": lambda_cc,
         "sampling": {"points": points, "seed": seed},
@@ -341,14 +242,10 @@ def scenario_from_dict(doc, source: str = "<dict>") -> Scenario:
         name=name,
         chart=chart,
         parameters=params,
-        tetrad_texts=tetrad_texts,
         connection_mode=connection_mode,
-        connection_entries=connection_entries,
-        matter_mode=matter_mode,
-        stress_texts=stress_texts,
-        spin_entries=spin_entries,
-        kappa=kappa,
-        lambda_cc=lambda_cc,
+        tetrad=tetrad,
+        connection=connection,
+        matter=matter,
         points=points,
         seed=seed,
         tolerances=tolerances,

@@ -14,7 +14,6 @@ from tetradkit.cli import main as cli_main
 from tetradkit.exprkit import eval_jet, finite_difference_oracle, parse_expression
 from tetradkit.fieldeqs import (
     MatterModel,
-    manufacture_matter,
     torsion_equation_sides,
 )
 from tetradkit.forms import ETA, MixedForm, covariant_exterior_derivative
@@ -56,7 +55,7 @@ def metric(e, x) -> np.ndarray:
 
 def test_c01_flat_frame_degenerates_to_zero():
     sc = builtin_scenario("minkowski")
-    e, omega = sc.frames()
+    e, omega = sc.tetrad, sc.connection
     worst = 0.0
     for x in sample_points(sc.chart, 100, 0):
         jets = PointJets(e, omega, x)
@@ -80,7 +79,7 @@ def test_c01_flat_frame_degenerates_to_zero():
 
 def test_c02_schwarzschild_vacuum_curvature():
     sc = builtin_scenario("schwarzschild")
-    e, omega = sc.frames()
+    e, omega = sc.tetrad, sc.connection
     worst_ricci = worst_einstein = worst_quad = 0.0
     for x in sample_points(sc.chart, 100, 0):
         jets = PointJets(e, omega, x)
@@ -153,14 +152,14 @@ def test_c06_solved_connection_has_no_torsion():
     worst = 0.0
     for name in BUILTIN_NAMES:
         sc = builtin_scenario(name)
-        e, _ = sc.frames()
+        e = sc.tetrad
         lc = LeviCivitaConnection(e)
         for x in sample_points(sc.chart, 100, sc.seed):
             worst = max(worst, _amax(PointJets(e, lc, x).torsion(0).value))
     assert worst < 1e-12
 
     sc = builtin_scenario("flat-polar")
-    e, omega = sc.frames()
+    e, omega = sc.tetrad, sc.connection
     step = 1e-5
     for x in sample_points(sc.chart, 5, 6):
         gamma = PointJets(e, omega, x).christoffel(0).value
@@ -188,7 +187,7 @@ def test_c07_derivative_and_algebraic_routes_agree():
     worst = 0.0
     for name in BUILTIN_NAMES:
         sc = builtin_scenario(name)
-        e, omega = sc.frames()
+        e, omega = sc.tetrad, sc.connection
         for x in sample_points(sc.chart, 100, sc.seed):
             lhs, rhs = torsion_equation_sides(PointJets(e, omega, x))
             worst = max(worst, (lhs - rhs).max_abs())
@@ -198,7 +197,7 @@ def test_c07_derivative_and_algebraic_routes_agree():
 def test_c08_expanded_equation_sides_vanish():
     for name in ("schwarzschild", "flat-contorsion"):
         sc = builtin_scenario(name)
-        e, omega = sc.frames()
+        e, omega = sc.tetrad, sc.connection
         worst = 0.0
         for x in sample_points(sc.chart, 50, 8):
             first, second = rewritten_lhs_check(PointJets(e, omega, x))
@@ -237,13 +236,13 @@ def test_c09_conservation_laws_and_fault_response():
 
     for name in ("flrw", "schwarzschild", "flat-contorsion"):
         sc = builtin_scenario(name)
-        e, omega = sc.frames()
-        matter = manufacture_matter()
+        e, omega = sc.tetrad, sc.connection
+        matter = MatterModel("manufactured")
         pts = sample_points(sc.chart, 100, 9)
         assert worst_residual(e, omega, matter, pts) < 1e-7, name
 
     sc = builtin_scenario("flat-contorsion")
-    e, omega = sc.frames()
+    e, omega = sc.tetrad, sc.connection
     bump = np.zeros((4, 4))
     bump[0, 1] = 1.0
     bump[2, 3] = 0.7
@@ -302,7 +301,7 @@ def test_c11_metric_compatibility_everywhere():
     worst = 0.0
     for name in BUILTIN_NAMES:
         sc = builtin_scenario(name)
-        e, omega = sc.frames()
+        e, omega = sc.tetrad, sc.connection
         for x in sample_points(sc.chart, 100, sc.seed):
             worst = max(worst, _amax(metric_compatibility_residual(PointJets(e, omega, x))))
     assert worst < 1e-10

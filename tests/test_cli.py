@@ -173,6 +173,13 @@ class TestUsageErrors:
         assert code == 2
         assert "omega^{00}" in err
 
+    def test_zero_kappa_reported_as_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "kappa.json"
+        path.write_text(json.dumps(minimal_document(kappa=0)))
+        code, _, err = run_main(["check", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "kappa must be nonzero" in err
+
     def test_bad_tol_syntax(self, capsys):
         code, _, err = run_main(
             ["check", "--builtin", "minkowski", "--tol", "nonsense"], capsys

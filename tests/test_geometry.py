@@ -29,6 +29,7 @@ from tetradkit.geometry import (
     TetradField,
     ZeroConnection,
     christoffel_jet,
+    inverse_tetrad_jet,
     lorentz_transform,
     metric_jet,
     torsion_jet,
@@ -184,7 +185,7 @@ class TestChristoffel:
         omega = random_connection(rng)
         x = rng.uniform(-0.5, 0.5, 4)
         ej = e.jet(x, 1)
-        gamma = christoffel_jet(ej, omega.jet(x, 1)).value
+        gamma = christoffel_jet(ej, omega.jet(x, 1), inverse_tetrad_jet(ej)).value
         dg = jet_partial(metric_jet(ej)).value  # [m, n, s]
         grad = (
             np.einsum("mns->smn", dg)
@@ -278,6 +279,18 @@ class TestTorsion:
         q = jets.torsion_tensor(0).value
         npt.assert_allclose(theta + theta.transpose(0, 2, 1), 0.0, atol=1e-16)
         npt.assert_allclose(q + q.transpose(1, 0, 2), 0.0, atol=1e-16)
+
+
+class TestPairKeys:
+    @pytest.mark.parametrize("key", [(0, 1), "\uff10\uff11"], ids=["tuple", "fullwidth-digits"])
+    def test_key_other_than_two_ascii_digits_rejected(self, key):
+        with pytest.raises(GeometryError, match="keys are two digits like '01'"):
+            SpinConnectionField({key: ["0"] * 4}, UNIT_CHART)
+
+    def test_each_field_names_its_symbol(self):
+        for cls, symbol in ((SpinConnectionField, "omega"), (ContorsionField, "K")):
+            with pytest.raises(GeometryError, match=rf"^{symbol} entry {symbol}\^\{{02\}} component x1"):
+                cls({"02": ["0", "q", "0", "0"]}, UNIT_CHART)
 
 
 class TestLeviCivita:

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from tetradkit.exprkit import eval_jet_grid, parse_expression
-from tetradkit.fieldeqs import determinant_jet, manufacture_matter
+from tetradkit.fieldeqs import MatterModel, determinant_jet
 from tetradkit.forms import DegreeError, MixedForm, covariant_exterior_derivative
 from tetradkit.geometry import (
     LeviCivitaConnection,
@@ -206,8 +206,6 @@ class TestConservationForm:
     def test_vacuum_identically_zero(self):
         rng = np.random.default_rng(1)
         e, omega = contorted_levi_civita(rng)
-        from tetradkit.fieldeqs import MatterModel
-
         res = conservation_form_residuals(PointJets(e, omega, POINTS[0], MatterModel.vacuum()))
         assert res.stress.max_abs() == 0.0
         assert res.spin.max_abs() == 0.0
@@ -215,7 +213,7 @@ class TestConservationForm:
     def test_manufactured_flrw(self):
         e = flrw_tetrad()
         omega = LeviCivitaConnection(e)
-        matter = manufacture_matter()
+        matter = MatterModel("manufactured")
         for point in POINTS:
             res = conservation_form_residuals(PointJets(e, omega, point, matter))
             assert res.stress.max_abs() < 1e-8
@@ -225,7 +223,7 @@ class TestConservationForm:
     def test_manufactured_contorted(self, seed):
         rng = np.random.default_rng(seed)
         e, omega = contorted_levi_civita(rng)
-        matter = manufacture_matter()
+        matter = MatterModel("manufactured")
         for point in POINTS:
             res = conservation_form_residuals(PointJets(e, omega, point, matter))
             assert res.stress.max_abs() < 1e-8
@@ -252,8 +250,6 @@ class TestConservationForm:
             for _ in range(4)
         ]
         spin = {key: ["0"] * 4 for key in PAIR_KEYS}
-        from tetradkit.fieldeqs import MatterModel
-
         def residual_at(eps):
             texts = [
                 [f"({base[i][j]}) + eps*({bump[i][j]})" for j in range(4)]
@@ -274,8 +270,6 @@ class TestConservationComponent:
     def test_vacuum_zero(self):
         rng = np.random.default_rng(2)
         e, omega = contorted_levi_civita(rng)
-        from tetradkit.fieldeqs import MatterModel
-
         res = conservation_component_residuals(PointJets(e, omega, POINTS[0], MatterModel.vacuum()))
         npt.assert_array_equal(res.stress, np.zeros(4))
         npt.assert_array_equal(res.spin, np.zeros((4, 4)))
@@ -283,7 +277,7 @@ class TestConservationComponent:
     def test_manufactured_schwarzschild(self):
         e = schwarzschild_tetrad()
         omega = LeviCivitaConnection(e)
-        matter = manufacture_matter()
+        matter = MatterModel("manufactured")
         for point in ([5.2, 1.1, 0.7, 0.0], [8.5, 0.9, 2.2, -0.4]):
             res = conservation_component_residuals(PointJets(e, omega, np.array(point), matter))
             assert np.abs(res.stress).max() < 1e-7
@@ -293,7 +287,7 @@ class TestConservationComponent:
     def test_manufactured_contorted(self, seed):
         rng = np.random.default_rng(seed)
         e, omega = contorted_levi_civita(rng)
-        matter = manufacture_matter()
+        matter = MatterModel("manufactured")
         for point in POINTS:
             res = conservation_component_residuals(PointJets(e, omega, point, matter))
             assert np.abs(res.stress).max() < 1e-12
@@ -310,8 +304,6 @@ class TestConservationComponent:
             [f"({half[i][j]}) + ({half[j][i]})" for j in range(4)]
             for i in range(4)
         ]
-        from tetradkit.fieldeqs import MatterModel
-
         matter = MatterModel.explicit(
             sym, {key: ["0"] * 4 for key in PAIR_KEYS}, UNIT_CHART
         )

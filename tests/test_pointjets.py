@@ -63,7 +63,12 @@ DIRECT = {
     "determinant": (1, lambda e, w, m, x, k: determinant_jet(e.jet(x, k))),
     "field_strength": (1, lambda e, w, m, x, k: field_strength_jet(w.jet(x, k + 1))),
     "torsion": (1, lambda e, w, m, x, k: torsion_jet(e.jet(x, k + 1), w.jet(x, k))),
-    "christoffel": (1, lambda e, w, m, x, k: christoffel_jet(e.jet(x, k + 1), w.jet(x, k))),
+    "christoffel": (
+        1,
+        lambda e, w, m, x, k: christoffel_jet(
+            e.jet(x, k + 1), w.jet(x, k), inverse_tetrad_jet(e.jet(x, k + 1))
+        ),
+    ),
     "torsion_tensor": (1, lambda e, w, m, x, k: torsion_q_jet(e.jet(x, k + 1), w.jet(x, k))),
     "riemann": (1, lambda e, w, m, x, k: _riemann(e, w, x, k)),
     "einstein": (1, lambda e, w, m, x, k: _einstein(e, w, x, k)),
@@ -100,8 +105,8 @@ def _as_jet(value):
 @pytest.mark.parametrize("name", ["random-fields", "flat-polar", "schwarzschild"])
 def test_served_jets_equal_direct_derivation(name):
     sc = builtin_scenario(name)
-    e, omega = sc.frames()
-    matter = sc.matter_model()
+    e, omega = sc.tetrad, sc.connection
+    matter = sc.matter
     for x in sample_points(sc.chart, 3, 0):
         jets = PointJets(e, omega, x, matter)
         for quantity, (top, direct) in DIRECT.items():
@@ -116,7 +121,7 @@ def test_served_jets_equal_direct_derivation(name):
 
 def test_a_request_deeper_than_served_raises():
     sc = builtin_scenario("random-fields")
-    e, omega = sc.frames()
+    e, omega = sc.tetrad, sc.connection
     jets = PointJets(e, omega, sample_points(sc.chart, 1, 0)[0])
     with pytest.raises(JetError):
         jets.omega(3)
@@ -126,7 +131,7 @@ def test_a_request_deeper_than_served_raises():
 
 def test_each_source_is_evaluated_once():
     sc = builtin_scenario("schwarzschild")
-    e, _ = sc.frames()
+    e = sc.tetrad
     calls = []
 
     class Counting:
@@ -246,7 +251,7 @@ def test_a_fault_is_remembered_and_raised_again():
     doc = builtin_document("minkowski")
     doc["tetrad"][0][0] = "1 + sqrt(x0)"
     sc = scenario_from_dict(doc)
-    e, omega = sc.frames()
+    e, omega = sc.tetrad, sc.connection
     jets = PointJets(e, omega, np.array([-0.5, 0.0, 0.0, 0.0]))
     with pytest.raises(DomainFault) as first:
         jets.metric(1)

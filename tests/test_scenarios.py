@@ -1,8 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from tetradkit.exprkit import parse_expression
+from tetradkit.runner import run_checks
 from tetradkit.scenarios import (
     BUILTIN_NAMES,
     Scenario,
@@ -28,10 +31,10 @@ class TestDocumentValidation:
     def test_minimal_document_loads(self):
         sc = scenario_from_dict(minimal_document())
         assert isinstance(sc, Scenario)
-        assert sc.matter_mode == "vacuum"
+        assert sc.matter.mode == "vacuum"
         assert sc.points == 100
         assert sc.seed == 0
-        assert sc.lambda_cc == 0.0
+        assert sc.matter.lam == 0.0
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ScenarioError, match="unknown scenario keys.*frobnicate"):
@@ -160,10 +163,15 @@ class TestDocumentValidation:
         with pytest.raises(ScenarioError, match="tolerance"):
             scenario_from_dict(minimal_document(tolerances={"first-bianchi": -1.0}))
 
+    def test_zero_kappa_rejected(self):
+        with pytest.raises(ScenarioError, match="kappa must be nonzero"):
+            scenario_from_dict(minimal_document(kappa=0))
+
     def test_kappa_and_lambda_recorded(self):
         sc = scenario_from_dict(minimal_document(kappa=-2.5, lambda_cc=0.1))
-        assert sc.kappa == -2.5
-        assert sc.lambda_cc == 0.1
+        assert sc.matter.kappa == -2.5
+        assert sc.matter.lam == 0.1
+        assert (sc.document["kappa"], sc.document["lambda_cc"]) == (-2.5, 0.1)
 
 
 class TestBuiltins:
@@ -181,18 +189,15 @@ class TestBuiltins:
     def test_every_builtin_validates(self, name):
         sc = builtin_scenario(name)
         assert sc.name == name
-        sc.frames()
-        matter = sc.matter_model()
-        assert matter.mode in ("vacuum", "manufactured", "explicit")
+        assert sc.matter.mode in ("vacuum", "manufactured", "explicit")
 
     def test_minkowski_shape(self):
         sc = builtin_scenario("minkowski")
         assert sc.connection_mode == "explicit"
-        assert sc.matter_mode == "vacuum"
-        e, omega = sc.frames()
+        assert sc.matter.mode == "vacuum"
         point = np.zeros(4)
-        assert np.array_equal(e.jet(point, 0).value, np.eye(4))
-        assert np.array_equal(omega.jet(point, 0).value, np.zeros((4, 4, 4)))
+        assert np.array_equal(sc.tetrad.jet(point, 0).value, np.eye(4))
+        assert np.array_equal(sc.connection.jet(point, 0).value, np.zeros((4, 4, 4)))
 
     def test_schwarzschild_shape(self):
         sc = builtin_scenario("schwarzschild")
@@ -202,11 +207,37 @@ class TestBuiltins:
 
     def test_flat_contorsion_is_torsionful(self):
         sc = builtin_scenario("flat-contorsion")
-        e, omega = sc.frames()
         point = np.array([0.3, -0.2, 0.4, 0.1])
         from tetradkit.pointjets import PointJets
 
-        assert np.abs(PointJets(e, omega, point).torsion(0).value).max() > 1e-3
+        assert np.abs(PointJets(sc.tetrad, sc.connection, point).torsion(0).value).max() > 1e-3
+
+    def test_digests_are_pinned(self):
+        assert [builtin_scenario(name).digest for name in BUILTIN_NAMES] == [
+            "0f4ce3b40a54fcfe",
+            "47b3c131c7bacb35",
+            "6d019a9b36cec269",
+            "cd85dab3bc10d1a9",
+            "16557f285727b2db",
+            "32438410d782a6d2",
+        ]
+
+    def test_fields_are_parsed_once_at_load(self, monkeypatch):
+        # count every parse, whichever tetradkit module makes it
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return parse_expression(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tetradkit") and getattr(module, "parse_expression", None) is parse_expression:
+                monkeypatch.setattr(module, "parse_expression", counting)
+        sc = builtin_scenario("random-fields")
+        assert len(calls) == 16 + 24
+        for _ in range(2):
+            run_checks(sc, points=1)
+        assert len(calls) == 16 + 24
 
     def test_digests_are_stable(self):
         for name in BUILTIN_NAMES:
