@@ -3,7 +3,8 @@
 Expressions are parsed from text into a small AST over chart coordinates,
 named real parameters, literals, arithmetic, powers and the unary functions
 sin, cos, tan, exp, log, sqrt.  Evaluation produces either plain values or
-jets (value plus exact partials up to order 3).  A finite-difference oracle
+jets (value plus exact partials up to order 3), at one point or at an
+array of points in one walk over the tree.  A finite-difference oracle
 is provided for testing jet evaluation against an independent route; it
 shares nothing with the chain rule code except the AST itself.
 
@@ -34,6 +35,8 @@ from .jets import (
     MAX_ORDER,
     Jet,
     JetDomainError,
+    _carry,
+    _mul_scalar,
     jet_cos,
     jet_exp,
     jet_log,
@@ -116,15 +119,17 @@ class Chart:
         except ValueError:
             raise ChartError(f"no coordinate named '{name}' in chart {self.coord_names}") from None
 
-    def contains(self, point: Sequence[float]) -> bool:
-        return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.bounds))
-
     def require_inside(self, point: Sequence[float]) -> np.ndarray:
+        """The point, or an (N, 4) array of points, as floats; raises
+        ``ChartDomainError`` for the first one outside the box."""
         point = np.asarray(point, dtype=float)
-        if point.shape != (DIM,):
+        if point.ndim not in (1, 2) or point.shape[-1] != DIM:
             raise ChartError(f"a point needs {DIM} components, got shape {point.shape}")
-        if not self.contains(point):
-            raise ChartDomainError(f"point {tuple(point)} outside chart box {self.bounds}")
+        lo, hi = np.array(self.bounds).T
+        if not ((lo <= point).all() and (point <= hi).all()):
+            inside = ((lo <= point) & (point <= hi)).all(axis=-1)
+            bad = point if point.ndim == 1 else point[np.argmin(inside)]
+            raise ChartDomainError(f"point {tuple(bad)} outside chart box {self.bounds}")
         return point
 
 
@@ -253,17 +258,23 @@ def _tokenize(text: str) -> list[_Token]:
 # -- parser ----------------------------------------------------------------
 
 
+def check_parameter_names(params: Mapping[str, float], chart: Chart):
+    """Raise ``ExpressionError`` for a parameter named like a chart
+    coordinate or a function."""
+    for name in params:
+        if name in chart.coord_names:
+            raise ExpressionError(f"parameter '{name}' shadows a chart coordinate")
+        if name in FUNCTIONS:
+            raise ExpressionError(f"parameter '{name}' shadows a function name")
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], chart: Chart, params: Mapping[str, float]):
         self.tokens = tokens
         self.i = 0
         self.chart = chart
         self.params = dict(params)
-        for name in self.params:
-            if name in chart.coord_names:
-                raise ExpressionError(f"parameter '{name}' shadows a chart coordinate")
-            if name in FUNCTIONS:
-                raise ExpressionError(f"parameter '{name}' shadows a function name")
+        check_parameter_names(self.params, chart)
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -437,53 +448,125 @@ def _node_str(node: Node) -> str:
     return _fmt(node, 0)
 
 
-def eval_jet(expr: Expression, point: Sequence[float], order: int) -> Jet:
-    """Evaluate an expression to a scalar jet of the requested order."""
+class JetBatch:
+    """Jets at N points: ``jet`` has the point axis first in its component
+    shape, and ``faults[i]`` is the exception point i raised, or None.  A
+    faulted point's entries in ``jet`` are a stand-in, not its values."""
+
+    __slots__ = ("jet", "faults")
+
+    def __init__(self, jet: Jet, faults: tuple):
+        self.jet = jet
+        self.faults = faults
+
+    def at(self, i: int) -> Jet | Exception:
+        """Point i's jet, or its fault."""
+        fault = self.faults[i]
+        if fault is not None:
+            return fault
+        return Jet._trusted(self.jet.order, [d[i] for d in self.jet.data])
+
+
+def first_faults(fault_lists, n: int) -> tuple:
+    """Each of n points' first fault across per-part fault lists, in part
+    order."""
+    out = [None] * n
+    for faults in fault_lists:
+        for i, fault in enumerate(faults):
+            if out[i] is None:
+                out[i] = fault
+    return tuple(out)
+
+
+def eval_jet(expr: Expression, point: Sequence[float], order: int) -> Jet | JetBatch:
+    """Evaluate an expression to scalar jets of the requested order.
+
+    ``point`` is one point, giving its Jet (or raising its fault), or an
+    (N, 4) array of points, giving a ``JetBatch``: one walk over the tree
+    serves them all, and each point keeps the first fault it met in the
+    walk's post-order.
+    """
     if not 0 <= order <= MAX_ORDER:
         raise ExpressionError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-    point = expr.chart.require_inside(point)
-    return _eval_jet_node(expr.root, point, order)
+    points = expr.chart.require_inside(point)
+    walk = _Walk(points.reshape(-1, DIM), order)
+    batch = JetBatch(walk.jet(expr.root), tuple(walk.faults))
+    if points.ndim == 2:
+        return batch
+    hit = batch.at(0)
+    if isinstance(hit, Exception):
+        raise hit
+    return hit
 
 
-def _eval_jet_node(node: Node, point: np.ndarray, order: int) -> Jet:
-    try:
-        if isinstance(node, Const):
-            return Jet.constant(node.value, order)
-        if isinstance(node, ParamRef):
-            return Jet.constant(node.value, order)
+_CALLS = {
+    "sin": jet_sin,
+    "cos": jet_cos,
+    "tan": jet_tan,
+    "exp": jet_exp,
+    "log": jet_log,
+    "sqrt": jet_sqrt,
+}
+
+
+class _Walk:
+    """One post-order walk over an expression tree at N points.
+
+    Every node's jet carries the point axis first.  A point whose chain-rule
+    coefficients raise records the fault in ``faults`` (a ``JetDomainError``
+    as a ``DomainFault`` naming the node) and is carried as the constant 1
+    from there on, so it raises and warns no more.  Other points compute what
+    a walk at that point alone would, bit for bit.
+    """
+
+    def __init__(self, points: np.ndarray, order: int):
+        self.points = points
+        self.order = order
+        self.faults: list = [None] * len(points)
+        self.dead: np.ndarray | None = None
+
+    def jet(self, node: Node) -> Jet:
+        if isinstance(node, (Const, ParamRef)):
+            return Jet.constant(np.full(len(self.points), node.value), self.order)
         if isinstance(node, CoordRef):
-            return Jet.coordinate(node.index, point[node.index], order)
+            return Jet.coordinate(node.index, self.points[:, node.index], self.order)
         if isinstance(node, Neg):
-            return -_eval_jet_node(node.operand, point, order)
+            return -self.jet(node.operand)
         if isinstance(node, BinOp):
-            a = _eval_jet_node(node.left, point, order)
-            b = _eval_jet_node(node.right, point, order)
+            a = self.jet(node.left)
+            b = self.jet(node.right)
+            if node.op == "/":
+                b = self._chain(node, jet_reciprocal, b)
+            a, b = self._live(a), self._live(b)
             if node.op == "+":
                 return a + b
             if node.op == "-":
                 return a - b
-            if node.op == "*":
-                return a * b
-            return a * jet_reciprocal(b)
+            return _mul_scalar(a, b)
         if isinstance(node, Pow):
-            base = _eval_jet_node(node.base, point, order)
+            base = self.jet(node.base)
             if isinstance(node.exponent, int):
-                return jet_pow_int(base, node.exponent)
-            return jet_pow_real(base, node.exponent)
+                return self._chain(node, jet_pow_int, base, node.exponent)
+            return self._chain(node, jet_pow_real, base, node.exponent)
         if isinstance(node, Call):
-            arg = _eval_jet_node(node.arg, point, order)
-            fn = {
-                "sin": jet_sin,
-                "cos": jet_cos,
-                "tan": jet_tan,
-                "exp": jet_exp,
-                "log": jet_log,
-                "sqrt": jet_sqrt,
-            }[node.func]
-            return fn(arg)
-    except JetDomainError as exc:
-        raise DomainFault(str(exc), _node_str(node)) from None
-    raise TypeError(f"unknown node {node!r}")
+            return self._chain(node, _CALLS[node.func], self.jet(node.arg))
+        raise TypeError(f"unknown node {node!r}")
+
+    def _live(self, a: Jet) -> Jet:
+        return a if self.dead is None else _carry(a, self.dead)
+
+    def _chain(self, node: Node, fn, a: Jet, *args) -> Jet:
+        """``fn(a, *args)`` with per-point faults, named after ``node``."""
+        faults = self.faults
+        live = faults.count(None)
+        out = fn(self._live(a), *args, faults=faults)
+        if faults.count(None) != live:
+            text = _node_str(node)
+            for i, fault in enumerate(faults):
+                if isinstance(fault, JetDomainError):
+                    faults[i] = DomainFault(str(fault), text)
+            self.dead = np.array([f is not None for f in faults])
+        return out
 
 
 def evaluate(expr: Expression, point: Sequence[float]) -> float:
@@ -491,14 +574,22 @@ def evaluate(expr: Expression, point: Sequence[float]) -> float:
     return float(eval_jet(expr, point, 0).value)
 
 
-def eval_jet_grid(exprs, point: Sequence[float], order: int) -> Jet:
+def eval_jet_grid(exprs, point: Sequence[float], order: int) -> Jet | JetBatch:
     """Evaluate a nested sequence of Expressions into one tensor jet.
 
-    The nesting structure becomes leading component axes.
+    The nesting structure becomes leading component axes, behind the point
+    axis for an (N, 4) array of points.  A point's fault is the first one
+    in grid order.
     """
     if isinstance(exprs, Expression):
         return eval_jet(exprs, point, order)
-    return jet_stack([eval_jet_grid(e, point, order) for e in exprs], axis=0)
+    parts = [eval_jet_grid(e, point, order) for e in exprs]
+    if isinstance(parts[0], JetBatch):
+        return JetBatch(
+            jet_stack([p.jet for p in parts], axis=1),
+            first_faults([p.faults for p in parts], len(parts[0].faults)),
+        )
+    return jet_stack(parts, axis=0)
 
 
 # -- finite-difference oracle (tests only) ---------------------------------

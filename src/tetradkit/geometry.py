@@ -1,7 +1,8 @@
 """Frame fields and the jet formulas a point derives from them.
 
 Field objects hold expressions over a chart and evaluate to jets at a
-point.  This module owns the two input formats the fields are given in:
+point, and the expression fields at an (N, 4) array of points at once.
+This module owns the two input formats the fields are given in:
 ``parse_grid`` validates and parses a 4x4 expression grid (tetrad, frame
 rotation, explicit stress) and ``_PairField`` a pair-keyed entry mapping
 (connection, contorsion, spin source), each raising ``GeometryError``
@@ -31,7 +32,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .exprkit import Chart, ExpressionError, eval_jet_grid, parse_expression
+from .exprkit import Chart, ExpressionError, JetBatch, eval_jet_grid, first_faults, parse_expression
 from .forms import ETA, covariant_D, eta_lower
 from .jets import (
     DIM,
@@ -103,7 +104,8 @@ class TetradField:
         self.chart = chart
         self.exprs = parse_grid(texts, chart, params, "tetrad")
 
-    def jet(self, point: Sequence[float], order: int) -> Jet:
+    def jet(self, point: Sequence[float], order: int) -> Jet | JetBatch:
+        """The jet at a point, or a ``JetBatch`` at an (N, 4) array of points."""
         return eval_jet_grid(self.exprs, point, order)
 
 
@@ -158,14 +160,22 @@ class _PairField:
     def _entry_error(self, key, detail: str) -> GeometryError:
         return GeometryError(f"{self.symbol} entry {self.symbol}^{{{key}}}{detail}")
 
-    def jet(self, point: Sequence[float], order: int) -> Jet:
-        out = Jet.zeros((DIM, DIM, DIM), order)
-        for (a, b), comps in self.exprs.items():
-            row = eval_jet_grid(comps, point, order)
+    def jet(self, point: Sequence[float], order: int) -> Jet | JetBatch:
+        """The jet at a point, or a ``JetBatch`` at an (N, 4) array of
+        points, whose faults follow entry order."""
+        rows = [(pair, eval_jet_grid(comps, point, order)) for pair, comps in self.exprs.items()]
+        points = np.asarray(point, dtype=float)
+        lead = points.shape[:-1]
+        out = Jet.zeros(lead + (DIM, DIM, DIM), order)
+        at = (slice(None),) * len(lead)
+        for (a, b), row in rows:
+            jet = row.jet if lead else row
             for k in range(order + 1):
-                out.data[k][a, b] = row.data[k]
-                out.data[k][b, a] = -row.data[k]
-        return out
+                out.data[k][at + (a, b)] = jet.data[k]
+                out.data[k][at + (b, a)] = -jet.data[k]
+        if not lead:
+            return out
+        return JetBatch(out, first_faults([row.faults for _, row in rows], len(points)))
 
 
 class SpinConnectionField(_PairField):

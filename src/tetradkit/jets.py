@@ -131,16 +131,18 @@ class Jet:
         )
 
     @classmethod
-    def coordinate(cls, index: int, value: float, order: int) -> "Jet":
-        """Scalar jet of the coordinate function x_index."""
+    def coordinate(cls, index: int, value, order: int) -> "Jet":
+        """Jet of the coordinate function x_index; an array of values gives
+        one scalar jet per entry."""
         _check_order(order)
-        data = [np.asarray(float(value))]
+        value = np.array(value, dtype=float)
+        data = [value]
         if order >= 1:
-            d1 = np.zeros(DIM)
-            d1[index] = 1.0
+            d1 = np.zeros(value.shape + (DIM,))
+            d1[..., index] = 1.0
             data.append(d1)
         for k in range(2, order + 1):
-            data.append(np.zeros((DIM,) * k))
+            data.append(np.zeros(value.shape + (DIM,) * k))
         return cls._trusted(order, data)
 
     @classmethod
@@ -225,20 +227,27 @@ class Jet:
 
 
 def _mul_scalar(a: Jet, b: Jet) -> Jet:
+    """Leibniz product of two scalar jets, or of two jets of one component
+    shape entry by entry (a batch of scalar jets)."""
     K = min(a.order, b.order)
     A, B = a.data, b.data
     data = [A[0] * B[0]]
     if K >= 1:
-        data.append(A[1] * B[0] + A[0] * B[1])
+        data.append(A[1] * B[0][..., None] + A[0][..., None] * B[1])
     if K >= 2:
-        cross = np.multiply.outer(A[1], B[1])
-        data.append(A[2] * B[0] + cross + cross.T + A[0] * B[2])
+        cross = A[1][..., :, None] * B[1][..., None, :]
+        data.append(
+            A[2] * B[0][..., None, None]
+            + cross
+            + cross.swapaxes(-1, -2)
+            + A[0][..., None, None] * B[2]
+        )
     if K >= 3:
-        t21 = np.multiply.outer(A[2], B[1])
-        s21 = t21 + t21.transpose(0, 2, 1) + t21.transpose(2, 0, 1)
-        t12 = np.multiply.outer(A[1], B[2])
-        s12 = t12 + t12.transpose(1, 0, 2) + t12.transpose(2, 1, 0)
-        data.append(A[3] * B[0] + s21 + s12 + A[0] * B[3])
+        t21 = A[2][..., None] * B[1][..., None, None, :]
+        s21 = t21 + t21.swapaxes(-1, -2) + t21.swapaxes(-3, -1).swapaxes(-2, -1)
+        t12 = A[1][..., :, None, None] * B[2][..., None, :, :]
+        s12 = t12 + t12.swapaxes(-3, -2) + t12.swapaxes(-3, -1)
+        data.append(A[3] * B[0][..., None, None, None] + s21 + s12 + A[0][..., None, None, None] * B[3])
     return Jet._trusted(K, data)
 
 
@@ -454,85 +463,150 @@ def jet_matrix_inverse(a: Jet) -> Jet:
 # -- scalar chain rule ----------------------------------------------------
 
 
-def _compose_scalar(a: Jet, derivs: Sequence[float]) -> Jet:
-    """Faa di Bruno for a scalar jet through u with u^(m)(f0) = derivs[m]."""
-    if a.comp_shape != ():
-        raise JetError("chain rule composition is for scalar jets")
+def _compose_scalar(a: Jet, d: np.ndarray) -> Jet:
+    """Faa di Bruno through u with u^(m)(f0) = d[m], entry by entry: ``d``
+    has shape (4,) + the component shape of ``a``."""
     K = a.order
-    data = [np.asarray(float(derivs[0]))]
+    data = [d[0]]
     if K >= 1:
         f1 = a.data[1]
-        data.append(derivs[1] * f1)
+        data.append(d[1][..., None] * f1)
     if K >= 2:
         f2 = a.data[2]
-        data.append(derivs[1] * f2 + derivs[2] * np.multiply.outer(f1, f1))
+        f11 = f1[..., :, None] * f1[..., None, :]
+        data.append(d[1][..., None, None] * f2 + d[2][..., None, None] * f11)
     if K >= 3:
         f3 = a.data[3]
-        t12 = np.multiply.outer(f1, f2)
-        sym12 = t12 + t12.transpose(1, 0, 2) + t12.transpose(2, 1, 0)
+        t12 = f1[..., :, None, None] * f2[..., None, :, :]
+        sym12 = t12 + t12.swapaxes(-3, -2) + t12.swapaxes(-3, -1)
         data.append(
-            derivs[1] * f3
-            + derivs[2] * sym12
-            + derivs[3] * np.multiply.outer(np.multiply.outer(f1, f1), f1)
+            d[1][..., None, None, None] * f3
+            + d[2][..., None, None, None] * sym12
+            + d[3][..., None, None, None] * (f11[..., None] * f1[..., None, None, :])
         )
     return Jet._trusted(K, data)
 
 
-def jet_sin(a: Jet) -> Jet:
-    s, c = math.sin(float(a.value)), math.cos(float(a.value))
-    return _compose_scalar(a, [s, c, -s, -c])
+# What an entry that has faulted is carried as: the constant 1.
+_CARRIED = (1.0, 0.0, 0.0, 0.0)
 
 
-def jet_cos(a: Jet) -> Jet:
-    s, c = math.sin(float(a.value)), math.cos(float(a.value))
-    return _compose_scalar(a, [c, -s, -c, s])
+def _carry(a: Jet, dead: np.ndarray) -> Jet:
+    """``a`` with the entries where ``dead`` holds replaced by the constant 1,
+    so that no later operation on them overflows or divides by zero."""
+    data = [d.copy() for d in a.data]
+    data[0][dead] = 1.0
+    for d in data[1:]:
+        d[dead] = 0.0
+    return Jet._trusted(a.order, data)
 
 
-def jet_tan(a: Jet) -> Jet:
-    u0 = math.tan(float(a.value))
-    u1 = 1.0 + u0 * u0
-    u2 = 2.0 * u0 * u1
-    u3 = 2.0 * (u1 * u1 + u0 * u2)
-    return _compose_scalar(a, [u0, u1, u2, u3])
+def _chain(a: Jet, derivs: Callable[[float], Sequence[float]], faults: list | None) -> Jet:
+    """Compose every entry of ``a`` with a scalar function u, where
+    ``derivs(x)`` gives u and its first three derivatives at x and raises
+    outside u's domain.
+
+    With ``faults`` None the first entry outside the domain raises.  Otherwise
+    ``faults`` holds one slot per entry, None while the entry is live: an
+    entry whose ``derivs`` raises stores the exception there, its traceback
+    cleared, and every entry with a stored fault is carried as the constant 1.
+    """
+    xs = a.value.ravel().tolist()
+    if faults is None:
+        rows = [derivs(x) for x in xs]
+    else:
+        rows = []
+        for i, x in enumerate(xs):
+            if faults[i] is None:
+                try:
+                    rows.append(derivs(x))
+                    continue
+                except (ArithmeticError, ValueError) as exc:
+                    exc.__traceback__ = None
+                    faults[i] = exc
+            rows.append(_CARRIED)
+        dead = [f is not None for f in faults]
+        if any(dead):
+            a = _carry(a, np.array(dead).reshape(a.comp_shape))
+    return _compose_scalar(a, np.array(rows, dtype=float).T.reshape((4,) + a.comp_shape))
 
 
-def jet_exp(a: Jet) -> Jet:
-    u = math.exp(float(a.value))
-    return _compose_scalar(a, [u, u, u, u])
+# Each function below composes entry by entry through ``_chain``, whose
+# ``faults`` slots record a faulted entry instead of raising.
 
 
-def jet_log(a: Jet) -> Jet:
-    x = float(a.value)
-    if x <= 0.0:
-        raise JetDomainError(f"log of non-positive value {x}")
-    return _compose_scalar(a, [math.log(x), 1.0 / x, -1.0 / x**2, 2.0 / x**3])
+def jet_sin(a: Jet, faults: list | None = None) -> Jet:
+    def derivs(x: float):
+        s, c = math.sin(x), math.cos(x)
+        return s, c, -s, -c
+
+    return _chain(a, derivs, faults)
 
 
-def jet_sqrt(a: Jet) -> Jet:
-    x = float(a.value)
-    if x < 0.0:
-        raise JetDomainError(f"sqrt of negative value {x}")
-    if x == 0.0:
-        raise JetDomainError("sqrt has no derivatives at 0")
-    r = math.sqrt(x)
-    return _compose_scalar(a, [r, 0.5 / r, -0.25 / (r * x), 0.375 / (r * x * x)])
+def jet_cos(a: Jet, faults: list | None = None) -> Jet:
+    def derivs(x: float):
+        s, c = math.sin(x), math.cos(x)
+        return c, -s, -c, s
+
+    return _chain(a, derivs, faults)
 
 
-def jet_reciprocal(a: Jet) -> Jet:
-    x = float(a.value)
-    if x == 0.0:
-        raise JetDomainError("division by zero")
-    return _compose_scalar(a, [1.0 / x, -1.0 / x**2, 2.0 / x**3, -6.0 / x**4])
+def jet_tan(a: Jet, faults: list | None = None) -> Jet:
+    def derivs(x: float):
+        u0 = math.tan(x)
+        u1 = 1.0 + u0 * u0
+        u2 = 2.0 * u0 * u1
+        return u0, u1, u2, 2.0 * (u1 * u1 + u0 * u2)
+
+    return _chain(a, derivs, faults)
 
 
-def jet_pow_int(a: Jet, n: int) -> Jet:
+def jet_exp(a: Jet, faults: list | None = None) -> Jet:
+    def derivs(x: float):
+        u = math.exp(x)
+        return u, u, u, u
+
+    return _chain(a, derivs, faults)
+
+
+def jet_log(a: Jet, faults: list | None = None) -> Jet:
+    def derivs(x: float):
+        if x <= 0.0:
+            raise JetDomainError(f"log of non-positive value {x}")
+        return math.log(x), 1.0 / x, -1.0 / x**2, 2.0 / x**3
+
+    return _chain(a, derivs, faults)
+
+
+def jet_sqrt(a: Jet, faults: list | None = None) -> Jet:
+    def derivs(x: float):
+        if x < 0.0:
+            raise JetDomainError(f"sqrt of negative value {x}")
+        if x == 0.0:
+            raise JetDomainError("sqrt has no derivatives at 0")
+        r = math.sqrt(x)
+        return r, 0.5 / r, -0.25 / (r * x), 0.375 / (r * x * x)
+
+    return _chain(a, derivs, faults)
+
+
+def jet_reciprocal(a: Jet, faults: list | None = None) -> Jet:
+    def derivs(x: float):
+        if x == 0.0:
+            raise JetDomainError("division by zero")
+        return 1.0 / x, -1.0 / x**2, 2.0 / x**3, -6.0 / x**4
+
+    return _chain(a, derivs, faults)
+
+
+def jet_pow_int(a: Jet, n: int, faults: list | None = None) -> Jet:
     """Integer power as repeated multiplication, valid on negative bases.
 
     Uses binary powering, which is still a product of copies of the base.
     """
     if n == 0:
-        return Jet.constant(1.0, a.order)
-    base = a if n > 0 else jet_reciprocal(a)
+        return Jet.constant(np.ones(a.comp_shape), a.order)
+    base = a if n > 0 else jet_reciprocal(a, faults)
     out = None
     m = abs(n)
     while m:
@@ -544,12 +618,11 @@ def jet_pow_int(a: Jet, n: int) -> Jet:
     return out
 
 
-def jet_pow_real(a: Jet, p: float) -> Jet:
-    x = float(a.value)
-    if x <= 0.0:
-        raise JetDomainError(f"real power of non-positive base {x}")
-    c0 = x**p
-    return _compose_scalar(
-        a,
-        [c0, p * c0 / x, p * (p - 1.0) * c0 / x**2, p * (p - 1.0) * (p - 2.0) * c0 / x**3],
-    )
+def jet_pow_real(a: Jet, p: float, faults: list | None = None) -> Jet:
+    def derivs(x: float):
+        if x <= 0.0:
+            raise JetDomainError(f"real power of non-positive base {x}")
+        c0 = x**p
+        return c0, p * c0 / x, p * (p - 1.0) * c0 / x**2, p * (p - 1.0) * (p - 2.0) * c0 / x**3
+
+    return _chain(a, derivs, faults)

@@ -15,6 +15,11 @@ orders up to k, so a truncated jet holds the same bits as one derived at
 the lower order.  A deeper order than the point serves raises
 ``JetError``.
 
+``chunk_jets`` serves a run's points a chunk at a time: it evaluates the
+expression fields among the sources (the tetrad grid and the connection's
+pair fields) for the whole chunk, one walk per expression, and hands each
+point its own jet, or its own fault, in place of evaluating the source.
+
 Two rules keep a consumer's errors what they would be if it derived
 everything itself:
 
@@ -26,7 +31,9 @@ everything itself:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .fieldeqs import (
     MatterModel,
@@ -39,9 +46,12 @@ from .fieldeqs import (
 )
 from .forms import MixedForm
 from .geometry import (
+    ContorsionField,
     FrameSource,
     LeviCivitaConnection,
+    SpinConnectionField,
     SummedConnection,
+    TetradField,
     christoffel_jet,
     field_strength_jet,
     inverse_tetrad_jet,
@@ -60,15 +70,24 @@ class PointJets:
     """Lazily filled derivation of the field jets at one point.
 
     ``matter`` defaults to ``MatterModel.vacuum()``, whose sources are zero.
+    ``served`` maps a source to its jet at the point, at the order the point
+    reads it, or to the fault the point raised for it; the point reads that
+    in place of evaluating the source.
     """
 
     def __init__(
-        self, e: FrameSource, omega: FrameSource, point: Sequence[float], matter: MatterModel | None = None
+        self,
+        e: FrameSource,
+        omega: FrameSource,
+        point: Sequence[float],
+        matter: MatterModel | None = None,
+        served: Mapping[FrameSource, Jet | Exception] | None = None,
     ):
         self.e_source = e
         self.omega_source = omega
         self.point = point
         self.matter = MatterModel.vacuum() if matter is None else matter
+        self._served = served or {}
         # the tetrad goes one order deeper when the connection is solved from it
         self._e_top = DEPTH + _reads_tetrad(omega, e)
         self._memo: dict[str, Jet | MixedForm | Exception] = {}
@@ -90,7 +109,7 @@ class PointJets:
     def e(self, order: int) -> Jet:
         """Tetrad components e[a, mu]."""
         return self._serve(
-            "e", order, self._e_top, lambda k: self.e_source.jet(self.point, k)
+            "e", order, self._e_top, lambda k: self._source(self.e_source).jet(self.point, k)
         )
 
     def omega(self, order: int) -> Jet:
@@ -98,8 +117,18 @@ class PointJets:
         return self._serve("omega", order, DEPTH, self._connection)
 
     def _connection(self, order: int) -> Jet:
-        source = _on_tetrad(self.omega_source, self.e_source, _MemoTetrad(self))
-        return source.jet(self.point, order)
+        return self._source(self.omega_source).jet(self.point, order)
+
+    def _source(self, source: FrameSource) -> FrameSource:
+        """``source`` as this point reads it: a served source by what was
+        served, and the tetrad a Levi-Civita solve reads by the memoized one."""
+        if self._served and source in self._served:
+            return _Served(self._served[source])
+        if isinstance(source, LeviCivitaConnection) and source.e is self.e_source:
+            return LeviCivitaConnection(_MemoTetrad(self))
+        if isinstance(source, SummedConnection):
+            return SummedConnection(self._source(source.base), self._source(source.extra))
+        return source
 
     # -- derived tensors ---------------------------------------------------
 
@@ -219,6 +248,40 @@ class PointJets:
         return self._serve("spin3", order, DEPTH - 1, lambda k: self.matter.spin_form(self, k))
 
 
+def chunk_jets(
+    e: FrameSource, omega: FrameSource, points: np.ndarray, matter: MatterModel | None = None
+) -> Iterator[PointJets]:
+    """A ``PointJets`` for each of the (N, 4) ``points`` in turn.
+
+    The tetrad, when it is an expression grid, is evaluated for all of them
+    at the order the points read it, and every pair field of the connection
+    (explicit entries or a contorsion) at ``DEPTH``, each in one walk per
+    expression.  Each point is served its own jet or fault, so it still
+    raises a fault only when it reads that source.  The batches live as
+    long as the iteration.
+    """
+    fields = []
+    if isinstance(e, TetradField):
+        fields.append((e, DEPTH + _reads_tetrad(omega, e)))
+    fields += [(field, DEPTH) for field in _pair_fields(omega)]
+    batches = [(field, field.jet(points, order)) for field, order in fields]
+    for i, point in enumerate(points):
+        served = {field: batch.at(i) for field, batch in batches}
+        yield PointJets(e, omega, point, matter, served)
+
+
+class _Served:
+    """A jet, or the fault that stands for it, already evaluated at a point."""
+
+    def __init__(self, hit: Jet | Exception):
+        self._hit = hit
+
+    def jet(self, point: Sequence[float], order: int) -> Jet:
+        if isinstance(self._hit, Exception):
+            raise self._hit
+        return self._hit if self._hit.order == order else self._hit.truncated(order)
+
+
 class _MemoTetrad:
     """A point's memoized tetrad seen as a frame source."""
 
@@ -238,12 +301,10 @@ def _reads_tetrad(source: FrameSource, e: FrameSource) -> bool:
     return False
 
 
-def _on_tetrad(source: FrameSource, e: FrameSource, tetrad: FrameSource) -> FrameSource:
-    """The connection recipe with the tetrad source ``e`` replaced by ``tetrad``."""
-    if isinstance(source, LeviCivitaConnection) and source.e is e:
-        return LeviCivitaConnection(tetrad)
+def _pair_fields(source: FrameSource) -> list:
+    """The pair-entry expression fields a connection recipe sums."""
+    if isinstance(source, (SpinConnectionField, ContorsionField)):
+        return [source]
     if isinstance(source, SummedConnection):
-        return SummedConnection(
-            _on_tetrad(source.base, e, tetrad), _on_tetrad(source.extra, e, tetrad)
-        )
-    return source
+        return _pair_fields(source.base) + _pair_fields(source.extra)
+    return []

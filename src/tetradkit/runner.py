@@ -7,8 +7,10 @@ checks that need auxiliary random objects, a dedicated generator seeded
 from (run seed, point index, check name), so disabling one check never
 shifts another's random stream.  All checks at a point read one
 ``PointJets``, so each field jet, source and derived tensor is computed
-once per point.  A check reads the tetrad before the connection, which
-decides the fault a point reports when both fail.
+once per point; the expression fields are evaluated ``CHUNK`` points at a
+time, and each point is served its own jet or fault.  A check reads the
+tetrad before the connection, which decides the fault a point reports
+when both fail.
 
 Residuals are reported relative to the largest field magnitude seen at the
 point (floored at one), so tolerances survive regions where the fields or
@@ -48,10 +50,14 @@ from .identities import (
     second_bianchi_residual,
 )
 from .jets import Jet, JetDomainError
-from .pointjets import PointJets
+from .pointjets import PointJets, chunk_jets
 from .scenarios import Scenario
 
 DIM = 4
+
+# Sample points whose expression sources are evaluated together, one walk
+# per expression tree.
+CHUNK = 32
 
 
 class RunnerError(ValueError):
@@ -353,8 +359,15 @@ def run_checks(
     pts = sample_points(scenario.chart, n, s)
     residuals: dict[str, list[float]] = {check.name: [] for check in enabled}
     errors: list[dict] = []
-    for index, point in enumerate(pts):
-        jets = PointJets(scenario.tetrad, scenario.connection, point, scenario.matter)
+    every_point = (
+        jets
+        for start in range(0, n, CHUNK)
+        for jets in chunk_jets(
+            scenario.tetrad, scenario.connection, pts[start : start + CHUNK], scenario.matter
+        )
+    )
+    for index, jets in enumerate(every_point):
+        point = jets.point
         stream = (s, index)
         scale = None
         for check in enabled:

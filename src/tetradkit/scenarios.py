@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exprkit import Chart, ChartError
+from .exprkit import Chart, ChartError, ExpressionError, check_parameter_names
 from .fieldeqs import FieldEquationError, MatterModel
 from .geometry import (
     ContorsionField,
@@ -71,6 +72,8 @@ def _expect_mapping(value, what: str) -> dict:
 def _expect_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise _fail(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -91,11 +94,16 @@ def _parse_chart(doc) -> Chart:
         raise _fail(f"chart: {exc}") from exc
 
 
-def _parse_parameters(doc) -> dict[str, float]:
+def _parse_parameters(doc, chart: Chart) -> dict[str, float]:
     if doc is None:
         return {}
     block = _expect_mapping(doc, "parameters")
-    return {str(k): _expect_number(v, f"parameter '{k}'") for k, v in block.items()}
+    params = {str(k): _expect_number(v, f"parameter '{k}'") for k, v in block.items()}
+    try:
+        check_parameter_names(params, chart)
+    except ExpressionError as exc:
+        raise _fail(str(exc)) from exc
+    return params
 
 
 def _copy_entries(entries: Mapping) -> dict[str, list[str]]:
@@ -146,7 +154,7 @@ def _build_scenario(doc, source: str) -> Scenario:
         raise _fail(f"missing required scenario keys {sorted(missing)}")
 
     chart = _parse_chart(doc["chart"])
-    params = _parse_parameters(doc.get("parameters"))
+    params = _parse_parameters(doc.get("parameters"), chart)
     tetrad = TetradField(doc["tetrad"], chart, params)
 
     connection_doc = doc["connection"]

@@ -180,6 +180,15 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error: ") and "kappa must be nonzero" in err
 
+    @pytest.mark.parametrize("text", ['"kappa": NaN', '"lambda_cc": Infinity'])
+    def test_non_finite_number_reported_as_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(minimal_document())[:-1] + ", " + text + "}")
+        code, out, err = run_main(["check", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be a finite number" in err
+
     def test_bad_tol_syntax(self, capsys):
         code, _, err = run_main(
             ["check", "--builtin", "minkowski", "--tol", "nonsense"], capsys

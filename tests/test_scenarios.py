@@ -167,6 +167,32 @@ class TestDocumentValidation:
         with pytest.raises(ScenarioError, match="kappa must be nonzero"):
             scenario_from_dict(minimal_document(kappa=0))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (lambda v: {"kappa": v}, "kappa"),
+            (lambda v: {"lambda_cc": v}, "lambda_cc"),
+            (lambda v: {"parameters": {"M": v}}, "parameter 'M'"),
+            (lambda v: {"tolerances": {"first-bianchi": v}}, "tolerance for check 'first-bianchi'"),
+        ],
+        ids=["kappa", "lambda_cc", "parameter", "tolerance"],
+    )
+    def test_non_finite_numbers_rejected(self, overrides, named, value):
+        with pytest.raises(ScenarioError, match=f"^{named} must be a finite number"):
+            scenario_from_dict(minimal_document(**overrides(value)))
+
+    def test_parameter_shadowing_a_coordinate_is_named(self):
+        doc = builtin_document("flrw")
+        doc["parameters"] = {"H": 0.3, "x": 2.0}
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == "parameter 'x' shadows a chart coordinate"
+
+    def test_parameter_shadowing_a_function_is_named(self):
+        with pytest.raises(ScenarioError, match="^parameter 'exp' shadows a function name$"):
+            scenario_from_dict(minimal_document(parameters={"exp": 1.0}))
+
     def test_kappa_and_lambda_recorded(self):
         sc = scenario_from_dict(minimal_document(kappa=-2.5, lambda_cc=0.1))
         assert sc.matter.kappa == -2.5
