@@ -165,10 +165,6 @@ class Jet:
             raise JetError(f"cannot extend a jet of order {self.order} to order {order}")
         return Jet._trusted(order, self.data[: order + 1])
 
-    def max_abs(self) -> float:
-        """Largest absolute entry over the value and every derivative tensor."""
-        return max(float(np.max(np.abs(d))) if d.size else 0.0 for d in self.data)
-
     def __repr__(self) -> str:
         return f"Jet(order={self.order}, comp_shape={self.comp_shape}, value={self.value!r})"
 

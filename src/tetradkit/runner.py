@@ -12,10 +12,13 @@ time, and each point is served its own jet or fault.  A check reads the
 tetrad before the connection, which decides the fault a point reports
 when both fail.
 
-Residuals are reported relative to the largest field magnitude seen at the
-point (floored at one), so tolerances survive regions where the fields or
-their derivatives grow large.  A residual that is not finite is an error
-at its point, like a domain fault, so its check cannot pass.
+Each check returns its residual's arrays, reduced by one rule: the largest
+absolute entry over every part (NaN when any entry is NaN), relative to the
+largest field magnitude seen at the point (floored at one), so tolerances
+survive regions where the fields or their derivatives grow large.  A
+residual that is not finite is an error at its point, like a domain fault,
+so its check cannot pass; numpy's overflow and invalid-value warnings are
+silenced for the run, since such points become error rows anyway.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .fieldeqs import (
     torsion_equation_sides,
 )
 from .forms import MixedForm
-from .geometry import GeometryError
+from .geometry import GeometryError, LeviCivitaConnection
 from .identities import (
     commutator_residual,
     conservation_component_residuals,
@@ -49,11 +52,9 @@ from .identities import (
     rewritten_lhs_check,
     second_bianchi_residual,
 )
-from .jets import Jet, JetDomainError
+from .jets import DIM, Jet, JetDomainError
 from .pointjets import PointJets, chunk_jets
 from .scenarios import Scenario
-
-DIM = 4
 
 # Sample points whose expression sources are evaluated together, one walk
 # per expression tree.
@@ -103,6 +104,14 @@ def _magnitude(jets: PointJets) -> float:
     return max(parts)
 
 
+def _largest_entry(residual: np.ndarray | tuple[np.ndarray, ...] | float) -> float:
+    """Largest absolute entry of a residual, one array or a tuple of them;
+    NaN when any entry is NaN."""
+    parts = residual if isinstance(residual, tuple) else (residual,)
+    largest = [float(np.abs(part).max()) for part in parts]
+    return math.nan if any(map(math.isnan, largest)) else max(largest)
+
+
 def _drop_tracebacks(exc: BaseException) -> None:
     """Detach the tracebacks of a recorded fault and of the exceptions it
     chains to.  Their frames hold the point's ``PointJets``, which remembers
@@ -127,15 +136,14 @@ def _random_jet(rng: np.random.Generator, shape: tuple[int, ...]) -> Jet:
 # -- check evaluators -------------------------------------------------------
 
 
-def _check_metric_compatibility(jets: PointJets, stream) -> float:
-    return float(np.abs(metric_compatibility_residual(jets)).max())
+def _check_metric_compatibility(jets: PointJets, stream) -> np.ndarray:
+    return metric_compatibility_residual(jets)
 
 
-def _check_torsion_consistency(jets: PointJets, stream) -> float:
+def _check_torsion_consistency(jets: PointJets, stream) -> np.ndarray:
     q_frame = jets.torsion_tensor(0).value
     gamma = jets.christoffel(0).value
-    q_gamma = np.transpose(gamma - gamma.transpose(0, 2, 1), (1, 2, 0))
-    return float(np.abs(q_frame - q_gamma).max())
+    return q_frame - np.transpose(gamma - gamma.transpose(0, 2, 1), (1, 2, 0))
 
 
 def _check_scalar_consistency(jets: PointJets, stream) -> float:
@@ -145,74 +153,73 @@ def _check_scalar_consistency(jets: PointJets, stream) -> float:
     ricci = np.einsum("msws->mw", jets.riemann(0).value)
     direct = -float(np.einsum("ma,wb,abmw->", einv, einv, f))
     traced = float(np.einsum("mw,mw->", np.linalg.inv(g), ricci))
-    return abs(direct - traced)
+    return direct - traced
 
 
-def _check_levi_civita_torsion(jets: PointJets, stream) -> float:
-    return float(np.abs(jets.torsion(0).value).max())
+def _check_levi_civita_torsion(jets: PointJets, stream) -> np.ndarray:
+    return jets.torsion(0).value
 
 
-def _check_first_bianchi(jets: PointJets, stream) -> float:
-    return first_bianchi_residual(jets).max_abs()
+def _check_first_bianchi(jets: PointJets, stream) -> np.ndarray:
+    return first_bianchi_residual(jets).values
 
 
-def _check_second_bianchi(jets: PointJets, stream) -> float:
-    return second_bianchi_residual(jets).max_abs()
+def _check_second_bianchi(jets: PointJets, stream) -> np.ndarray:
+    return second_bianchi_residual(jets).values
 
 
-def _check_d_squared(jets: PointJets, stream) -> float:
+def _check_d_squared(jets: PointJets, stream) -> tuple[np.ndarray, ...]:
     rng = _aux_rng(stream, "d2-law")
-    worst = 0.0
+    parts = []
     for variances, shape in (
         ((1,), (DIM,)),
         ((-1,), (DIM,)),
         ((1, -1), (DIM, DIM)),
     ):
         alpha = MixedForm._wrap(0, len(variances), _random_jet(rng, shape))
-        worst = max(worst, d_squared_residual(jets, alpha, variances).max_abs())
+        parts.append(d_squared_residual(jets, alpha, variances).values)
     raw = _random_jet(rng, (DIM, DIM))
     anti = Jet(raw.order, [0.5 * (d - d.swapaxes(0, 1)) for d in raw.data])
-    worst = max(worst, d_squared_residual(jets, MixedForm._wrap(2, 0, anti), ()).max_abs())
-    return worst
+    parts.append(d_squared_residual(jets, MixedForm._wrap(2, 0, anti), ()).values)
+    return tuple(parts)
 
 
-def _check_commutator(jets: PointJets, stream) -> float:
+def _check_commutator(jets: PointJets, stream) -> np.ndarray:
     rng = _aux_rng(stream, "commutator")
-    vector = _random_jet(rng, (DIM,))
-    return commutator_residual(jets, vector).max_abs()
+    return commutator_residual(jets, _random_jet(rng, (DIM,))).value
 
 
-def _check_nfe_leibniz(jets: PointJets, stream) -> float:
+def _check_nfe_leibniz(jets: PointJets, stream) -> np.ndarray:
     lhs, rhs = torsion_equation_sides(jets)
-    return (lhs - rhs).max_abs()
+    return (lhs - rhs).values
 
 
-def _check_rewritten_lhs(jets: PointJets, stream) -> float:
+def _check_rewritten_lhs(jets: PointJets, stream) -> tuple[np.ndarray, ...]:
     first, second = rewritten_lhs_check(jets)
-    return max(first.max_abs(), second.max_abs())
+    return first.values, second.values
 
 
-def _check_curvature_equation(jets: PointJets, stream) -> float:
-    return curvature_equation_residual(jets).max_abs()
+def _check_curvature_equation(jets: PointJets, stream) -> np.ndarray:
+    return curvature_equation_residual(jets).values
 
 
-def _check_torsion_equation(jets: PointJets, stream) -> float:
-    return torsion_equation_residual(jets).max_abs()
+def _check_torsion_equation(jets: PointJets, stream) -> np.ndarray:
+    return torsion_equation_residual(jets).values
 
 
-def _check_component_field_equations(jets: PointJets, stream) -> float:
+def _check_component_field_equations(jets: PointJets, stream) -> tuple[np.ndarray, ...]:
     res = component_field_equation_residuals(jets)
-    return max(float(np.abs(res.stress).max()), float(np.abs(res.spin).max()))
+    return res.stress, res.spin
 
 
-def _check_conservation_form(jets: PointJets, stream) -> float:
+def _check_conservation_form(jets: PointJets, stream) -> tuple[np.ndarray, ...]:
     res = conservation_form_residuals(jets)
-    return max(res.stress.max_abs(), res.spin.max_abs())
+    return res.stress.values, res.spin.values
 
 
-def _check_conservation_component(jets: PointJets, stream) -> float:
+def _check_conservation_component(jets: PointJets, stream) -> tuple[np.ndarray, ...]:
     res = conservation_component_residuals(jets)
-    return max(float(np.abs(res.stress).max()), float(np.abs(res.spin).max()))
+    return res.stress, res.spin
 
 
 def _always(_scenario: Scenario) -> bool:
@@ -220,22 +227,22 @@ def _always(_scenario: Scenario) -> bool:
 
 
 def _needs_levi_civita(scenario: Scenario) -> bool:
-    return scenario.connection_mode == "levi-civita"
+    return isinstance(scenario.connection, LeviCivitaConnection)
 
 
 @dataclass(frozen=True)
 class IdentityCheck:
     """A named residual check with its jet-depth need and tolerance.
 
-    ``evaluate(jets, stream)`` returns the raw residual at one
-    point; ``stream`` is the (seed, point index) pair that seeds the
-    check's auxiliary generator.
+    ``evaluate(jets, stream)`` returns the raw residual at one point, an
+    array (or a number) or a tuple of them; ``stream`` is the (seed, point
+    index) pair that seeds the check's auxiliary generator.
     """
 
     name: str
     required_order: int
     tolerance: float
-    evaluate: Callable[[PointJets, tuple[int, int]], float]
+    evaluate: Callable[[PointJets, tuple[int, int]], np.ndarray | tuple[np.ndarray, ...] | float]
     applies: Callable[[Scenario], bool] = _always
 
     def __post_init__(self):
@@ -264,7 +271,6 @@ CHECKS: tuple[IdentityCheck, ...] = (
 )
 
 CHECK_NAMES = tuple(check.name for check in CHECKS)
-_CHECKS_BY_NAME = {check.name: check for check in CHECKS}
 
 
 def sample_points(chart: Chart, count: int, seed: int) -> np.ndarray:
@@ -366,29 +372,29 @@ def run_checks(
             scenario.tetrad, scenario.connection, pts[start : start + CHUNK], scenario.matter
         )
     )
-    for index, jets in enumerate(every_point):
-        point = jets.point
-        stream = (s, index)
-        scale = None
-        for check in enabled:
-            try:
-                value = check.evaluate(jets, stream)
-                if scale is None:
-                    scale = _magnitude(jets)
-                value = float(value / scale)
-                if not math.isfinite(value):
-                    raise RunnerError(f"non-finite residual {value!r}")
-            except POINT_FAULTS as exc:
-                errors.append(
-                    {
-                        "check": check.name,
-                        "point": [float(c) for c in point],
-                        "message": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-                _drop_tracebacks(exc)
-            else:
-                residuals[check.name].append(value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, jets in enumerate(every_point):
+            stream = (s, index)
+            scale = None
+            for check in enabled:
+                try:
+                    value = _largest_entry(check.evaluate(jets, stream))
+                    if scale is None:
+                        scale = _magnitude(jets)
+                    value = value / scale
+                    if not math.isfinite(value):
+                        raise RunnerError(f"non-finite residual {value!r}")
+                except POINT_FAULTS as exc:
+                    errors.append(
+                        {
+                            "check": check.name,
+                            "point": [float(c) for c in jets.point],
+                            "message": f"{type(exc).__name__}: {exc}",
+                        }
+                    )
+                    _drop_tracebacks(exc)
+                else:
+                    residuals[check.name].append(value)
 
     errored = {entry["check"] for entry in errors}
     results = []

@@ -32,8 +32,7 @@ from .geometry import (
     SummedConnection,
     TetradField,
 )
-
-DIM = 4
+from .jets import DIM
 
 PAIR_KEYS = ("01", "02", "03", "12", "13", "23")
 
@@ -118,7 +117,6 @@ class Scenario:
     name: str
     chart: Chart
     parameters: dict[str, float]
-    connection_mode: str
     tetrad: TetradField
     connection: FrameSource
     matter: MatterModel
@@ -159,26 +157,23 @@ def _build_scenario(doc, source: str) -> Scenario:
 
     connection_doc = doc["connection"]
     if connection_doc == "levi-civita":
-        connection_mode = "levi-civita"
         connection = LeviCivitaConnection(tetrad)
     else:
         block = _expect_mapping(connection_doc, "connection")
-        connection_mode = block.get("mode")
-        if connection_mode not in ("explicit", "levi-civita+contorsion"):
-            raise _fail(
-                f"connection mode must be one of {CONNECTION_MODES}, got {connection_mode!r}"
-            )
+        mode = block.get("mode")
+        if mode not in ("explicit", "levi-civita+contorsion"):
+            raise _fail(f"connection mode must be one of {CONNECTION_MODES}, got {mode!r}")
         unknown = set(block) - {"mode", "entries"}
         if unknown:
             raise _fail(f"connection has unknown keys {sorted(unknown)}")
         entries = block.get("entries", {})
-        if connection_mode == "explicit":
+        if mode == "explicit":
             connection = SpinConnectionField(entries, chart, params)
         else:
             connection = SummedConnection(
                 LeviCivitaConnection(tetrad), ContorsionField(entries, chart, params)
             )
-        connection_doc = {"mode": connection_mode, "entries": _copy_entries(entries)}
+        connection_doc = {"mode": mode, "entries": _copy_entries(entries)}
 
     kappa = doc.get("kappa")
     if kappa is not None:
@@ -250,7 +245,6 @@ def _build_scenario(doc, source: str) -> Scenario:
         name=name,
         chart=chart,
         parameters=params,
-        connection_mode=connection_mode,
         tetrad=tetrad,
         connection=connection,
         matter=matter,

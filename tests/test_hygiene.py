@@ -1,5 +1,5 @@
-"""Source hygiene: every module-level import in the package is used, and
-η is applied one way."""
+"""Source hygiene: every module-level import in the package is used, every
+top-level definition has a reader, and η is applied one way."""
 
 import ast
 from pathlib import Path
@@ -113,9 +113,23 @@ def _readers(tree: ast.Module):
                         yield node.id, stmt
 
 
+def _defined_names(stmt: ast.stmt):
+    """Names a top-level statement defines: a function, a class, or the
+    plain-name targets of an assignment other than dunders like ``__all__``."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        yield stmt.name
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                    yield node.id
+
+
 def test_every_definition_has_a_reader():
-    """A top-level function or class is read somewhere in the package,
-    outside its own body, or is listed in ``UNREAD_ALLOWED``."""
+    """A top-level function, class or assigned name is read somewhere in
+    the package, outside its own statement, or is listed in
+    ``UNREAD_ALLOWED``."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     read: dict[str, set[int]] = {}
     for tree in trees.values():
@@ -124,9 +138,9 @@ def test_every_definition_has_a_reader():
     unread = []
     for module, tree in trees.items():
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                if not read.get(stmt.name, set()) - {id(stmt)}:
-                    unread.append(f"{module}.{stmt.name}")
+            for name in _defined_names(stmt):
+                if not read.get(name, set()) - {id(stmt)}:
+                    unread.append(f"{module}.{name}")
     unexpected = sorted(set(unread) - set(UNREAD_ALLOWED))
     assert not unexpected, f"definitions nothing in src/ reads: {', '.join(unexpected)}"
     stale = sorted(set(UNREAD_ALLOWED) - set(unread))

@@ -1,13 +1,17 @@
 import dataclasses
 import gc
+import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from tetradkit import pointjets, runner
 from tetradkit.fieldeqs import torsion_three_form
+from tetradkit.forms import MixedForm
+from tetradkit.jets import Jet
 from tetradkit.runner import (
     CHECK_NAMES,
     CHECKS,
@@ -187,6 +191,29 @@ def _patch_check(monkeypatch, name, evaluate):
     monkeypatch.setattr(runner, "CHECKS", patched)
 
 
+def _nan_last(part):
+    """A copy of a residual part, a form or an array, whose last entry is NaN."""
+    values = np.array(getattr(part, "values", part), dtype=float)
+    values.flat[-1] = math.nan
+    if isinstance(part, MixedForm):
+        return MixedForm._wrap(part.k, part.p, Jet(0, [values]))
+    return values
+
+
+def _spin_nan(res):
+    return dataclasses.replace(res, spin=_nan_last(res.spin))
+
+
+# (check, the residual function it calls in runner's namespace, a poison
+# that puts one NaN into the last part of that function's result)
+LAST_PART_NAN = [
+    ("rewritten-lhs", "rewritten_lhs_check", lambda res: (res[0], _nan_last(res[1]))),
+    ("conservation-form", "conservation_form_residuals", _spin_nan),
+    ("component-field-equations", "component_field_equation_residuals", _spin_nan),
+    ("conservation-component", "conservation_component_residuals", _spin_nan),
+]
+
+
 class TestPointFaults:
     def test_non_finite_residual_is_an_error_and_fails(self, monkeypatch):
         def nan_at_point_one(jets, stream):
@@ -203,6 +230,47 @@ class TestPointFaults:
             [float(c) for c in sample_points(sc.chart, 3, sc.seed)[1]]
         ]
         assert "non-finite residual" in report.errors[0]["message"]
+
+    @pytest.mark.parametrize(
+        "check, function, poison", LAST_PART_NAN, ids=[case[0] for case in LAST_PART_NAN]
+    )
+    def test_nan_in_a_later_part_is_an_error(self, monkeypatch, check, function, poison):
+        residual = getattr(runner, function)
+        monkeypatch.setattr(runner, function, lambda jets: poison(residual(jets)))
+        report = run_checks(builtin_scenario("random-fields"), points=3, checks=[check])
+        (result,) = report.results
+        assert result.points == 0
+        assert not result.passed
+        assert len(report.errors) == 3
+        assert all("non-finite residual" in entry["message"] for entry in report.errors)
+
+    def test_nan_in_the_last_d2_form_is_an_error(self, monkeypatch):
+        # d2-law tests four forms per point; the fourth holds the NaN
+        calls = itertools.count(1)
+        residual = runner.d_squared_residual
+
+        def poisoned(jets, alpha, variances):
+            res = residual(jets, alpha, variances)
+            return _nan_last(res) if next(calls) % 4 == 0 else res
+
+        monkeypatch.setattr(runner, "d_squared_residual", poisoned)
+        report = run_checks(builtin_scenario("minkowski"), points=2, checks=["d2-law"])
+        assert not report.results[0].passed
+        assert len(report.errors) == 2
+        assert all("non-finite residual" in entry["message"] for entry in report.errors)
+
+    def test_overflowing_points_are_error_rows_without_warnings(self):
+        # exp(800*x1) and its jets overflow as x1 nears 0.89; the test
+        # suite turns RuntimeWarning into an error
+        doc = builtin_document("flat-contorsion")
+        doc["connection"]["entries"]["01"][0] = "sqrt(x0) + exp(800*x1)"
+        report = run_checks(scenario_from_dict(doc), points=100, seed=0)
+        errors = Counter(entry["check"] for entry in report.errors)
+        for result in report.results:
+            assert result.points + errors[result.name] == 100
+        assert "RunnerError: non-finite residual nan" in {
+            entry["message"] for entry in report.errors if entry["check"] == "d2-law"
+        }
 
     def test_json_report_refuses_nan(self, tmp_path):
         report = run_checks(builtin_scenario("minkowski"), points=2)

@@ -219,7 +219,7 @@ class TestBuiltins:
 
     def test_minkowski_shape(self):
         sc = builtin_scenario("minkowski")
-        assert sc.connection_mode == "explicit"
+        assert sc.document["connection"]["mode"] == "explicit"
         assert sc.matter.mode == "vacuum"
         point = np.zeros(4)
         assert np.array_equal(sc.tetrad.jet(point, 0).value, np.eye(4))
@@ -228,7 +228,7 @@ class TestBuiltins:
     def test_schwarzschild_shape(self):
         sc = builtin_scenario("schwarzschild")
         assert sc.parameters == {"M": 1.0}
-        assert sc.connection_mode == "levi-civita"
+        assert sc.document["connection"] == "levi-civita"
         assert sc.chart.bounds[0] == (3.0, 10.0)
 
     def test_flat_contorsion_is_torsionful(self):
