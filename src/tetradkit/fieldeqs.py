@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .exprkit import Chart, eval_jet_grid
+from .exprkit import Chart, JetBatch, eval_jet_grid
 from .forms import (
     EPSILON,
     MixedForm,
@@ -189,6 +189,17 @@ class SpinSourceField(_PairField):
     symbol = "Sigma"
 
 
+class StressField:
+    """Explicit stress t[mu, nu] given as a 4x4 grid of expressions."""
+
+    def __init__(self, texts: Sequence[Sequence[str]], chart: Chart, params: Mapping[str, float] | None = None):
+        self.exprs = parse_grid(texts, chart, params, "stress")
+
+    def jet(self, point: Sequence[float], order: int) -> Jet | JetBatch:
+        """The jet at a point, or a ``JetBatch`` at an (N, 4) array of points."""
+        return eval_jet_grid(self.exprs, point, order)
+
+
 class MatterModel:
     """Source terms for the field equations.
 
@@ -200,7 +211,7 @@ class MatterModel:
     manufactured spin the torsion over -16 pi, both read from the
     ``PointJets`` they are evaluated at, so identities can differentiate
     them.  Only a ``PointJets`` calls the builders below, and it serves
-    their results.
+    their results; ``fields`` are explicit matter's, for ``chunk_jets``.
     """
 
     def __init__(
@@ -221,6 +232,7 @@ class MatterModel:
         self.lam = float(lam)
         self._stress = stress
         self._spin = spin
+        self.fields = (stress, spin) if mode == "explicit" else ()
 
     @classmethod
     def vacuum(cls, *, kappa: float | None = None, lam: float = 0.0) -> "MatterModel":
@@ -237,7 +249,7 @@ class MatterModel:
         kappa: float | None = None,
         lam: float = 0.0,
     ) -> "MatterModel":
-        stress = parse_grid(stress_texts, chart, params, "stress")
+        stress = StressField(stress_texts, chart, params)
         spin = SpinSourceField(spin_entries, chart, params)
         return cls("explicit", kappa=kappa, lam=lam, stress=stress, spin=spin)
 
@@ -246,7 +258,7 @@ class MatterModel:
         if self.mode == "vacuum":
             return Jet.zeros((DIM, DIM), order)
         if self.mode == "explicit":
-            return eval_jet_grid(self._stress, jets.point, order)
+            return jets.read(self._stress, order)
         return jets.einstein(order).scaled(1.0 / EIGHT_PI)
 
     def spin_jet(self, jets: PointJets, order: int) -> Jet:
@@ -254,7 +266,7 @@ class MatterModel:
         if self.mode == "vacuum":
             return Jet.zeros((DIM, DIM, DIM), order)
         if self.mode == "explicit":
-            return self._spin.jet(jets.point, order)
+            return jets.read(self._spin, order)
         return jets.torsion_tensor(order).scaled(-1.0 / SIXTEEN_PI)
 
     def stress_form(self, jets: PointJets, order: int) -> MixedForm:
@@ -336,9 +348,7 @@ def pc_action_density(jets: PointJets, lam: float) -> float:
     scalar times the tetrad determinant.
     """
     ej = jets.e(0)
-    det = float(np.linalg.det(ej.value))
-    if abs(det) <= DET_THRESHOLD:
-        raise SingularTetradError("tetrad determinant vanishes at this point")
+    jets.inverse_tetrad(0)  # a singular frame raises here, as everywhere
     ef = MixedForm(1, 1, ej)
     ee = internal_wedge(ef, ef)
     eef = internal_wedge(ee, MixedForm(2, 2, jets.field_strength(0)))

@@ -6,10 +6,11 @@ This module owns the two input formats the fields are given in:
 ``parse_grid`` validates and parses a 4x4 expression grid (tetrad, frame
 rotation, explicit stress) and ``_PairField`` a pair-keyed entry mapping
 (connection, contorsion, spin source), each raising ``GeometryError``
-that names the offending entry.  Everything downstream (metric,
-Christoffel symbols, field strength, torsion) is a ``*_jet`` function of
-those jets.  ``pointjets.PointJets`` applies these once per point for
-every consumer.  Index conventions, fixed here once:
+that names the offending entry.  Everything downstream (metric, the
+Levi-Civita connection in closed form, Christoffel symbols, field
+strength, torsion) is a ``*_jet`` function of those jets, which
+``pointjets.PointJets`` applies once per point for every consumer.
+Index conventions, fixed here once:
 
 * tetrad components e[a, mu] with the internal (frame) index first;
 * inverse tetrad components einv[mu, a];
@@ -39,15 +40,11 @@ from .jets import (
     MAX_ORDER,
     Jet,
     JetDomainError,
-    _einsum_plan,
-    _leibniz_sum,
     jet_einsum,
     jet_matrix_inverse,
     jet_partial,
     jet_transpose,
 )
-
-PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 # Smallest |det e| of a frame that is not singular.
 DET_THRESHOLD = 1e-10
@@ -243,78 +240,30 @@ def torsion_tensor_jet(theta: Jet, einv: Jet) -> Jet:
     return jet_einsum("sa,amn->mns", einv, theta)
 
 
-# -- Levi-Civita solve -----------------------------------------------------
-
-_ROWS = [(a, mn) for a in range(DIM) for mn in PAIRS]
+# -- connection recipes ----------------------------------------------------
 
 
-def _torsion_entries():
-    """Where each tetrad entry enters the torsion system, split by sign.
+def levi_civita_jet(e: Jet, einv: Jet) -> Jet:
+    """Torsion-free frame connection omega[a, b, mu] in closed form.
 
-    Row (a, mu < nu) of the system and column (p < q, rho) of the unknowns
-    meet in at most one term: +-eta e at (q, nu) or (p, nu) when rho = mu,
-    and at (q, mu) or (p, mu) when rho = nu.  Returns index arrays
-    (rows, cols, internal, coordinate) for the added and the subtracted
-    terms.
+    With the anholonomy C^a = de^a, frame components C_abc, the connection
+    is omega_abc = (C_abc + C_bca - C_cab) / 2.  ``e`` must be one order
+    deeper than ``einv``, which sets the result's order.
     """
-    plus, minus = [], []
-    for i, (a, (mu, nu)) in enumerate(_ROWS):
-        for j, (p, q) in enumerate(PAIRS):
-            if a == p:
-                plus.append((i, 4 * j + mu, q, nu))
-                minus.append((i, 4 * j + nu, q, mu))
-            elif a == q:
-                minus.append((i, 4 * j + mu, p, nu))
-                plus.append((i, 4 * j + nu, p, mu))
-    return tuple(np.array(side).T for side in (plus, minus))
-
-
-_TORSION_PLUS, _TORSION_MINUS = _torsion_entries()
-_RHS_A, _RHS_MU, _RHS_NU = np.array([(a, mu, nu) for a, (mu, nu) in _ROWS]).T
-_PAIR_P, _PAIR_Q = np.array(PAIRS).T
-
-
-def _torsion_matrix(e_arr: np.ndarray) -> np.ndarray:
-    """Coefficients of the torsion equations in the connection unknowns.
-
-    ``e_arr`` is a tetrad component array [a, nu, extra...]; the result has
-    shape (24, 24, extra...) mapping unknowns w[(p, q), rho] (pairs p < q)
-    to equations indexed by (a, mu < nu).
-    """
-    le = eta_lower(e_arr, 0)  # eta_{bc} e^c_nu
-    mat = np.zeros((24, 24) + e_arr.shape[2:])
-    rows, cols, b, n = _TORSION_PLUS
-    mat[rows, cols] = 0.0 + le[b, n]
-    rows, cols, b, n = _TORSION_MINUS
-    mat[rows, cols] = 0.0 - le[b, n]
-    return mat
-
-
-def _torsion_rhs(de_arr: np.ndarray) -> np.ndarray:
-    """Antisymmetrized coordinate-derivative part, rows matching _ROWS.
-
-    ``de_arr`` holds [a, mu, nu, extra...] = d_mu e^a_nu data, derivative
-    direction in the middle slot.
-    """
-    return de_arr[_RHS_A, _RHS_MU, _RHS_NU] - de_arr[_RHS_A, _RHS_NU, _RHS_MU]
-
-
-def _expand_pairs(w: np.ndarray) -> np.ndarray:
-    """Unfold flat pair-major unknowns (24, extra) to [a, b, mu, extra]."""
-    extra = w.shape[1:]
-    blocks = w.reshape((len(PAIRS), DIM) + extra)
-    out = np.zeros((DIM, DIM, DIM) + extra)
-    out[_PAIR_P, _PAIR_Q] = blocks
-    out[_PAIR_Q, _PAIR_P] = -blocks
-    return out
+    de = jet_partial(e)  # [a, nu, mu] = d_mu e^a_nu
+    c = eta_lower(de - jet_transpose(de, (0, 2, 1)), 0)  # [a, nu, mu] = C_a,mu nu
+    half = jet_einsum("amn,nb->abm", c, einv)  # C_abd e^d_mu
+    frame = jet_einsum("abm,md->abd", half, einv)  # C_abd
+    e = e.truncated(einv.order)
+    w = half - jet_transpose(half, (1, 0, 2)) - jet_einsum("dab,dm->abm", frame, e)
+    return eta_lower(eta_lower(w.scaled(0.5), 0), 1)  # both internal indices up
 
 
 class LeviCivitaConnection:
     """Torsion-free frame connection of a tetrad, as a jet evaluator.
 
-    Solves the 24 linear torsion-vanishing equations for the 24 independent
-    connection components at the point, order by order in the derivative
-    data, so the connection's own derivatives stay exact.
+    ``levi_civita_jet`` of the tetrad one order deeper and its inverse; a
+    run applies the same formula to its point's memoized jets instead.
     """
 
     def __init__(self, e: FrameSource):
@@ -324,27 +273,10 @@ class LeviCivitaConnection:
         if order >= MAX_ORDER:
             raise GeometryError(
                 f"connection jets stop at order {MAX_ORDER - 1}; "
-                f"the solve needs tetrad data one order higher"
+                f"the formula needs tetrad data one order higher"
             )
         ej = self.e.jet(point, order + 1)
-        det = np.linalg.det(ej.value)
-        if abs(det) < DET_THRESHOLD:
-            raise SingularTetradError(f"tetrad determinant {det:.3e} below threshold {DET_THRESHOLD:g}")
-        mats = [_torsion_matrix(ej.data[k]) for k in range(order + 1)]
-        rhs0 = [
-            _torsion_rhs(np.moveaxis(ej.data[k + 1], 2, 1)) for k in range(order + 1)
-        ]
-        try:
-            lu = np.linalg.inv(mats[0])
-        except np.linalg.LinAlgError as exc:
-            raise SingularTetradError(f"torsion system singular: {exc}") from exc
-        sols = []
-        plan = _einsum_plan("rc,c->r", order, lu.shape, lu.shape[:1])
-        for k in range(order + 1):
-            # M0 . w_k = -(rhs0_k + the terms of D^k(M w) with i >= 1 derivatives on M)
-            rhs = _leibniz_sum(plan[k][1:], mats, sols, rhs0[k])
-            sols.append(-(lu @ rhs.reshape(len(rhs), -1)).reshape(rhs.shape))
-        return Jet._trusted(order, [_expand_pairs(w) for w in sols])
+        return levi_civita_jet(ej, inverse_tetrad_jet(ej.truncated(order)))
 
 
 class SummedConnection:

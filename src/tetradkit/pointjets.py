@@ -15,10 +15,14 @@ orders up to k, so a truncated jet holds the same bits as one derived at
 the lower order.  A deeper order than the point serves raises
 ``JetError``.
 
+A Levi-Civita connection of the point's own tetrad is ``levi_civita_jet``
+of the memoized tetrad and inverse, so a singular tetrad raises one error.
+
 ``chunk_jets`` serves a run's points a chunk at a time: it evaluates the
-expression fields among the sources (the tetrad grid and the connection's
-pair fields) for the whole chunk, one walk per expression, and hands each
-point its own jet, or its own fault, in place of evaluating the source.
+expression fields among the sources (the tetrad grid, the connection's
+pair fields, and the stress and spin fields of explicit matter) for the
+whole chunk, one walk per expression, and hands each point its own jet,
+or its own fault, in place of evaluating the source.
 
 Two rules keep a consumer's errors what they would be if it derived
 everything itself:
@@ -55,6 +59,7 @@ from .geometry import (
     christoffel_jet,
     field_strength_jet,
     inverse_tetrad_jet,
+    levi_civita_jet,
     metric_jet,
     torsion_jet,
     torsion_tensor_jet,
@@ -88,7 +93,7 @@ class PointJets:
         self.point = point
         self.matter = MatterModel.vacuum() if matter is None else matter
         self._served = served or {}
-        # the tetrad goes one order deeper when the connection is solved from it
+        # the tetrad goes one order deeper when the connection is derived from it
         self._e_top = DEPTH + _reads_tetrad(omega, e)
         self._memo: dict[str, Jet | MixedForm | Exception] = {}
 
@@ -108,24 +113,24 @@ class PointJets:
 
     def e(self, order: int) -> Jet:
         """Tetrad components e[a, mu]."""
-        return self._serve(
-            "e", order, self._e_top, lambda k: self._source(self.e_source).jet(self.point, k)
-        )
+        return self._serve("e", order, self._e_top, lambda k: self.read(self.e_source, k))
 
     def omega(self, order: int) -> Jet:
         """Connection components omega[a, b, mu]."""
-        return self._serve("omega", order, DEPTH, self._connection)
+        return self._serve("omega", order, DEPTH, lambda k: self.read(self.omega_source, k))
 
-    def _connection(self, order: int) -> Jet:
-        return self._source(self.omega_source).jet(self.point, order)
+    def read(self, source: FrameSource, order: int) -> Jet:
+        """``source``'s jet at this point, unmemoized: what was served for
+        it where something was, otherwise the source evaluated here."""
+        return self._source(source).jet(self.point, order)
 
     def _source(self, source: FrameSource) -> FrameSource:
         """``source`` as this point reads it: a served source by what was
-        served, and the tetrad a Levi-Civita solve reads by the memoized one."""
+        served, and the Levi-Civita connection of its tetrad by ``_MemoLeviCivita``."""
         if self._served and source in self._served:
             return _Served(self._served[source])
         if isinstance(source, LeviCivitaConnection) and source.e is self.e_source:
-            return LeviCivitaConnection(_MemoTetrad(self))
+            return _MemoLeviCivita(self)
         if isinstance(source, SummedConnection):
             return SummedConnection(self._source(source.base), self._source(source.extra))
         return source
@@ -254,8 +259,9 @@ def chunk_jets(
     """A ``PointJets`` for each of the (N, 4) ``points`` in turn.
 
     The tetrad, when it is an expression grid, is evaluated for all of them
-    at the order the points read it, and every pair field of the connection
-    (explicit entries or a contorsion) at ``DEPTH``, each in one walk per
+    at the order the points read it, every pair field of the connection
+    (explicit entries or a contorsion) at ``DEPTH``, and the stress and spin
+    fields of explicit matter at ``DEPTH - 1``, each in one walk per
     expression.  Each point is served its own jet or fault, so it still
     raises a fault only when it reads that source.  The batches live as
     long as the iteration.
@@ -264,6 +270,7 @@ def chunk_jets(
     if isinstance(e, TetradField):
         fields.append((e, DEPTH + _reads_tetrad(omega, e)))
     fields += [(field, DEPTH) for field in _pair_fields(omega)]
+    fields += [(field, DEPTH - 1) for field in (matter.fields if matter else ())]
     batches = [(field, field.jet(points, order)) for field, order in fields]
     for i, point in enumerate(points):
         served = {field: batch.at(i) for field, batch in batches}
@@ -282,18 +289,18 @@ class _Served:
         return self._hit if self._hit.order == order else self._hit.truncated(order)
 
 
-class _MemoTetrad:
-    """A point's memoized tetrad seen as a frame source."""
+class _MemoLeviCivita:
+    """A point's Levi-Civita connection, from its memoized tetrad and inverse."""
 
     def __init__(self, jets: PointJets):
         self._jets = jets
 
     def jet(self, point: Sequence[float], order: int) -> Jet:
-        return self._jets.e(order)
+        return levi_civita_jet(self._jets.e(order + 1), self._jets.inverse_tetrad(order))
 
 
 def _reads_tetrad(source: FrameSource, e: FrameSource) -> bool:
-    """Whether a connection recipe solves from the tetrad source ``e``."""
+    """Whether a connection recipe derives from the tetrad source ``e``."""
     if isinstance(source, LeviCivitaConnection):
         return source.e is e
     if isinstance(source, SummedConnection):

@@ -8,7 +8,7 @@ import pytest
 
 from tetradkit import exprkit
 from tetradkit.exprkit import Chart, DomainFault, JetBatch, eval_jet, eval_jet_grid, parse_expression
-from tetradkit.geometry import ContorsionField, SpinConnectionField, SummedConnection, TetradField
+from tetradkit.geometry import ContorsionField, SpinConnectionField, SummedConnection
 from tetradkit.pointjets import DEPTH, PointJets, chunk_jets
 from tetradkit.runner import CHUNK, run_checks, sample_points
 from tetradkit.scenarios import BUILTIN_NAMES, builtin_document, builtin_scenario, scenario_from_dict
@@ -23,8 +23,19 @@ def _horizon_document():
     return doc
 
 
+def _explicit_matter_document():
+    # the stress faults at x < -0.5, so a chunk serves faults and jets
+    doc = builtin_document("flrw")
+    doc["name"] = "flrw-explicit-matter"
+    stress = [["0.1*y" if i == j else "0" for j in range(4)] for i in range(4)]
+    stress[0][0] = "log(x + 0.5)"
+    doc["matter"] = {"mode": "explicit", "stress": stress, "spin": {"01": ["0.2*x", "0", "z^2", "0"]}}
+    return doc
+
+
 SCENARIOS = {name: (lambda name=name: builtin_document(name)) for name in BUILTIN_NAMES}
 SCENARIOS["schwarzschild-horizon"] = _horizon_document
+SCENARIOS["flrw-explicit-matter"] = _explicit_matter_document
 
 
 def _same(one, many_at_i):
@@ -57,7 +68,13 @@ def _expression_fields(sc):
             stack += [source.base, source.extra]
         elif isinstance(source, (SpinConnectionField, ContorsionField)):
             fields.append(source)
-    return fields
+    return fields + list(sc.matter.fields)
+
+
+def _trees(field):
+    """The expression trees of a grid or a pair field."""
+    rows = field.exprs.values() if isinstance(field.exprs, dict) else field.exprs
+    return [expr for row in rows for expr in row]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -70,11 +87,10 @@ def test_batch_equals_one_point_at_a_time(name):
             assert isinstance(batch, JetBatch)
             for i, point in enumerate(points):
                 _same(_alone(field.jet, point, order), batch.at(i))
-        for row in field.exprs if isinstance(field, TetradField) else field.exprs.values():
-            for expr in row:
-                batch = eval_jet(expr, points, 3)
-                for i, point in enumerate(points):
-                    _same(_alone(eval_jet, expr, point, 3), batch.at(i))
+        for expr in _trees(field):
+            batch = eval_jet(expr, points, 3)
+            for i, point in enumerate(points):
+                _same(_alone(eval_jet, expr, point, 3), batch.at(i))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -85,7 +101,13 @@ def test_chunk_serves_what_each_point_derives_alone(name):
     assert [jets.point.tobytes() for jets in served] == [x.tobytes() for x in points]
     for jets, point in zip(served, points):
         alone = PointJets(sc.tetrad, sc.connection, point, sc.matter)
-        for read in (lambda j: j.e(DEPTH), lambda j: j.omega(DEPTH), lambda j: j.einstein(1)):
+        for read in (
+            lambda j: j.e(DEPTH),
+            lambda j: j.omega(DEPTH),
+            lambda j: j.einstein(1),
+            lambda j: j.stress(DEPTH - 1),
+            lambda j: j.spin(DEPTH - 1),
+        ):
             _same(_alone(read, alone), _alone(read, jets))
 
 
@@ -195,3 +217,19 @@ def test_each_tree_is_walked_once_per_chunk(monkeypatch):
     assert len(trees) == 40
     assert {walks.get(id(expr)) for expr in trees} == {math.ceil(100 / CHUNK)}
     assert len(walks) == 40
+
+
+def test_explicit_matter_is_walked_once_per_chunk(monkeypatch):
+    sc = scenario_from_dict(_explicit_matter_document())
+    walks = {}
+    original = exprkit.eval_jet
+
+    def counting(expr, point, order):
+        walks[id(expr)] = walks.get(id(expr), 0) + 1
+        return original(expr, point, order)
+
+    monkeypatch.setattr(exprkit, "eval_jet", counting)
+    run_checks(sc, points=100, seed=0)
+    trees = [expr for field in sc.matter.fields for expr in _trees(field)]
+    assert len(trees) == 16 + 4
+    assert {walks.get(id(expr)) for expr in trees} == {math.ceil(100 / CHUNK)}

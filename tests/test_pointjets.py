@@ -26,6 +26,7 @@ from tetradkit.geometry import (
     christoffel_jet,
     field_strength_jet,
     inverse_tetrad_jet,
+    levi_civita_jet,
     metric_jet,
     torsion_jet,
 )
@@ -145,8 +146,25 @@ def test_each_source_is_evaluated_once():
         jets.omega(k)
         jets.e(k)
         jets.einstein(k - 1 if k else 0)
-    # the Levi-Civita solve reads the memoized tetrad one order deeper
+    # the Levi-Civita formula reads the memoized tetrad one order deeper
     assert calls == [3]
+
+
+def test_levi_civita_reads_the_points_inverse_tetrad(monkeypatch):
+    # one inverse per point, which the connection formula reads; a run
+    # never evaluates the recipe's own jet
+    calls = []
+    for function in (inverse_tetrad_jet, levi_civita_jet):
+        def counting(*args, function=function):
+            calls.append((function.__name__, args[-1].order))
+            return function(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("tetradkit") and vars(module).get(function.__name__) is function:
+                monkeypatch.setattr(module, function.__name__, counting)
+    monkeypatch.setattr(LeviCivitaConnection, "jet", None)
+    run_checks(builtin_scenario("schwarzschild"), points=5, seed=0)
+    assert calls == [("inverse_tetrad_jet", 2), ("levi_civita_jet", 2)] * 5
 
 
 @pytest.mark.parametrize(

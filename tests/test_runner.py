@@ -335,6 +335,96 @@ class TestFaultInjection:
         assert torsion.passed
         assert not report.errors
 
+    def test_singular_tetrad_is_reported_with_one_message(self):
+        # the connection, the inverse tetrad and everything after them stop
+        # at the same singular frame, with the inverse tetrad's message
+        doc = builtin_document("flat-polar")
+        doc["tetrad"][2][2] = "0"
+        report = run_checks(scenario_from_dict(doc), points=4)
+        assert len(report.errors) == 4 * len(CHECKS)
+        assert {row["message"] for row in report.errors} == {
+            "SingularTetradError: tetrad determinant 0.000e+00 below threshold 1.0e-10"
+        }
+
+
+def _alternated(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``arr`` antisymmetrized over ``axes``: the signed sum over their
+    permutations."""
+    out = np.zeros_like(arr)
+    for perm in itertools.permutations(range(len(axes))):
+        order = list(range(arr.ndim))
+        for slot, source in enumerate(perm):
+            order[axes[slot]] = axes[source]
+        sign = round(np.linalg.det(np.eye(len(axes))[list(perm)]))
+        out += sign * arr.transpose(order)
+    return out
+
+
+def _bump_accessor(monkeypatch, accessor: str, groups: tuple[tuple[int, ...], ...], size: float):
+    """Make every ``PointJets.<accessor>`` call serve its value plus a fixed
+    random bump on the value and first derivatives, antisymmetric over each
+    group of component axes; a form is bumped within its internal and its
+    spacetime block.  The derivative data no longer belongs to the value,
+    and the quantity no longer matches the others the point derives."""
+    original = getattr(pointjets.PointJets, accessor)
+    patterns = {}
+
+    def bumped(self, order):
+        served = original(self, order)
+        jet = served.jet if isinstance(served, MixedForm) else served
+        axes = groups
+        if isinstance(served, MixedForm):
+            axes = (tuple(range(served.p)), tuple(range(served.p, served.p + served.k)))
+        if not patterns:
+            rng = np.random.default_rng(2024)
+            for k, d in enumerate(jet.data[:2]):
+                pattern = rng.uniform(-1.0, 1.0, d.shape)
+                for group in axes:
+                    pattern = _alternated(pattern, group)
+                patterns[k] = size * pattern
+        data = [d + patterns[k] if k in patterns else d for k, d in enumerate(jet.data)]
+        out = Jet(jet.order, data)
+        return MixedForm(served.k, served.p, out) if isinstance(served, MixedForm) else out
+
+    monkeypatch.setattr(pointjets.PointJets, accessor, bumped)
+
+
+# Per check: the scenario, the accessor whose served value is bumped, and
+# the antisymmetric component axes of what it serves (forms find their own).
+BROKEN_INPUTS = {
+    "metric-compatibility": ("random-fields", "christoffel", ()),
+    "torsion-consistency": ("random-fields", "torsion_tensor", ((0, 1),)),
+    "scalar-consistency": ("random-fields", "riemann", ((0, 1),)),
+    "levi-civita-torsion": ("flat-polar", "omega", ((0, 1),)),
+    "first-bianchi": ("random-fields", "field_strength", ((0, 1), (2, 3))),
+    "second-bianchi": ("random-fields", "field_strength", ((0, 1), (2, 3))),
+    "d2-law": ("random-fields", "field_strength", ((0, 1), (2, 3))),
+    "commutator": ("random-fields", "field_strength", ((0, 1), (2, 3))),
+    "nfe-leibniz": ("random-fields", "torsion_three_form", ()),
+    "rewritten-lhs": ("random-fields", "curvature_three_form", ()),
+    "curvature-equation": ("random-fields", "curvature_three_form", ()),
+    "torsion-equation": ("random-fields", "spin_form", ()),
+    "component-field-equations": ("random-fields", "stress", ()),
+    "conservation-form": ("random-fields", "stress_form", ()),
+    "conservation-component": ("random-fields", "stress", ()),
+}
+
+
+class TestEveryCheckCanFail:
+    def test_every_check_has_a_broken_input(self):
+        assert tuple(BROKEN_INPUTS) == CHECK_NAMES
+
+    @pytest.mark.parametrize("name", CHECK_NAMES)
+    def test_check_fails_on_its_broken_input(self, monkeypatch, name):
+        scenario, accessor, groups = BROKEN_INPUTS[name]
+        _bump_accessor(monkeypatch, accessor, groups, 1e-3)
+        report = run_checks(builtin_scenario(scenario), points=3, checks=[name])
+        (result,) = report.results
+        assert not report.errors
+        assert result.points == 3
+        assert not result.passed
+        assert result.max_residual > 10 * result.tolerance
+
 
 class TestReports:
     def test_json_round_trip_is_exact(self):
