@@ -88,8 +88,6 @@ def _parse_tolerances(pairs) -> dict[str, float]:
             out[name] = float(value)
         except ValueError:
             raise RunnerError(f"bad --tol value in {pair!r}; expected a number") from None
-        if out[name] <= 0:
-            raise RunnerError(f"--tol {name} must be positive, got {out[name]}")
     return out
 
 

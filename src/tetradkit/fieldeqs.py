@@ -6,12 +6,14 @@ Everything here is a pure function of jets produced by the frame fields in
 before the connection, the order that decides which fault a point reports
 when both fail.  Two normalization facts thread through the module:
 
-* ``internal_wedge`` alternates over whole index blocks with unit weight, so
-  relative to a product of individually labeled factors each epsilon
-  contraction below carries a fixed integer multiple.  The ``_MULT_*``
-  constants divide those multiples out, keeping every residual in the same
-  normalization as the labeled component equations; brute-force expansion
-  tests pin each constant.
+* Every epsilon contraction of a wedge is kept in the single-labeling
+  normalization of the component equations.  The curvature and torsion
+  3-forms and the spin form contract epsilon into one factor and alternate
+  the spacetime slots once, which is that reading directly.  The other
+  routes go through ``internal_wedge``, which alternates over whole index
+  blocks with unit weight and so carries a fixed integer multiple of the
+  labeled product; the ``_MULT_*`` constants divide those multiples out.
+  Brute-force expansion tests pin both.
 * A rank-2 stress tensor and a frame-valued 3-form are two encodings of the
   same source.  ``dual_component_projection`` maps the 3-form encoding back
   to rank-2 components; applied to the matter-free curvature-equation left
@@ -37,6 +39,7 @@ from .exprkit import Chart, JetBatch, eval_jet_grid
 from .forms import (
     EPSILON,
     MixedForm,
+    _alt_blocks,
     covariant_exterior_derivative,
     epsilon_trace,
     eta_lower,
@@ -80,10 +83,8 @@ DEFAULT_KAPPA = EIGHT_PI * CURVATURE_DUAL_FACTOR
 # the labeled-factor expressions they implement, fixed by the shuffle
 # normalization of the wedge.  Verified against literal permutation sums in
 # the tests; do not fold them into other constants.
-_MULT_E_F = 3.0  # eps_abcd wedge(e, F) vs eps_abcd e^b ^ F^cd
 _MULT_E_E_E = -6.0  # eps_abcd wedge(wedge(e, e), e) vs eps_abcd e^b ^ e^c ^ e^d
 _MULT_E_E = -2.0  # wedge(e, e) vs e^c ^ e^d
-_MULT_PAIR_E = -2.0  # eps_abcd wedge(beta, e) vs eps_abcd beta^c ^ e^d
 _MULT_EEF_TRACE = -12.0  # eps contraction of wedge(wedge(e, e), F) vs labeled
 _MULT_E4_TRACE = 24.0  # eps contraction of wedge(wedge(e, e), wedge(e, e))
 
@@ -172,11 +173,7 @@ def spin_tensor_to_form(s_jet: Jet, e_jet: Jet, kappa: float) -> MixedForm:
     holds, matching the spin side of the component equations.
     """
     sig2 = jet_einsum("cs,mns->cmn", e_jet, s_jet)
-    w = internal_wedge(MixedForm(2, 1, sig2), MixedForm(1, 1, e_jet))
-    raw = jet_map(
-        lambda arr: np.einsum("abcd,cdmnr...->abmnr...", EPSILON, arr), w.jet
-    )
-    return MixedForm(3, 2, raw.scaled(-SIXTEEN_PI / (kappa * _MULT_PAIR_E)))
+    return MixedForm(3, 2, _eps_pair_wedge(sig2, e_jet).scaled(-SIXTEEN_PI / kappa))
 
 
 class SpinSourceField(_PairField):
@@ -288,41 +285,35 @@ class MatterModel:
         return spin_tensor_to_form(jets.spin(order), jets.e(order), self.kappa)
 
 
-def _eps_vector(form: MixedForm) -> MixedForm:
-    """Contract three internal slots with the alternating symbol."""
-    jet = jet_map(
-        lambda arr: np.einsum("abcd,bcd...->a...", EPSILON, arr), form.jet
-    )
-    return MixedForm._wrap(form.k, 1, jet)
-
-
-def _eps_pair(form: MixedForm) -> MixedForm:
-    """Contract two internal slots with the alternating symbol."""
-    jet = jet_map(
-        lambda arr: np.einsum("abcd,cd...->ab...", EPSILON, arr), form.jet
-    )
-    return MixedForm._wrap(form.k, 2, jet)
+def _eps_lead(jet: Jet, n: int) -> Jet:
+    """The alternating symbol's last ``n`` indices contracted with the first
+    ``n`` component axes of ``jet``; the symbol's free indices lead."""
+    mat, lead = EPSILON.reshape(DIM ** (4 - n), DIM**n), (DIM,) * (4 - n)
+    data = [(mat @ d.reshape(DIM**n, -1)).reshape(lead + d.shape[n:]) for d in jet.data]
+    return Jet._trusted(jet.order, data)
 
 
 def curvature_three_form(e_jet: Jet, f_jet: Jet) -> MixedForm:
     """Geometric side of the curvature equation: an internal-vector 3-form.
 
-    Epsilon contraction of the coframe wedged with the field strength,
-    normalized so components match the single-labeling reading of the
-    wedge (the block-alternation multiple is divided out).
+    eps_abcd e^b ^ F^cd in the single-labeling reading of the wedge,
+    Alt_{m|nr}(eps_abcd e^b_m F^cd_nr), with eps contracted into F first.
     """
-    w = internal_wedge(MixedForm(1, 1, e_jet), MixedForm(2, 2, f_jet))
-    return _eps_vector(w).scaled(1.0 / _MULT_E_F)
+    y = jet_einsum("abnr,bm->amnr", _eps_lead(f_jet, 2), e_jet)
+    return MixedForm._wrap(3, 1, _alt_blocks(y, 1, 1, 2))
+
+
+def _eps_pair_wedge(beta: Jet, e_jet: Jet) -> Jet:
+    """Alt_{mn|r}(eps_abcd beta^c_mn e^d_r) for an internal-vector 2-form
+    beta[c, mu, nu]: the single-labeling reading of eps_abcd beta^c ^ e^d."""
+    y = jet_einsum("abcr,cmn->abmnr", _eps_lead(e_jet, 1), beta)
+    return _alt_blocks(y, 2, 2, 1)
 
 
 def torsion_three_form(theta_jet: Jet, e_jet: Jet) -> MixedForm:
-    """Geometric side of the torsion equation: an internal-pair 3-form.
-
-    Epsilon contraction of the torsion 2-form wedged with the coframe,
-    normalized the same way as ``curvature_three_form``.
-    """
-    w = internal_wedge(MixedForm(2, 1, theta_jet), MixedForm(1, 1, e_jet))
-    return _eps_pair(w).scaled(1.0 / _MULT_PAIR_E)
+    """Geometric side of the torsion equation: an internal-pair 3-form,
+    eps_abcd theta^c ^ e^d read like ``curvature_three_form``."""
+    return MixedForm._wrap(3, 2, _eps_pair_wedge(theta_jet, e_jet))
 
 
 def derivative_torsion_three_form(e_jet: Jet, omega_jet: Jet) -> MixedForm:
@@ -335,9 +326,8 @@ def derivative_torsion_three_form(e_jet: Jet, omega_jet: Jet) -> MixedForm:
     """
     ef = MixedForm(1, 1, e_jet)
     ee = internal_wedge(ef, ef)
-    return _eps_pair(covariant_exterior_derivative(omega_jet, ee, (1, 1))).scaled(
-        0.5 / _MULT_E_E
-    )
+    ddee = covariant_exterior_derivative(omega_jet, ee, (1, 1))
+    return MixedForm._wrap(3, 2, _eps_lead(ddee.jet, 2).scaled(0.5 / _MULT_E_E))
 
 
 def pc_action_density(jets: PointJets, lam: float) -> float:
@@ -368,8 +358,8 @@ def curvature_equation_residual(jets: PointJets) -> MixedForm:
     if matter.lam != 0.0:
         ef = MixedForm(1, 1, jets.e(0))
         ee = internal_wedge(ef, ef)
-        vol3 = _eps_vector(internal_wedge(ee, ef)).scaled(1.0 / _MULT_E_E_E)
-        resid = resid + vol3.scaled(matter.lam / 6.0)
+        vol3 = _eps_lead(internal_wedge(ee, ef).jet, 3).scaled(matter.lam / (6.0 * _MULT_E_E_E))
+        resid = resid + MixedForm._wrap(3, 1, vol3)
     return resid - jets.stress_form(0).scaled(matter.kappa)
 
 

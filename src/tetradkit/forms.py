@@ -270,6 +270,8 @@ def covariant_D(omega: Jet, alpha: Jet, variances: tuple[int, ...]) -> Jet:
     upper slots add +omega^a_c alpha^{..c..}, lower ones -omega^c_a alpha_{..c..}.
     The new slot is not antisymmetrized against anything, so this is not a
     form operation; it is the raw derivative the form operators build on.
+    The connection terms are built only to the order of the partial
+    derivative term, ``alpha.order - 1``.
     """
     ni = len(variances)
     nc = len(alpha.comp_shape)
@@ -279,6 +281,7 @@ def covariant_D(omega: Jet, alpha: Jet, variances: tuple[int, ...]) -> Jet:
     out = jet_transpose(shifted, list(range(ni)) + [nc] + list(range(ni, nc)))
     if ni == 0:
         return out
+    alpha = alpha.truncated(out.order)
     wmat = eta_lower(omega, 1)  # omega^a_c
     xi, xs = _LABELS[:ni], _LABELS[ni:nc]
     for slot, variance in enumerate(variances):

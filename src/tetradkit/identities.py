@@ -137,14 +137,14 @@ def _three_form_laws(
     interior-product couplings of torsion to it and of the field strength
     to the internal-pair 3-form.  Second: the twisted derivative of the
     internal-pair 3-form minus half the antisymmetrized wedge of the
-    internal-vector 3-form with the lowered coframe.  Both are 4-forms.
+    internal-vector 3-form with the lowered coframe.  Both are 4-forms one
+    order below the 3-forms; the other jets come at that order, so the
+    algebraic terms are built to it and no deeper.
     """
     dv = covariant_exterior_derivative(wj, vec3, (-1,))
-    pair = _interior_pairings(einv, theta, f, vec3, pair3)
-    first = dv - MixedForm._wrap(4, 1, pair.truncated(dv.order))
+    first = dv - MixedForm._wrap(4, 1, _interior_pairings(einv, theta, f, vec3, pair3))
     dp = covariant_exterior_derivative(wj, pair3, (-1, -1))
-    half = _stress_coframe_wedge(vec3, ej).scaled(0.5)
-    second = dp - MixedForm._wrap(4, 2, half.truncated(dp.order))
+    second = dp - MixedForm._wrap(4, 2, _stress_coframe_wedge(vec3, ej).scaled(0.5))
     return first, second
 
 
@@ -157,11 +157,11 @@ def rewritten_lhs_check(jets: PointJets) -> tuple[MixedForm, MixedForm]:
     pinned by a test).  Both residuals vanish for every frame and
     connection with coherent jets.
     """
-    ej = jets.e(2)
-    wj = jets.omega(2)
-    einv = jets.inverse_tetrad(2)
-    f = jets.field_strength(1)
-    theta = jets.torsion(1)
+    ej = jets.e(0)
+    wj = jets.omega(0)
+    einv = jets.inverse_tetrad(0)
+    f = jets.field_strength(0)
+    theta = jets.torsion(0)
     p3 = jets.curvature_three_form(1)
     s3 = jets.torsion_three_form(1)
     return _three_form_laws(ej, wj, einv, theta, f, p3, s3)
@@ -182,13 +182,13 @@ def conservation_form_residuals(jets: PointJets) -> ConservationFormResiduals:
     defects vanish on solutions of the field equations; for vacuum matter
     they are identically zero.
     """
-    ej = jets.e(2)
-    wj = jets.omega(2)
+    ej = jets.e(0)
+    wj = jets.omega(0)
     tf = jets.stress_form(1)
     sf = jets.spin_form(1)
-    einv = jets.inverse_tetrad(2)
-    theta = jets.torsion(1)
-    f = jets.field_strength(1)
+    einv = jets.inverse_tetrad(0)
+    theta = jets.torsion(0)
+    f = jets.field_strength(0)
     stress, spin = _three_form_laws(ej, wj, einv, theta, f, tf, sf)
     return ConservationFormResiduals(stress=stress, spin=spin)
 
@@ -232,9 +232,9 @@ def conservation_component_residuals(
     """
     jets.e(2)
     jets.omega(2)
-    gin = jets.inverse_metric(2)
-    gamma = jets.christoffel(1).value
-    q = jets.torsion_tensor(1).value
+    gin = jets.inverse_metric(1)
+    gamma = jets.christoffel(0).value
+    q = jets.torsion_tensor(0).value
     trg = np.einsum("ssl->l", gamma)
     qtr = np.einsum("sll->s", q)
 
@@ -246,7 +246,7 @@ def conservation_component_residuals(
         - np.einsum("lsm,ls->m", gamma, tmix.value)
     )
     yj = spin_potential_tensor(jets.spin(1))
-    riem = jets.riemann(1).value
+    riem = jets.riemann(0).value
     curv = np.einsum("msxa,xb,abs->m", riem, gin.value, yj.value)
     stress_low = (
         div_t
@@ -298,8 +298,8 @@ def commutator_residual(jets: PointJets, vector_jet: Jet) -> Jet:
     once = covariant_D(wj, vector_jet, (+1,))
     twice = covariant_D(wj, once, (+1,))
     anti = twice - jet_map(lambda arr: np.swapaxes(arr, 1, 2), twice)
-    action = jet_einsum("acmn,c->amn", eta_lower(jets.field_strength(1), 1), vector_jet)
-    return anti - action.truncated(anti.order)
+    fmat = eta_lower(jets.field_strength(anti.order), 1)
+    return anti - jet_einsum("acmn,c->amn", fmat, vector_jet)
 
 
 def curvature_wedge_action(
@@ -346,5 +346,4 @@ def d_squared_residual(
     wj = jets.omega(2)
     once = covariant_exterior_derivative(wj, alpha, variances)
     twice = covariant_exterior_derivative(wj, once, variances)
-    action = curvature_wedge_action(jets.field_strength(1), alpha, variances)
-    return twice - action.truncated(twice.order)
+    return twice - curvature_wedge_action(jets.field_strength(twice.order), alpha, variances)

@@ -143,11 +143,13 @@ class PointJets:
         )
 
     def metric(self, order: int) -> Jet:
-        return self._serve("g", order, DEPTH, lambda k: metric_jet(self.e(k)))
+        return self._serve("g", order, DEPTH - 1, lambda k: metric_jet(self.e(k)))
 
     def inverse_metric(self, order: int) -> Jet:
+        """g^-1, served through order ``DEPTH - 1`` like g: the stress form
+        and the component conservation law read it at orders 0 and 1 only."""
         return self._serve(
-            "ginv", order, DEPTH, lambda k: jet_matrix_inverse(self.metric(k))
+            "ginv", order, DEPTH - 1, lambda k: jet_matrix_inverse(self.metric(k))
         )
 
     def determinant(self, order: int) -> Jet:
@@ -173,10 +175,11 @@ class PointJets:
         )
 
     def christoffel(self, order: int) -> Jet:
+        """Gamma, served at order 0 only: every reader takes its value."""
         return self._serve(
             "gamma",
             order,
-            DEPTH - 1,
+            0,
             lambda k: christoffel_jet(
                 self.e(k + 1), self.omega(k), self.inverse_tetrad(k + 1)
             ),

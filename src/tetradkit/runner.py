@@ -62,8 +62,9 @@ CHUNK = 32
 
 
 class RunnerError(ValueError):
-    """Bad run options (unknown check names or tolerance keys), or a point
-    the run cannot score: a mirrored tetrad or a non-finite residual."""
+    """Bad run options (unknown check names, tolerance keys, or tolerances
+    that are not positive finite numbers), or a point the run cannot
+    score: a mirrored tetrad or a non-finite residual."""
 
 
 # What a point may raise and still leave the run going: domain faults of
@@ -341,6 +342,11 @@ def run_checks(
     tol_map.update(scenario.tolerances)
     if tolerances:
         _validate_names(tolerances, "tolerance override")
+        for name, tol in tolerances.items():
+            if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+                raise RunnerError(
+                    f"tolerance override for {name} must be a positive finite number, got {tol!r}"
+                )
         tol_map.update(tolerances)
 
     if checks is not None:

@@ -196,6 +196,16 @@ class TestUsageErrors:
         assert code == 2
         assert "NAME=VALUE" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_tol_value(self, capsys, value):
+        code, out, err = run_main(
+            ["check", "--builtin", "minkowski", "--points", "2", "--tol", f"commutator={value}", "--json", "-"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "positive finite number" in err
+
     def test_unknown_check_name(self, capsys):
         code, _, err = run_main(
             ["check", "--builtin", "minkowski", "--checks", "third-bianchi"], capsys

@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from tetradkit.fieldeqs import (
@@ -14,20 +15,21 @@ from tetradkit.fieldeqs import (
     SpinSourceField,
     _MULT_E_E,
     _MULT_E_E_E,
-    _MULT_E_F,
     _MULT_E4_TRACE,
     _MULT_EEF_TRACE,
-    _MULT_PAIR_E,
     component_field_equation_residuals,
     curvature_equation_residual,
+    curvature_three_form,
     determinant_jet,
     dual_component_projection,
     einstein_jet,
     pc_action_density,
     riemann_jet,
+    spin_tensor_to_form,
     stress_tensor_to_form,
     torsion_equation_residual,
     torsion_equation_sides,
+    torsion_three_form,
 )
 from tetradkit.forms import EPSILON, MixedForm, epsilon_trace, internal_wedge
 from tetradkit.geometry import (
@@ -40,7 +42,7 @@ from tetradkit.geometry import (
     inverse_tetrad_jet,
     metric_jet,
 )
-from tetradkit.jets import Jet, jet_map
+from tetradkit.jets import Jet, jet_einsum, jet_map, jet_matrix_inverse
 from tetradkit.pointjets import PointJets
 from tetradkit.runner import sample_points
 from tetradkit.scenarios import builtin_scenario
@@ -106,8 +108,39 @@ def random_frame_values(rng):
     return emat, f
 
 
+def _labeled_wedge_jet(x: Jet, kx: int, y: Jet, ky: int) -> Jet:
+    """``labeled_wedge`` of two order-1 jets, the first derivatives by the
+    Leibniz rule, with the derivative axis last."""
+    ix = x.value.ndim - kx
+    dx = labeled_wedge([(np.moveaxis(x.data[1], -1, 0), kx), (y.value, ky)])
+    dy = labeled_wedge([(x.value, kx), (np.moveaxis(y.data[1], -1, 0), ky)])
+    value = labeled_wedge([(x.value, kx), (y.value, ky)])
+    return Jet(1, [value, np.moveaxis(dx, 0, -1) + np.moveaxis(dy, ix, -1)])
+
+
+def _random_jet(rng, shape, *antisymmetric_pairs):
+    data = [rng.uniform(-1, 1, shape + (4,) * k) for k in range(2)]
+    for i, j in antisymmetric_pairs:
+        data = [d - np.swapaxes(d, i, j) for d in data]
+    return Jet(1, data)
+
+
+def _assert_epsilon_first(got, labeled, wedged, spec, multiple, scale=1.0):
+    """``got`` equals ``scale`` times the epsilon contraction ``spec`` of the
+    labeled wedge, and of the block-alternating wedge over its multiple, at
+    every order."""
+    assert got.order == labeled.order == wedged.order == 1
+    for k in range(2):
+        single = scale * np.einsum(spec, EPSILON, labeled.data[k])
+        old = scale / multiple * np.einsum(spec, EPSILON, wedged.data[k])
+        npt.assert_allclose(got.data[k], single, rtol=0, atol=1e-13)
+        npt.assert_allclose(got.data[k], old, rtol=0, atol=1e-13)
+
+
 class TestWedgeMultiplicities:
-    """Pin the block-alternation constants against literal permutation sums."""
+    """Pin the block-alternation constants against literal permutation sums,
+    and the epsilon-first 3-forms against both the single-labeling reading
+    and the block-alternating wedge they replace."""
 
     def test_pair_wedge(self):
         emat, _ = random_frame_values(np.random.default_rng(0))
@@ -122,7 +155,7 @@ class TestWedgeMultiplicities:
             internal_wedge(MixedForm(1, 1, Jet(0, [emat])), MixedForm(2, 2, Jet(0, [f]))).values,
         )
         ref = np.einsum("abcd,bcdmnr->amnr", EPSILON, labeled_wedge([(emat, 1), (f, 2)]))
-        assert np.allclose(mine, _MULT_E_F * ref, atol=1e-12)
+        assert np.allclose(mine, 3.0 * ref, atol=1e-12)
 
     def test_volume_3form_term(self):
         emat, _ = random_frame_values(np.random.default_rng(2))
@@ -144,7 +177,49 @@ class TestWedgeMultiplicities:
             internal_wedge(MixedForm(2, 1, Jet(0, [beta])), MixedForm(1, 1, Jet(0, [emat]))).values,
         )
         ref = np.einsum("abcd,cdmnr->abmnr", EPSILON, labeled_wedge([(beta, 2), (emat, 1)]))
-        assert np.allclose(mine, _MULT_PAIR_E * ref, atol=1e-12)
+        assert np.allclose(mine, -2.0 * ref, atol=1e-12)
+
+    def test_curvature_three_form_is_epsilon_first(self):
+        rng = np.random.default_rng(11)
+        e = _random_jet(rng, (4, 4))
+        f = _random_jet(rng, (4, 4, 4, 4), (0, 1), (2, 3))
+        wedged = internal_wedge(MixedForm(1, 1, e), MixedForm(2, 2, f)).jet
+        _assert_epsilon_first(
+            curvature_three_form(e, f).jet,
+            _labeled_wedge_jet(e, 1, f, 2),
+            wedged,
+            "abcd,bcd...->a...",
+            3.0,
+        )
+
+    def test_torsion_three_form_is_epsilon_first(self):
+        rng = np.random.default_rng(12)
+        e = _random_jet(rng, (4, 4))
+        theta = _random_jet(rng, (4, 4, 4), (1, 2))
+        wedged = internal_wedge(MixedForm(2, 1, theta), MixedForm(1, 1, e)).jet
+        _assert_epsilon_first(
+            torsion_three_form(theta, e).jet,
+            _labeled_wedge_jet(theta, 2, e, 1),
+            wedged,
+            "abcd,cd...->ab...",
+            -2.0,
+        )
+
+    def test_spin_form_is_epsilon_first(self):
+        # sigma^c_mn = e^c_s s_mn^s, scaled by -16 pi / kappa
+        rng = np.random.default_rng(13)
+        e = _random_jet(rng, (4, 4))
+        spin = _random_jet(rng, (4, 4, 4), (0, 1))
+        sigma = jet_einsum("cs,mns->cmn", e, spin)
+        wedged = internal_wedge(MixedForm(2, 1, sigma), MixedForm(1, 1, e)).jet
+        _assert_epsilon_first(
+            spin_tensor_to_form(spin, e, DEFAULT_KAPPA).jet,
+            _labeled_wedge_jet(sigma, 2, e, 1),
+            wedged,
+            "abcd,cd...->ab...",
+            -2.0,
+            scale=-SIXTEEN_PI / DEFAULT_KAPPA,
+        )
 
     def test_action_traces(self):
         emat, f = random_frame_values(np.random.default_rng(4))
@@ -424,10 +499,12 @@ class TestDualProjection:
                 arr = 0.5 * (arr + np.transpose(arr, (0, 1, 3, 2)))
             data.append(arr)
         t_jet = Jet(2, data)
-        # a point serves det e through order 1 only, so order 2 is derived here
+        # a point serves det e and g^-1 through order 1 only, so order 2 is
+        # derived here
         jets = PointJets(e, ZeroConnection(), point)
+        ginv = jet_matrix_inverse(metric_jet(ej))
         form = stress_tensor_to_form(
-            t_jet, jets.inverse_tetrad(2), jets.inverse_metric(2), determinant_jet(ej), DEFAULT_KAPPA
+            t_jet, jets.inverse_tetrad(2), ginv, determinant_jet(ej), DEFAULT_KAPPA
         )
         back = dual_component_projection(form, ej)
         # kappa * form projects to FACTOR * 8 pi * t; undo that scale

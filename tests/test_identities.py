@@ -4,7 +4,8 @@ import pytest
 
 from tetradkit.exprkit import eval_jet_grid, parse_expression
 from tetradkit.fieldeqs import MatterModel, determinant_jet
-from tetradkit.forms import DegreeError, MixedForm, covariant_exterior_derivative
+from tetradkit import jets as jets_module
+from tetradkit.forms import DegreeError, MixedForm, covariant_D, covariant_exterior_derivative
 from tetradkit.geometry import (
     LeviCivitaConnection,
     SingularTetradError,
@@ -29,6 +30,7 @@ from tetradkit.identities import (
 )
 from tetradkit.jets import Jet, jet_map
 from tetradkit.pointjets import PointJets
+from tetradkit.scenarios import builtin_scenario
 
 from helpers import (
     PAIR_KEYS,
@@ -448,3 +450,60 @@ class TestMetricCompatibility:
             PointJets(e, LeviCivitaConnection(e), np.array([5.2, 1.1, 0.7, 0.0])),
         )
         assert np.abs(res).max() < 1e-12
+
+
+def _product_orders(monkeypatch, call) -> list[int]:
+    """The derivative order K of every ``jet_einsum`` product that ``call``
+    builds: its Leibniz terms run through orders 0..K."""
+    orders = []
+    plan = jets_module._einsum_plan
+
+    def counting(spec, K, shape_a, shape_b):
+        orders.append(K)
+        return plan(spec, K, shape_a, shape_b)
+
+    monkeypatch.setattr(jets_module, "_einsum_plan", counting)
+    call()
+    return orders
+
+
+class TestNoDiscardedOrder:
+    """Every product is built to the order its result keeps, and no deeper.
+    A covariant derivative keeps one order less than its argument, so its
+    connection terms stop there; everything else here is compared at the
+    order of the residual.  The point's own derivations are made first, so
+    only the function under test is counted."""
+
+    def test_covariant_derivative(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        omega = random_connection(rng).jet(POINTS[0], 2)
+        alpha = random_form_jet(rng, 2, POINTS[0])
+        assert covariant_D(omega, alpha, (1, -1)).order == 1
+        assert _product_orders(monkeypatch, lambda: covariant_D(omega, alpha, (1, -1))) == [1, 1]
+
+    @pytest.mark.parametrize("law", [rewritten_lhs_check, conservation_form_residuals])
+    def test_three_form_laws(self, monkeypatch, law):
+        sc = builtin_scenario("random-fields")
+        jets = PointJets(sc.tetrad, sc.connection, POINTS[0], sc.matter)
+        law(jets)
+        orders = _product_orders(monkeypatch, lambda: law(jets))
+        assert orders and set(orders) == {0}
+
+    def test_commutator(self, monkeypatch):
+        # the first derivative keeps order 1 for the second; the second and
+        # the field-strength action are compared at order 0
+        rng = np.random.default_rng(1)
+        jets = PointJets(identity_tetrad(), random_connection(rng), POINTS[0])
+        vj = random_form_jet(rng, 1, POINTS[0])
+        commutator_residual(jets, vj)
+        assert _product_orders(monkeypatch, lambda: commutator_residual(jets, vj)) == [1, 0, 0]
+
+    def test_d_squared(self, monkeypatch):
+        # one product per internal slot in each of the two derivatives and
+        # in the field-strength action
+        rng = np.random.default_rng(2)
+        jets = PointJets(identity_tetrad(), random_connection(rng), POINTS[0])
+        alpha = MixedForm._wrap(0, 2, random_form_jet(rng, 2, POINTS[0]))
+        d_squared_residual(jets, alpha, (1, -1))
+        orders = _product_orders(monkeypatch, lambda: d_squared_residual(jets, alpha, (1, -1)))
+        assert orders == [1, 1, 0, 0, 0, 0]

@@ -33,7 +33,7 @@ from tetradkit.geometry import (
 from tetradkit.jets import JetError, jet_matrix_inverse
 from tetradkit.pointjets import PointJets
 from tetradkit.runner import CHECKS, run_checks, sample_points
-from tetradkit.scenarios import builtin_document, builtin_scenario, scenario_from_dict
+from tetradkit.scenarios import BUILTIN_NAMES, builtin_document, builtin_scenario, scenario_from_dict
 
 
 def _riemann(e, w, x, k):
@@ -59,13 +59,13 @@ DIRECT = {
     "e": (2, lambda e, w, m, x, k: e.jet(x, k)),
     "omega": (2, lambda e, w, m, x, k: w.jet(x, k)),
     "inverse_tetrad": (2, lambda e, w, m, x, k: inverse_tetrad_jet(e.jet(x, k))),
-    "metric": (2, lambda e, w, m, x, k: metric_jet(e.jet(x, k))),
-    "inverse_metric": (2, lambda e, w, m, x, k: jet_matrix_inverse(metric_jet(e.jet(x, k)))),
+    "metric": (1, lambda e, w, m, x, k: metric_jet(e.jet(x, k))),
+    "inverse_metric": (1, lambda e, w, m, x, k: jet_matrix_inverse(metric_jet(e.jet(x, k)))),
     "determinant": (1, lambda e, w, m, x, k: determinant_jet(e.jet(x, k))),
     "field_strength": (1, lambda e, w, m, x, k: field_strength_jet(w.jet(x, k + 1))),
     "torsion": (1, lambda e, w, m, x, k: torsion_jet(e.jet(x, k + 1), w.jet(x, k))),
     "christoffel": (
-        1,
+        0,
         lambda e, w, m, x, k: christoffel_jet(
             e.jet(x, k + 1), w.jet(x, k), inverse_tetrad_jet(e.jet(x, k + 1))
         ),
@@ -128,6 +128,37 @@ def test_a_request_deeper_than_served_raises():
         jets.omega(3)
     with pytest.raises(JetError):
         jets.derivative_torsion_three_form(1)
+
+
+def _record_serves(monkeypatch):
+    """Record, per memo key, the top order it is built at and the deepest
+    order any reader, derivations included, asks of it."""
+    built, asked = {}, {}
+    original = PointJets._serve
+
+    def serve(self, key, order, top, build):
+        if key not in self._memo:
+            built[key] = max(built.get(key, top), top)
+        asked[key] = max(asked.get(key, order), order)
+        return original(self, key, order, top, build)
+
+    monkeypatch.setattr(PointJets, "_serve", serve)
+    return built, asked
+
+
+def test_christoffel_and_inverse_metric_are_built_to_what_is_read(monkeypatch):
+    # every reader of Gamma takes its value, and g^-1 is read at order 1 at most
+    built, _ = _record_serves(monkeypatch)
+    run_checks(builtin_scenario("random-fields"), points=2, seed=0)
+    assert (built["gamma"], built["ginv"]) == (0, 1)
+
+
+def test_no_memo_key_is_built_deeper_than_it_is_read(monkeypatch):
+    built, asked = _record_serves(monkeypatch)
+    for name in BUILTIN_NAMES:
+        run_checks(builtin_scenario(name), points=2, seed=0)
+    deeper = {key: (top, asked[key]) for key, top in built.items() if top > asked[key]}
+    assert not deeper
 
 
 def test_each_source_is_evaluated_once():

@@ -137,6 +137,13 @@ class TestRunChecks:
         with pytest.raises(RunnerError, match="unknown tolerance override"):
             run_checks(sc, points=2, tolerances={"third-bianchi": 1e-9})
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9, True, "1e-9"])
+    def test_bad_tolerance_override_rejected(self, tol):
+        # a scenario file rejects the same values; NaN would pass or fail
+        # nothing, inf would pass any finite residual
+        with pytest.raises(RunnerError, match="positive finite number"):
+            run_checks(builtin_scenario("minkowski"), points=1, tolerances={"commutator": tol})
+
     def test_order_cap_excludes_deep_checks(self):
         report = run_checks(builtin_scenario("minkowski"), points=2, max_order=1)
         names = {r.name for r in report.results}
