@@ -2,9 +2,10 @@
 
 Everything here is a pure function of jets produced by the frame fields in
 ``geometry``.  The field-level functions read those jets from a
-``PointJets``, which derives each one once per point; each reads the tetrad
-before the connection, the order that decides which fault a point reports
-when both fail.  Two normalization facts thread through the module:
+``PointJets``, which derives each one once per point or chunk; each reads
+the tetrad before the connection, the order that decides which fault a
+point reports when both fail.  Two normalization facts thread through the
+module:
 
 * Every epsilon contraction of a wedge is kept in the single-labeling
   normalization of the component equations.  The curvature and torsion
@@ -253,7 +254,7 @@ class MatterModel:
     def stress_jet(self, jets: PointJets, order: int) -> Jet:
         """Stress components t[mu, nu] at the point, with derivatives."""
         if self.mode == "vacuum":
-            return Jet.zeros((DIM, DIM), order)
+            return Jet.zeros(jets.shape + (DIM, DIM), order, jets.lead)
         if self.mode == "explicit":
             return jets.read(self._stress, order)
         return jets.einstein(order).scaled(1.0 / EIGHT_PI)
@@ -261,7 +262,7 @@ class MatterModel:
     def spin_jet(self, jets: PointJets, order: int) -> Jet:
         """Spin components s[mu, nu, sigma] at the point, with derivatives."""
         if self.mode == "vacuum":
-            return Jet.zeros((DIM, DIM, DIM), order)
+            return Jet.zeros(jets.shape + (DIM, DIM, DIM), order, jets.lead)
         if self.mode == "explicit":
             return jets.read(self._spin, order)
         return jets.torsion_tensor(order).scaled(-1.0 / SIXTEEN_PI)
@@ -269,7 +270,7 @@ class MatterModel:
     def stress_form(self, jets: PointJets, order: int) -> MixedForm:
         """``stress_tensor_to_form`` of the point's stress jet."""
         if self.mode == "vacuum":
-            return MixedForm.zero(3, 1, order)
+            return MixedForm.zero(3, 1, order, jets.shape)
         return stress_tensor_to_form(
             jets.stress(order),
             jets.inverse_tetrad(order),
@@ -281,16 +282,20 @@ class MatterModel:
     def spin_form(self, jets: PointJets, order: int) -> MixedForm:
         """``spin_tensor_to_form`` of the point's spin jet."""
         if self.mode == "vacuum":
-            return MixedForm.zero(3, 2, order)
+            return MixedForm.zero(3, 2, order, jets.shape)
         return spin_tensor_to_form(jets.spin(order), jets.e(order), self.kappa)
 
 
 def _eps_lead(jet: Jet, n: int) -> Jet:
     """The alternating symbol's last ``n`` indices contracted with the first
-    ``n`` component axes of ``jet``; the symbol's free indices lead."""
-    mat, lead = EPSILON.reshape(DIM ** (4 - n), DIM**n), (DIM,) * (4 - n)
-    data = [(mat @ d.reshape(DIM**n, -1)).reshape(lead + d.shape[n:]) for d in jet.data]
-    return Jet._trusted(jet.order, data)
+    ``n`` component axes of ``jet``; the symbol's free indices lead, behind
+    the point axis if there is one."""
+    mat, free, p = EPSILON.reshape(DIM ** (4 - n), DIM**n), (DIM,) * (4 - n), jet.lead
+    data = [
+        (mat @ d.reshape(d.shape[:p] + (DIM**n, -1))).reshape(d.shape[:p] + free + d.shape[p + n :])
+        for d in jet.data
+    ]
+    return Jet._trusted(jet.order, data, p)
 
 
 def curvature_three_form(e_jet: Jet, f_jet: Jet) -> MixedForm:

@@ -65,31 +65,44 @@ def _block_shuffle_axes(start: int, n1: int, n2: int, nax: int) -> tuple:
 
 
 def _alt_blocks(jet: Jet, start: int, n1: int, n2: int) -> Jet:
-    """Signed shuffle sum merging two adjacent antisymmetric axis blocks."""
+    """Signed shuffle sum merging two adjacent antisymmetric axis blocks;
+    ``start`` counts component axes."""
     if n1 == 0 or n2 == 0:
         return jet
     data = []
     for arr in jet.data:
         acc = None
-        for sign, axes in _block_shuffle_axes(start, n1, n2, arr.ndim):
+        for sign, axes in _block_shuffle_axes(jet.lead + start, n1, n2, arr.ndim):
             piece = arr if axes is None else arr.transpose(axes)
-            # adding or subtracting gives the bits of adding sign * piece
+            # adding or subtracting gives the bits of adding sign * piece;
+            # after the first sum the accumulator is the sum's own array
             if acc is None:
                 acc = piece if sign > 0 else -piece
-            else:
+                fresh = sign < 0
+            elif not fresh:
                 acc = acc + piece if sign > 0 else acc - piece
+                fresh = True
+            elif sign > 0:
+                acc += piece
+            else:
+                acc -= piece
         data.append(acc)
-    return Jet._trusted(jet.order, data)
+    return Jet._trusted(jet.order, data, jet.lead)
 
 
-def _check_antisym(arr: np.ndarray, start: int, n: int, what: str):
+def _check_antisym(arr: np.ndarray, lead: int, start: int, n: int, what: str):
+    """Raise unless ``arr`` is antisymmetric in the ``n`` axes from
+    ``start``, relative to each point's largest entry (floored at one)."""
     if n < 2:
         return
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
+    points = arr.shape[:lead] + (-1,)
+    scale = np.fmax(1.0, np.abs(arr).reshape(points).max(axis=-1))
     for i in range(n - 1):
         axes = list(range(arr.ndim))
-        axes[start + i], axes[start + i + 1] = axes[start + i + 1], axes[start + i]
-        if np.max(np.abs(arr + np.transpose(arr, axes))) > 1e-12 * scale:
+        a, b = lead + start + i, lead + start + i + 1
+        axes[a], axes[b] = axes[b], axes[a]
+        defect = np.abs(arr + arr.transpose(axes)).reshape(points).max(axis=-1)
+        if np.any(defect > 1e-12 * scale):
             raise AntisymmetryError(f"components not antisymmetric in {what} indices")
 
 
@@ -111,8 +124,8 @@ class MixedForm:
             )
         if not _checked:
             for d in jet.data:
-                _check_antisym(d, 0, p, "internal")
-                _check_antisym(d, p, k, "spacetime")
+                _check_antisym(d, jet.lead, 0, p, "internal")
+                _check_antisym(d, jet.lead, p, k, "spacetime")
         self.k = k
         self.p = p
         self.jet = jet
@@ -122,8 +135,9 @@ class MixedForm:
         return cls(k, p, jet, _checked=True)
 
     @classmethod
-    def zero(cls, k: int, p: int, order: int = 0) -> "MixedForm":
-        return cls._wrap(k, p, Jet.zeros((DIM,) * (p + k), order))
+    def zero(cls, k: int, p: int, order: int = 0, points: tuple[int, ...] = ()) -> "MixedForm":
+        """The zero form, at each of ``points`` (a point-axis shape) if given."""
+        return cls._wrap(k, p, Jet.zeros(points + (DIM,) * (p + k), order, len(points)))
 
     @property
     def order(self) -> int:
@@ -224,7 +238,7 @@ def eta_lower(x, axis: int):
     except for the sign of zeros.
     """
     if isinstance(x, Jet):
-        return Jet._trusted(x.order, [eta_lower(d, axis) for d in x.data])
+        return Jet._trusted(x.order, [eta_lower(d, x.lead + axis) for d in x.data], x.lead)
     return x * _eta_signs(x.ndim - axis - 1)
 
 

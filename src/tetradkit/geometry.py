@@ -9,7 +9,8 @@ rotation, explicit stress) and ``_PairField`` a pair-keyed entry mapping
 that names the offending entry.  Everything downstream (metric, the
 Levi-Civita connection in closed form, Christoffel symbols, field
 strength, torsion) is a ``*_jet`` function of those jets, which
-``pointjets.PointJets`` applies once per point for every consumer.
+``pointjets.PointJets`` applies once per point or chunk for every
+consumer.
 Index conventions, fixed here once:
 
 * tetrad components e[a, mu] with the internal (frame) index first;
@@ -39,7 +40,6 @@ from .jets import (
     DIM,
     MAX_ORDER,
     Jet,
-    JetDomainError,
     jet_einsum,
     jet_matrix_inverse,
     jet_partial,
@@ -201,14 +201,33 @@ def metric_jet(e: Jet) -> Jet:
     return jet_einsum("am,an->mn", eta_lower(e, 0), e)
 
 
-def inverse_tetrad_jet(e: Jet) -> Jet:
+def inverse_tetrad_jet(e: Jet, faults: list | None = None) -> Jet:
+    """The inverse tetrad einv[mu, a]; a tetrad with |det e| below
+    ``DET_THRESHOLD``, or with no inverse, raises ``SingularTetradError``.
+
+    With ``faults``, one slot per point of a chunk's tetrad, such a point
+    instead stores the error in its slot, unless the slot holds an earlier
+    fault, and is inverted as the identity frame.
+    """
     det = np.linalg.det(e.value)
-    if abs(det) < DET_THRESHOLD:
-        raise SingularTetradError(f"tetrad determinant {det:.3e} below threshold {DET_THRESHOLD:.1e}")
-    try:
-        return jet_matrix_inverse(e)
-    except JetDomainError as exc:
-        raise SingularTetradError(str(exc)) from exc
+    bad = np.abs(det) < DET_THRESHOLD
+    if faults is None and bad:
+        raise SingularTetradError(_below_threshold(det))
+    if faults is not None and bad.any():
+        for i in np.flatnonzero(bad):
+            if faults[i] is None:
+                faults[i] = SingularTetradError(_below_threshold(det[i]))
+        value = np.where(bad[:, None, None], np.eye(DIM), e.value)
+        e = Jet._trusted(e.order, [value] + e.data[1:], e.lead)
+    return jet_matrix_inverse(e, faults, _singular_tetrad)
+
+
+def _below_threshold(det: float) -> str:
+    return f"tetrad determinant {det:.3e} below threshold {DET_THRESHOLD:.1e}"
+
+
+def _singular_tetrad(exc: Exception) -> SingularTetradError:
+    return SingularTetradError(f"singular matrix in jet inverse: {exc}")
 
 
 def tetrad_covariant_jet(e: Jet, omega: Jet) -> Jet:

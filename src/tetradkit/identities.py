@@ -121,11 +121,11 @@ def _interior_pairings(
 
 def _stress_coframe_wedge(t3: MixedForm, e_jet: Jet) -> Jet:
     """Antisymmetrized wedge of an internal-vector 3-form with the lowered
-    coframe, raw [a, b, mu, nu, rho, sigma] jet."""
-    raw = jet_einsum("amnr,bs->abmnrs", t3.jet, eta_lower(e_jet, 0))
-    wedged = _alt_blocks(raw, 2, 3, 1)
-    swapped = jet_map(lambda arr: np.swapaxes(arr, 0, 1), wedged)
-    return wedged - swapped
+    coframe, raw [a, b, mu, nu, rho, sigma] jet in arrays of its own.  Over
+    a chunk of points these are the largest arrays, so the product is
+    released as soon as it is alternated."""
+    wedged = _alt_blocks(jet_einsum("amnr,bs->abmnrs", t3.jet, eta_lower(e_jet, 0)), 2, 3, 1)
+    return wedged - jet_map(lambda arr: np.swapaxes(arr, 0, 1), wedged)
 
 
 def _three_form_laws(
@@ -143,8 +143,11 @@ def _three_form_laws(
     """
     dv = covariant_exterior_derivative(wj, vec3, (-1,))
     first = dv - MixedForm._wrap(4, 1, _interior_pairings(einv, theta, f, vec3, pair3))
-    dp = covariant_exterior_derivative(wj, pair3, (-1, -1))
-    second = dp - MixedForm._wrap(4, 2, _stress_coframe_wedge(vec3, ej).scaled(0.5))
+    second = covariant_exterior_derivative(wj, pair3, (-1, -1))
+    # both sides are arrays of their own: halve and subtract in place
+    for d, w in zip(second.jet.data, _stress_coframe_wedge(vec3, ej).data):
+        w *= 0.5
+        d -= w
     return first, second
 
 
@@ -235,38 +238,38 @@ def conservation_component_residuals(
     gin = jets.inverse_metric(1)
     gamma = jets.christoffel(0).value
     q = jets.torsion_tensor(0).value
-    trg = np.einsum("ssl->l", gamma)
-    qtr = np.einsum("sll->s", q)
+    trg = np.einsum("...ssl->...l", gamma)
+    qtr = np.einsum("...sll->...s", q)
 
     tj = jets.stress(1)
     tmix = jet_einsum("mr,rs->ms", tj, gin)
     div_t = (
-        np.einsum("mss->m", tmix.data[1])
-        + np.einsum("l,ml->m", trg, tmix.value)
-        - np.einsum("lsm,ls->m", gamma, tmix.value)
+        np.einsum("...mss->...m", tmix.data[1])
+        + np.einsum("...l,...ml->...m", trg, tmix.value)
+        - np.einsum("...lsm,...ls->...m", gamma, tmix.value)
     )
     yj = spin_potential_tensor(jets.spin(1))
     riem = jets.riemann(0).value
-    curv = np.einsum("msxa,xb,abs->m", riem, gin.value, yj.value)
+    curv = np.einsum("...msxa,...xb,...abs->...m", riem, gin.value, yj.value)
     stress_low = (
         div_t
-        + np.einsum("s,ms->m", qtr, tmix.value)
-        - np.einsum("msr,rs->m", q, tmix.value)
+        + np.einsum("...s,...ms->...m", qtr, tmix.value)
+        - np.einsum("...msr,...rs->...m", q, tmix.value)
         - curv
     )
     div_y = (
-        np.einsum("mnss->mn", yj.data[1])
-        + np.einsum("l,mnl->mn", trg, yj.value)
-        - np.einsum("lsm,lns->mn", gamma, yj.value)
-        - np.einsum("lsn,mls->mn", gamma, yj.value)
+        np.einsum("...mnss->...mn", yj.data[1])
+        + np.einsum("...l,...mnl->...mn", trg, yj.value)
+        - np.einsum("...lsm,...lns->...mn", gamma, yj.value)
+        - np.einsum("...lsn,...mls->...mn", gamma, yj.value)
     )
     spin_law = (
         div_y
-        + np.einsum("s,mns->mn", qtr, yj.value)
-        + 0.5 * (tj.value - tj.value.T)
+        + np.einsum("...s,...mns->...mn", qtr, yj.value)
+        + 0.5 * (tj.value - np.swapaxes(tj.value, -1, -2))
     )
     return ConservationComponentResiduals(
-        stress=gin.value @ stress_low, spin=spin_law
+        stress=(gin.value @ stress_low[..., None])[..., 0], spin=spin_law
     )
 
 
@@ -279,9 +282,9 @@ def metric_compatibility_residual(jets: PointJets) -> np.ndarray:
     """
     g = jets.metric(1)
     gamma = jets.christoffel(0).value
-    dg = np.transpose(g.data[1], (2, 0, 1))
-    corr = np.einsum("lsm,ln->smn", gamma, g.value) + np.einsum(
-        "lsn,ml->smn", gamma, g.value
+    dg = np.moveaxis(g.data[1], -1, -3)
+    corr = np.einsum("...lsm,...ln->...smn", gamma, g.value) + np.einsum(
+        "...lsn,...ml->...smn", gamma, g.value
     )
     return dg - corr
 
@@ -316,7 +319,8 @@ def curvature_wedge_action(
             f"{len(variances)} variances for internal rank {alpha.p}"
         )
     if alpha.p == 0:
-        return MixedForm.zero(alpha.k + 2, 0, order=max(alpha.order - 2, 0))
+        points = alpha.values.shape[: alpha.jet.lead]
+        return MixedForm.zero(alpha.k + 2, 0, max(alpha.order - 2, 0), points)
     fmat = eta_lower(f_jet, 1)
     ints = "abcd"[: alpha.p]
     sts = "mnrs"[: alpha.k]

@@ -6,6 +6,10 @@ coordinates.  ``data[k]`` has shape ``comp_shape + (4,)*k``; the trailing k
 axes are derivative axes and are kept fully symmetric, so mixed partials
 agree by construction.  Arithmetic propagates derivatives by the chain and
 Leibniz rules, which keeps every derivative exact (no differencing).
+
+A jet over a chunk of points has ``lead`` = 1: one more axis, the point
+axis, in front of the component axes.  Every operation below acts on each
+point's slice as it would on that point's jet alone, with the same bits.
 """
 
 from __future__ import annotations
@@ -86,11 +90,12 @@ def _check_order(order: int):
 
 
 class Jet:
-    """Component tensor with derivative tensors up to a fixed order."""
+    """Component tensor with derivative tensors up to a fixed order, behind
+    ``lead`` point axes (0 or 1)."""
 
-    __slots__ = ("order", "data")
+    __slots__ = ("order", "data", "lead")
 
-    def __init__(self, order: int, data: Sequence[np.ndarray]):
+    def __init__(self, order: int, data: Sequence[np.ndarray], lead: int = 0):
         _check_order(order)
         if len(data) != order + 1:
             raise JetError(f"expected {order + 1} derivative tensors, got {len(data)}")
@@ -104,9 +109,10 @@ class Jet:
                 )
         self.order = order
         self.data = arrays
+        self.lead = lead
 
     @classmethod
-    def _trusted(cls, order: int, data: list) -> "Jet":
+    def _trusted(cls, order: int, data: list, lead: int = 0) -> "Jet":
         """Constructor for jets built by package code, without validation.
 
         ``data`` must already hold float arrays of the shapes ``__init__``
@@ -118,6 +124,7 @@ class Jet:
         jet = object.__new__(cls)
         jet.order = order
         jet.data = data
+        jet.lead = lead
         return jet
 
     # -- constructors ------------------------------------------------------
@@ -146,15 +153,16 @@ class Jet:
         return cls._trusted(order, data)
 
     @classmethod
-    def zeros(cls, comp_shape: tuple[int, ...], order: int) -> "Jet":
+    def zeros(cls, shape: tuple[int, ...], order: int, lead: int = 0) -> "Jet":
+        """The zero jet; the first ``lead`` axes of ``shape`` are point axes."""
         _check_order(order)
-        return cls._trusted(order, [np.zeros(comp_shape + (DIM,) * k) for k in range(order + 1)])
+        return cls._trusted(order, [np.zeros(shape + (DIM,) * k) for k in range(order + 1)], lead)
 
     # -- basic views -------------------------------------------------------
 
     @property
     def comp_shape(self) -> tuple[int, ...]:
-        return self.data[0].shape
+        return self.data[0].shape[self.lead :]
 
     @property
     def value(self) -> np.ndarray:
@@ -163,7 +171,7 @@ class Jet:
     def truncated(self, order: int) -> "Jet":
         if order > self.order:
             raise JetError(f"cannot extend a jet of order {self.order} to order {order}")
-        return Jet._trusted(order, self.data[: order + 1])
+        return Jet._trusted(order, self.data[: order + 1], self.lead)
 
     def __repr__(self) -> str:
         return f"Jet(order={self.order}, comp_shape={self.comp_shape}, value={self.value!r})"
@@ -176,7 +184,8 @@ class Jet:
         if other.comp_shape != self.comp_shape:
             raise JetError(f"component shapes differ: {self.comp_shape} vs {other.comp_shape}")
         k = min(self.order, other.order)
-        return Jet._trusted(k, [op(self.data[i], other.data[i]) for i in range(k + 1)])
+        lead = max(self.lead, other.lead)
+        return Jet._trusted(k, [op(self.data[i], other.data[i]) for i in range(k + 1)], lead)
 
     def __add__(self, other) -> "Jet":
         return self._binary_linear(other, np.add)
@@ -190,10 +199,10 @@ class Jet:
         return (-self) + other
 
     def __neg__(self) -> "Jet":
-        return Jet._trusted(self.order, [-d for d in self.data])
+        return Jet._trusted(self.order, [-d for d in self.data], self.lead)
 
     def scaled(self, factor: float) -> "Jet":
-        return Jet._trusted(self.order, [factor * d for d in self.data])
+        return Jet._trusted(self.order, [factor * d for d in self.data], self.lead)
 
     # -- products ----------------------------------------------------------
 
@@ -244,7 +253,7 @@ def _mul_scalar(a: Jet, b: Jet) -> Jet:
         t12 = A[1][..., :, None, None] * B[2][..., None, :, :]
         s12 = t12 + t12.swapaxes(-3, -2) + t12.swapaxes(-3, -1)
         data.append(A[3] * B[0][..., None, None, None] + s21 + s12 + A[0][..., None, None, None] * B[3])
-    return Jet._trusted(K, data)
+    return Jet._trusted(K, data, max(a.lead, b.lead))
 
 
 def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
@@ -255,11 +264,13 @@ def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
     the appropriate shuffle symmetrization.  Labels X, Y, Z are reserved.
     The spec must be a pure pairwise contraction: every label appears once
     per operand, a label shared by both operands is summed, and every other
-    label is an output axis.
+    label is an output axis.  The spec names no point axis: an operand with
+    one keeps it first, and the product is taken point by point.
     """
     K = min(a.order, b.order)
-    plan = _einsum_plan(spec, K, a.comp_shape, b.comp_shape)
-    return Jet._trusted(K, [_leibniz_sum(terms, a.data, b.data) for terms in plan])
+    plan = _einsum_plan(spec, K, a.comp_shape, b.comp_shape, a.lead, b.lead)
+    lead = max(a.lead, b.lead)
+    return Jet._trusted(K, [_leibniz_sum(terms, a.data, b.data) for terms in plan], lead)
 
 
 def _leibniz_sum(terms: tuple, A: Sequence[np.ndarray], B: Sequence[np.ndarray], acc=None):
@@ -267,13 +278,20 @@ def _leibniz_sum(terms: tuple, A: Sequence[np.ndarray], B: Sequence[np.ndarray],
 
     ``terms`` is a slice of one order of an ``_einsum_plan``; ``A`` and ``B``
     hold the factors' derivative tensors by order.  Returns None when there
-    is nothing to add and ``acc`` is None.
+    is nothing to add and ``acc`` is None.  ``acc`` is not written to: a
+    sum lands in a new array, which later terms are added to in place.
     """
+    fresh = False
     for i, j, gemm, outs in terms:
         prod = gemm(A[i], B[j])
         for axes in outs:
             piece = prod if axes is None else prod.transpose(axes)
-            acc = piece if acc is None else acc + piece
+            if acc is None:
+                acc = piece
+            elif fresh:
+                acc += piece
+            else:
+                acc, fresh = acc + piece, True
     return acc
 
 
@@ -284,12 +302,15 @@ class _Gemm:
     inner side, by a transposition and a reshape (or, when its contracted
     axes already lead, a reshape and a transposed view).  The product is
     reshaped to the free axes of the left operand followed by those of the
-    right one, in their operand order; ``labels`` names those axes.
+    right one, in their operand order; ``labels`` names those axes.  An
+    operand with a point axis keeps it first, as a stack of such matrices
+    with each point's matrix laid out as it would be alone, so the stacked
+    product gives each point the bits of its own product.
     """
 
     __slots__ = ("perm_a", "shape_a", "flip_a", "perm_b", "shape_b", "flip_b", "shape_out", "labels")
 
-    def __init__(self, la: str, lb: str, dims: dict, contracted: str):
+    def __init__(self, la: str, lb: str, dims: dict, contracted: str, lead_a: int, lead_b: int):
         free_a = "".join(c for c in la if c not in contracted)
         free_b = "".join(c for c in lb if c not in contracted)
         self.labels = free_a + free_b
@@ -297,10 +318,10 @@ class _Gemm:
         nb = math.prod(dims[c] for c in free_b)
         nc = math.prod(dims[c] for c in contracted)
         # left operand as (free_a, contracted); right as (contracted, free_b)
-        self.perm_a, self.flip_a = _matrix_layout(la, contracted, free_a, inner_last=True)
-        self.perm_b, self.flip_b = _matrix_layout(lb, contracted, free_b, inner_last=False)
-        self.shape_a = (nc, na) if self.flip_a else (na, nc)
-        self.shape_b = (nb, nc) if self.flip_b else (nc, nb)
+        self.perm_a, self.flip_a = _matrix_layout(la, contracted, free_a, True, lead_a)
+        self.perm_b, self.flip_b = _matrix_layout(lb, contracted, free_b, False, lead_b)
+        self.shape_a = (-1,) * lead_a + ((nc, na) if self.flip_a else (na, nc))
+        self.shape_b = (-1,) * lead_b + ((nb, nc) if self.flip_b else (nc, nb))
         self.shape_out = tuple(dims[c] for c in self.labels)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -308,28 +329,29 @@ class _Gemm:
             x = x.transpose(self.perm_a)
         x = x.reshape(self.shape_a)
         if self.flip_a:
-            x = x.T
+            x = x.swapaxes(-1, -2)
         if self.perm_b is not None:
             y = y.transpose(self.perm_b)
         y = y.reshape(self.shape_b)
         if self.flip_b:
-            y = y.T
-        return (x @ y).reshape(self.shape_out)
+            y = y.swapaxes(-1, -2)
+        prod = x @ y
+        return prod.reshape(prod.shape[:-2] + self.shape_out)
 
 
-def _matrix_layout(labels: str, contracted: str, free: str, inner_last: bool):
+def _matrix_layout(labels: str, contracted: str, free: str, inner_last: bool, lead: int):
     """Transposition (None for the identity) and flip flag that bring an
     operand to a matrix whose contracted axes, in ``contracted`` order, sit on
     the inner side of the product: last for the left operand, first for the
     right one.  The flip is a transposed view, which the product takes as it
     is, so an operand whose contracted block already sits on the outer side
-    needs no copy."""
+    needs no copy.  ``lead`` point axes stay in front."""
     natural = free + contracted if inner_last else contracted + free
     flipped = contracted + free if inner_last else free + contracted
     for order, flip in ((natural, False), (flipped, True)):
         if labels == order:
             return None, flip
-    perm = tuple(labels.index(c) for c in natural)
+    perm = tuple(range(lead)) + tuple(lead + labels.index(c) for c in natural)
     return perm, False
 
 
@@ -367,27 +389,32 @@ def _pairwise_labels(spec: str, shape_a: tuple, shape_b: tuple):
 
 
 @functools.cache
-def _einsum_plan(spec: str, K: int, shape_a: tuple, shape_b: tuple) -> tuple:
-    """``jet_einsum``'s work for one spec and operand component shapes, per
-    derivative order k up to K: (left order i, right order k - i, kernel,
-    output transpositions) terms, one transposition per derivative shuffle.
+def _einsum_plan(
+    spec: str, K: int, shape_a: tuple, shape_b: tuple, lead_a: int = 0, lead_b: int = 0
+) -> tuple:
+    """``jet_einsum``'s work for one spec, operand component shapes and
+    point axes (``lead_a``, ``lead_b``, each 0 or 1; the point count is not
+    part of the plan), per derivative order k up to K: (left order i, right
+    order k - i, kernel, output transpositions) terms, one transposition per
+    derivative shuffle.
 
-    Each transposition maps the kernel's product (left free axes, then right
-    free axes) to the output axes followed by the shuffled derivative axes;
-    None stands for the identity.
+    Each transposition maps the kernel's product (the point axis, if any,
+    then left free axes, then right free axes) to the point axis, the output
+    axes and the shuffled derivative axes; None stands for the identity.
     """
     in1, in2, out, contracted, dims = _pairwise_labels(spec, shape_a, shape_b)
     dims.update(dict.fromkeys(_DLAB, DIM))
+    lead = max(lead_a, lead_b)
     plan = []
     for k in range(K + 1):
         terms = []
         for i in range(k + 1):
             d1, d2 = _DLAB[:i], _DLAB[i:k]
-            gemm = _Gemm(in1 + d1, in2 + d2, dims, contracted)
-            to_out = [gemm.labels.index(c) for c in out + d1 + d2]
+            gemm = _Gemm(in1 + d1, in2 + d2, dims, contracted, lead_a, lead_b)
+            to_out = list(range(lead)) + [lead + gemm.labels.index(c) for c in out + d1 + d2]
             identity = list(range(len(to_out)))
             outs = []
-            for shuffle in _shuffle_axes(len(out), k, i):
+            for shuffle in _shuffle_axes(lead + len(out), k, i):
                 axes = to_out if shuffle is None else [to_out[s] for s in shuffle]
                 outs.append(None if axes == identity else tuple(axes))
             terms.append((i, k - i, gemm, tuple(outs)))
@@ -400,19 +427,48 @@ def jet_map(fn: Callable[[np.ndarray], np.ndarray], a: Jet) -> Jet:
 
     Valid only for maps with constant coefficients (contraction with a
     constant tensor, transposition, slicing): those commute with taking
-    derivatives.
+    derivatives.  ``fn`` sees a point's component axes first: a point axis
+    is handed to it last, behind the derivative axes, and put back in front
+    of its result, with each point's slice laid out as ``fn`` lays out one
+    point's (``_laid_out_like``).
     """
+    if a.lead:
+        data = []
+        for d in a.data:
+            out = fn(d.transpose(tuple(range(1, d.ndim)) + (0,)))
+            out = out.transpose((out.ndim - 1,) + tuple(range(out.ndim - 1)))
+            data.append(_laid_out_like(out, fn(d[0])))
+        return Jet(a.order, data, 1)
     return Jet(a.order, [fn(d) for d in a.data])
 
 
+def _laid_out_like(batch: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``batch``, whose first axis is the point axis, with that axis
+    outermost in memory and each point's slice in the memory order of
+    ``like``, one point's array: numpy's reductions may sum in another
+    order over another layout, so the slice then gets the same bits from
+    them as the point alone."""
+    inner = [1 + ax for ax in sorted(range(like.ndim), key=lambda ax: -like.strides[ax])]
+    strides = [batch.strides[ax] for ax in [0] + inner]
+    if strides == sorted(strides, reverse=True):
+        return batch
+    perm = [0] + inner
+    out = np.empty([batch.shape[ax] for ax in perm]).transpose(np.argsort(perm))
+    out[...] = batch
+    return out
+
+
 def jet_transpose(a: Jet, perm: Sequence[int]) -> Jet:
-    """Permute component axes; derivative axes stay in place."""
+    """Permute component axes; point and derivative axes stay in place."""
     nc = len(a.comp_shape)
     if sorted(perm) != list(range(nc)):
         raise JetError(f"bad component permutation {perm} for shape {a.comp_shape}")
+    lead = a.lead
+    axes = list(range(lead)) + [lead + p for p in perm]
     return Jet._trusted(
         a.order,
-        [np.transpose(a.data[k], list(perm) + list(range(nc, nc + k))) for k in range(a.order + 1)],
+        [np.transpose(a.data[k], axes + list(range(lead + nc, lead + nc + k))) for k in range(a.order + 1)],
+        lead,
     )
 
 
@@ -425,35 +481,70 @@ def jet_partial(a: Jet) -> Jet:
     """
     if a.order < 1:
         raise JetError("jet_partial needs a jet of order >= 1")
-    return Jet._trusted(a.order - 1, [a.data[k + 1] for k in range(a.order)])
+    return Jet._trusted(a.order - 1, [a.data[k + 1] for k in range(a.order)], a.lead)
 
 
 def jet_stack(jets: Sequence[Jet], axis: int = 0) -> Jet:
     """Stack jets with identical component shapes along a new component axis."""
     order = min(j.order for j in jets)
+    lead = jets[0].lead
     data = []
     for k in range(order + 1):
-        data.append(np.stack([j.data[k] for j in jets], axis=axis))
-    return Jet._trusted(order, data)
+        data.append(np.stack([j.data[k] for j in jets], axis=lead + axis))
+    return Jet._trusted(order, data, lead)
 
 
-def jet_matrix_inverse(a: Jet) -> Jet:
-    """Jet of the matrix inverse of a jet-valued square matrix."""
+def matrix_inverse(m: np.ndarray, faults: list | None = None, wrap=None) -> np.ndarray:
+    """``np.linalg.inv`` of a matrix, or of each matrix of a stack.
+
+    A matrix that has no inverse raises its ``LinAlgError``, or ``wrap`` of
+    it.  With ``faults``, one slot per matrix of the stack, it instead
+    stores that exception in its slot, unless the slot holds an earlier
+    fault, and is inverted as the identity; every other matrix gets the bits
+    of its inverse alone.
+    """
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError as exc:
+        if faults is None:
+            if wrap is None:
+                raise
+            raise wrap(exc) from exc
+    out = np.empty_like(m)
+    for i, row in enumerate(m):
+        try:
+            out[i] = np.linalg.inv(row)
+        except np.linalg.LinAlgError as exc:
+            exc.__traceback__ = None
+            out[i] = np.eye(len(row))
+            if faults[i] is None:
+                faults[i] = exc if wrap is None else wrap(exc)
+    return out
+
+
+def _singular(exc: Exception) -> JetDomainError:
+    return JetDomainError(f"singular matrix in jet inverse: {exc}")
+
+
+def jet_matrix_inverse(a: Jet, faults: list | None = None, wrap=_singular) -> Jet:
+    """Jet of the matrix inverse of a jet-valued square matrix.
+
+    A singular matrix raises ``wrap`` of its ``LinAlgError``, by default a
+    ``JetDomainError``; over a chunk of points, ``faults`` records it per
+    point as ``matrix_inverse`` does.
+    """
     shape = a.comp_shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise JetError(f"matrix inverse needs a square matrix jet, got shape {shape}")
     n = shape[0]
-    try:
-        x0 = np.linalg.inv(a.data[0])
-    except np.linalg.LinAlgError as exc:
-        raise JetDomainError(f"singular matrix in jet inverse: {exc}") from exc
+    x0 = matrix_inverse(a.data[0], faults, wrap)
     data = [x0]
-    plan = _einsum_plan("ij,jk->ik", a.order, shape, shape)
+    plan = _einsum_plan("ij,jk->ik", a.order, shape, shape, a.lead, a.lead)
     for k in range(1, a.order + 1):
         # D^k(M M^-1) = 0  =>  M0 . Xk = -sum_{i>=1} shuffles(D^i M . X_{k-i})
         rhs = _leibniz_sum(plan[k][1:], a.data, data)
-        data.append(-(x0 @ rhs.reshape(n, -1)).reshape(rhs.shape))
-    return Jet._trusted(a.order, data)
+        data.append(-(x0 @ rhs.reshape(rhs.shape[: a.lead] + (n, -1))).reshape(rhs.shape))
+    return Jet._trusted(a.order, data, a.lead)
 
 
 # -- scalar chain rule ----------------------------------------------------
@@ -480,7 +571,7 @@ def _compose_scalar(a: Jet, d: np.ndarray) -> Jet:
             + d[2][..., None, None, None] * sym12
             + d[3][..., None, None, None] * (f11[..., None] * f1[..., None, None, :])
         )
-    return Jet._trusted(K, data)
+    return Jet._trusted(K, data, a.lead)
 
 
 # What an entry that has faulted is carried as: the constant 1.
@@ -494,7 +585,7 @@ def _carry(a: Jet, dead: np.ndarray) -> Jet:
     data[0][dead] = 1.0
     for d in data[1:]:
         d[dead] = 0.0
-    return Jet._trusted(a.order, data)
+    return Jet._trusted(a.order, data, a.lead)
 
 
 def _chain(a: Jet, derivs: Callable[[float], Sequence[float]], faults: list | None) -> Jet:

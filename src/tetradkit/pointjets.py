@@ -1,6 +1,7 @@
-"""One sample point's jets, each derived once and read by every consumer.
+"""One derivation of the field jets at sample points, each quantity derived
+once and read by every consumer.
 
-A ``PointJets`` holds a tetrad source, a connection source, a point and
+A ``PointJets`` holds a tetrad source, a connection source, its points and
 the matter model whose sources live on that frame.  It serves the two
 source jets and the tensors derived from them: the inverse tetrad, the
 metric and its inverse, the Christoffel symbols, the field strength F, the
@@ -9,36 +10,40 @@ determinant, the stress and spin sources with their 3-forms, and the
 geometric 3-forms of the two field equations, the torsion side by both of
 its routes.  Each is computed at most once, by the ``geometry`` or
 ``fieldeqs`` function a caller would apply to the jets directly, at the
-deepest order the point serves (``DEPTH`` for the source jets).  A lower
-order is served by truncation.  Every order-k jet formula reads only
-orders up to k, so a truncated jet holds the same bits as one derived at
-the lower order.  A deeper order than the point serves raises
-``JetError``.
+deepest order a reader of this recipe asks of it (``DEPTH`` for the
+source jets).  A lower order is served by truncation.  Every order-k jet
+formula reads only orders up to k, so a truncated jet holds the same bits
+as one derived at the lower order.  A deeper order raises ``JetError``.
 
-A Levi-Civita connection of the point's own tetrad is ``levi_civita_jet``
-of the memoized tetrad and inverse, so a singular tetrad raises one error.
+The points are an (N, 4) array, a chunk, or one point of shape (4,).  Over
+a chunk every jet carries the point axis first (``Jet.lead`` = 1), and
+each point's slice holds the bits that point's own derivation would hold.
+The expression fields among the sources (the tetrad grid, the
+connection's pair fields, and the stress and spin fields of explicit
+matter) are evaluated for the whole chunk, one walk per expression.  A
+Levi-Civita connection of the derivation's own tetrad is
+``levi_civita_jet`` of the memoized tetrad and inverse.
 
-``chunk_jets`` serves a run's points a chunk at a time: it evaluates the
-expression fields among the sources (the tetrad grid, the connection's
-pair fields, and the stress and spin fields of explicit matter) for the
-whole chunk, one walk per expression, and hands each point its own jet,
-or its own fault, in place of evaluating the source.
-
-Two rules keep a consumer's errors what they would be if it derived
-everything itself:
-
-* Nothing is computed before it is asked for, so no caller sees a fault
-  from a quantity it did not read.
-* A derivation that raises remembers the exception, and every later
-  request for that quantity raises it again.
+A fault at a point (a domain fault of an expression, a singular tetrad or
+metric) stays with that point.  Over a chunk each quantity keeps one slot
+per point, holding the first fault its derivation met at that point, in
+its read order, and the point is carried on as a benign constant, as
+``jets._carry`` does for expressions, so the other points compute on.
+``record()`` starts a read record: each quantity read after it copies its
+faults into the record's empty slots, so a consumer's fault at a point is
+the first fault, in its read order, among the quantities it read, the one
+it would raise were it run at that point alone.  At a single point the
+fault is raised instead, at that read and at every later one.  Nothing is
+computed before it is asked for.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
+from .exprkit import JetBatch
 from .fieldeqs import (
     MatterModel,
     curvature_three_form,
@@ -72,42 +77,83 @@ DEPTH = 2
 
 
 class PointJets:
-    """Lazily filled derivation of the field jets at one point.
+    """Lazily filled derivation of the field jets at one point or a chunk.
 
     ``matter`` defaults to ``MatterModel.vacuum()``, whose sources are zero.
-    ``served`` maps a source to its jet at the point, at the order the point
-    reads it, or to the fault the point raised for it; the point reads that
-    in place of evaluating the source.
     """
 
     def __init__(
         self,
         e: FrameSource,
         omega: FrameSource,
-        point: Sequence[float],
+        points,
         matter: MatterModel | None = None,
-        served: Mapping[FrameSource, Jet | Exception] | None = None,
     ):
         self.e_source = e
         self.omega_source = omega
-        self.point = point
+        self.points = np.asarray(points, dtype=float)
+        self.shape = self.points.shape[:-1]
+        self.lead = len(self.shape)
         self.matter = MatterModel.vacuum() if matter is None else matter
-        self._served = served or {}
-        # the tetrad goes one order deeper when the connection is derived from it
-        self._e_top = DEPTH + _reads_tetrad(omega, e)
-        self._memo: dict[str, Jet | MixedForm | Exception] = {}
+        # the tetrad goes one order deeper, and its inverse to DEPTH, when
+        # the connection is derived from it; only manufactured sources read
+        # the torsion, Riemann and Einstein tensors above order 0
+        reads_tetrad = _reads_tetrad(omega, e)
+        self._e_top = DEPTH + reads_tetrad
+        self._source_top = DEPTH - 1 if self.matter.mode == "manufactured" else 0
+        self._memo: dict[str, tuple] = {}
+        self._reads: list | None = None
+        self._served: dict = {}
+        if self.lead:
+            fields = [(field, DEPTH) for field in _pair_fields(omega)]
+            if isinstance(e, TetradField):
+                fields.insert(0, (e, self._e_top))
+            fields += [(field, DEPTH - 1) for field in self.matter.fields]
+            for field, order in fields:
+                self._served[field] = _chunk(field.jet(self.points, order))
+
+    # -- faults ------------------------------------------------------------
+
+    def record(self) -> list:
+        """Start a read record and return it: one slot per point, None until
+        a quantity read from now on holds a fault there."""
+        self._reads = [None] * (len(self.points) if self.lead else 1)
+        return self._reads
+
+    @property
+    def faults(self) -> list | None:
+        """Where an operation on a chunk's jets stores a point's fault: the
+        current record (or derivation); None at a single point, which raises."""
+        return self._reads if self.lead else None
+
+    def _note(self, faults) -> None:
+        reads = self._reads
+        if reads is not None:
+            for i, fault in enumerate(faults):
+                if fault is not None and reads[i] is None:
+                    reads[i] = fault
 
     def _serve(self, key: str, order: int, top: int, build: Callable[[int], Jet | MixedForm]):
         hit = self._memo.get(key)
         if hit is None:
+            outer = self._reads
+            self._reads = [None] * len(self.points) if self.lead else None
             try:
-                hit = build(top)
+                value = build(top)
+                faults = self._reads if self.lead and any(self._reads) else None
             except Exception as exc:
-                hit = exc
-            self._memo[key] = hit
-        if isinstance(hit, Exception):
-            raise hit
-        return hit if hit.order == order else hit.truncated(order)
+                if self.lead:
+                    raise
+                value, faults = None, (exc,)
+            finally:
+                self._reads = outer
+            hit = self._memo[key] = (value, faults)
+        value, faults = hit
+        if faults is not None:
+            if not self.lead:
+                raise faults[0]
+            self._note(faults)
+        return value if value.order == order else value.truncated(order)
 
     # -- source jets -------------------------------------------------------
 
@@ -120,26 +166,27 @@ class PointJets:
         return self._serve("omega", order, DEPTH, lambda k: self.read(self.omega_source, k))
 
     def read(self, source: FrameSource, order: int) -> Jet:
-        """``source``'s jet at this point, unmemoized: what was served for
-        it where something was, otherwise the source evaluated here."""
-        return self._source(source).jet(self.point, order)
-
-    def _source(self, source: FrameSource) -> FrameSource:
-        """``source`` as this point reads it: a served source by what was
-        served, and the Levi-Civita connection of its tetrad by ``_MemoLeviCivita``."""
-        if self._served and source in self._served:
-            return _Served(self._served[source])
-        if isinstance(source, LeviCivitaConnection) and source.e is self.e_source:
-            return _MemoLeviCivita(self)
-        if isinstance(source, SummedConnection):
-            return SummedConnection(self._source(source.base), self._source(source.extra))
-        return source
+        """``source``'s jet at these points, unmemoized: an expression field
+        from the chunk's walk, the Levi-Civita connection of the tetrad from
+        the memoized tetrad and inverse, a sum by its parts, and anything
+        else evaluated at the point."""
+        hit = self._served.get(source)
+        if hit is None:
+            if isinstance(source, LeviCivitaConnection) and source.e is self.e_source:
+                return levi_civita_jet(self.e(order + 1), self.inverse_tetrad(order))
+            if isinstance(source, SummedConnection):
+                return self.read(source.base, order) + self.read(source.extra, order)
+            return source.jet(self.points, order)
+        jet, faults = hit
+        if faults is not None:
+            self._note(faults)
+        return jet if jet.order == order else jet.truncated(order)
 
     # -- derived tensors ---------------------------------------------------
 
     def inverse_tetrad(self, order: int) -> Jet:
         return self._serve(
-            "einv", order, DEPTH, lambda k: inverse_tetrad_jet(self.e(k))
+            "einv", order, self._e_top - 1, lambda k: inverse_tetrad_jet(self.e(k), self.faults)
         )
 
     def metric(self, order: int) -> Jet:
@@ -149,7 +196,7 @@ class PointJets:
         """g^-1, served through order ``DEPTH - 1`` like g: the stress form
         and the component conservation law read it at orders 0 and 1 only."""
         return self._serve(
-            "ginv", order, DEPTH - 1, lambda k: jet_matrix_inverse(self.metric(k))
+            "ginv", order, DEPTH - 1, lambda k: jet_matrix_inverse(self.metric(k), self.faults)
         )
 
     def determinant(self, order: int) -> Jet:
@@ -190,13 +237,13 @@ class PointJets:
         return self._serve(
             "q",
             order,
-            DEPTH - 1,
+            self._source_top,
             lambda k: torsion_tensor_jet(self.torsion(k), self.inverse_tetrad(k)),
         )
 
     def riemann(self, order: int) -> Jet:
         """Riemann components r[mu, nu, omega, sigma], last index up."""
-        return self._serve("riemann", order, DEPTH - 1, self._riemann)
+        return self._serve("riemann", order, self._source_top, self._riemann)
 
     def _riemann(self, k: int) -> Jet:
         e = self.e(k)
@@ -205,7 +252,7 @@ class PointJets:
 
     def einstein(self, order: int) -> Jet:
         """Einstein tensor components [mu, nu]."""
-        return self._serve("einstein", order, DEPTH - 1, self._einstein)
+        return self._serve("einstein", order, self._source_top, self._einstein)
 
     def _einstein(self, k: int) -> Jet:
         self.e(k)
@@ -256,50 +303,11 @@ class PointJets:
         return self._serve("spin3", order, DEPTH - 1, lambda k: self.matter.spin_form(self, k))
 
 
-def chunk_jets(
-    e: FrameSource, omega: FrameSource, points: np.ndarray, matter: MatterModel | None = None
-) -> Iterator[PointJets]:
-    """A ``PointJets`` for each of the (N, 4) ``points`` in turn.
-
-    The tetrad, when it is an expression grid, is evaluated for all of them
-    at the order the points read it, every pair field of the connection
-    (explicit entries or a contorsion) at ``DEPTH``, and the stress and spin
-    fields of explicit matter at ``DEPTH - 1``, each in one walk per
-    expression.  Each point is served its own jet or fault, so it still
-    raises a fault only when it reads that source.  The batches live as
-    long as the iteration.
-    """
-    fields = []
-    if isinstance(e, TetradField):
-        fields.append((e, DEPTH + _reads_tetrad(omega, e)))
-    fields += [(field, DEPTH) for field in _pair_fields(omega)]
-    fields += [(field, DEPTH - 1) for field in (matter.fields if matter else ())]
-    batches = [(field, field.jet(points, order)) for field, order in fields]
-    for i, point in enumerate(points):
-        served = {field: batch.at(i) for field, batch in batches}
-        yield PointJets(e, omega, point, matter, served)
-
-
-class _Served:
-    """A jet, or the fault that stands for it, already evaluated at a point."""
-
-    def __init__(self, hit: Jet | Exception):
-        self._hit = hit
-
-    def jet(self, point: Sequence[float], order: int) -> Jet:
-        if isinstance(self._hit, Exception):
-            raise self._hit
-        return self._hit if self._hit.order == order else self._hit.truncated(order)
-
-
-class _MemoLeviCivita:
-    """A point's Levi-Civita connection, from its memoized tetrad and inverse."""
-
-    def __init__(self, jets: PointJets):
-        self._jets = jets
-
-    def jet(self, point: Sequence[float], order: int) -> Jet:
-        return levi_civita_jet(self._jets.e(order + 1), self._jets.inverse_tetrad(order))
+def _chunk(batch: JetBatch) -> tuple[Jet, tuple | None]:
+    """A field's ``JetBatch`` as a chunk jet, the point axis first, and its
+    faults (None where no point faulted)."""
+    jet = Jet._trusted(batch.jet.order, batch.jet.data, 1)
+    return jet, batch.faults if any(f is not None for f in batch.faults) else None
 
 
 def _reads_tetrad(source: FrameSource, e: FrameSource) -> bool:

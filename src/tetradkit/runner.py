@@ -1,24 +1,27 @@
 """Check orchestration: seeded sampling, residual evaluation, reporting.
 
 The registry below names every residual check the package can run against
-a scenario, in the order reports list them.  Each check is a pure function
-of the point's ``PointJets``, which carries the matter model, and, for
-checks that need auxiliary random objects, a dedicated generator seeded
-from (run seed, point index, check name), so disabling one check never
-shifts another's random stream.  All checks at a point read one
-``PointJets``, so each field jet, source and derived tensor is computed
-once per point; the expression fields are evaluated ``CHUNK`` points at a
-time, and each point is served its own jet or fault.  A check reads the
-tetrad before the connection, which decides the fault a point reports
-when both fail.
+a scenario, in the order reports list them.  The sample points are taken
+``CHUNK`` at a time, and each check is a pure function of the chunk's
+``PointJets``, which carries the matter model, and, for checks that need
+auxiliary random objects, of one generator per point seeded from (run
+seed, point index, check name), so disabling one check never shifts
+another's random stream.  All checks of a chunk read one ``PointJets``, so
+each field jet, source and derived tensor is computed once per chunk, with
+the point axis first.  A check's fault at a point is the first fault among
+what it read there, in its read order; a check reads the tetrad before the
+connection, which decides the fault a point reports when both fail.
 
-Each check returns its residual's arrays, reduced by one rule: the largest
-absolute entry over every part (NaN when any entry is NaN), relative to the
-largest field magnitude seen at the point (floored at one), so tolerances
-survive regions where the fields or their derivatives grow large.  A
-residual that is not finite is an error at its point, like a domain fault,
-so its check cannot pass; numpy's overflow and invalid-value warnings are
-silenced for the run, since such points become error rows anyway.
+Each check returns its residual's arrays, point axis first, reduced per
+point by one rule: the largest absolute entry over every part (NaN when
+any entry is NaN), relative to the largest field magnitude seen at the
+point (floored at one), so tolerances survive regions where the fields or
+their derivatives grow large.  A residual that is not finite is an error
+at its point, like a domain fault, so its check cannot pass; numpy's
+overflow and invalid-value warnings are silenced for the run, since such
+points become error rows anyway.  Values and error rows are written in
+point order, and the error rows of one point share its coordinate list
+and, per fault, one message.
 """
 
 from __future__ import annotations
@@ -52,13 +55,15 @@ from .identities import (
     rewritten_lhs_check,
     second_bianchi_residual,
 )
-from .jets import DIM, Jet, JetDomainError
-from .pointjets import PointJets, chunk_jets
+from .jets import DIM, Jet, JetDomainError, matrix_inverse
+from .pointjets import PointJets
 from .scenarios import Scenario
 
-# Sample points whose expression sources are evaluated together, one walk
-# per expression tree.
-CHUNK = 32
+# Sample points derived together: one walk per expression tree and one
+# derivation, with the point axis first, per chunk.  A chunk's working set
+# grows by about 250 KB per point, most of it pair-valued 3- and 4-forms;
+# beyond about a dozen points that memory costs more than the calls it saves.
+CHUNK = 12
 
 
 class RunnerError(ValueError):
@@ -86,139 +91,169 @@ def _aux_rng(stream: tuple[int, int], name: str) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index), zlib.crc32(name.encode())])
 
 
-def _magnitude(jets: PointJets) -> float:
-    """Largest field magnitude at the point, floored at one.
+def _magnitude(jets: PointJets) -> tuple[np.ndarray, list]:
+    """Largest field magnitude at each point of the chunk, floored at one,
+    and each point's fault in reading it.
 
     Covers the tetrad and connection jets through second order and the
     source jets through first order.  Also enforces the positive-orientation
-    requirement on the tetrad.
+    requirement on the tetrad, checked after the tetrad is read and before
+    the connection.  NaN entries are skipped.
     """
+    faults = jets.record()
     ej = jets.e(2)
-    if float(np.linalg.det(ej.value)) <= 0.0:
-        raise RunnerError(
-            "tetrad determinant must be positive everywhere; "
-            f"found a non-positive value at {tuple(jets.point)}"
-        )
-    parts = [1.0]
+    det = np.linalg.det(ej.value)
+    for i in np.flatnonzero(det <= 0.0):
+        if faults[i] is None:
+            faults[i] = RunnerError(
+                "tetrad determinant must be positive everywhere; "
+                f"found a non-positive value at {tuple(jets.points[i])}"
+            )
+    scale = np.ones(len(jets.points))
     for jet in (ej, jets.omega(2), jets.stress(1), jets.spin(1)):
-        parts.extend(float(np.max(np.abs(d))) for d in jet.data)
-    return max(parts)
+        for d in jet.data:
+            scale = np.fmax(scale, _each_point(np.abs(d)).max(axis=1))
+    return scale, faults
 
 
-def _largest_entry(residual: np.ndarray | tuple[np.ndarray, ...] | float) -> float:
-    """Largest absolute entry of a residual, one array or a tuple of them;
-    NaN when any entry is NaN."""
+def _each_point(part: np.ndarray) -> np.ndarray:
+    return part.reshape(len(part), -1)
+
+
+def _largest_entry(residual: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
+    """Largest absolute entry of a residual at each point, over one array
+    or a tuple of them, each with the point axis first; NaN where any
+    entry at the point is NaN."""
     parts = residual if isinstance(residual, tuple) else (residual,)
-    largest = [float(np.abs(part).max()) for part in parts]
-    return math.nan if any(map(math.isnan, largest)) else max(largest)
+    return np.max([_each_point(np.abs(part)).max(axis=1) for part in parts], axis=0)
 
 
-def _drop_tracebacks(exc: BaseException) -> None:
-    """Detach the tracebacks of a recorded fault and of the exceptions it
-    chains to.  Their frames hold the point's ``PointJets``, which remembers
-    the fault, so each faulted point would otherwise leave a reference cycle
-    that only the cyclic collector frees."""
-    stack = [exc]
-    while stack:
-        exc = stack.pop()
-        if exc is not None and exc.__traceback__ is not None:
-            exc.__traceback__ = None
-            stack += (exc.__cause__, exc.__context__)
+def _run_chunk(scenario: Scenario, enabled, chunk: np.ndarray, seed: int, first: int):
+    """Every enabled check on one chunk of points, whose first has index
+    ``first``: per check its name, the largest residual entry at each point
+    and each point's fault, then each point's residual scale and its fault.
+    The chunk's derivation is released on return."""
+    jets = PointJets(scenario.tetrad, scenario.connection, chunk, scenario.matter)
+    streams = [(seed, first + i) for i in range(len(chunk))]
+    outcomes = []
+    for check in enabled:
+        faults = jets.record()
+        outcomes.append((check.name, _largest_entry(check.evaluate(jets, streams)), faults))
+    return (outcomes, *_magnitude(jets))
 
 
-def _random_jet(rng: np.random.Generator, shape: tuple[int, ...]) -> Jet:
-    """A random coherent order-2 jet: the second derivative axes symmetric."""
-    value = rng.uniform(-1.0, 1.0, shape)
-    first = rng.uniform(-1.0, 1.0, shape + (DIM,))
-    second = rng.uniform(-1.0, 1.0, shape + (DIM, DIM))
-    return Jet(2, [value, first, 0.5 * (second + second.swapaxes(-1, -2))])
+def _message(fault: BaseException, messages: dict) -> str:
+    """An error row's message for ``fault``, one string per fault object:
+    a derivation hands the same fault to every check that read it."""
+    hit = messages.get(id(fault))
+    if hit is None:
+        hit = messages[id(fault)] = (fault, f"{type(fault).__name__}: {fault}")
+    return hit[1]
+
+
+def _random_jets(rngs: Sequence[np.random.Generator], shapes) -> list[Jet]:
+    """Random coherent order-2 jets, the second derivative axes symmetric:
+    one per shape, each drawn at every point from that point's generator,
+    in turn, and stacked over the points."""
+    draws = [[] for _ in shapes]
+    for rng in rngs:
+        for drawn, shape in zip(draws, shapes):
+            drawn.append(
+                [rng.uniform(-1.0, 1.0, shape + (DIM,) * k) for k in range(3)]
+            )
+    jets = []
+    for drawn in draws:
+        value, first, second = (np.stack(parts) for parts in zip(*drawn))
+        jets.append(Jet(2, [value, first, 0.5 * (second + second.swapaxes(-1, -2))], 1))
+    return jets
 
 
 # -- check evaluators -------------------------------------------------------
+#
+# Each takes the chunk's PointJets and the (seed, index) stream of each of
+# its points, and returns arrays with the point axis first.
 
 
-def _check_metric_compatibility(jets: PointJets, stream) -> np.ndarray:
+def _check_metric_compatibility(jets: PointJets, streams) -> np.ndarray:
     return metric_compatibility_residual(jets)
 
 
-def _check_torsion_consistency(jets: PointJets, stream) -> np.ndarray:
+def _check_torsion_consistency(jets: PointJets, streams) -> np.ndarray:
     q_frame = jets.torsion_tensor(0).value
     gamma = jets.christoffel(0).value
-    return q_frame - np.transpose(gamma - gamma.transpose(0, 2, 1), (1, 2, 0))
+    return q_frame - np.moveaxis(gamma - gamma.swapaxes(-1, -2), -3, -1)
 
 
-def _check_scalar_consistency(jets: PointJets, stream) -> float:
+def _check_scalar_consistency(jets: PointJets, streams) -> np.ndarray:
     einv = jets.inverse_tetrad(0).value
     f = jets.field_strength(0).value
     g = jets.metric(0).value
-    ricci = np.einsum("msws->mw", jets.riemann(0).value)
-    direct = -float(np.einsum("ma,wb,abmw->", einv, einv, f))
-    traced = float(np.einsum("mw,mw->", np.linalg.inv(g), ricci))
+    ricci = np.einsum("...msws->...mw", jets.riemann(0).value)
+    direct = -np.einsum("...ma,...wb,...abmw->...", einv, einv, f)
+    traced = np.einsum("...mw,...mw->...", matrix_inverse(g, jets.faults), ricci)
     return direct - traced
 
 
-def _check_levi_civita_torsion(jets: PointJets, stream) -> np.ndarray:
+def _check_levi_civita_torsion(jets: PointJets, streams) -> np.ndarray:
     return jets.torsion(0).value
 
 
-def _check_first_bianchi(jets: PointJets, stream) -> np.ndarray:
+def _check_first_bianchi(jets: PointJets, streams) -> np.ndarray:
     return first_bianchi_residual(jets).values
 
 
-def _check_second_bianchi(jets: PointJets, stream) -> np.ndarray:
+def _check_second_bianchi(jets: PointJets, streams) -> np.ndarray:
     return second_bianchi_residual(jets).values
 
 
-def _check_d_squared(jets: PointJets, stream) -> tuple[np.ndarray, ...]:
-    rng = _aux_rng(stream, "d2-law")
+def _check_d_squared(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
+    rngs = [_aux_rng(stream, "d2-law") for stream in streams]
+    shapes = ((DIM,), (DIM,), (DIM, DIM), (DIM, DIM))
+    *alphas, raw = _random_jets(rngs, shapes)
     parts = []
-    for variances, shape in (
-        ((1,), (DIM,)),
-        ((-1,), (DIM,)),
-        ((1, -1), (DIM, DIM)),
-    ):
-        alpha = MixedForm._wrap(0, len(variances), _random_jet(rng, shape))
+    for variances, alpha in zip(((1,), (-1,), (1, -1)), alphas):
+        alpha = MixedForm._wrap(0, len(variances), alpha)
         parts.append(d_squared_residual(jets, alpha, variances).values)
-    raw = _random_jet(rng, (DIM, DIM))
-    anti = Jet(raw.order, [0.5 * (d - d.swapaxes(0, 1)) for d in raw.data])
+    anti = Jet(raw.order, [0.5 * (d - d.swapaxes(1, 2)) for d in raw.data], 1)
     parts.append(d_squared_residual(jets, MixedForm._wrap(2, 0, anti), ()).values)
     return tuple(parts)
 
 
-def _check_commutator(jets: PointJets, stream) -> np.ndarray:
-    rng = _aux_rng(stream, "commutator")
-    return commutator_residual(jets, _random_jet(rng, (DIM,))).value
+def _check_commutator(jets: PointJets, streams) -> np.ndarray:
+    rngs = [_aux_rng(stream, "commutator") for stream in streams]
+    (vector,) = _random_jets(rngs, ((DIM,),))
+    return commutator_residual(jets, vector).value
 
 
-def _check_nfe_leibniz(jets: PointJets, stream) -> np.ndarray:
+def _check_nfe_leibniz(jets: PointJets, streams) -> np.ndarray:
     lhs, rhs = torsion_equation_sides(jets)
     return (lhs - rhs).values
 
 
-def _check_rewritten_lhs(jets: PointJets, stream) -> tuple[np.ndarray, ...]:
+def _check_rewritten_lhs(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
     first, second = rewritten_lhs_check(jets)
     return first.values, second.values
 
 
-def _check_curvature_equation(jets: PointJets, stream) -> np.ndarray:
+def _check_curvature_equation(jets: PointJets, streams) -> np.ndarray:
     return curvature_equation_residual(jets).values
 
 
-def _check_torsion_equation(jets: PointJets, stream) -> np.ndarray:
+def _check_torsion_equation(jets: PointJets, streams) -> np.ndarray:
     return torsion_equation_residual(jets).values
 
 
-def _check_component_field_equations(jets: PointJets, stream) -> tuple[np.ndarray, ...]:
+def _check_component_field_equations(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
     res = component_field_equation_residuals(jets)
     return res.stress, res.spin
 
 
-def _check_conservation_form(jets: PointJets, stream) -> tuple[np.ndarray, ...]:
+def _check_conservation_form(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
     res = conservation_form_residuals(jets)
     return res.stress.values, res.spin.values
 
 
-def _check_conservation_component(jets: PointJets, stream) -> tuple[np.ndarray, ...]:
+def _check_conservation_component(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
     res = conservation_component_residuals(jets)
     return res.stress, res.spin
 
@@ -235,15 +270,18 @@ def _needs_levi_civita(scenario: Scenario) -> bool:
 class IdentityCheck:
     """A named residual check with its jet-depth need and tolerance.
 
-    ``evaluate(jets, stream)`` returns the raw residual at one point, an
-    array (or a number) or a tuple of them; ``stream`` is the (seed, point
-    index) pair that seeds the check's auxiliary generator.
+    ``evaluate(jets, streams)`` returns the raw residual at a chunk of
+    points, an array or a tuple of them, each with the point axis first;
+    ``streams`` holds each point's (seed, point index) pair, which seeds
+    the check's auxiliary generator at that point.
     """
 
     name: str
     required_order: int
     tolerance: float
-    evaluate: Callable[[PointJets, tuple[int, int]], np.ndarray | tuple[np.ndarray, ...] | float]
+    evaluate: Callable[
+        [PointJets, Sequence[tuple[int, int]]], np.ndarray | tuple[np.ndarray, ...]
+    ]
     applies: Callable[[Scenario], bool] = _always
 
     def __post_init__(self):
@@ -371,36 +409,26 @@ def run_checks(
     pts = sample_points(scenario.chart, n, s)
     residuals: dict[str, list[float]] = {check.name: [] for check in enabled}
     errors: list[dict] = []
-    every_point = (
-        jets
-        for start in range(0, n, CHUNK)
-        for jets in chunk_jets(
-            scenario.tetrad, scenario.connection, pts[start : start + CHUNK], scenario.matter
-        )
-    )
+    messages: dict[int, tuple[BaseException, str]] = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for index, jets in enumerate(every_point):
-            stream = (s, index)
-            scale = None
-            for check in enabled:
-                try:
-                    value = _largest_entry(check.evaluate(jets, stream))
-                    if scale is None:
-                        scale = _magnitude(jets)
-                    value = value / scale
-                    if not math.isfinite(value):
-                        raise RunnerError(f"non-finite residual {value!r}")
-                except POINT_FAULTS as exc:
-                    errors.append(
-                        {
-                            "check": check.name,
-                            "point": [float(c) for c in jets.point],
-                            "message": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-                    _drop_tracebacks(exc)
-                else:
-                    residuals[check.name].append(value)
+        for first in range(0, n, CHUNK):
+            chunk = pts[first : first + CHUNK]
+            outcomes, scale, scale_faults = _run_chunk(scenario, enabled, chunk, s, first)
+            for i, x in enumerate(chunk):
+                point = None
+                for name, largest, faults in outcomes:
+                    fault = faults[i] if faults[i] is not None else scale_faults[i]
+                    if fault is None:
+                        value = float(largest[i]) / float(scale[i])
+                        if math.isfinite(value):
+                            residuals[name].append(value)
+                            continue
+                        fault = RunnerError(f"non-finite residual {value!r}")
+                    if not isinstance(fault, POINT_FAULTS):
+                        raise fault
+                    if point is None:
+                        point = [float(c) for c in x]
+                    errors.append({"check": name, "point": point, "message": _message(fault, messages)})
 
     errored = {entry["check"] for entry in errors}
     results = []

@@ -9,7 +9,8 @@ import pytest
 from tetradkit import exprkit
 from tetradkit.exprkit import Chart, DomainFault, JetBatch, eval_jet, eval_jet_grid, parse_expression
 from tetradkit.geometry import ContorsionField, SpinConnectionField, SummedConnection
-from tetradkit.pointjets import DEPTH, PointJets, chunk_jets
+from tetradkit.jets import Jet
+from tetradkit.pointjets import DEPTH, PointJets
 from tetradkit.runner import CHUNK, run_checks, sample_points
 from tetradkit.scenarios import BUILTIN_NAMES, builtin_document, builtin_scenario, scenario_from_dict
 
@@ -93,22 +94,29 @@ def test_batch_equals_one_point_at_a_time(name):
                 _same(_alone(eval_jet, expr, point, 3), batch.at(i))
 
 
+def _row(jet, i):
+    return Jet._trusted(jet.order, [d[i] for d in jet.data])
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_chunk_serves_what_each_point_derives_alone(name):
     sc = scenario_from_dict(SCENARIOS[name](), source=name)
     points = sample_points(sc.chart, 40, 5)
-    served = list(chunk_jets(sc.tetrad, sc.connection, points, sc.matter))
-    assert [jets.point.tobytes() for jets in served] == [x.tobytes() for x in points]
-    for jets, point in zip(served, points):
-        alone = PointJets(sc.tetrad, sc.connection, point, sc.matter)
-        for read in (
-            lambda j: j.e(DEPTH),
-            lambda j: j.omega(DEPTH),
-            lambda j: j.einstein(1),
-            lambda j: j.stress(DEPTH - 1),
-            lambda j: j.spin(DEPTH - 1),
-        ):
-            _same(_alone(read, alone), _alone(read, jets))
+    chunk = PointJets(sc.tetrad, sc.connection, points, sc.matter)
+    assert chunk.points.tobytes() == points.tobytes()
+    top = 1 if sc.matter.mode == "manufactured" else 0
+    for read in (
+        lambda j: j.e(DEPTH),
+        lambda j: j.omega(DEPTH),
+        lambda j: j.einstein(top),
+        lambda j: j.stress(DEPTH - 1),
+        lambda j: j.spin(DEPTH - 1),
+    ):
+        faults = chunk.record()
+        served = read(chunk)
+        for i, point in enumerate(points):
+            alone = PointJets(sc.tetrad, sc.connection, point, sc.matter)
+            _same(_alone(read, alone), faults[i] or _row(served, i))
 
 
 # (expression, x0, type, message) at points where some faults and some do not
@@ -187,18 +195,23 @@ def test_pair_entries_fault_in_insertion_order():
 
 
 def test_a_served_fault_is_raised_only_when_read():
+    # a chunk records each point's fault in the record of whoever reads it
     doc = builtin_document("minkowski")
     doc["tetrad"][0][0] = "1 + sqrt(x0)"
     doc["connection"]["entries"]["01"][0] = "log(x1)"
     sc = scenario_from_dict(doc)
     points = np.array([[0.5, -0.5, 0.0, 0.0], [-0.5, 0.5, 0.0, 0.0]])
-    first, second = chunk_jets(sc.tetrad, sc.connection, points, sc.matter)
-    first.e(2)
-    with pytest.raises(DomainFault, match="log of non-positive value -0.5"):
-        first.omega(2)
-    second.omega(2)
-    with pytest.raises(DomainFault, match="sqrt of negative value -0.5"):
-        second.metric(0)
+    chunk = PointJets(sc.tetrad, sc.connection, points, sc.matter)
+    faults = chunk.record()
+    chunk.omega(2)
+    assert faults[1] is None
+    assert isinstance(faults[0], DomainFault)
+    assert "log of non-positive value -0.5" in str(faults[0])
+    faults = chunk.record()
+    chunk.metric(0)
+    assert faults[0] is None
+    assert isinstance(faults[1], DomainFault)
+    assert "sqrt of negative value -0.5" in str(faults[1])
 
 
 def test_each_tree_is_walked_once_per_chunk(monkeypatch):

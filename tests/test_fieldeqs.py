@@ -499,12 +499,11 @@ class TestDualProjection:
                 arr = 0.5 * (arr + np.transpose(arr, (0, 1, 3, 2)))
             data.append(arr)
         t_jet = Jet(2, data)
-        # a point serves det e and g^-1 through order 1 only, so order 2 is
-        # derived here
-        jets = PointJets(e, ZeroConnection(), point)
+        # a point serves e^-1, det e and g^-1 through order 1 only with this
+        # connection, so order 2 is derived here
         ginv = jet_matrix_inverse(metric_jet(ej))
         form = stress_tensor_to_form(
-            t_jet, jets.inverse_tetrad(2), ginv, determinant_jet(ej), DEFAULT_KAPPA
+            t_jet, inverse_tetrad_jet(ej), ginv, determinant_jet(ej), DEFAULT_KAPPA
         )
         back = dual_component_projection(form, ej)
         # kappa * form projects to FACTOR * 8 pi * t; undo that scale

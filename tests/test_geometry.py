@@ -581,7 +581,7 @@ class TestPointGeometry:
         for _ in range(3):
             x = rng.uniform(-0.5, 0.5, 4)
             jets = PointJets(e, omega, x)
-            gamma1 = christoffel_jet(jets.e(2), jets.omega(2), jets.inverse_tetrad(2))
+            gamma1 = christoffel_jet(jets.e(2), jets.omega(2), inverse_tetrad_jet(jets.e(2)))
             gamma = gamma1.value
             vec = eval_jet_grid(vec_exprs, x, 2)
             # first covariant derivative as a jet, components [s, n]

@@ -458,9 +458,9 @@ def _product_orders(monkeypatch, call) -> list[int]:
     orders = []
     plan = jets_module._einsum_plan
 
-    def counting(spec, K, shape_a, shape_b):
+    def counting(spec, K, *shapes_and_leads):
         orders.append(K)
-        return plan(spec, K, shape_a, shape_b)
+        return plan(spec, K, *shapes_and_leads)
 
     monkeypatch.setattr(jets_module, "_einsum_plan", counting)
     call()

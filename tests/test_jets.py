@@ -24,6 +24,18 @@ from tetradkit.jets import (
 )
 
 
+# jet_einsum specs checked against the Leibniz rule written out
+LEIBNIZ_SPECS = [
+    ("ij,jk->ik", (4, 4), (4, 4)),  # plain contraction
+    ("amnr,bs->abmnrs", (4, 4, 4, 4), (4, 4)),  # outer product
+    ("mw,->mw", (4, 4), ()),  # scalar operand
+    ("wb,bw->", (4, 4), (4, 4)),  # full contraction
+    ("sa,amn->mns", (4, 4), (4, 4, 4)),  # permuted output
+    ("qpm,aqcde->apmcde", (4, 4, 4), (4, 4, 4, 4, 4)),
+    ("rc,c->r", (24, 24), (24,)),  # the Levi-Civita system's shapes
+]
+
+
 def coord_jets(point, order=3):
     return [Jet.coordinate(i, point[i], order) for i in range(DIM)]
 
@@ -142,18 +154,7 @@ class TestTensorOps:
         )
         npt.assert_allclose(c.data[2], expect, atol=1e-13)
 
-    @pytest.mark.parametrize(
-        "spec, shape_a, shape_b",
-        [
-            ("ij,jk->ik", (4, 4), (4, 4)),  # plain contraction
-            ("amnr,bs->abmnrs", (4, 4, 4, 4), (4, 4)),  # outer product
-            ("mw,->mw", (4, 4), ()),  # scalar operand
-            ("wb,bw->", (4, 4), (4, 4)),  # full contraction
-            ("sa,amn->mns", (4, 4), (4, 4, 4)),  # permuted output
-            ("qpm,aqcde->apmcde", (4, 4, 4), (4, 4, 4, 4, 4)),
-            ("rc,c->r", (24, 24), (24,)),  # the Levi-Civita system's shapes
-        ],
-    )
+    @pytest.mark.parametrize("spec, shape_a, shape_b", LEIBNIZ_SPECS)
     def test_einsum_matches_leibniz_reference_through_order3(self, spec, shape_a, shape_b):
         rng = np.random.default_rng(8)
         a = self.sym_jet(rng, shape_a, order=3)
@@ -173,6 +174,36 @@ class TestTensorOps:
                     )
             scale = max(1.0, float(np.max(np.abs(expect))))
             npt.assert_allclose(got.data[k], expect, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize(
+        "spec, shape_a, shape_b",
+        LEIBNIZ_SPECS
+        + [
+            ("ji,kj->ik", (4, 4), (4, 4)),  # both operands as transposed views
+            ("acmn,cr->amnr", (4, 4, 4, 4), (4, 4)),  # the left one copied in another order
+        ],
+    )
+    @pytest.mark.parametrize("leads", [(1, 1), (1, 0), (0, 1)])
+    def test_einsum_over_a_point_axis_is_each_points_product(self, spec, shape_a, shape_b, leads):
+        # a chunk of 5 points, each with its own jets, against jet_einsum at
+        # each point alone, bit for bit; an operand without the point axis
+        # is shared by every point
+        rng = np.random.default_rng(11)
+        count = 5
+        per_a = [self.sym_jet(rng, shape_a, order=3) for _ in range(count if leads[0] else 1)]
+        per_b = [self.sym_jet(rng, shape_b, order=3) for _ in range(count if leads[1] else 1)]
+
+        def chunk(per, lead):
+            if not lead:
+                return per[0]
+            return Jet(3, [np.stack([j.data[k] for j in per]) for k in range(4)], 1)
+
+        got = jet_einsum(spec, chunk(per_a, leads[0]), chunk(per_b, leads[1]))
+        assert got.lead == 1
+        for i in range(count):
+            alone = jet_einsum(spec, per_a[i if leads[0] else 0], per_b[i if leads[1] else 0])
+            for k in range(4):
+                npt.assert_array_equal(got.data[k][i], alone.data[k])
 
     @pytest.mark.parametrize(
         "spec",

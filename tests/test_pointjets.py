@@ -1,5 +1,6 @@
-"""PointJets: one memoized derivation per point, bit-identical to deriving
-each quantity directly, lazy, and remembering faults."""
+"""PointJets: one memoized derivation per point or chunk of points,
+bit-identical to deriving each quantity directly at each point, lazy, and
+remembering faults."""
 
 import sys
 
@@ -23,6 +24,7 @@ from tetradkit.fieldeqs import (
 from tetradkit.forms import MixedForm
 from tetradkit.geometry import (
     LeviCivitaConnection,
+    SummedConnection,
     christoffel_jet,
     field_strength_jet,
     inverse_tetrad_jet,
@@ -32,7 +34,7 @@ from tetradkit.geometry import (
 )
 from tetradkit.jets import JetError, jet_matrix_inverse
 from tetradkit.pointjets import PointJets
-from tetradkit.runner import CHECKS, run_checks, sample_points
+from tetradkit.runner import CHECKS, CHUNK, run_checks, sample_points
 from tetradkit.scenarios import BUILTIN_NAMES, builtin_document, builtin_scenario, scenario_from_dict
 
 
@@ -54,11 +56,12 @@ def _stress_form(e, w, m, x, k):
     return stress_tensor_to_form(t, inverse_tetrad_jet(ek), ginv, determinant_jet(ek), m.kappa)
 
 
-# quantity -> (deepest order served from memory, direct route at order k)
+# quantity -> (deepest order served from memory, direct route at order k);
+# a top of None follows the recipe (``_recipe_top``)
 DIRECT = {
     "e": (2, lambda e, w, m, x, k: e.jet(x, k)),
     "omega": (2, lambda e, w, m, x, k: w.jet(x, k)),
-    "inverse_tetrad": (2, lambda e, w, m, x, k: inverse_tetrad_jet(e.jet(x, k))),
+    "inverse_tetrad": (None, lambda e, w, m, x, k: inverse_tetrad_jet(e.jet(x, k))),
     "metric": (1, lambda e, w, m, x, k: metric_jet(e.jet(x, k))),
     "inverse_metric": (1, lambda e, w, m, x, k: jet_matrix_inverse(metric_jet(e.jet(x, k)))),
     "determinant": (1, lambda e, w, m, x, k: determinant_jet(e.jet(x, k))),
@@ -70,9 +73,9 @@ DIRECT = {
             e.jet(x, k + 1), w.jet(x, k), inverse_tetrad_jet(e.jet(x, k + 1))
         ),
     ),
-    "torsion_tensor": (1, lambda e, w, m, x, k: torsion_q_jet(e.jet(x, k + 1), w.jet(x, k))),
-    "riemann": (1, lambda e, w, m, x, k: _riemann(e, w, x, k)),
-    "einstein": (1, lambda e, w, m, x, k: _einstein(e, w, x, k)),
+    "torsion_tensor": (None, lambda e, w, m, x, k: torsion_q_jet(e.jet(x, k + 1), w.jet(x, k))),
+    "riemann": (None, lambda e, w, m, x, k: _riemann(e, w, x, k)),
+    "einstein": (None, lambda e, w, m, x, k: _einstein(e, w, x, k)),
     "curvature_three_form": (
         1,
         lambda e, w, m, x, k: curvature_three_form(e.jet(x, k), field_strength_jet(w.jet(x, k + 1))),
@@ -99,6 +102,20 @@ DIRECT = {
 }
 
 
+def _recipe_top(quantity, sc):
+    """The inverse tetrad is read at order 2 only by the Levi-Civita
+    connection of the tetrad; the torsion, Riemann and Einstein tensors at
+    order 1 only by manufactured sources."""
+    if quantity == "inverse_tetrad":
+        summed = sc.connection.base if isinstance(sc.connection, SummedConnection) else sc.connection
+        return 2 if isinstance(summed, LeviCivitaConnection) else 1
+    return 1 if sc.matter.mode == "manufactured" else 0
+
+
+def _tops(sc):
+    return {q: _recipe_top(q, sc) if top is None else top for q, (top, _) in DIRECT.items()}
+
+
 def _as_jet(value):
     return value.jet if isinstance(value, MixedForm) else value
 
@@ -108,9 +125,11 @@ def test_served_jets_equal_direct_derivation(name):
     sc = builtin_scenario(name)
     e, omega = sc.tetrad, sc.connection
     matter = sc.matter
+    tops = _tops(sc)
     for x in sample_points(sc.chart, 3, 0):
         jets = PointJets(e, omega, x, matter)
-        for quantity, (top, direct) in DIRECT.items():
+        for quantity, (_, direct) in DIRECT.items():
+            top = tops[quantity]
             # highest order first, so the lower ones are truncations
             for k in range(top, -1, -1):
                 served = _as_jet(getattr(jets, quantity)(k))
@@ -118,6 +137,29 @@ def test_served_jets_equal_direct_derivation(name):
                 assert served.order == want.order == k, (quantity, k)
                 for got_k, want_k in zip(served.data, want.data):
                     npt.assert_array_equal(got_k, want_k, err_msg=f"{quantity} order {k}")
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_chunk_row_is_the_points_own_derivation(name):
+    # each point of a 5-point chunk against a chunk of that point alone and
+    # against the single-point derivation, bit for bit, at every order the
+    # recipe serves
+    sc = builtin_scenario(name)
+    points = sample_points(sc.chart, 5, 3)
+    chunk = PointJets(sc.tetrad, sc.connection, points, sc.matter)
+    alone = [PointJets(sc.tetrad, sc.connection, points[i : i + 1], sc.matter) for i in range(5)]
+    single = [PointJets(sc.tetrad, sc.connection, x, sc.matter) for x in points]
+    for quantity, top in _tops(sc).items():
+        for k in range(top, -1, -1):
+            rows = _as_jet(getattr(chunk, quantity)(k))
+            assert rows.lead == 1 and rows.order == k
+            for i in range(5):
+                one = _as_jet(getattr(alone[i], quantity)(k))
+                bare = _as_jet(getattr(single[i], quantity)(k))
+                assert bare.lead == 0
+                for d, d_one, d_bare in zip(rows.data, one.data, bare.data):
+                    npt.assert_array_equal(d[i], d_one[0], err_msg=f"{quantity} order {k}")
+                    npt.assert_array_equal(d[i], d_bare, err_msg=f"{quantity} order {k}")
 
 
 def test_a_request_deeper_than_served_raises():
@@ -161,6 +203,17 @@ def test_no_memo_key_is_built_deeper_than_it_is_read(monkeypatch):
     assert not deeper
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_no_memo_key_is_built_deeper_than_its_scenario_reads(monkeypatch, name):
+    # the tops follow the recipe: on vacuum the torsion and Einstein tensors
+    # are read at order 0, and with an explicit connection the inverse
+    # tetrad at order 1
+    built, asked = _record_serves(monkeypatch)
+    run_checks(builtin_scenario(name), points=2, seed=0)
+    deeper = {key: (top, asked[key]) for key, top in built.items() if top > asked[key]}
+    assert not deeper
+
+
 def test_each_source_is_evaluated_once():
     sc = builtin_scenario("schwarzschild")
     e = sc.tetrad
@@ -172,7 +225,9 @@ def test_each_source_is_evaluated_once():
             return e.jet(point, order)
 
     counted = Counting()
-    jets = PointJets(counted, LeviCivitaConnection(counted), sample_points(sc.chart, 1, 0)[0])
+    # manufactured sources read the Einstein tensor at order 1
+    x = sample_points(sc.chart, 1, 0)[0]
+    jets = PointJets(counted, LeviCivitaConnection(counted), x, MatterModel("manufactured"))
     for k in (1, 0, 2):
         jets.omega(k)
         jets.e(k)
@@ -182,20 +237,21 @@ def test_each_source_is_evaluated_once():
 
 
 def test_levi_civita_reads_the_points_inverse_tetrad(monkeypatch):
-    # one inverse per point, which the connection formula reads; a run
-    # never evaluates the recipe's own jet
+    # one inverse per chunk of points, which the connection formula reads;
+    # a run never evaluates the recipe's own jet
     calls = []
     for function in (inverse_tetrad_jet, levi_civita_jet):
         def counting(*args, function=function):
-            calls.append((function.__name__, args[-1].order))
+            # the jet the function derives from: the tetrad, or the inverse
+            calls.append((function.__name__, args[function is levi_civita_jet].order))
             return function(*args)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("tetradkit") and vars(module).get(function.__name__) is function:
                 monkeypatch.setattr(module, function.__name__, counting)
     monkeypatch.setattr(LeviCivitaConnection, "jet", None)
-    run_checks(builtin_scenario("schwarzschild"), points=5, seed=0)
-    assert calls == [("inverse_tetrad_jet", 2), ("levi_civita_jet", 2)] * 5
+    run_checks(builtin_scenario("schwarzschild"), points=CHUNK + 5, seed=0)
+    assert calls == [("inverse_tetrad_jet", 2), ("levi_civita_jet", 2)] * 2
 
 
 @pytest.mark.parametrize(
@@ -213,10 +269,11 @@ def test_levi_civita_reads_the_points_inverse_tetrad(monkeypatch):
     ],
 )
 def test_derived_once_per_point(monkeypatch, function, first_order):
-    # every check, d2-law and commutator included, reads the point's F, its
-    # geometric 3-forms and its manufactured source forms; the first
-    # argument's order is recorded, and the derivative route to the torsion
-    # side takes the tetrad one order above its own
+    # every check, d2-law and commutator included, reads the chunk's F, its
+    # geometric 3-forms and its manufactured source forms, derived once per
+    # chunk of points; the first argument's order is recorded, and the
+    # derivative route to the torsion side takes the tetrad one order above
+    # its own
     calls = []
 
     def counting(first, *rest):
@@ -227,8 +284,8 @@ def test_derived_once_per_point(monkeypatch, function, first_order):
         bound = vars(module).get(function.__name__)
         if name.startswith("tetradkit") and bound is function:
             monkeypatch.setattr(module, function.__name__, counting)
-    run_checks(builtin_scenario("random-fields"), points=5, seed=0)
-    assert calls == [first_order] * 5
+    run_checks(builtin_scenario("random-fields"), points=CHUNK + 5, seed=0)
+    assert calls == [first_order] * 2
 
 
 def test_explicit_sources_are_evaluated_once_per_point(monkeypatch):
@@ -250,8 +307,9 @@ def test_explicit_sources_are_evaluated_once_per_point(monkeypatch):
             return original(self, jets, order)
 
         monkeypatch.setattr(MatterModel, attr, counting)
-    run_checks(scenario_from_dict(doc), points=5, seed=0)
-    assert calls == {"stress_jet": [1] * 5, "spin_jet": [1] * 5}
+    # once per chunk of points
+    run_checks(scenario_from_dict(doc), points=CHUNK + 5, seed=0)
+    assert calls == {"stress_jet": [1] * 2, "spin_jet": [1] * 2}
 
 
 def _horizon_scenario():

@@ -199,11 +199,12 @@ def _patch_check(monkeypatch, name, evaluate):
 
 
 def _nan_last(part):
-    """A copy of a residual part, a form or an array, whose last entry is NaN."""
-    values = np.array(getattr(part, "values", part), dtype=float)
-    values.flat[-1] = math.nan
+    """A copy of a residual part, a form or an array with the point axis
+    first, whose last entry at every point is NaN."""
+    values = np.array(getattr(part, "values", part), dtype=float, order="C")
+    values.reshape(len(values), -1)[:, -1] = math.nan
     if isinstance(part, MixedForm):
-        return MixedForm._wrap(part.k, part.p, Jet(0, [values]))
+        return MixedForm._wrap(part.k, part.p, Jet(0, [values], 1))
     return values
 
 
@@ -223,8 +224,8 @@ LAST_PART_NAN = [
 
 class TestPointFaults:
     def test_non_finite_residual_is_an_error_and_fails(self, monkeypatch):
-        def nan_at_point_one(jets, stream):
-            return math.nan if stream[1] == 1 else 0.0
+        def nan_at_point_one(jets, streams):
+            return np.array([math.nan if stream[1] == 1 else 0.0 for stream in streams])
 
         _patch_check(monkeypatch, "torsion-consistency", nan_at_point_one)
         sc = builtin_scenario("minkowski")
@@ -304,8 +305,30 @@ class TestPointFaults:
         assert report.errors
         assert unreachable == 0
 
+    def test_error_rows_of_a_point_share_its_coordinates_and_message(self):
+        # every check at a point inside r < 2M reads the tetrad's one fault,
+        # so the rows hold one coordinate list and one message between them;
+        # the JSON is unchanged
+        doc = builtin_document("schwarzschild")
+        doc["name"] = "schwarzschild-horizon"
+        doc["chart"]["bounds"][0] = [1.0, 10.0]
+        report = run_checks(scenario_from_dict(doc), points=100, seed=0)
+        by_point = {}
+        for row in report.errors:
+            by_point.setdefault(tuple(row["point"]), []).append(row)
+        assert len(by_point) > 1
+        for rows in by_point.values():
+            assert len(rows) == len(report.results)
+            assert all(row["point"] is rows[0]["point"] for row in rows)
+            assert all(row["message"] is rows[0]["message"] for row in rows)
+        points = {id(rows[0]["point"]) for rows in by_point.values()}
+        assert len(points) == len(by_point)
+        assert json.loads(json.dumps(report_document(report)))["errors"] == [
+            dict(row) for row in report.errors
+        ]
+
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(jets, stream):
+        def broken(jets, streams):
             raise TypeError("not a domain fault")
 
         _patch_check(monkeypatch, "second-bianchi", broken)
@@ -369,10 +392,11 @@ def _alternated(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 def _bump_accessor(monkeypatch, accessor: str, groups: tuple[tuple[int, ...], ...], size: float):
     """Make every ``PointJets.<accessor>`` call serve its value plus a fixed
-    random bump on the value and first derivatives, antisymmetric over each
-    group of component axes; a form is bumped within its internal and its
-    spacetime block.  The derivative data no longer belongs to the value,
-    and the quantity no longer matches the others the point derives."""
+    random bump on the value and first derivatives, the same at every point
+    and antisymmetric over each group of component axes; a form is bumped
+    within its internal and its spacetime block.  The derivative data no
+    longer belongs to the value, and the quantity no longer matches the
+    others the point derives."""
     original = getattr(pointjets.PointJets, accessor)
     patterns = {}
 
@@ -385,12 +409,12 @@ def _bump_accessor(monkeypatch, accessor: str, groups: tuple[tuple[int, ...], ..
         if not patterns:
             rng = np.random.default_rng(2024)
             for k, d in enumerate(jet.data[:2]):
-                pattern = rng.uniform(-1.0, 1.0, d.shape)
+                pattern = rng.uniform(-1.0, 1.0, d.shape[jet.lead :])
                 for group in axes:
                     pattern = _alternated(pattern, group)
                 patterns[k] = size * pattern
         data = [d + patterns[k] if k in patterns else d for k, d in enumerate(jet.data)]
-        out = Jet(jet.order, data)
+        out = Jet(jet.order, data, jet.lead)
         return MixedForm(served.k, served.p, out) if isinstance(served, MixedForm) else out
 
     monkeypatch.setattr(pointjets.PointJets, accessor, bumped)
