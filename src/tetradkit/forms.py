@@ -13,7 +13,10 @@ Sign conventions, fixed once here and used everywhere:
   a ^ b = (-1)^((k+p)(l+q)) b ^ a, realized by a Koszul factor (-1)^(p*l)
   in front of the signed shuffle sums over each index block;
 * the internal metric is diag(+1, +1, +1, -1) with the timelike direction
-  last, and the alternating symbol has eps_{0123} = +1 with all indices down.
+  last, and the alternating symbol has eps_{0123} = +1 with all indices down;
+* a spacetime 4-form is c * eps_{mu nu rho sigma}, one coefficient c per
+  internal index; where only c is wanted it is computed from the dual
+  vectors of 3-forms (``three_form_dual``) and held on its own.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ def _build_epsilon() -> np.ndarray:
 
 
 EPSILON = _build_epsilon()
+
+
+# The (1|3) block shuffles of 0123: index mu first, then the other three in
+# order, signed by the shuffle's parity.
+_COMPLEMENTS = (np.array([1, 0, 0, 0]), np.array([2, 2, 1, 1]), np.array([3, 3, 3, 2]))
+_DUAL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 class DegreeError(ValueError):
@@ -273,6 +282,27 @@ def exterior_derivative(x: MixedForm) -> MixedForm:
     perm = list(range(p)) + [p + k] + list(range(p, p + k))
     moved = jet_transpose(shifted, perm)
     return MixedForm._wrap(k + 1, p, _alt_blocks(moved, p, 1, k))
+
+
+def three_form_dual(x: MixedForm) -> Jet:
+    """The dual vector of a spacetime 3-form, d[mu] = s_mu x[compl mu].
+
+    compl mu is the other three indices in order and s = (+, -, +, -), the
+    sign of the (1|3) shuffle that puts mu in front of them.  The result has
+    the internal axes first and mu last.  Wedging with a 1-form or taking
+    the exterior derivative gives a 4-form whose coefficient contracts
+    against d: (a ^ x)_0123 = a_mu d^mu and (dx)_0123 = d_mu d^mu.
+    """
+    if x.k != 3:
+        raise DegreeError(f"three_form_dual needs spacetime degree 3, got {x.k}")
+    jet = x.jet
+    where = (slice(None),) * (jet.lead + x.p) + _COMPLEMENTS
+    data = []
+    for arr in jet.data:
+        dual = arr[where]  # a gather: an array of its own
+        dual *= _DUAL_SIGNS.reshape((DIM,) + (1,) * (arr.ndim - len(where)))
+        data.append(dual)
+    return Jet._trusted(jet.order, data, jet.lead)
 
 
 def covariant_D(omega: Jet, alpha: Jet, variances: tuple[int, ...]) -> Jet:

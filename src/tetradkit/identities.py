@@ -40,6 +40,7 @@ from .forms import (
     covariant_D,
     covariant_exterior_derivative,
     eta_lower,
+    three_form_dual,
 )
 from .jets import Jet, jet_einsum, jet_map
 from .pointjets import PointJets
@@ -103,29 +104,35 @@ def _frame_interior(einv: Jet, form: MixedForm) -> Jet:
     return jet_einsum(spec, einv, form.jet)
 
 
-def _interior_pairings(
-    einv: Jet, theta: Jet, f: Jet, vec3: MixedForm, pair3: MixedForm
-) -> Jet:
-    """The two interior-product couplings of ``_three_form_laws``.
+def _interior_pairings(einv: Jet, theta: Jet, f: Jet, dvec: Jet, dpair: Jet) -> Jet:
+    """The two interior-product couplings of ``_three_form_laws``, as the
+    coefficient [a] of their 4-form.
 
     Contracts torsion against an internal-vector 3-form and the field
-    strength against an internal-pair 3-form, wedging the leftover 1-form
-    slot in; returns the summed raw [a, mu, nu, rho, sigma] jet.
+    strength against an internal-pair 3-form; the 1-form slot the frame
+    interior leaves is wedged in, which pairs it with the 3-forms' duals
+    ``dvec`` and ``dpair``.
     """
     ith = _frame_interior(einv, MixedForm(2, 1, theta))
-    t1 = _alt_blocks(jet_einsum("abx,bmnr->axmnr", ith, vec3.jet), 1, 1, 3)
     ifs = _frame_interior(einv, MixedForm(2, 2, f))
-    t2 = _alt_blocks(jet_einsum("abcx,bcmnr->axmnr", ifs, pair3.jet), 1, 1, 3)
-    return t1 + t2
+    return jet_einsum("abx,bx->a", ith, dvec) + jet_einsum("abcx,bcx->a", ifs, dpair)
 
 
-def _stress_coframe_wedge(t3: MixedForm, e_jet: Jet) -> Jet:
-    """Antisymmetrized wedge of an internal-vector 3-form with the lowered
-    coframe, raw [a, b, mu, nu, rho, sigma] jet in arrays of its own.  Over
-    a chunk of points these are the largest arrays, so the product is
-    released as soon as it is alternated."""
-    wedged = _alt_blocks(jet_einsum("amnr,bs->abmnrs", t3.jet, eta_lower(e_jet, 0)), 2, 3, 1)
+def _stress_coframe_wedge(dvec: Jet, e_jet: Jet) -> Jet:
+    """Antisymmetrized wedge of an internal-vector 3-form, given by its dual
+    ``dvec``, with the lowered coframe: the coefficient [a, b] of its
+    4-form, -d[a, s] e_b s antisymmetrized in (a, b)."""
+    wedged = -jet_einsum("as,bs->ab", dvec, eta_lower(e_jet, 0))
     return wedged - jet_map(lambda arr: np.swapaxes(arr, 0, 1), wedged)
+
+
+def _twisted_divergence(wj: Jet, dual: Jet, variances: tuple[int, ...]) -> Jet:
+    """D_mu d^mu: the coefficient of the twisted derivative of the 3-form
+    whose dual is ``dual``.  ``covariant_D`` puts the derivative slot just
+    before the dual slot, and the two are traced."""
+    raw = covariant_D(wj, dual, variances)
+    axis = raw.lead + len(variances)
+    return Jet._trusted(raw.order, [np.trace(arr, 0, axis, axis + 1) for arr in raw.data], raw.lead)
 
 
 def _three_form_laws(
@@ -137,27 +144,32 @@ def _three_form_laws(
     interior-product couplings of torsion to it and of the field strength
     to the internal-pair 3-form.  Second: the twisted derivative of the
     internal-pair 3-form minus half the antisymmetrized wedge of the
-    internal-vector 3-form with the lowered coframe.  Both are 4-forms one
-    order below the 3-forms; the other jets come at that order, so the
-    algebraic terms are built to it and no deeper.
+    internal-vector 3-form with the lowered coframe.  Both are 4-forms,
+    c * eps_{mu nu rho sigma}, returned by their coefficients c, [a] and
+    [a, b], as internal-valued 0-forms.  Every term contracts against the
+    3-forms' dual vectors (``three_form_dual``), so no 4-form is built.
+    The coefficients are one order below the 3-forms; the other jets come
+    at that order, so the algebraic terms are built to it and no deeper.
     """
-    dv = covariant_exterior_derivative(wj, vec3, (-1,))
-    first = dv - MixedForm._wrap(4, 1, _interior_pairings(einv, theta, f, vec3, pair3))
-    second = covariant_exterior_derivative(wj, pair3, (-1, -1))
+    dvec = three_form_dual(vec3)
+    dpair = three_form_dual(pair3)
+    first = _twisted_divergence(wj, dvec, (-1,)) - _interior_pairings(einv, theta, f, dvec, dpair)
+    second = _twisted_divergence(wj, dpair, (-1, -1))
     # both sides are arrays of their own: halve and subtract in place
-    for d, w in zip(second.jet.data, _stress_coframe_wedge(vec3, ej).data):
+    for d, w in zip(second.data, _stress_coframe_wedge(dvec, ej).data):
         w *= 0.5
         d -= w
-    return first, second
+    return MixedForm._wrap(0, 1, first), MixedForm._wrap(0, 2, second)
 
 
 def rewritten_lhs_check(jets: PointJets) -> tuple[MixedForm, MixedForm]:
     """Derivative expansions of the two geometric equation sides.
 
-    ``_three_form_laws`` of the curvature 3-form and the torsion 3-form.
-    The half in the second residual enters with the sign that closes the
-    identity under the torsion conventions used here (measured once,
-    pinned by a test).  Both residuals vanish for every frame and
+    ``_three_form_laws`` of the curvature 3-form and the torsion 3-form:
+    the coefficients [a] and [a, b] of two 4-forms, point axis first over
+    a chunk.  The half in the second residual enters with the sign that
+    closes the identity under the torsion conventions used here (measured
+    once, pinned by a test).  Both residuals vanish for every frame and
     connection with coherent jets.
     """
     ej = jets.e(0)
@@ -172,10 +184,12 @@ def rewritten_lhs_check(jets: PointJets) -> tuple[MixedForm, MixedForm]:
 
 @dataclass(frozen=True)
 class ConservationFormResiduals:
-    """Form-language conservation defects of the matter sources."""
+    """Form-language conservation defects of the matter sources, each a
+    4-form c * eps_{mu nu rho sigma} held by its coefficient c as an
+    internal-valued 0-form (see ``_three_form_laws``)."""
 
-    stress: MixedForm  # internal-vector 4-form
-    spin: MixedForm  # internal-pair 4-form
+    stress: MixedForm  # coefficient [a] of the internal-vector 4-form
+    spin: MixedForm  # coefficient [a, b] of the internal-pair 4-form
 
 
 def conservation_form_residuals(jets: PointJets) -> ConservationFormResiduals:

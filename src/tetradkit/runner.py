@@ -61,15 +61,16 @@ from .scenarios import Scenario
 
 # Sample points derived together: one walk per expression tree and one
 # derivation, with the point axis first, per chunk.  A chunk's working set
-# grows by about 250 KB per point, most of it pair-valued 3- and 4-forms;
+# grows by about 170-260 KB per point, most of it pair-valued 3-forms;
 # beyond about a dozen points that memory costs more than the calls it saves.
 CHUNK = 12
 
 
 class RunnerError(ValueError):
-    """Bad run options (unknown check names, tolerance keys, or tolerances
-    that are not positive finite numbers), or a point the run cannot
-    score: a mirrored tetrad or a non-finite residual."""
+    """Bad run options (unknown check names, tolerance keys, tolerances
+    that are not positive finite numbers, or a seed that is not a
+    nonnegative integer), or a point the run cannot score: a mirrored
+    tetrad or a non-finite residual."""
 
 
 # What a point may raise and still leave the run going: domain faults of
@@ -153,19 +154,25 @@ def _message(fault: BaseException, messages: dict) -> str:
 
 def _random_jets(rngs: Sequence[np.random.Generator], shapes) -> list[Jet]:
     """Random coherent order-2 jets, the second derivative axes symmetric:
-    one per shape, each drawn at every point from that point's generator,
-    in turn, and stacked over the points."""
-    draws = [[] for _ in shapes]
-    for rng in rngs:
-        for drawn, shape in zip(draws, shapes):
-            drawn.append(
-                [rng.uniform(-1.0, 1.0, shape + (DIM,) * k) for k in range(3)]
-            )
-    jets = []
-    for drawn in draws:
-        value, first, second = (np.stack(parts) for parts in zip(*drawn))
-        jets.append(Jet(2, [value, first, 0.5 * (second + second.swapaxes(-1, -2))], 1))
-    return jets
+    one per shape, each point's drawn from that point's generator.
+
+    A point's doubles come from one call, in the order of drawing each
+    shape's value, first and second derivative tensors in turn, and the
+    jets' tensors are views of the rows they land in."""
+    parts = [shape + (DIM,) * k for shape in shapes for k in range(3)]
+    sizes = [math.prod(part) for part in parts]
+    block = np.empty((len(rngs), sum(sizes)))
+    for row, rng in zip(block, rngs):
+        row[:] = rng.uniform(-1.0, 1.0, len(row))
+    bounds = np.cumsum([0] + sizes)
+    views = [
+        block[:, start:stop].reshape((len(rngs),) + part)
+        for part, start, stop in zip(parts, bounds, bounds[1:])
+    ]
+    return [
+        Jet(2, [value, first, 0.5 * (second + second.swapaxes(-1, -2))], 1)
+        for value, first, second in zip(views[0::3], views[1::3], views[2::3])
+    ]
 
 
 # -- check evaluators -------------------------------------------------------
@@ -374,6 +381,8 @@ def run_checks(
     s = seed if seed is not None else scenario.seed
     if n <= 0:
         raise RunnerError(f"points must be positive, got {n}")
+    if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+        raise RunnerError(f"sampling seed must be a nonnegative integer, got {s!r}")
 
     tol_map = {check.name: check.tolerance for check in CHECKS}
     _validate_names(scenario.tolerances, "tolerance override")

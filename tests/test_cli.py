@@ -189,6 +189,12 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and "must be a finite number" in err
 
+    def test_negative_seed_reported_as_usage_error(self, capsys):
+        code, out, err = run_main(["check", "--builtin", "minkowski", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "seed must be a nonnegative integer" in err
+
     def test_bad_tol_syntax(self, capsys):
         code, _, err = run_main(
             ["check", "--builtin", "minkowski", "--tol", "nonsense"], capsys

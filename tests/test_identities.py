@@ -5,7 +5,16 @@ import pytest
 from tetradkit.exprkit import eval_jet_grid, parse_expression
 from tetradkit.fieldeqs import MatterModel, determinant_jet
 from tetradkit import jets as jets_module
-from tetradkit.forms import DegreeError, MixedForm, covariant_D, covariant_exterior_derivative
+from tetradkit.forms import (
+    EPSILON,
+    DegreeError,
+    MixedForm,
+    _alt_blocks,
+    covariant_D,
+    covariant_exterior_derivative,
+    eta_lower,
+    three_form_dual,
+)
 from tetradkit.geometry import (
     LeviCivitaConnection,
     SingularTetradError,
@@ -28,7 +37,7 @@ from tetradkit.identities import (
     second_bianchi_residual,
     spin_potential_tensor,
 )
-from tetradkit.jets import Jet, jet_map
+from tetradkit.jets import Jet, jet_einsum, jet_map
 from tetradkit.pointjets import PointJets
 from tetradkit.scenarios import builtin_scenario
 
@@ -185,15 +194,16 @@ class TestRewrittenLhs:
         wj = omega.jet(point, 2)
         from tetradkit.fieldeqs import curvature_three_form, torsion_three_form
         from tetradkit.geometry import torsion_jet
-        from tetradkit.identities import _stress_coframe_wedge
+        from tetradkit.identities import _stress_coframe_wedge, _twisted_divergence
 
         s3 = torsion_three_form(torsion_jet(ej, wj), ej)
-        ds = covariant_exterior_derivative(wj, s3, (-1, -1))
-        pe = _stress_coframe_wedge(curvature_three_form(ej, field_strength_jet(wj)), ej)
-        flipped = ds + MixedForm._wrap(4, 2, pe.scaled(0.5).truncated(ds.order))
-        assert ds.max_abs() > 1e-6
+        ds = _twisted_divergence(wj, three_form_dual(s3), (-1, -1))
+        p3 = curvature_three_form(ej, field_strength_jet(wj))
+        pe = _stress_coframe_wedge(three_form_dual(p3), ej)
+        flipped = ds + pe.scaled(0.5).truncated(ds.order)
+        assert np.abs(ds.value).max() > 1e-6
         assert second.max_abs() < 1e-12
-        assert flipped.max_abs() > 0.1 * ds.max_abs()
+        assert np.abs(flipped.value).max() > 0.1 * np.abs(ds.value).max()
 
     def test_singular_tetrad_raises(self):
         texts = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
@@ -268,6 +278,61 @@ class TestConservationForm:
         npt.assert_allclose(r2 - r0, 2.0 * slope, atol=1e-12)
 
 
+def _dense_three_form_laws(jets, vec3, pair3):
+    """Both three-form laws as dense 4-forms, built the long way: the
+    twisted exterior derivatives of the 3-forms, and every wedge as an
+    outer product alternated over its spacetime blocks."""
+    ej, wj, einv = jets.e(0), jets.omega(0), jets.inverse_tetrad(0)
+    ith = jet_einsum("ma,bmn->abn", einv, jets.torsion(0))
+    ifs = jet_einsum("ma,bcmn->abcn", einv, jets.field_strength(0))
+    t1 = _alt_blocks(jet_einsum("abx,bmnr->axmnr", ith, vec3.jet), 1, 1, 3)
+    t2 = _alt_blocks(jet_einsum("abcx,bcmnr->axmnr", ifs, pair3.jet), 1, 1, 3)
+    first = covariant_exterior_derivative(wj, vec3, (-1,)).jet - (t1 + t2)
+    wedged = _alt_blocks(jet_einsum("amnr,bs->abmnrs", vec3.jet, eta_lower(ej, 0)), 2, 3, 1)
+    wedged = wedged - jet_map(lambda arr: np.swapaxes(arr, 0, 1), wedged)
+    second = covariant_exterior_derivative(wj, pair3, (-1, -1)).jet - wedged.scaled(0.5)
+    return first, second
+
+
+class TestFourFormCoefficients:
+    """The two three-form laws return the 0123 coefficients of the 4-forms
+    that the long way builds densely, and build no dense 4-form on the way."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_coefficients_are_the_dense_forms_0123_entries(self, seed):
+        rng = np.random.default_rng(seed)
+        e, omega = contorted_levi_civita(rng)
+        matter = random_matter(rng)
+        for point in POINTS:
+            jets = PointJets(e, omega, point, matter)
+            sources = conservation_form_residuals(jets)
+            cases = (
+                (rewritten_lhs_check(jets), jets.curvature_three_form(1), jets.torsion_three_form(1)),
+                ((sources.stress, sources.spin), jets.stress_form(1), jets.spin_form(1)),
+            )
+            for coeffs, vec3, pair3 in cases:
+                for coeff, dense in zip(coeffs, _dense_three_form_laws(jets, vec3, pair3)):
+                    want = dense.value[..., 0, 1, 2, 3]
+                    atol = 1e-13 * max(1.0, np.abs(dense.value).max())
+                    npt.assert_allclose(coeff.values, want, rtol=0, atol=atol)
+                    # a 4-form is its coefficient times the alternating symbol
+                    npt.assert_allclose(
+                        dense.value, np.multiply.outer(want, EPSILON), rtol=0, atol=atol
+                    )
+            # off-shell matter: the source laws compare numbers of order one
+            assert np.abs(sources.stress.values).max() > 1e-3
+
+    @pytest.mark.parametrize("law", [rewritten_lhs_check, conservation_form_residuals])
+    def test_no_product_above_component_rank_four(self, monkeypatch, law):
+        rng = np.random.default_rng(3)
+        e, omega = contorted_levi_civita(rng)
+        jets = PointJets(e, omega, POINTS[0], random_matter(rng))
+        law(jets)
+        specs = [spec for spec, _ in _products(monkeypatch, lambda: law(jets))]
+        assert specs
+        assert max(len(spec.split("->")[1]) for spec in specs) <= 4, specs
+
+
 class TestConservationComponent:
     def test_vacuum_zero(self):
         rng = np.random.default_rng(2)
@@ -325,10 +390,10 @@ class TestConservationComponent:
             ej = e.jet(point, 0)
             det = float(determinant_jet(ej).value)
             gin = np.linalg.inv(metric_jet(ej).value)
-            stress_coeff = forms.stress.jet.value[:, 0, 1, 2, 3]
+            stress_coeff = forms.stress.values
             mapped = gin @ (-(1.0 / det) * ej.value.T @ stress_coeff)
             npt.assert_allclose(mapped, comp.stress, atol=1e-12 * max(1.0, np.abs(comp.stress).max()))
-            spin_coeff = forms.spin.jet.value[:, :, 0, 1, 2, 3]
+            spin_coeff = forms.spin.values
             mapped2 = -(1.0 / det) * np.einsum("am,bn,ab->mn", ej.value, ej.value, spin_coeff)
             npt.assert_allclose(mapped2, comp.spin, atol=1e-12 * max(1.0, np.abs(comp.spin).max()))
 
@@ -452,19 +517,23 @@ class TestMetricCompatibility:
         assert np.abs(res).max() < 1e-12
 
 
-def _product_orders(monkeypatch, call) -> list[int]:
-    """The derivative order K of every ``jet_einsum`` product that ``call``
-    builds: its Leibniz terms run through orders 0..K."""
-    orders = []
+def _products(monkeypatch, call) -> list[tuple[str, int]]:
+    """The spec and derivative order K of every ``jet_einsum`` product that
+    ``call`` builds: its Leibniz terms run through orders 0..K."""
+    products = []
     plan = jets_module._einsum_plan
 
     def counting(spec, K, *shapes_and_leads):
-        orders.append(K)
+        products.append((spec, K))
         return plan(spec, K, *shapes_and_leads)
 
     monkeypatch.setattr(jets_module, "_einsum_plan", counting)
     call()
-    return orders
+    return products
+
+
+def _product_orders(monkeypatch, call) -> list[int]:
+    return [K for _, K in _products(monkeypatch, call)]
 
 
 class TestNoDiscardedOrder:

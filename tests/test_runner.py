@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -30,6 +31,7 @@ from tetradkit.scenarios import (
     scenario_from_dict,
 )
 
+from test_report_parity import DOCUMENTS as PARITY_DOCUMENTS
 from test_scenarios import minimal_document
 
 
@@ -56,6 +58,26 @@ class TestSampling:
         assert np.array_equal(a, b)
         c = sample_points(chart, 50, 8)
         assert not np.array_equal(a, c)
+
+
+class TestRandomJets:
+    def test_one_draw_per_point_gives_the_per_shape_draws(self):
+        # each point draws every shape's value, first and second derivative
+        # tensors from its generator in turn; one call per point yields the
+        # same doubles in the same order
+        shapes = ((4,), (4,), (4, 4), (4, 4))
+        streams = [(3, i) for i in range(5)]
+        got = runner._random_jets([runner._aux_rng(st, "d2-law") for st in streams], shapes)
+        rngs = [runner._aux_rng(st, "d2-law") for st in streams]
+        drawn = [[[rng.uniform(-1.0, 1.0, shape + (4,) * k) for k in range(3)] for shape in shapes]
+                 for rng in rngs]
+        assert len(got) == len(shapes)
+        for j, jet in enumerate(got):
+            value, first, second = (np.stack([point[j][k] for point in drawn]) for k in range(3))
+            assert jet.order == 2 and jet.lead == 1
+            np.testing.assert_array_equal(jet.data[0], value)
+            np.testing.assert_array_equal(jet.data[1], first)
+            np.testing.assert_array_equal(jet.data[2], 0.5 * (second + second.swapaxes(-1, -2)))
 
 
 class TestRegistry:
@@ -143,6 +165,13 @@ class TestRunChecks:
         # nothing, inf would pass any finite residual
         with pytest.raises(RunnerError, match="positive finite number"):
             run_checks(builtin_scenario("minkowski"), points=1, tolerances={"commutator": tol})
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "0"])
+    def test_bad_seed_rejected(self, seed):
+        # a scenario file rejects the same values; numpy would raise its own
+        # ValueError on a negative seed
+        with pytest.raises(RunnerError, match="sampling seed must be a nonnegative integer"):
+            run_checks(builtin_scenario("minkowski"), points=1, seed=seed)
 
     def test_order_cap_excludes_deep_checks(self):
         report = run_checks(builtin_scenario("minkowski"), points=2, max_order=1)
@@ -509,3 +538,24 @@ class TestBuiltinRuns:
         report = run_checks(builtin_scenario(name), points=12, seed=5)
         assert report.overall_pass, format_text(report)
         assert not report.errors
+
+
+# The tracemalloc peak of one 100-point run and its report document, in MB.
+# A chunk's working set is most of it: the three-form laws read 3-forms and
+# build 4-form coefficients, about 2.1 MB on both scenarios; building the
+# laws' 4-forms densely again reads about 3.5 MB.
+PEAK_MB = 2.8
+
+
+@pytest.mark.parametrize("name", ["flat-polar", "schwarzschild-horizon"])
+def test_peak_memory_of_a_run(name):
+    sc = scenario_from_dict(PARITY_DOCUMENTS[name]())
+    # a first run fills the module caches (einsum plans, sign tables)
+    report_document(run_checks(sc, points=2, seed=0))
+    tracemalloc.start()
+    try:
+        report_document(run_checks(sc, points=100, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < PEAK_MB
