@@ -7,14 +7,11 @@ the tetrad before the connection, the order that decides which fault a
 point reports when both fail.  Two normalization facts thread through the
 module:
 
-* Every epsilon contraction of a wedge is kept in the single-labeling
-  normalization of the component equations.  The curvature and torsion
-  3-forms and the spin form contract epsilon into one factor and alternate
-  the spacetime slots once, which is that reading directly.  The other
-  routes go through ``internal_wedge``, which alternates over whole index
-  blocks with unit weight and so carries a fixed integer multiple of the
-  labeled product; the ``_MULT_*`` constants divide those multiples out.
-  Brute-force expansion tests pin both.
+* Every spacetime 3-form here is built as its dual vector (see ``forms``)
+  from its factors: the epsilon contraction of a wedge in the
+  single-labeling normalization of the component equations, with no
+  block-alternation multiple.  The tests pin each against its dense
+  reference through ``internal_wedge``, which carries such a multiple.
 * A rank-2 stress tensor and a frame-valued 3-form are two encodings of the
   same source.  ``dual_component_projection`` maps the 3-form encoding back
   to rank-2 components; applied to the matter-free curvature-equation left
@@ -40,11 +37,11 @@ from .exprkit import Chart, JetBatch, eval_jet_grid
 from .forms import (
     EPSILON,
     MixedForm,
-    _alt_blocks,
-    covariant_exterior_derivative,
     epsilon_trace,
     eta_lower,
     internal_wedge,
+    twisted_divergence,
+    two_form_dual,
 )
 from .geometry import (
     DET_THRESHOLD,
@@ -84,8 +81,6 @@ DEFAULT_KAPPA = EIGHT_PI * CURVATURE_DUAL_FACTOR
 # the labeled-factor expressions they implement, fixed by the shuffle
 # normalization of the wedge.  Verified against literal permutation sums in
 # the tests; do not fold them into other constants.
-_MULT_E_E_E = -6.0  # eps_abcd wedge(wedge(e, e), e) vs eps_abcd e^b ^ e^c ^ e^d
-_MULT_E_E = -2.0  # wedge(e, e) vs e^c ^ e^d
 _MULT_EEF_TRACE = -12.0  # eps contraction of wedge(wedge(e, e), F) vs labeled
 _MULT_E4_TRACE = 24.0  # eps contraction of wedge(wedge(e, e), wedge(e, e))
 
@@ -126,55 +121,53 @@ def torsion_q_jet(e_jet: Jet, omega_jet: Jet) -> Jet:
     return torsion_tensor_jet(theta, inverse_tetrad_jet(e_jet))
 
 
-def dual_component_projection(form: MixedForm, e_jet: Jet) -> Jet:
-    """Rank-2 components [mu, nu] of an internal-vector 3-form.
+def dual_component_projection(dual: Jet, e_jet: Jet) -> Jet:
+    """Rank-2 components [mu, nu] of an internal-vector 3-form, given by its
+    dual vector [a, mu].
 
-    Contracts the spacetime slots with the alternating symbol, maps the
-    internal index through the tetrad, lowers the free slot with the metric,
-    and removes the tetrad determinant.  Exact inverse of
-    ``stress_tensor_to_form`` at unit scale.
+    Maps the internal index through the tetrad, lowers the free slot with
+    the metric, and removes the tetrad determinant and the dual's sign.
+    Exact inverse of ``stress_tensor_to_form`` at unit scale.
     """
-    if form.k != 3 or form.p != 1:
+    if dual.comp_shape != (DIM, DIM):
         raise FieldEquationError(
-            f"expected an internal-vector 3-form, got (k={form.k}, p={form.p})"
+            f"expected the dual [a, mu] of an internal-vector 3-form, got shape {dual.comp_shape}"
         )
     det = determinant_jet(e_jet)
     if abs(float(det.value)) <= DET_THRESHOLD:
         raise SingularTetradError("tetrad determinant vanishes at this point")
-    dvec = jet_map(
-        lambda arr: np.einsum("mnrs,amnr...->as...", EPSILON, arr) / 6.0, form.jet
-    )
     g = metric_jet(e_jet)
-    out = jet_einsum("am,as->ms", e_jet, dvec)
+    out = jet_einsum("am,as->ms", e_jet, dual.scaled(-1.0))
     out = jet_einsum("ms,sn->mn", out, g)
     return jet_einsum("mn,->mn", out, jet_reciprocal(det))
 
 
-def stress_tensor_to_form(t_jet: Jet, einv: Jet, ginv: Jet, det: Jet, kappa: float) -> MixedForm:
-    """Frame-valued 3-form encoding of rank-2 stress components.
+def stress_tensor_to_form(t_jet: Jet, einv: Jet, ginv: Jet, det: Jet, kappa: float) -> Jet:
+    """Frame-valued 3-form encoding of rank-2 stress components, by its
+    dual vector [a, mu].
 
-    Reads the inverse tetrad, inverse metric and tetrad determinant jets.
-    Scaled so that ``kappa`` times the result projects back (through
-    ``dual_component_projection``) onto ``CURVATURE_DUAL_FACTOR * 8 pi``
-    times the component tensor, matching the stress side of the component
-    equations.
+    The form is eps_{m n r s} d[a, s] for d = det e^-1 t g^-1, so its dual
+    is -d.  Scaled so that ``kappa`` times the result projects back
+    (through ``dual_component_projection``) onto
+    ``CURVATURE_DUAL_FACTOR * 8 pi`` times the component tensor, matching
+    the stress side of the component equations.
     """
     d = jet_einsum("ma,mn->an", einv, t_jet)
     d = jet_einsum("an,ns->as", d, ginv)
     d = jet_einsum("as,->as", d, det)
-    v = jet_map(lambda arr: np.einsum("mnrs,as...->amnr...", EPSILON, arr), d)
-    return MixedForm(3, 1, v.scaled(EIGHT_PI * CURVATURE_DUAL_FACTOR / kappa))
+    return d.scaled(-EIGHT_PI * CURVATURE_DUAL_FACTOR / kappa)
 
 
-def spin_tensor_to_form(s_jet: Jet, e_jet: Jet, kappa: float) -> MixedForm:
-    """Internal-pair 3-form encoding of the spin source s[mu, nu, sigma].
+def spin_tensor_to_form(s_jet: Jet, e_jet: Jet, kappa: float) -> Jet:
+    """Internal-pair 3-form encoding of the spin source s[mu, nu, sigma],
+    by its dual vector [a, b, mu].
 
     Scaled so that ``kappa`` times the result equals the torsion-equation
     left side whenever the component relation between torsion and spin
     holds, matching the spin side of the component equations.
     """
     sig2 = jet_einsum("cs,mns->cmn", e_jet, s_jet)
-    return MixedForm(3, 2, _eps_pair_wedge(sig2, e_jet).scaled(-SIXTEEN_PI / kappa))
+    return _eps_pair_dual(sig2, e_jet).scaled(-SIXTEEN_PI / kappa)
 
 
 class SpinSourceField(_PairField):
@@ -267,10 +260,10 @@ class MatterModel:
             return jets.read(self._spin, order)
         return jets.torsion_tensor(order).scaled(-1.0 / SIXTEEN_PI)
 
-    def stress_form(self, jets: PointJets, order: int) -> MixedForm:
+    def stress_form(self, jets: PointJets, order: int) -> Jet:
         """``stress_tensor_to_form`` of the point's stress jet."""
         if self.mode == "vacuum":
-            return MixedForm.zero(3, 1, order, jets.shape)
+            return Jet.zeros(jets.shape + (DIM, DIM), order, jets.lead)
         return stress_tensor_to_form(
             jets.stress(order),
             jets.inverse_tetrad(order),
@@ -279,10 +272,10 @@ class MatterModel:
             self.kappa,
         )
 
-    def spin_form(self, jets: PointJets, order: int) -> MixedForm:
+    def spin_form(self, jets: PointJets, order: int) -> Jet:
         """``spin_tensor_to_form`` of the point's spin jet."""
         if self.mode == "vacuum":
-            return MixedForm.zero(3, 2, order, jets.shape)
+            return Jet.zeros(jets.shape + (DIM, DIM, DIM), order, jets.lead)
         return spin_tensor_to_form(jets.spin(order), jets.e(order), self.kappa)
 
 
@@ -298,41 +291,41 @@ def _eps_lead(jet: Jet, n: int) -> Jet:
     return Jet._trusted(jet.order, data, p)
 
 
-def curvature_three_form(e_jet: Jet, f_jet: Jet) -> MixedForm:
-    """Geometric side of the curvature equation: an internal-vector 3-form.
-
-    eps_abcd e^b ^ F^cd in the single-labeling reading of the wedge,
-    Alt_{m|nr}(eps_abcd e^b_m F^cd_nr), with eps contracted into F first.
-    """
-    y = jet_einsum("abnr,bm->amnr", _eps_lead(f_jet, 2), e_jet)
-    return MixedForm._wrap(3, 1, _alt_blocks(y, 1, 1, 2))
+def curvature_three_form(e_jet: Jet, f_jet: Jet) -> Jet:
+    """Geometric side of the curvature equation, eps_abcd e^b ^ F^cd, by its
+    dual vector [a, mu]: eps_abcd F*^cd_{mu m} e^b_m, F* = ``two_form_dual``
+    of F, with eps contracted into F first."""
+    dual = two_form_dual(_eps_lead(f_jet, 2), 2)
+    return jet_einsum("abum,bm->au", dual, e_jet)
 
 
-def _eps_pair_wedge(beta: Jet, e_jet: Jet) -> Jet:
-    """Alt_{mn|r}(eps_abcd beta^c_mn e^d_r) for an internal-vector 2-form
-    beta[c, mu, nu]: the single-labeling reading of eps_abcd beta^c ^ e^d."""
-    y = jet_einsum("abcr,cmn->abmnr", _eps_lead(e_jet, 1), beta)
-    return _alt_blocks(y, 2, 2, 1)
+def _eps_pair_dual(beta: Jet, e_jet: Jet) -> Jet:
+    """Dual vector [a, b, mu] of eps_abcd beta^c ^ e^d, in the
+    single-labeling reading, for an internal-vector 2-form beta[c, mu, nu]:
+    eps_abcd beta*^c_{mu r} e^d_r."""
+    return _eps_lead(jet_einsum("cur,dr->cdu", two_form_dual(beta, 1), e_jet), 2)
 
 
-def torsion_three_form(theta_jet: Jet, e_jet: Jet) -> MixedForm:
+def _frame_pair(e_jet: Jet) -> Jet:
+    """The frame-pair 2-form e^c ^ e^d, [c, d, m, n] = e^c_m e^d_n - e^c_n e^d_m."""
+    ee = jet_einsum("cm,dn->cdmn", e_jet, e_jet)
+    return ee - Jet._trusted(ee.order, [d.swapaxes(ee.lead + 2, ee.lead + 3) for d in ee.data], ee.lead)
+
+
+def torsion_three_form(theta_jet: Jet, e_jet: Jet) -> Jet:
     """Geometric side of the torsion equation: an internal-pair 3-form,
-    eps_abcd theta^c ^ e^d read like ``curvature_three_form``."""
-    return MixedForm._wrap(3, 2, _eps_pair_wedge(theta_jet, e_jet))
+    eps_abcd theta^c ^ e^d, by its dual vector [a, b, mu]."""
+    return _eps_pair_dual(theta_jet, e_jet)
 
 
-def derivative_torsion_three_form(e_jet: Jet, omega_jet: Jet) -> MixedForm:
-    """Geometric side of the torsion equation by the derivative route.
-
-    Epsilon contraction of the twisted exterior derivative of the frame-pair
-    2-form e ^ e, normalized like ``torsion_three_form``; a product-rule
-    fact makes the two routes agree identically.  The tetrad jet must be one
-    order deeper than the connection jet.
-    """
-    ef = MixedForm(1, 1, e_jet)
-    ee = internal_wedge(ef, ef)
-    ddee = covariant_exterior_derivative(omega_jet, ee, (1, 1))
-    return MixedForm._wrap(3, 2, _eps_lead(ddee.jet, 2).scaled(0.5 / _MULT_E_E))
+def derivative_torsion_three_form(e_jet: Jet, omega_jet: Jet) -> Jet:
+    """Geometric side of the torsion equation by the derivative route, by
+    its dual vector [a, b, mu]: half the epsilon contraction of the twisted
+    derivative of e ^ e, (1/2) eps_abcd D_nu (e^c ^ e^d)*_{mu nu}.  A
+    product-rule fact makes it agree identically with ``torsion_three_form``.
+    The tetrad jet must be one order deeper than the connection jet."""
+    pair = two_form_dual(_frame_pair(e_jet), 2)
+    return _eps_lead(twisted_divergence(omega_jet, pair, (1, 1)), 2).scaled(0.5)
 
 
 def pc_action_density(jets: PointJets, lam: float) -> float:
@@ -352,24 +345,23 @@ def pc_action_density(jets: PointJets, lam: float) -> float:
     return float(geo + (lam / 24.0) * vol / _MULT_E4_TRACE)
 
 
-def curvature_equation_residual(jets: PointJets) -> MixedForm:
-    """Residual E[a] of the curvature equation as an internal-vector 3-form.
-
-    Curvature term plus the cosmological term minus ``kappa`` times the
-    stress 3-form.  Zero (to tolerance) exactly on solutions.
-    """
+def curvature_equation_residual(jets: PointJets) -> Jet:
+    """Residual E[a] of the curvature equation, an internal-vector 3-form, by
+    its dual vector [a, mu]: the curvature term plus the cosmological term,
+    (lambda/6) eps_abcd e^b ^ e^c ^ e^d or the curvature 3-form with e ^ e in
+    place of F, minus ``kappa`` times the stress 3-form.  Zero (to
+    tolerance) exactly on solutions."""
     matter = jets.matter
     resid = jets.curvature_three_form(0)
     if matter.lam != 0.0:
-        ef = MixedForm(1, 1, jets.e(0))
-        ee = internal_wedge(ef, ef)
-        vol3 = _eps_lead(internal_wedge(ee, ef).jet, 3).scaled(matter.lam / (6.0 * _MULT_E_E_E))
-        resid = resid + MixedForm._wrap(3, 1, vol3)
+        ej = jets.e(0)
+        resid = resid + curvature_three_form(ej, _frame_pair(ej)).scaled(matter.lam / 6.0)
     return resid - jets.stress_form(0).scaled(matter.kappa)
 
 
-def torsion_equation_sides(jets: PointJets) -> tuple[MixedForm, MixedForm]:
-    """Both routes to the torsion-equation left side, as internal-pair 3-forms.
+def torsion_equation_sides(jets: PointJets) -> tuple[Jet, Jet]:
+    """Both routes to the torsion-equation left side, as the dual vectors
+    [a, b, mu] of internal-pair 3-forms.
 
     The derivative route (``derivative_torsion_three_form``) comes first,
     the algebraic route (``torsion_three_form``) second.  They agree
@@ -378,8 +370,9 @@ def torsion_equation_sides(jets: PointJets) -> tuple[MixedForm, MixedForm]:
     return jets.derivative_torsion_three_form(0), jets.torsion_three_form(0)
 
 
-def torsion_equation_residual(jets: PointJets) -> MixedForm:
-    """Residual C[a, b] of the torsion equation as an internal-pair 3-form.
+def torsion_equation_residual(jets: PointJets) -> Jet:
+    """Residual C[a, b] of the torsion equation as an internal-pair 3-form,
+    by its dual vector [a, b, mu].
 
     The derivative route to the left side minus ``kappa`` times the spin
     3-form.  Its gap to the algebraic route is what the ``nfe-leibniz``

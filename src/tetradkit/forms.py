@@ -1,10 +1,15 @@
 """Internal-space algebra: mixed forms, wedge products, epsilon contractions.
 
 A MixedForm(k, p) holds components antisymmetric separately in k spacetime
-indices and p internal indices.  Components are stored densely as a jet, so
-every form can also carry exact derivative data; a plain array is accepted
-and treated as an order-0 jet.  Component axes are ordered internal first,
-then spacetime.
+indices and p internal indices, as a jet, so every form can also carry
+exact derivative data; a plain array is accepted and treated as an order-0
+jet.  Component axes are ordered internal first, then spacetime.  A run
+holds forms of degree 0-2 this way and higher degrees as plain jets: a
+3-form x by its dual vector d[.., mu] = s_mu x[.., compl mu] (compl mu the
+other three indices in order, s = (+, -, +, -) the sign of the (1|3)
+shuffle that puts mu first), a 4-form by its one coefficient (below).
+``two_form_dual`` and ``twisted_divergence`` take the twisted exterior
+derivative from one storage to the next.
 
 Sign conventions, fixed once here and used everywhere:
 
@@ -15,8 +20,8 @@ Sign conventions, fixed once here and used everywhere:
 * the internal metric is diag(+1, +1, +1, -1) with the timelike direction
   last, and the alternating symbol has eps_{0123} = +1 with all indices down;
 * a spacetime 4-form is c * eps_{mu nu rho sigma}, one coefficient c per
-  internal index; where only c is wanted it is computed from the dual
-  vectors of 3-forms (``three_form_dual``) and held on its own.
+  internal index, computed from the dual vectors of 3-forms and held on
+  its own.
 """
 
 from __future__ import annotations
@@ -44,10 +49,17 @@ def _build_epsilon() -> np.ndarray:
 EPSILON = _build_epsilon()
 
 
-# The (1|3) block shuffles of 0123: index mu first, then the other three in
-# order, signed by the shuffle's parity.
-_COMPLEMENTS = (np.array([1, 0, 0, 0]), np.array([2, 2, 1, 1]), np.array([3, 3, 3, 2]))
-_DUAL_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+def _pair_complements() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each pair (nu, mu): the other two indices m < n and
+    eps_{nu mu m n}, zero where nu = mu."""
+    rows, cols, signs = np.zeros((DIM, DIM), int), np.zeros((DIM, DIM), int), np.zeros((DIM, DIM))
+    for nu, mu, m, n in np.argwhere(EPSILON):
+        if m < n:
+            rows[nu, mu], cols[nu, mu], signs[nu, mu] = m, n, EPSILON[nu, mu, m, n]
+    return rows, cols, signs
+
+
+_PAIR_ROWS, _PAIR_COLS, _PAIR_SIGNS = _pair_complements()
 
 
 class DegreeError(ValueError):
@@ -142,11 +154,6 @@ class MixedForm:
     @classmethod
     def _wrap(cls, k: int, p: int, jet: Jet) -> "MixedForm":
         return cls(k, p, jet, _checked=True)
-
-    @classmethod
-    def zero(cls, k: int, p: int, order: int = 0, points: tuple[int, ...] = ()) -> "MixedForm":
-        """The zero form, at each of ``points`` (a point-axis shape) if given."""
-        return cls._wrap(k, p, Jet.zeros(points + (DIM,) * (p + k), order, len(points)))
 
     @property
     def order(self) -> int:
@@ -284,25 +291,49 @@ def exterior_derivative(x: MixedForm) -> MixedForm:
     return MixedForm._wrap(k + 1, p, _alt_blocks(moved, p, 1, k))
 
 
-def three_form_dual(x: MixedForm) -> Jet:
-    """The dual vector of a spacetime 3-form, d[mu] = s_mu x[compl mu].
-
-    compl mu is the other three indices in order and s = (+, -, +, -), the
-    sign of the (1|3) shuffle that puts mu in front of them.  The result has
-    the internal axes first and mu last.  Wedging with a 1-form or taking
-    the exterior derivative gives a 4-form whose coefficient contracts
-    against d: (a ^ x)_0123 = a_mu d^mu and (dx)_0123 = d_mu d^mu.
-    """
-    if x.k != 3:
-        raise DegreeError(f"three_form_dual needs spacetime degree 3, got {x.k}")
-    jet = x.jet
-    where = (slice(None),) * (jet.lead + x.p) + _COMPLEMENTS
+def two_form_dual(x: Jet, at: int) -> Jet:
+    """The dual x*[.., nu, mu] = (1/2) eps_{nu mu m n} x[.., m, n] of a
+    spacetime 2-form in component axes ``at`` and ``at + 1``, by a signed
+    gather of the entries with m < n: ``x`` must be antisymmetric there."""
+    where = (slice(None),) * (x.lead + at) + (_PAIR_ROWS, _PAIR_COLS)
     data = []
-    for arr in jet.data:
+    for arr in x.data:
         dual = arr[where]  # a gather: an array of its own
-        dual *= _DUAL_SIGNS.reshape((DIM,) + (1,) * (arr.ndim - len(where)))
+        dual *= _PAIR_SIGNS.reshape((DIM, DIM) + (1,) * (arr.ndim - len(where)))
         data.append(dual)
-    return Jet._trusted(jet.order, data, jet.lead)
+    return Jet._trusted(x.order, data, x.lead)
+
+
+def slot_action(mat: Jet, x: Jet, variances: tuple[int, ...], spec: str, acc: Jet | None = None):
+    """``acc`` plus ``mat`` acting on each leading internal slot of ``x``:
+    +mat^p_q on an upper one, -mat^q_p on a lower one.  ``spec`` is one
+    term's contraction, ``{w}`` for mat's internal pair and ``{i}``, ``{o}``
+    for x's internal labels (``_LABELS``) before and after."""
+    xi = _LABELS[: len(variances)]
+    for slot, variance in enumerate(variances):
+        i, o = xi[:slot] + "q" + xi[slot + 1 :], xi[:slot] + "p" + xi[slot + 1 :]
+        term = jet_einsum(spec.format(w="pq" if variance > 0 else "qp", i=i, o=o), mat, x)
+        if acc is None:
+            acc = term if variance > 0 else -term
+        else:
+            acc = acc + term if variance > 0 else acc - term
+    return acc
+
+
+def twisted_divergence(omega: Jet, y: Jet, variances: tuple[int, ...]) -> Jet:
+    """D_mu y[.., mu], one order below ``y``, its internal axes leading as
+    in ``covariant_D``.  Of a 3-form's dual vector this is the coefficient
+    of the form's twisted derivative; of a 2-form's ``two_form_dual``, the
+    dual vector of its twisted derivative."""
+    if y.order < 1:
+        raise DegreeError("twisted divergence needs jet data of order >= 1")
+    last = y.lead + len(y.comp_shape) - 1
+    out = Jet._trusted(y.order - 1, [np.trace(d, 0, last, last + 1) for d in y.data[1:]], y.lead)
+    if not variances:
+        return out
+    xs = _LABELS[len(variances) : len(y.comp_shape) - 1]
+    wmat = eta_lower(omega.truncated(out.order), 1)  # omega^a_c
+    return slot_action(wmat, y.truncated(out.order), variances, f"{{w}}m,{{i}}{xs}m->{{o}}{xs}", out)
 
 
 def covariant_D(omega: Jet, alpha: Jet, variances: tuple[int, ...]) -> Jet:
@@ -325,19 +356,9 @@ def covariant_D(omega: Jet, alpha: Jet, variances: tuple[int, ...]) -> Jet:
     out = jet_transpose(shifted, list(range(ni)) + [nc] + list(range(ni, nc)))
     if ni == 0:
         return out
-    alpha = alpha.truncated(out.order)
-    wmat = eta_lower(omega, 1)  # omega^a_c
-    xi, xs = _LABELS[:ni], _LABELS[ni:nc]
-    for slot, variance in enumerate(variances):
-        xi_in = xi[:slot] + "q" + xi[slot + 1 :]
-        xi_out = xi[:slot] + "p" + xi[slot + 1 :]
-        if variance > 0:
-            wspec = "pqm"  # contract lower index of omega^p_q with the slot
-        else:
-            wspec = "qpm"  # contract upper index; sign flips below
-        term = jet_einsum(f"{wspec},{xi_in}{xs}->{xi_out}m{xs}", wmat, alpha)
-        out = out + term if variance > 0 else out - term
-    return out
+    xs = _LABELS[ni:nc]
+    wmat = eta_lower(omega.truncated(out.order), 1)  # omega^a_c
+    return slot_action(wmat, alpha.truncated(out.order), variances, f"{{w}}m,{{i}}{xs}->{{o}}m{xs}", out)
 
 
 def covariant_exterior_derivative(

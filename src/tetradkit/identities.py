@@ -14,11 +14,12 @@ that order decides which fault a point reports when both fail.
 
 Two transcription facts thread through the module:
 
-* The derivative identities are computed on block-alternating wedge
-  components (see ``forms``).  Where a single-labeling identity acquires a
-  fixed sign in that representation, the code carries the measured sign and
-  a test pins it.  The one instance is the second half of
-  ``rewritten_lhs_check``.
+* Every 3-form here is held by its dual vector and every 4-form by its
+  coefficient (see ``forms``), and twisted derivatives of 2- and 3-forms
+  are divergences of those (``forms.twisted_divergence``).  Where an
+  identity acquires a fixed sign under these conventions, the code carries
+  the measured sign and a test pins it.  The one instance is the second
+  half of ``rewritten_lhs_check``.
 * The component conservation laws are the volume duals of the form laws.
   Dualizing puts the divergence on the second stress slot, brings in a
   torsion-trace coupling, and packages the spin source with its vector
@@ -36,13 +37,13 @@ import numpy as np
 from .forms import (
     DegreeError,
     MixedForm,
-    _alt_blocks,
     covariant_D,
-    covariant_exterior_derivative,
     eta_lower,
-    three_form_dual,
+    slot_action,
+    twisted_divergence,
+    two_form_dual,
 )
-from .jets import Jet, jet_einsum, jet_map
+from .jets import DIM, Jet, jet_einsum, jet_map
 from .pointjets import PointJets
 
 __all__ = [
@@ -61,60 +62,39 @@ __all__ = [
 ]
 
 
-def second_bianchi_residual(jets: PointJets) -> MixedForm:
+def second_bianchi_residual(jets: PointJets) -> Jet:
     """Twisted exterior derivative of the field strength.
 
-    Identically zero for any connection; returns the internal-pair 3-form
-    so callers can inspect where coherence fails.  Reads the connection
-    through order 2.
+    Identically zero for any connection; returns the internal-pair 3-form,
+    by its dual vector [a, b, mu], so callers can inspect where coherence
+    fails.  Reads the connection through order 2.
     """
     wj = jets.omega(2)
-    f = MixedForm(2, 2, jets.field_strength(1))
-    return covariant_exterior_derivative(wj, f, (1, 1))
+    return twisted_divergence(wj, two_form_dual(jets.field_strength(1), 2), (1, 1))
 
 
-def first_bianchi_residual(jets: PointJets) -> MixedForm:
+def first_bianchi_residual(jets: PointJets) -> Jet:
     """Twisted derivative of torsion minus the curvature-coframe wedge.
 
     The subtracted term contracts the field strength's second internal slot
     into the coframe through the frame metric before the spacetime wedge,
-    so no block-alternation multiple appears.  Internal-vector 3-form, zero
-    for every frame and connection.
+    so no block-alternation multiple appears.  Internal-vector 3-form, by
+    its dual vector [a, mu], zero for every frame and connection.
     """
     ej = jets.e(2)
     wj = jets.omega(1)
-    theta = MixedForm(2, 1, jets.torsion(1))
-    lhs = covariant_exterior_derivative(wj, theta, (1,))
-    raw = jet_einsum("acmn,cr->amnr", eta_lower(jets.field_strength(0), 1), ej)
-    rhs = _alt_blocks(raw, 1, 2, 1)
-    return lhs - MixedForm._wrap(3, 1, rhs.truncated(lhs.order))
-
-
-def _frame_interior(einv: Jet, form: MixedForm) -> Jet:
-    """Contract the first spacetime slot with the frame vector fields.
-
-    Adds a new leading lower internal axis; returns the raw jet with axes
-    [new, old internals..., remaining spacetime slots...].
-    """
-    if form.k == 0:
-        raise DegreeError("interior contraction needs spacetime degree >= 1")
-    ints = "bcde"[: form.p]
-    sts = "mnrs"[: form.k]
-    spec = f"{sts[0]}a,{ints}{sts}->a{ints}{sts[1:]}"
-    return jet_einsum(spec, einv, form.jet)
+    lhs = twisted_divergence(wj, two_form_dual(jets.torsion(1), 1), (1,))
+    fdual = two_form_dual(eta_lower(jets.field_strength(0), 1), 2)
+    return lhs - jet_einsum("acur,cr->au", fdual, ej)
 
 
 def _interior_pairings(einv: Jet, theta: Jet, f: Jet, dvec: Jet, dpair: Jet) -> Jet:
     """The two interior-product couplings of ``_three_form_laws``, as the
-    coefficient [a] of their 4-form.
-
-    Contracts torsion against an internal-vector 3-form and the field
-    strength against an internal-pair 3-form; the 1-form slot the frame
-    interior leaves is wedged in, which pairs it with the 3-forms' duals
-    ``dvec`` and ``dpair``.
-    """
-    ith = _frame_interior(einv, MixedForm(2, 1, theta))
-    ifs = _frame_interior(einv, MixedForm(2, 2, f))
+    coefficient [a] of their 4-form: with their first spacetime slot
+    contracted with the frame vector fields, the torsion and the field
+    strength pair their other slot with the 3-form duals ``dvec``, ``dpair``."""
+    ith = jet_einsum("ma,bmx->abx", einv, theta)
+    ifs = jet_einsum("ma,bcmx->abcx", einv, f)
     return jet_einsum("abx,bx->a", ith, dvec) + jet_einsum("abcx,bcx->a", ifs, dpair)
 
 
@@ -126,17 +106,8 @@ def _stress_coframe_wedge(dvec: Jet, e_jet: Jet) -> Jet:
     return wedged - jet_map(lambda arr: np.swapaxes(arr, 0, 1), wedged)
 
 
-def _twisted_divergence(wj: Jet, dual: Jet, variances: tuple[int, ...]) -> Jet:
-    """D_mu d^mu: the coefficient of the twisted derivative of the 3-form
-    whose dual is ``dual``.  ``covariant_D`` puts the derivative slot just
-    before the dual slot, and the two are traced."""
-    raw = covariant_D(wj, dual, variances)
-    axis = raw.lead + len(variances)
-    return Jet._trusted(raw.order, [np.trace(arr, 0, axis, axis + 1) for arr in raw.data], raw.lead)
-
-
 def _three_form_laws(
-    ej: Jet, wj: Jet, einv: Jet, theta: Jet, f: Jet, vec3: MixedForm, pair3: MixedForm
+    ej: Jet, wj: Jet, einv: Jet, theta: Jet, f: Jet, dvec: Jet, dpair: Jet
 ) -> tuple[MixedForm, MixedForm]:
     """The derivative laws shared by the geometric sides and the sources.
 
@@ -144,17 +115,16 @@ def _three_form_laws(
     interior-product couplings of torsion to it and of the field strength
     to the internal-pair 3-form.  Second: the twisted derivative of the
     internal-pair 3-form minus half the antisymmetrized wedge of the
-    internal-vector 3-form with the lowered coframe.  Both are 4-forms,
+    internal-vector 3-form with the lowered coframe.  The 3-forms come by
+    their dual vectors ``dvec`` and ``dpair``.  Both laws are 4-forms,
     c * eps_{mu nu rho sigma}, returned by their coefficients c, [a] and
-    [a, b], as internal-valued 0-forms.  Every term contracts against the
-    3-forms' dual vectors (``three_form_dual``), so no 4-form is built.
-    The coefficients are one order below the 3-forms; the other jets come
-    at that order, so the algebraic terms are built to it and no deeper.
+    [a, b], as internal-valued 0-forms; every term contracts against the
+    duals, so no 4-form is built.  The coefficients are one order below
+    the 3-forms; the other jets come at that order, so the algebraic terms
+    are built to it and no deeper.
     """
-    dvec = three_form_dual(vec3)
-    dpair = three_form_dual(pair3)
-    first = _twisted_divergence(wj, dvec, (-1,)) - _interior_pairings(einv, theta, f, dvec, dpair)
-    second = _twisted_divergence(wj, dpair, (-1, -1))
+    first = twisted_divergence(wj, dvec, (-1,)) - _interior_pairings(einv, theta, f, dvec, dpair)
+    second = twisted_divergence(wj, dpair, (-1, -1))
     # both sides are arrays of their own: halve and subtract in place
     for d, w in zip(second.data, _stress_coframe_wedge(dvec, ej).data):
         w *= 0.5
@@ -165,7 +135,8 @@ def _three_form_laws(
 def rewritten_lhs_check(jets: PointJets) -> tuple[MixedForm, MixedForm]:
     """Derivative expansions of the two geometric equation sides.
 
-    ``_three_form_laws`` of the curvature 3-form and the torsion 3-form:
+    ``_three_form_laws`` of the curvature 3-form and the torsion 3-form,
+    read by their dual vectors:
     the coefficients [a] and [a, b] of two 4-forms, point axis first over
     a chunk.  The half in the second residual enters with the sign that
     closes the identity under the torsion conventions used here (measured
@@ -177,9 +148,9 @@ def rewritten_lhs_check(jets: PointJets) -> tuple[MixedForm, MixedForm]:
     einv = jets.inverse_tetrad(0)
     f = jets.field_strength(0)
     theta = jets.torsion(0)
-    p3 = jets.curvature_three_form(1)
-    s3 = jets.torsion_three_form(1)
-    return _three_form_laws(ej, wj, einv, theta, f, p3, s3)
+    return _three_form_laws(
+        ej, wj, einv, theta, f, jets.curvature_three_form(1), jets.torsion_three_form(1)
+    )
 
 
 @dataclass(frozen=True)
@@ -321,47 +292,57 @@ def commutator_residual(jets: PointJets, vector_jet: Jet) -> Jet:
 
 def curvature_wedge_action(
     f_jet: Jet, alpha: MixedForm, variances: tuple[int, ...]
-) -> MixedForm:
+) -> Jet:
     """Field-strength wedge acting on each internal slot, signed by variance.
 
     This is the right side of the squared-derivative law: applying the
     twisted derivative twice multiplies by the field strength instead of
     vanishing.  Upper slots couple positively, lower slots negatively.
+    For a 0-, 1- or 2-form ``alpha`` the (k+2)-form comes as
+    ``d_squared_residual`` returns it: dense, by its dual vector
+    F*_um alpha_m, or by its coefficient (1/2) F*_mn alpha_mn.
     """
     if len(variances) != alpha.p:
         raise DegreeError(
             f"{len(variances)} variances for internal rank {alpha.p}"
         )
+    k = alpha.k
     if alpha.p == 0:
         points = alpha.values.shape[: alpha.jet.lead]
-        return MixedForm.zero(alpha.k + 2, 0, max(alpha.order - 2, 0), points)
+        return Jet.zeros(points + (DIM,) * (2 - k), max(alpha.order - 2, 0), len(points))
     fmat = eta_lower(f_jet, 1)
-    ints = "abcd"[: alpha.p]
-    sts = "mnrs"[: alpha.k]
-    total = None
-    for slot, variance in enumerate(variances):
-        xi_in = ints[:slot] + "q" + ints[slot + 1 :]
-        xi_out = ints[:slot] + "p" + ints[slot + 1 :]
-        wspec = "pquv" if variance > 0 else "qpuv"
-        term = jet_einsum(
-            f"{wspec},{xi_in}{sts}->{xi_out}uv{sts}", fmat, alpha.jet
-        )
-        signed = term if variance > 0 else term.scaled(-1.0)
-        total = signed if total is None else total + signed
-    wedged = _alt_blocks(total, alpha.p, 2, alpha.k)
-    return MixedForm._wrap(alpha.k + 2, alpha.p, wedged)
+    if k:
+        fmat = two_form_dual(fmat, 2).scaled(1.0 if k == 1 else 0.5)
+    f_sts, a_sts, out_sts = (("uv", "", "uv"), ("um", "m", "u"), ("mn", "mn", ""))[k]
+    return slot_action(fmat, alpha.jet, variances, f"{{w}}{f_sts},{{i}}{a_sts}->{{o}}{out_sts}")
+
+
+def _twisted_exterior(wj: Jet, x: Jet, variances: tuple[int, ...], k: int) -> Jet:
+    """Twisted exterior derivative of a k-form held as a run holds it: a
+    form of degree 0-2 densely, a 3-form by its dual vector."""
+    if k >= 2:
+        return twisted_divergence(wj, two_form_dual(x, len(variances)) if k == 2 else x, variances)
+    raw = covariant_D(wj, x, variances)
+    if k == 0:
+        return raw
+    at = raw.lead + len(variances)
+    return raw - Jet._trusted(raw.order, [d.swapaxes(at, at + 1) for d in raw.data], raw.lead)
 
 
 def d_squared_residual(
     jets: PointJets, alpha: MixedForm, variances: tuple[int, ...]
-) -> MixedForm:
+) -> Jet:
     """Twice-applied twisted derivative minus the field-strength action.
 
     Zero to rounding for coherent jets; for a field strength that
     identically vanishes the twice-applied derivative is zero on its own.
-    ``alpha`` needs jets of order 2.
+    ``alpha`` is a 0-, 1- or 2-form with jets of order 2.  The (k+2)-form
+    comes densely for k = 0, by its dual vector for k = 1, and by its
+    coefficient for k = 2.
     """
+    if alpha.k > 2:
+        raise DegreeError(f"the twice-applied derivative of a {alpha.k}-form exceeds spacetime degree 4")
     wj = jets.omega(2)
-    once = covariant_exterior_derivative(wj, alpha, variances)
-    twice = covariant_exterior_derivative(wj, once, variances)
+    once = _twisted_exterior(wj, alpha.jet, variances, alpha.k)
+    twice = _twisted_exterior(wj, once, variances, alpha.k + 1)
     return twice - curvature_wedge_action(jets.field_strength(twice.order), alpha, variances)

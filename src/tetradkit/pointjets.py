@@ -8,12 +8,13 @@ metric and its inverse, the Christoffel symbols, the field strength F, the
 torsion form and tensor, the Riemann and Einstein tensors, the tetrad
 determinant, the stress and spin sources with their 3-forms, and the
 geometric 3-forms of the two field equations, the torsion side by both of
-its routes.  Each is computed at most once, by the ``geometry`` or
-``fieldeqs`` function a caller would apply to the jets directly, at the
-deepest order a reader of this recipe asks of it (``DEPTH`` for the
-source jets).  A lower order is served by truncation.  Every order-k jet
-formula reads only orders up to k, so a truncated jet holds the same bits
-as one derived at the lower order.  A deeper order raises ``JetError``.
+its routes, each 3-form by its dual vector.  Each is computed at most once,
+by the ``geometry`` or ``fieldeqs`` function a caller would apply to the
+jets directly, at the deepest order a reader of this recipe asks of it
+(``DEPTH`` for the source jets).  A lower order is served by truncation.
+Every order-k jet formula reads only orders up to k, so a truncated jet
+holds the same bits as one derived at the lower order.  A deeper order
+raises ``JetError``.
 
 The points are an (N, 4) array, a chunk, or one point of shape (4,).  Over
 a chunk every jet carries the point axis first (``Jet.lead`` = 1), and
@@ -133,7 +134,7 @@ class PointJets:
                 if fault is not None and reads[i] is None:
                     reads[i] = fault
 
-    def _serve(self, key: str, order: int, top: int, build: Callable[[int], Jet | MixedForm]):
+    def _serve(self, key: str, order: int, top: int, build: Callable[[int], Jet]):
         hit = self._memo.get(key)
         if hit is None:
             outer = self._reads
@@ -207,18 +208,20 @@ class PointJets:
         )
 
     def field_strength(self, order: int) -> Jet:
-        """F[a, b, mu, nu], from the connection one order deeper."""
+        """F[a, b, mu, nu], from the connection one order deeper; checked
+        antisymmetric in each pair here, once, for all its readers."""
         return self._serve(
-            "F", order, DEPTH - 1, lambda k: field_strength_jet(self.omega(k + 1))
+            "F", order, DEPTH - 1, lambda k: MixedForm(2, 2, field_strength_jet(self.omega(k + 1))).jet
         )
 
     def torsion(self, order: int) -> Jet:
-        """Torsion form theta[a, mu, nu], from the tetrad one order deeper."""
+        """Torsion form theta[a, mu, nu], from the tetrad one order deeper;
+        checked antisymmetric in (mu, nu) here, once, for all its readers."""
         return self._serve(
             "theta",
             order,
             DEPTH - 1,
-            lambda k: torsion_jet(self.e(k + 1), self.omega(k)),
+            lambda k: MixedForm(2, 1, torsion_jet(self.e(k + 1), self.omega(k))).jet,
         )
 
     def christoffel(self, order: int) -> Jet:
@@ -260,23 +263,23 @@ class PointJets:
         einv = self.inverse_tetrad(k)
         return einstein_jet(self.riemann(k), einv, self.metric(k), f)
 
-    def curvature_three_form(self, order: int) -> MixedForm:
-        """Geometric side of the curvature equation."""
-        return self._serve("curvature3", order, DEPTH - 1, self._curvature_three_form)
+    def curvature_three_form(self, order: int) -> Jet:
+        """Geometric side of the curvature equation, by its dual vector."""
+        return self._serve(
+            "curvature3", order, DEPTH - 1, lambda k: curvature_three_form(self.e(k), self.field_strength(k))
+        )
 
-    def _curvature_three_form(self, k: int) -> MixedForm:
-        return curvature_three_form(self.e(k), self.field_strength(k))
+    def torsion_three_form(self, order: int) -> Jet:
+        """Geometric side of the torsion equation, algebraic route, by its
+        dual vector."""
+        return self._serve(
+            "torsion3", order, DEPTH - 1, lambda k: torsion_three_form(self.torsion(k), self.e(k))
+        )
 
-    def torsion_three_form(self, order: int) -> MixedForm:
-        """Geometric side of the torsion equation, algebraic route."""
-        return self._serve("torsion3", order, DEPTH - 1, self._torsion_three_form)
-
-    def _torsion_three_form(self, k: int) -> MixedForm:
-        return torsion_three_form(self.torsion(k), self.e(k))
-
-    def derivative_torsion_three_form(self, order: int) -> MixedForm:
-        """Geometric side of the torsion equation, derivative route, served
-        at order 0 only: its two readers compare and use it there."""
+    def derivative_torsion_three_form(self, order: int) -> Jet:
+        """Geometric side of the torsion equation, derivative route, by its
+        dual vector, served at order 0 only: its two readers compare and use
+        it there."""
         return self._serve(
             "torsion3d",
             order,
@@ -294,12 +297,12 @@ class PointJets:
         """Spin components s[mu, nu, sigma]."""
         return self._serve("spin", order, DEPTH - 1, lambda k: self.matter.spin_jet(self, k))
 
-    def stress_form(self, order: int) -> MixedForm:
-        """Stress 3-form, internal vector."""
+    def stress_form(self, order: int) -> Jet:
+        """Stress 3-form, internal vector, by its dual vector."""
         return self._serve("stress3", order, DEPTH - 1, lambda k: self.matter.stress_form(self, k))
 
-    def spin_form(self, order: int) -> MixedForm:
-        """Spin 3-form, internal pair."""
+    def spin_form(self, order: int) -> Jet:
+        """Spin 3-form, internal pair, by its dual vector."""
         return self._serve("spin3", order, DEPTH - 1, lambda k: self.matter.spin_form(self, k))
 
 

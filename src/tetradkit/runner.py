@@ -61,8 +61,9 @@ from .scenarios import Scenario
 
 # Sample points derived together: one walk per expression tree and one
 # derivation, with the point axis first, per chunk.  A chunk's working set
-# grows by about 170-260 KB per point, most of it pair-valued 3-forms;
-# beyond about a dozen points that memory costs more than the calls it saves.
+# grows by about 80-100 KB per point (tracemalloc), 50-60 KB of it the
+# memo.  Larger chunks save calls per point but raise a run's peak memory;
+# the size stays at 12 until paired benchmark runs of both pick another.
 CHUNK = 12
 
 
@@ -206,11 +207,11 @@ def _check_levi_civita_torsion(jets: PointJets, streams) -> np.ndarray:
 
 
 def _check_first_bianchi(jets: PointJets, streams) -> np.ndarray:
-    return first_bianchi_residual(jets).values
+    return first_bianchi_residual(jets).value
 
 
 def _check_second_bianchi(jets: PointJets, streams) -> np.ndarray:
-    return second_bianchi_residual(jets).values
+    return second_bianchi_residual(jets).value
 
 
 def _check_d_squared(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
@@ -220,9 +221,9 @@ def _check_d_squared(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
     parts = []
     for variances, alpha in zip(((1,), (-1,), (1, -1)), alphas):
         alpha = MixedForm._wrap(0, len(variances), alpha)
-        parts.append(d_squared_residual(jets, alpha, variances).values)
+        parts.append(d_squared_residual(jets, alpha, variances).value)
     anti = Jet(raw.order, [0.5 * (d - d.swapaxes(1, 2)) for d in raw.data], 1)
-    parts.append(d_squared_residual(jets, MixedForm._wrap(2, 0, anti), ()).values)
+    parts.append(d_squared_residual(jets, MixedForm._wrap(2, 0, anti), ()).value)
     return tuple(parts)
 
 
@@ -234,7 +235,7 @@ def _check_commutator(jets: PointJets, streams) -> np.ndarray:
 
 def _check_nfe_leibniz(jets: PointJets, streams) -> np.ndarray:
     lhs, rhs = torsion_equation_sides(jets)
-    return (lhs - rhs).values
+    return (lhs - rhs).value
 
 
 def _check_rewritten_lhs(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
@@ -243,11 +244,11 @@ def _check_rewritten_lhs(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
 
 
 def _check_curvature_equation(jets: PointJets, streams) -> np.ndarray:
-    return curvature_equation_residual(jets).values
+    return curvature_equation_residual(jets).value
 
 
 def _check_torsion_equation(jets: PointJets, streams) -> np.ndarray:
-    return torsion_equation_residual(jets).values
+    return torsion_equation_residual(jets).value
 
 
 def _check_component_field_equations(jets: PointJets, streams) -> tuple[np.ndarray, ...]:

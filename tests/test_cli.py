@@ -122,7 +122,7 @@ class TestCheckRuns:
             [
                 "check",
                 "--builtin",
-                "minkowski",
+                "random-fields",
                 "--points",
                 "2",
                 "--tol",

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tetradkit import forms, pointjets
 from tetradkit.exprkit import DomainFault
 from tetradkit.fieldeqs import (
     MatterModel,
@@ -21,7 +22,7 @@ from tetradkit.fieldeqs import (
     torsion_q_jet,
     torsion_three_form,
 )
-from tetradkit.forms import MixedForm
+from tetradkit.forms import AntisymmetryError, MixedForm
 from tetradkit.geometry import (
     LeviCivitaConnection,
     SummedConnection,
@@ -32,7 +33,7 @@ from tetradkit.geometry import (
     metric_jet,
     torsion_jet,
 )
-from tetradkit.jets import JetError, jet_matrix_inverse
+from tetradkit.jets import Jet, JetError, jet_matrix_inverse
 from tetradkit.pointjets import PointJets
 from tetradkit.runner import CHECKS, CHUNK, run_checks, sample_points
 from tetradkit.scenarios import BUILTIN_NAMES, builtin_document, builtin_scenario, scenario_from_dict
@@ -366,3 +367,51 @@ def test_a_fault_is_remembered_and_raised_again():
         jets.inverse_tetrad(0)
     assert again.value is first.value
     jets.omega(2)  # the connection does not read the tetrad
+
+
+def test_field_strength_and_torsion_are_checked_once_per_chunk(monkeypatch):
+    # each is validated where the chunk derives it, one call per derivative
+    # tensor and index block, and no reader checks it again
+    calls = []
+    original = forms._check_antisym
+
+    def counting(arr, lead, start, n, what):
+        calls.append(arr.shape[lead:])
+        return original(arr, lead, start, n, what)
+
+    monkeypatch.setattr(forms, "_check_antisym", counting)
+    run_checks(builtin_scenario("flat-contorsion"), points=CHUNK + 5, seed=0)
+    # F[a, b, mu, nu] and theta[a, mu, nu] at orders 0 and 1, two blocks each
+    per_chunk = [(4,) * 4] * 2 + [(4,) * 5] * 2 + [(4,) * 3] * 2 + [(4,) * 4] * 2
+    assert sorted(calls) == sorted(per_chunk * 2)
+
+
+def test_a_run_rejects_a_field_strength_that_is_not_antisymmetric(monkeypatch):
+    def lopsided(omega):
+        f = field_strength_jet(omega)
+        bump = np.zeros((4, 4, 4, 4))
+        bump[0, 1, 2, 3] = bump[1, 0, 2, 3] = 1e-3  # symmetric in the internal pair
+        return Jet._trusted(f.order, [f.data[0] + bump] + f.data[1:], f.lead)
+
+    monkeypatch.setattr(pointjets, "field_strength_jet", lopsided)
+    with pytest.raises(AntisymmetryError, match="internal"):
+        run_checks(builtin_scenario("random-fields"), points=3, seed=0)
+
+
+def _memo_bytes(jets: PointJets) -> int:
+    arrays = {id(d): d.nbytes for value, _ in jets._memo.values() for d in _as_jet(value).data}
+    return sum(arrays.values())
+
+
+def test_the_memo_of_a_chunk_stays_small():
+    # the 3-forms are held by their dual vectors: a 12-point flat-contorsion
+    # chunk holds about 61 KB per point after every check, against about
+    # 162 KB with the 3-forms dense
+    sc = builtin_scenario("flat-contorsion")
+    points = sample_points(sc.chart, CHUNK, 0)
+    jets = PointJets(sc.tetrad, sc.connection, points, sc.matter)
+    streams = [(0, i) for i in range(CHUNK)]
+    for check in CHECKS:
+        if check.applies(sc):
+            check.evaluate(jets, streams)
+    assert _memo_bytes(jets) / CHUNK <= 80 * 1024

@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -139,7 +140,7 @@ class TestRunChecks:
         assert alone.results[0].mean_residual == full_d2.mean_residual
 
     def test_tolerance_override_forces_failure(self):
-        sc = builtin_scenario("minkowski")
+        sc = builtin_scenario("random-fields")
         report = run_checks(sc, points=3, tolerances={"d2-law": 1e-30})
         result = next(r for r in report.results if r.name == "d2-law")
         assert not result.passed
@@ -228,13 +229,14 @@ def _patch_check(monkeypatch, name, evaluate):
 
 
 def _nan_last(part):
-    """A copy of a residual part, a form or an array with the point axis
-    first, whose last entry at every point is NaN."""
-    values = np.array(getattr(part, "values", part), dtype=float, order="C")
+    """A copy of a residual part, a form, a jet or an array with the point
+    axis first, whose last entry at every point is NaN."""
+    held = part.values if isinstance(part, MixedForm) else part.value if isinstance(part, Jet) else part
+    values = np.array(held, dtype=float, order="C")
     values.reshape(len(values), -1)[:, -1] = math.nan
     if isinstance(part, MixedForm):
         return MixedForm._wrap(part.k, part.p, Jet(0, [values], 1))
-    return values
+    return Jet(0, [values], 1) if isinstance(part, Jet) else values
 
 
 def _spin_nan(res):
@@ -541,9 +543,10 @@ class TestBuiltinRuns:
 
 
 # The tracemalloc peak of one 100-point run and its report document, in MB.
-# A chunk's working set is most of it: the three-form laws read 3-forms and
-# build 4-form coefficients, about 2.1 MB on both scenarios; building the
-# laws' 4-forms densely again reads about 3.5 MB.
+# A chunk's working set is most of it: with every 3-form held by its dual
+# vector and every 4-form by its coefficient, about 1.2 MB on both
+# scenarios; with the 3-forms dense, about 2.1 MB, and with the three-form
+# laws' 4-forms dense too, about 3.5 MB.
 PEAK_MB = 2.8
 
 
@@ -559,3 +562,38 @@ def test_peak_memory_of_a_run(name):
     finally:
         tracemalloc.stop()
     assert peak / 1e6 < PEAK_MB
+
+
+def _forbid(monkeypatch, module_name: str, name: str):
+    """Make ``module_name.name`` raise wherever a tetradkit module binds it."""
+    original = getattr(sys.modules[module_name], name)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    for bound_in, module in list(sys.modules.items()):
+        if bound_in.startswith("tetradkit") and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize("name", ["flat-contorsion", "random-fields"])
+def test_a_run_builds_no_dense_form_above_degree_two(monkeypatch, name):
+    # 3-forms by their dual vectors and 4-forms by their coefficients: the
+    # block alternation and the block wedge have no caller in a run, and no
+    # MixedForm of degree 3 or 4 is made
+    _forbid(monkeypatch, "tetradkit.forms", "_alt_blocks")
+    _forbid(monkeypatch, "tetradkit.forms", "internal_wedge")
+    init = MixedForm.__init__
+
+    def low_degree_only(self, k, p, components, **kwargs):
+        assert k <= 2, f"a dense {k}-form"
+        init(self, k, p, components, **kwargs)
+
+    monkeypatch.setattr(MixedForm, "__init__", low_degree_only)
+    sc = builtin_scenario(name)
+    points = sample_points(sc.chart, runner.CHUNK, 0)
+    jets = pointjets.PointJets(sc.tetrad, sc.connection, points, sc.matter)
+    streams = [(0, i) for i in range(len(points))]
+    for check in CHECKS:  # all 15, levi-civita-torsion too
+        check.evaluate(jets, streams)
+    assert run_checks(sc, points=runner.CHUNK + 5, seed=0).overall_pass
