@@ -4,7 +4,8 @@ Expressions are parsed from text into a small AST over chart coordinates,
 named real parameters, literals, arithmetic, powers and the unary functions
 sin, cos, tan, exp, log, sqrt.  Evaluation produces either plain values or
 jets (value plus exact partials up to order 3), at one point or at an
-array of points in one walk over the tree.  A finite-difference oracle
+array of points in one walk over the tree, each point's first fault in
+the slot of a list the caller passes.  A finite-difference oracle
 is provided for testing jet evaluation against an independent route; it
 shares nothing with the chain rule code except the AST itself.
 
@@ -448,55 +449,27 @@ def _node_str(node: Node) -> str:
     return _fmt(node, 0)
 
 
-class JetBatch:
-    """Jets at N points: ``jet`` has the point axis first in its component
-    shape, and ``faults[i]`` is the exception point i raised, or None.  A
-    faulted point's entries in ``jet`` are a stand-in, not its values."""
-
-    __slots__ = ("jet", "faults")
-
-    def __init__(self, jet: Jet, faults: tuple):
-        self.jet = jet
-        self.faults = faults
-
-    def at(self, i: int) -> Jet | Exception:
-        """Point i's jet, or its fault."""
-        fault = self.faults[i]
-        if fault is not None:
-            return fault
-        return Jet._trusted(self.jet.order, [d[i] for d in self.jet.data])
-
-
-def first_faults(fault_lists, n: int) -> tuple:
-    """Each of n points' first fault across per-part fault lists, in part
-    order."""
-    out = [None] * n
-    for faults in fault_lists:
-        for i, fault in enumerate(faults):
-            if out[i] is None:
-                out[i] = fault
-    return tuple(out)
-
-
-def eval_jet(expr: Expression, point: Sequence[float], order: int) -> Jet | JetBatch:
+def eval_jet(expr: Expression, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
     """Evaluate an expression to scalar jets of the requested order.
 
-    ``point`` is one point, giving its Jet (or raising its fault), or an
-    (N, 4) array of points, giving a ``JetBatch``: one walk over the tree
-    serves them all, and each point keeps the first fault it met in the
-    walk's post-order.
+    ``point`` is one point, or an (N, 4) array of points, which gives one
+    Jet with the point axis first from one walk over the tree.  A point's
+    first fault, in the walk's post-order, goes into its empty slot of
+    ``faults``; with no list the first fault raises.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ExpressionError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
     points = expr.chart.require_inside(point)
-    walk = _Walk(points.reshape(-1, DIM), order)
-    batch = JetBatch(walk.jet(expr.root), tuple(walk.faults))
+    rows = points.reshape(-1, DIM)
+    slots = [None] * len(rows) if faults is None else faults
+    jet = _Walk(rows, order, slots).jet(expr.root)
+    if faults is None:
+        for fault in slots:
+            if fault is not None:
+                raise fault
     if points.ndim == 2:
-        return batch
-    hit = batch.at(0)
-    if isinstance(hit, Exception):
-        raise hit
-    return hit
+        return Jet._trusted(jet.order, jet.data, 1)
+    return Jet._trusted(jet.order, [d[0] for d in jet.data])
 
 
 _CALLS = {
@@ -512,18 +485,19 @@ _CALLS = {
 class _Walk:
     """One post-order walk over an expression tree at N points.
 
-    Every node's jet carries the point axis first.  A point whose chain-rule
-    coefficients raise records the fault in ``faults`` (a ``JetDomainError``
-    as a ``DomainFault`` naming the node) and is carried as the constant 1
-    from there on, so it raises and warns no more.  Other points compute what
-    a walk at that point alone would, bit for bit.
+    Every node's jet carries the point axis first.  A point whose slot in
+    ``faults`` holds a fault is dead: it is carried as the constant 1, so it
+    raises and warns no more.  A live point whose chain-rule coefficients
+    raise records the fault in its slot (a ``JetDomainError`` as a
+    ``DomainFault`` naming the node) and dies.  Other points compute what a
+    walk at that point alone would, bit for bit.
     """
 
-    def __init__(self, points: np.ndarray, order: int):
+    def __init__(self, points: np.ndarray, order: int, faults: list):
         self.points = points
         self.order = order
-        self.faults: list = [None] * len(points)
-        self.dead: np.ndarray | None = None
+        self.faults = faults
+        self.dead = np.array([f is not None for f in faults]) if any(faults) else None
 
     def jet(self, node: Node) -> Jet:
         if isinstance(node, (Const, ParamRef)):
@@ -563,7 +537,7 @@ class _Walk:
         if faults.count(None) != live:
             text = _node_str(node)
             for i, fault in enumerate(faults):
-                if isinstance(fault, JetDomainError):
+                if isinstance(fault, JetDomainError) and (self.dead is None or not self.dead[i]):
                     faults[i] = DomainFault(str(fault), text)
             self.dead = np.array([f is not None for f in faults])
         return out
@@ -574,22 +548,17 @@ def evaluate(expr: Expression, point: Sequence[float]) -> float:
     return float(eval_jet(expr, point, 0).value)
 
 
-def eval_jet_grid(exprs, point: Sequence[float], order: int) -> Jet | JetBatch:
+def eval_jet_grid(exprs, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
     """Evaluate a nested sequence of Expressions into one tensor jet.
 
     The nesting structure becomes leading component axes, behind the point
-    axis for an (N, 4) array of points.  A point's fault is the first one
-    in grid order.
+    axis for an (N, 4) array of points.  Every entry writes its faults into
+    ``faults`` as ``eval_jet`` does, so a point's fault is the first one in
+    grid order.
     """
     if isinstance(exprs, Expression):
-        return eval_jet(exprs, point, order)
-    parts = [eval_jet_grid(e, point, order) for e in exprs]
-    if isinstance(parts[0], JetBatch):
-        return JetBatch(
-            jet_stack([p.jet for p in parts], axis=1),
-            first_faults([p.faults for p in parts], len(parts[0].faults)),
-        )
-    return jet_stack(parts, axis=0)
+        return eval_jet(exprs, point, order, faults)
+    return jet_stack([eval_jet_grid(e, point, order, faults) for e in exprs], axis=0)
 
 
 # -- finite-difference oracle (tests only) ---------------------------------

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .exprkit import Chart, JetBatch, eval_jet_grid
+from .exprkit import Chart, eval_jet_grid
 from .forms import (
     EPSILON,
     MixedForm,
@@ -186,9 +186,8 @@ class StressField:
     def __init__(self, texts: Sequence[Sequence[str]], chart: Chart, params: Mapping[str, float] | None = None):
         self.exprs = parse_grid(texts, chart, params, "stress")
 
-    def jet(self, point: Sequence[float], order: int) -> Jet | JetBatch:
-        """The jet at a point, or a ``JetBatch`` at an (N, 4) array of points."""
-        return eval_jet_grid(self.exprs, point, order)
+    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
+        return eval_jet_grid(self.exprs, point, order, faults)
 
 
 class MatterModel:
@@ -202,7 +201,7 @@ class MatterModel:
     manufactured spin the torsion over -16 pi, both read from the
     ``PointJets`` they are evaluated at, so identities can differentiate
     them.  Only a ``PointJets`` calls the builders below, and it serves
-    their results; ``fields`` are explicit matter's, for ``chunk_jets``.
+    their results.
     """
 
     def __init__(
@@ -223,7 +222,6 @@ class MatterModel:
         self.lam = float(lam)
         self._stress = stress
         self._spin = spin
-        self.fields = (stress, spin) if mode == "explicit" else ()
 
     @classmethod
     def vacuum(cls, *, kappa: float | None = None, lam: float = 0.0) -> "MatterModel":

@@ -1,7 +1,7 @@
 """Frame fields and the jet formulas a point derives from them.
 
 Field objects hold expressions over a chart and evaluate to jets at a
-point, and the expression fields at an (N, 4) array of points at once.
+point or at an (N, 4) array of points at once (see ``FrameSource``).
 This module owns the two input formats the fields are given in:
 ``parse_grid`` validates and parses a 4x4 expression grid (tetrad, frame
 rotation, explicit stress) and ``_PairField`` a pair-keyed entry mapping
@@ -34,7 +34,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .exprkit import Chart, ExpressionError, JetBatch, eval_jet_grid, first_faults, parse_expression
+from .exprkit import Chart, ExpressionError, eval_jet_grid, parse_expression
 from .forms import ETA, covariant_D, eta_lower
 from .jets import (
     DIM,
@@ -63,9 +63,15 @@ class LorentzError(GeometryError):
 
 
 class FrameSource(Protocol):
-    """Anything that evaluates frame components to a jet at a point."""
+    """Anything that evaluates frame components to a jet at a point.
 
-    def jet(self, point: Sequence[float], order: int) -> Jet: ...
+    Over an (N, 4) array of points the jet has the point axis first.  A
+    point's first fault goes into its empty slot of ``faults``, and the
+    point is carried as the constant 1; with no list the first fault
+    raises.  A source made of parts passes the list on to them.
+    """
+
+    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet: ...
 
 
 def parse_grid(texts, chart: Chart, params: Mapping[str, float] | None, label: str) -> list:
@@ -101,9 +107,8 @@ class TetradField:
         self.chart = chart
         self.exprs = parse_grid(texts, chart, params, "tetrad")
 
-    def jet(self, point: Sequence[float], order: int) -> Jet | JetBatch:
-        """The jet at a point, or a ``JetBatch`` at an (N, 4) array of points."""
-        return eval_jet_grid(self.exprs, point, order)
+    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
+        return eval_jet_grid(self.exprs, point, order, faults)
 
 
 class _PairField:
@@ -157,22 +162,17 @@ class _PairField:
     def _entry_error(self, key, detail: str) -> GeometryError:
         return GeometryError(f"{self.symbol} entry {self.symbol}^{{{key}}}{detail}")
 
-    def jet(self, point: Sequence[float], order: int) -> Jet | JetBatch:
-        """The jet at a point, or a ``JetBatch`` at an (N, 4) array of
-        points, whose faults follow entry order."""
-        rows = [(pair, eval_jet_grid(comps, point, order)) for pair, comps in self.exprs.items()]
-        points = np.asarray(point, dtype=float)
-        lead = points.shape[:-1]
-        out = Jet.zeros(lead + (DIM, DIM, DIM), order)
+    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
+        """The jet; entries fault in insertion order."""
+        lead = np.shape(point)[:-1]
+        out = Jet.zeros(lead + (DIM, DIM, DIM), order, len(lead))
         at = (slice(None),) * len(lead)
-        for (a, b), row in rows:
-            jet = row.jet if lead else row
+        for (a, b), comps in self.exprs.items():
+            row = eval_jet_grid(comps, point, order, faults)
             for k in range(order + 1):
-                out.data[k][at + (a, b)] = jet.data[k]
-                out.data[k][at + (b, a)] = -jet.data[k]
-        if not lead:
-            return out
-        return JetBatch(out, first_faults([row.faults for _, row in rows], len(points)))
+                out.data[k][at + (a, b)] = row.data[k]
+                out.data[k][at + (b, a)] = -row.data[k]
+        return out
 
 
 class SpinConnectionField(_PairField):
@@ -190,8 +190,9 @@ class ContorsionField(_PairField):
 class ZeroConnection:
     """The flat frame connection."""
 
-    def jet(self, point: Sequence[float], order: int) -> Jet:
-        return Jet.zeros((DIM, DIM, DIM), order)
+    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
+        lead = np.shape(point)[:-1]
+        return Jet.zeros(lead + (DIM, DIM, DIM), order, len(lead))
 
 
 # -- jet-level pipeline ----------------------------------------------------
@@ -211,8 +212,8 @@ def inverse_tetrad_jet(e: Jet, faults: list | None = None) -> Jet:
     """
     det = np.linalg.det(e.value)
     bad = np.abs(det) < DET_THRESHOLD
-    if faults is None and bad:
-        raise SingularTetradError(_below_threshold(det))
+    if faults is None and bad.any():
+        raise SingularTetradError(_below_threshold(np.ravel(det)[np.argmax(bad)]))
     if faults is not None and bad.any():
         for i in np.flatnonzero(bad):
             if faults[i] is None:
@@ -288,14 +289,14 @@ class LeviCivitaConnection:
     def __init__(self, e: FrameSource):
         self.e = e
 
-    def jet(self, point: Sequence[float], order: int) -> Jet:
+    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
         if order >= MAX_ORDER:
             raise GeometryError(
                 f"connection jets stop at order {MAX_ORDER - 1}; "
                 f"the formula needs tetrad data one order higher"
             )
-        ej = self.e.jet(point, order + 1)
-        return levi_civita_jet(ej, inverse_tetrad_jet(ej.truncated(order)))
+        ej = self.e.jet(point, order + 1, faults)
+        return levi_civita_jet(ej, inverse_tetrad_jet(ej.truncated(order), faults))
 
 
 class SummedConnection:
@@ -305,8 +306,8 @@ class SummedConnection:
         self.base = base
         self.extra = extra
 
-    def jet(self, point: Sequence[float], order: int) -> Jet:
-        return self.base.jet(point, order) + self.extra.jet(point, order)
+    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
+        return self.base.jet(point, order, faults) + self.extra.jet(point, order, faults)
 
 
 # -- local frame rotations -------------------------------------------------
@@ -322,9 +323,9 @@ class LorentzField:
     def __init__(self, texts: Sequence[Sequence[str]], chart: Chart, params: Mapping[str, float] | None = None):
         self.exprs = parse_grid(texts, chart, params, "frame rotation")
 
-    def jet(self, point: Sequence[float], order: int) -> Jet:
-        lam = eval_jet_grid(self.exprs, point, order)
-        defect = lam.value.T @ ETA @ lam.value - ETA
+    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
+        lam = eval_jet_grid(self.exprs, point, order, faults)
+        defect = np.swapaxes(lam.value, -1, -2) @ ETA @ lam.value - ETA
         if np.max(np.abs(defect)) > 1e-10:
             raise LorentzError(
                 f"frame rotation at {tuple(point)} distorts the internal metric "
@@ -340,8 +341,8 @@ class TransformedTetrad:
         self.e = e
         self.lam = lam
 
-    def jet(self, point: Sequence[float], order: int) -> Jet:
-        return jet_einsum("ab,bm->am", self.lam.jet(point, order), self.e.jet(point, order))
+    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
+        return jet_einsum("ab,bm->am", self.lam.jet(point, order, faults), self.e.jet(point, order, faults))
 
 
 class TransformedConnection:
@@ -357,27 +358,24 @@ class TransformedConnection:
         self.omega = omega
         self.lam = lam
 
-    def jet(self, point: Sequence[float], order: int) -> Jet:
+    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
         if order >= MAX_ORDER:
             raise GeometryError(
                 f"transformed connection jets stop at order {MAX_ORDER - 1}; "
                 "the derivative term needs rotation data one order higher"
             )
-        lam = self.lam.jet(point, order + 1)
-        lam_inv = jet_matrix_inverse(lam)
-        w = self.omega.jet(point, order)
+        lam = self.lam.jet(point, order + 1, faults)
+        lam_inv = jet_matrix_inverse(lam, faults)
+        w = self.omega.jet(point, order, faults)
         wmat = eta_lower(w, 1)
         conj = jet_einsum("acm,cb->abm", jet_einsum("ac,cbm->abm", lam, wmat), lam_inv)
         dlam = jet_partial(lam)  # [a, b, mu]
         inhom = jet_einsum("abm,bc->acm", dlam, lam_inv)
         wprime = eta_lower(conj - inhom, 1)  # eta^{cb} = eta
-        skew = wprime.value + wprime.value.transpose(1, 0, 2)
+        skew = wprime.value + np.swapaxes(wprime.value, -3, -2)
         if np.max(np.abs(skew)) > 1e-8 * max(1.0, np.max(np.abs(wprime.value))):
             raise LorentzError("transformed connection lost internal antisymmetry")
-        return Jet(
-            wprime.order,
-            [0.5 * (d - d.transpose((1, 0) + tuple(range(2, d.ndim)))) for d in wprime.data],
-        )
+        return (wprime - jet_transpose(wprime, (1, 0, 2))).scaled(0.5)
 
 
 def lorentz_transform(

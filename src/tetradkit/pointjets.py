@@ -19,17 +19,19 @@ raises ``JetError``.
 The points are an (N, 4) array, a chunk, or one point of shape (4,).  Over
 a chunk every jet carries the point axis first (``Jet.lead`` = 1), and
 each point's slice holds the bits that point's own derivation would hold.
-The expression fields among the sources (the tetrad grid, the
-connection's pair fields, and the stress and spin fields of explicit
-matter) are evaluated for the whole chunk, one walk per expression.  A
-Levi-Civita connection of the derivation's own tetrad is
-``levi_civita_jet`` of the memoized tetrad and inverse.
+A source is evaluated for the whole chunk, ``source.jet(points, order,
+faults)``, and only by the quantity that reads it (e, omega, stress,
+spin), which is memoized at that source's top order, so each expression
+tree is walked once per chunk.  A Levi-Civita connection of the
+derivation's own tetrad is ``levi_civita_jet`` of the memoized tetrad and
+inverse, and a sum is read by its parts.
 
 A fault at a point (a domain fault of an expression, a singular tetrad or
 metric) stays with that point.  Over a chunk each quantity keeps one slot
 per point, holding the first fault its derivation met at that point, in
-its read order, and the point is carried on as a benign constant, as
-``jets._carry`` does for expressions, so the other points compute on.
+its read order (a source writes its faults into that list), and the
+point is carried on as a benign constant, as ``jets._carry`` does for
+expressions, so the other points compute on.
 ``record()`` starts a read record: each quantity read after it copies its
 faults into the record's empty slots, so a consumer's fault at a point is
 the first fault, in its read order, among the quantities it read, the one
@@ -44,7 +46,6 @@ from typing import Callable
 
 import numpy as np
 
-from .exprkit import JetBatch
 from .fieldeqs import (
     MatterModel,
     curvature_three_form,
@@ -56,12 +57,9 @@ from .fieldeqs import (
 )
 from .forms import MixedForm
 from .geometry import (
-    ContorsionField,
     FrameSource,
     LeviCivitaConnection,
-    SpinConnectionField,
     SummedConnection,
-    TetradField,
     christoffel_jet,
     field_strength_jet,
     inverse_tetrad_jet,
@@ -104,14 +102,6 @@ class PointJets:
         self._source_top = DEPTH - 1 if self.matter.mode == "manufactured" else 0
         self._memo: dict[str, tuple] = {}
         self._reads: list | None = None
-        self._served: dict = {}
-        if self.lead:
-            fields = [(field, DEPTH) for field in _pair_fields(omega)]
-            if isinstance(e, TetradField):
-                fields.insert(0, (e, self._e_top))
-            fields += [(field, DEPTH - 1) for field in self.matter.fields]
-            for field, order in fields:
-                self._served[field] = _chunk(field.jet(self.points, order))
 
     # -- faults ------------------------------------------------------------
 
@@ -167,21 +157,15 @@ class PointJets:
         return self._serve("omega", order, DEPTH, lambda k: self.read(self.omega_source, k))
 
     def read(self, source: FrameSource, order: int) -> Jet:
-        """``source``'s jet at these points, unmemoized: an expression field
-        from the chunk's walk, the Levi-Civita connection of the tetrad from
-        the memoized tetrad and inverse, a sum by its parts, and anything
-        else evaluated at the point."""
-        hit = self._served.get(source)
-        if hit is None:
-            if isinstance(source, LeviCivitaConnection) and source.e is self.e_source:
-                return levi_civita_jet(self.e(order + 1), self.inverse_tetrad(order))
-            if isinstance(source, SummedConnection):
-                return self.read(source.base, order) + self.read(source.extra, order)
-            return source.jet(self.points, order)
-        jet, faults = hit
-        if faults is not None:
-            self._note(faults)
-        return jet if jet.order == order else jet.truncated(order)
+        """``source``'s jet at these points, unmemoized: the Levi-Civita
+        connection of the tetrad from the memoized tetrad and inverse, a sum
+        by its parts, and anything else evaluated at the points, its faults
+        written into the current record."""
+        if isinstance(source, LeviCivitaConnection) and source.e is self.e_source:
+            return levi_civita_jet(self.e(order + 1), self.inverse_tetrad(order))
+        if isinstance(source, SummedConnection):
+            return self.read(source.base, order) + self.read(source.extra, order)
+        return source.jet(self.points, order, self.faults)
 
     # -- derived tensors ---------------------------------------------------
 
@@ -306,13 +290,6 @@ class PointJets:
         return self._serve("spin3", order, DEPTH - 1, lambda k: self.matter.spin_form(self, k))
 
 
-def _chunk(batch: JetBatch) -> tuple[Jet, tuple | None]:
-    """A field's ``JetBatch`` as a chunk jet, the point axis first, and its
-    faults (None where no point faulted)."""
-    jet = Jet._trusted(batch.jet.order, batch.jet.data, 1)
-    return jet, batch.faults if any(f is not None for f in batch.faults) else None
-
-
 def _reads_tetrad(source: FrameSource, e: FrameSource) -> bool:
     """Whether a connection recipe derives from the tetrad source ``e``."""
     if isinstance(source, LeviCivitaConnection):
@@ -320,12 +297,3 @@ def _reads_tetrad(source: FrameSource, e: FrameSource) -> bool:
     if isinstance(source, SummedConnection):
         return _reads_tetrad(source.base, e) or _reads_tetrad(source.extra, e)
     return False
-
-
-def _pair_fields(source: FrameSource) -> list:
-    """The pair-entry expression fields a connection recipe sums."""
-    if isinstance(source, (SpinConnectionField, ContorsionField)):
-        return [source]
-    if isinstance(source, SummedConnection):
-        return _pair_fields(source.base) + _pair_fields(source.extra)
-    return []

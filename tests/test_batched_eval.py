@@ -1,5 +1,5 @@
 """Expression trees walked once for many points: bit-identical to one point
-at a time, with each point's fault kept to itself."""
+at a time, with each point's fault kept to itself in the caller's list."""
 
 import math
 
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from tetradkit import exprkit
-from tetradkit.exprkit import Chart, DomainFault, JetBatch, eval_jet, eval_jet_grid, parse_expression
-from tetradkit.geometry import ContorsionField, SpinConnectionField, SummedConnection
-from tetradkit.jets import Jet
+from tetradkit.exprkit import Chart, DomainFault, eval_jet, eval_jet_grid, parse_expression
+from tetradkit.geometry import ContorsionField, SpinConnectionField, SummedConnection, ZeroConnection
+from tetradkit.jets import Jet, JetDomainError
 from tetradkit.pointjets import DEPTH, PointJets
 from tetradkit.runner import CHUNK, run_checks, sample_points
 from tetradkit.scenarios import BUILTIN_NAMES, builtin_document, builtin_scenario, scenario_from_dict
@@ -37,6 +37,24 @@ def _explicit_matter_document():
 SCENARIOS = {name: (lambda name=name: builtin_document(name)) for name in BUILTIN_NAMES}
 SCENARIOS["schwarzschild-horizon"] = _horizon_document
 SCENARIOS["flrw-explicit-matter"] = _explicit_matter_document
+
+
+def _row(jet, i):
+    return Jet._trusted(jet.order, [d[i] for d in jet.data])
+
+
+def _chunk(fn, points, *args):
+    """``fn`` over a chunk with a fresh fault list: the jet, point axis
+    first, and the list."""
+    faults = [None] * len(points)
+    jet = fn(points, *args, faults)
+    assert jet.lead == 1
+    return jet, faults
+
+
+def _at(jet, faults, i):
+    """Point i's fault, or its row of a chunk jet."""
+    return faults[i] or _row(jet, i)
 
 
 def _same(one, many_at_i):
@@ -69,7 +87,7 @@ def _expression_fields(sc):
             stack += [source.base, source.extra]
         elif isinstance(source, (SpinConnectionField, ContorsionField)):
             fields.append(source)
-    return fields + list(sc.matter.fields)
+    return fields + [f for f in (sc.matter._stress, sc.matter._spin) if f is not None]
 
 
 def _trees(field):
@@ -84,18 +102,13 @@ def test_batch_equals_one_point_at_a_time(name):
     points = sample_points(sc.chart, 40, 3)
     for field in _expression_fields(sc):
         for order in range(4):
-            batch = field.jet(points, order)
-            assert isinstance(batch, JetBatch)
+            jet, faults = _chunk(field.jet, points, order)
             for i, point in enumerate(points):
-                _same(_alone(field.jet, point, order), batch.at(i))
+                _same(_alone(field.jet, point, order), _at(jet, faults, i))
         for expr in _trees(field):
-            batch = eval_jet(expr, points, 3)
+            jet, faults = _chunk(lambda p, *a: eval_jet(expr, p, *a), points, 3)
             for i, point in enumerate(points):
-                _same(_alone(eval_jet, expr, point, 3), batch.at(i))
-
-
-def _row(jet, i):
-    return Jet._trusted(jet.order, [d[i] for d in jet.data])
+                _same(_alone(eval_jet, expr, point, 3), _at(jet, faults, i))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -139,26 +152,52 @@ def test_fault_corpus(text, bad, kind, message):
     expr = parse_expression(text, CHART)
     x0 = [LIVE[0], bad, LIVE[1], bad, LIVE[2]]
     points = np.array([[x, 0.1 * i, -0.2, 0.3] for i, x in enumerate(x0)])
-    batch = eval_jet(expr, points, 3)
+    faults = [None] * len(points)
+    jet = eval_jet(expr, points, 3, faults)
     for i, point in enumerate(points):
-        _same(_alone(eval_jet, expr, point, 3), batch.at(i))
+        _same(_alone(eval_jet, expr, point, 3), _at(jet, faults, i))
         if x0[i] == bad:
-            assert type(batch.faults[i]) is kind
-            assert str(batch.faults[i]) == message
+            assert type(faults[i]) is kind
+            assert str(faults[i]) == message
             # a recorded fault holds no frames, which would pin the walk
-            assert batch.faults[i].__traceback__ is None
+            assert faults[i].__traceback__ is None
         else:
-            assert batch.faults[i] is None
+            assert faults[i] is None
 
 
 def test_first_fault_in_post_order_wins():
     points = np.array([[-0.9, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])
     # the log comes first in post-order, so the overflow after it is never met
-    batch = eval_jet(parse_expression("log(x0) + exp(-800*x0)", CHART), points, 2)
-    assert str(batch.faults[0]) == "log of non-positive value -0.9 in 'log(x0)'"
-    batch = eval_jet(parse_expression("exp(-800*x0) + log(x0)", CHART), points, 2)
-    assert type(batch.faults[0]) is OverflowError
-    assert batch.faults[1] is None
+    faults = [None, None]
+    eval_jet(parse_expression("log(x0) + exp(-800*x0)", CHART), points, 2, faults)
+    assert str(faults[0]) == "log of non-positive value -0.9 in 'log(x0)'"
+    faults = [None, None]
+    eval_jet(parse_expression("exp(-800*x0) + log(x0)", CHART), points, 2, faults)
+    assert type(faults[0]) is OverflowError
+    assert faults[1] is None
+
+
+def test_a_filled_slot_is_neither_walked_nor_renamed():
+    # point 0's slot holds an earlier fault, so the overflow there is never
+    # met, and only the fault the walk meets itself becomes a DomainFault
+    earlier = JetDomainError("earlier")
+    faults = [earlier, None, None]
+    points = np.array([[x, 0.0, 0.0, 0.0] for x in (0.9, -0.5, 0.25)])
+    expr = parse_expression("log(x0) * exp(800*x0)", CHART)
+    jet = eval_jet(expr, points, 2, faults)
+    assert faults[0] is earlier
+    assert str(faults[1]) == "log of non-positive value -0.5 in 'log(x0)'"
+    assert faults[2] is None
+    _same(eval_jet(expr, points[2], 2), _row(jet, 2))
+
+
+def test_with_no_list_the_first_fault_raises():
+    points = np.array([[x, 0.0, 0.0, 0.0] for x in (0.5, -0.5, -0.9)])
+    with pytest.raises(DomainFault, match="non-positive value -0.5 in 'log"):
+        eval_jet(parse_expression("log(x0)", CHART), points, 1)
+    field = SpinConnectionField({"01": ["0", "sqrt(x0)", "log(x0)", "0"]}, CHART)
+    with pytest.raises(DomainFault, match="negative value -0.5 in 'sqrt"):
+        field.jet(points, 1)
 
 
 def test_a_faulted_point_is_carried_without_warnings():
@@ -166,9 +205,10 @@ def test_a_faulted_point_is_carried_without_warnings():
     # tier-1 turns any RuntimeWarning into an error
     points = np.array([[-0.9, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]])
     expr = parse_expression("log(x0) + (1 - x0)^1100", CHART)
-    batch = eval_jet(expr, points, 3)
-    assert isinstance(batch.faults[0], DomainFault)
-    _same(eval_jet(expr, points[1], 3), batch.at(1))
+    faults = [None, None]
+    jet = eval_jet(expr, points, 3, faults)
+    assert isinstance(faults[0], DomainFault)
+    _same(eval_jet(expr, points[1], 3), _at(jet, faults, 1))
 
 
 def test_first_fault_in_grid_order_wins():
@@ -177,21 +217,21 @@ def test_first_fault_in_grid_order_wins():
         [parse_expression(t, CHART) for t in ("sqrt(x0)", "exp(800*x0)")],
     ]
     points = np.array([[x, 0.0, 0.0, 0.0] for x in (-0.5, 0.0, 0.9, 0.5)])
-    batch = eval_jet_grid(grid, points, 2)
-    assert str(batch.faults[0]) == "log of non-positive value -0.5 in 'log(x0)'"
-    assert str(batch.faults[1]) == "division by zero in '1 / x0'"
-    assert type(batch.faults[2]) is OverflowError
-    assert batch.faults[3] is None
+    jet, faults = _chunk(lambda p, *a: eval_jet_grid(grid, p, *a), points, 2)
+    assert str(faults[0]) == "log of non-positive value -0.5 in 'log(x0)'"
+    assert str(faults[1]) == "division by zero in '1 / x0'"
+    assert type(faults[2]) is OverflowError
+    assert faults[3] is None
     for i, point in enumerate(points):
-        _same(_alone(eval_jet_grid, grid, point, 2), batch.at(i))
+        _same(_alone(eval_jet_grid, grid, point, 2), _at(jet, faults, i))
 
 
 def test_pair_entries_fault_in_insertion_order():
     field = SpinConnectionField(
         {"12": ["0", "sqrt(x0)", "0", "0"], "01": ["log(x0)", "0", "0", "0"]}, CHART
     )
-    batch = field.jet(np.array([[-0.5, 0.0, 0.0, 0.0]]), 1)
-    assert str(batch.faults[0]) == "sqrt of negative value -0.5 in 'sqrt(x0)'"
+    _, faults = _chunk(field.jet, np.array([[-0.5, 0.0, 0.0, 0.0]]), 1)
+    assert str(faults[0]) == "sqrt of negative value -0.5 in 'sqrt(x0)'"
 
 
 def test_a_served_fault_is_raised_only_when_read():
@@ -219,9 +259,9 @@ def test_each_tree_is_walked_once_per_chunk(monkeypatch):
     walks = {}
     original = exprkit.eval_jet
 
-    def counting(expr, point, order):
+    def counting(expr, point, order, faults=None):
         walks[id(expr)] = walks.get(id(expr), 0) + 1
-        return original(expr, point, order)
+        return original(expr, point, order, faults)
 
     monkeypatch.setattr(exprkit, "eval_jet", counting)
     run_checks(sc, points=100, seed=0)
@@ -237,12 +277,35 @@ def test_explicit_matter_is_walked_once_per_chunk(monkeypatch):
     walks = {}
     original = exprkit.eval_jet
 
-    def counting(expr, point, order):
+    def counting(expr, point, order, faults=None):
         walks[id(expr)] = walks.get(id(expr), 0) + 1
-        return original(expr, point, order)
+        return original(expr, point, order, faults)
 
     monkeypatch.setattr(exprkit, "eval_jet", counting)
     run_checks(sc, points=100, seed=0)
-    trees = [expr for field in sc.matter.fields for expr in _trees(field)]
+    trees = [expr for field in (sc.matter._stress, sc.matter._spin) for expr in _trees(field)]
     assert len(trees) == 16 + 4
     assert {walks.get(id(expr)) for expr in trees} == {math.ceil(100 / CHUNK)}
+
+
+@pytest.mark.parametrize("name", ["schwarzschild", "schwarzschild-horizon", "flat-contorsion", "random-fields"])
+def test_a_chunked_connection_is_each_points_connection(name):
+    sc = scenario_from_dict(SCENARIOS[name](), source=name)
+    points = sample_points(sc.chart, 20, 6)
+    jet, faults = _chunk(sc.connection.jet, points, 1)
+    chunk = PointJets(sc.tetrad, sc.connection, points, sc.matter)
+    record = chunk.record()
+    served = chunk.omega(1)
+    assert [str(f) for f in faults] == [str(f) for f in record]
+    assert any(faults) == (name == "schwarzschild-horizon")
+    for i, point in enumerate(points):
+        _same(_alone(sc.connection.jet, point, 1), _at(jet, faults, i))
+        if faults[i] is None:
+            _same(_row(served, i), _row(jet, i))
+
+
+def test_the_zero_connection_keeps_the_point_axis():
+    jet, faults = _chunk(ZeroConnection().jet, np.zeros((3, 4)), 2)
+    assert not any(faults)
+    assert [d.shape for d in jet.data] == [(3, 4, 4, 4), (3, 4, 4, 4, 4), (3, 4, 4, 4, 4, 4)]
+    assert not any(d.any() for d in jet.data)

@@ -119,6 +119,14 @@ class TestInverseTetrad:
         einv = tetrad_jets(identity_tetrad(), (0.0,) * 4).inverse_tetrad(0).value
         npt.assert_allclose(einv, np.eye(4), atol=1e-15)
 
+    def test_a_chunk_with_no_fault_list_raises_its_first_singular_frame(self):
+        frames = np.stack([np.eye(4)] * 3)
+        npt.assert_array_equal(inverse_tetrad_jet(Jet(0, [frames], 1)).value, frames)
+        frames[1] *= 1e-3
+        frames[2] *= 1e-4
+        with pytest.raises(SingularTetradError, match="determinant 1.000e-12 below"):
+            inverse_tetrad_jet(Jet(0, [frames], 1))
+
     def test_diagonal(self):
         texts = [["2", "0", "0", "0"], ["0", "4", "0", "0"], ["0", "0", "0.5", "0"], ["0", "0", "0", "1"]]
         out = tetrad_jets(TetradField(texts, UNIT_CHART), (0.0,) * 4).inverse_tetrad(0).value
@@ -554,6 +562,19 @@ class TestLorentzTransform:
             return float(np.einsum("amn,brs,ab,mr,ns->", theta, theta, ETA, g_inv, g_inv))
 
         assert torsion_square(e2, w2) == pytest.approx(torsion_square(e, omega), abs=1e-10)
+
+    def test_a_chunk_is_each_points_transform(self):
+        rng = np.random.default_rng(126)
+        e = random_tetrad(rng, scale=0.12)
+        sources = lorentz_transform(e, random_connection(rng), rotation_field("0.4*x2"))
+        points = rng.uniform(-0.5, 0.5, (3, 4))
+        for source in sources:
+            faults = [None] * len(points)
+            chunk = source.jet(points, 1, faults)
+            assert chunk.lead == 1 and not any(faults)
+            for i, x in enumerate(points):
+                for alone, batched in zip(source.jet(x, 1).data, chunk.data):
+                    assert batched[i].tobytes() == alone.tobytes()
 
     def test_rejects_non_orthogonal_field(self):
         lam = LorentzField(

@@ -506,7 +506,7 @@ class TestMetricCompatibility:
         # a connection that is not antisymmetric in its internal pair does
         # not preserve the metric
         class Bad:
-            def jet(self, point, order):
+            def jet(self, point, order, faults=None):
                 return Jet.constant(np.ones((4, 4, 4)), order)
 
         res = metric_compatibility_residual(PointJets(identity_tetrad(), Bad(), POINTS[0]))

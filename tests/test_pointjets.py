@@ -221,9 +221,9 @@ def test_each_source_is_evaluated_once():
     calls = []
 
     class Counting:
-        def jet(self, point, order):
+        def jet(self, point, order, faults=None):
             calls.append(order)
-            return e.jet(point, order)
+            return e.jet(point, order, faults)
 
     counted = Counting()
     # manufactured sources read the Einstein tensor at order 1

@@ -284,13 +284,13 @@ class TestPointFaults:
         assert all("non-finite residual" in entry["message"] for entry in report.errors)
 
     def test_nan_in_the_last_d2_form_is_an_error(self, monkeypatch):
-        # d2-law tests four forms per point; the fourth holds the NaN
+        # d2-law tests three forms per point; the third holds the NaN
         calls = itertools.count(1)
         residual = runner.d_squared_residual
 
         def poisoned(jets, alpha, variances):
             res = residual(jets, alpha, variances)
-            return _nan_last(res) if next(calls) % 4 == 0 else res
+            return _nan_last(res) if next(calls) % 3 == 0 else res
 
         monkeypatch.setattr(runner, "d_squared_residual", poisoned)
         report = run_checks(builtin_scenario("minkowski"), points=2, checks=["d2-law"])
