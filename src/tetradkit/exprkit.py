@@ -5,9 +5,7 @@ named real parameters, literals, arithmetic, powers and the unary functions
 sin, cos, tan, exp, log, sqrt.  Evaluation produces either plain values or
 jets (value plus exact partials up to order 3), at one point or at an
 array of points in one walk over the tree, each point's first fault in
-the slot of a list the caller passes.  A finite-difference oracle
-is provided for testing jet evaluation against an independent route; it
-shares nothing with the chain rule code except the AST itself.
+the slot of a list the caller passes.
 
 Grammar (EBNF), with power binding tighter than unary minus, binary
 operators left-associative and power right-associative:
@@ -18,9 +16,9 @@ operators left-associative and power right-associative:
     power    = atom [ "^" factor ] ;
     atom     = number | symbol | name "(" expr ")" | "(" expr ")" ;
 
-The exponent of "^" must fold to a constant at parse time; an integer
-exponent means repeated multiplication (valid on negative bases), a real
-exponent requires a positive base.
+The exponent of "^" must fold to a real constant at parse time; an
+integer exponent means repeated multiplication (valid on negative bases),
+a real exponent requires a positive base.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-import mpmath
 import numpy as np
 
 from .jets import (
@@ -37,6 +34,7 @@ from .jets import (
     Jet,
     JetDomainError,
     _carry,
+    _mul_coordinate,
     _mul_scalar,
     jet_cos,
     jet_exp,
@@ -113,6 +111,7 @@ class Chart:
         for name, (lo, hi) in zip(self.coord_names, self.bounds):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ChartError(f"bad interval for coordinate '{name}': [{lo}, {hi}]")
+        object.__setattr__(self, "_box", np.array(self.bounds, dtype=float).T)
 
     def index_of(self, name: str) -> int:
         try:
@@ -126,7 +125,7 @@ class Chart:
         point = np.asarray(point, dtype=float)
         if point.ndim not in (1, 2) or point.shape[-1] != DIM:
             raise ChartError(f"a point needs {DIM} components, got shape {point.shape}")
-        lo, hi = np.array(self.bounds).T
+        lo, hi = self._box
         if not ((lo <= point).all() and (point <= hi).all()):
             inside = ((lo <= point) & (point <= hi)).all(axis=-1)
             bad = point if point.ndim == 1 else point[np.argmin(inside)]
@@ -330,9 +329,14 @@ class _Parser:
 
     def _fold_exponent(self, node: Node, pos: int) -> Union[int, float]:
         try:
-            return _fold_constant(node)
-        except ValueError:
-            raise SyntaxFault("exponent must be a constant (literal or parameter)", pos) from None
+            value = _fold_constant(node)
+        except ArithmeticError as exc:
+            raise ExpressionError(
+                f"exponent '{_node_str(node)}' has no real value: {exc} (at position {pos})"
+            ) from None
+        if value is None:
+            raise SyntaxFault("exponent must be a constant (literal or parameter)", pos)
+        return value
 
     def atom(self) -> Node:
         tok = self.next()
@@ -367,17 +371,23 @@ class _Parser:
         raise SyntaxFault(f"expected a value, found '{tok.text or 'end of input'}'", tok.pos)
 
 
-def _fold_constant(node: Node) -> Union[int, float]:
-    """Fold a coordinate-free subtree to a number, preserving int-ness."""
+def _fold_constant(node: Node) -> Union[int, float, None]:
+    """Fold a coordinate-free subtree to a number, preserving int-ness, or
+    give None for a subtree that names a coordinate or a function.  A
+    constant with no real value raises an ``ArithmeticError`` naming why."""
     if isinstance(node, Const):
         v = node.value
         return int(v) if v.is_integer() else v
     if isinstance(node, ParamRef):
         return node.value
     if isinstance(node, Neg):
-        return -_fold_constant(node.operand)
+        a = _fold_constant(node.operand)
+        return None if a is None else -a
     if isinstance(node, BinOp):
-        a, b = _fold_constant(node.left), _fold_constant(node.right)
+        a = _fold_constant(node.left)
+        b = None if a is None else _fold_constant(node.right)
+        if b is None:
+            return None
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -385,14 +395,20 @@ def _fold_constant(node: Node) -> Union[int, float]:
         if node.op == "*":
             return a * b
         if b == 0:
-            raise ValueError("division by zero in constant")
+            raise ZeroDivisionError("division by zero")
         return a / b
     if isinstance(node, Pow):
-        base = _fold_constant(node.base)
-        if isinstance(node.exponent, int):
-            return base**node.exponent
-        return float(base) ** node.exponent
-    raise ValueError("not a constant subtree")
+        base, p = _fold_constant(node.base), node.exponent
+        if base is None:
+            return None
+        if base == 0 and p < 0:
+            raise ZeroDivisionError("division by zero")
+        if isinstance(p, int):
+            return base**p
+        if base < 0:
+            raise ArithmeticError(f"negative base {base} to the non-integer power {p}")
+        return float(base) ** p
+    return None
 
 
 def parse_expression(text: str, chart: Chart, params: Mapping[str, float] | None = None) -> Expression:
@@ -462,7 +478,9 @@ def eval_jet(expr: Expression, point: Sequence[float], order: int, faults: list 
     points = expr.chart.require_inside(point)
     rows = points.reshape(-1, DIM)
     slots = [None] * len(rows) if faults is None else faults
-    jet = _Walk(rows, order, slots).jet(expr.root)
+    walk = _Walk(rows, order, slots)
+    value = walk.value(expr.root)
+    jet = Jet.constant(np.full(len(rows), value), order) if type(value) is float else walk.jet(value)
     if faults is None:
         for fault in slots:
             if fault is not None:
@@ -485,12 +503,21 @@ _CALLS = {
 class _Walk:
     """One post-order walk over an expression tree at N points.
 
-    Every node's jet carries the point axis first.  A point whose slot in
-    ``faults`` holds a fault is dead: it is carried as the constant 1, so it
-    raises and warns no more.  A live point whose chain-rule coefficients
-    raise records the fault in its slot (a ``JetDomainError`` as a
-    ``DomainFault`` naming the node) and dies.  Other points compute what a
-    walk at that point alone would, bit for bit.
+    A node's value is a float when its subtree names no coordinate, the
+    ``CoordRef`` itself for a bare coordinate, and otherwise a jet with the
+    point axis first.  No derivative known to be zero is built: a constant
+    folds with the IEEE operations its jet would take, a product or sum
+    with a constant acts on the other factor's arrays, a product with a
+    coordinate adds its unit derivative (``_mul_coordinate``), and each
+    coordinate's jet is built once.  Every live point's numbers are those
+    of the full jet arithmetic, up to the sign of a zero.
+
+    A point whose slot in ``faults`` holds a fault is dead: each operand
+    jet is carried as the constant 1 there, so it raises and warns no more.
+    A live point whose chain-rule coefficients raise records the fault in
+    its slot (a ``JetDomainError`` as a ``DomainFault`` naming the node) and
+    dies; a constant's fault is every live point's.  Other points compute
+    what a walk at that point alone would, bit for bit.
     """
 
     def __init__(self, points: np.ndarray, order: int, faults: list):
@@ -498,49 +525,99 @@ class _Walk:
         self.order = order
         self.faults = faults
         self.dead = np.array([f is not None for f in faults]) if any(faults) else None
+        self.coords: dict[int, Jet] = {}
 
-    def jet(self, node: Node) -> Jet:
-        if isinstance(node, (Const, ParamRef)):
-            return Jet.constant(np.full(len(self.points), node.value), self.order)
-        if isinstance(node, CoordRef):
-            return Jet.coordinate(node.index, self.points[:, node.index], self.order)
-        if isinstance(node, Neg):
-            return -self.jet(node.operand)
-        if isinstance(node, BinOp):
-            a = self.jet(node.left)
-            b = self.jet(node.right)
+    def value(self, node: Node):
+        kind = type(node)
+        if kind is BinOp:
+            a = self.value(node.left)
+            b = self.value(node.right)
+            if node.op == "*":
+                return self._product(a, b)
             if node.op == "/":
-                b = self._chain(node, jet_reciprocal, b)
-            a, b = self._live(a), self._live(b)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            return _mul_scalar(a, b)
-        if isinstance(node, Pow):
-            base = self.jet(node.base)
-            if isinstance(node.exponent, int):
-                return self._chain(node, jet_pow_int, base, node.exponent)
-            return self._chain(node, jet_pow_real, base, node.exponent)
-        if isinstance(node, Call):
-            return self._chain(node, _CALLS[node.func], self.jet(node.arg))
+                return self._product(a, self._unary(node, jet_reciprocal, b))
+            return self._sum(node.op, a, b)
+        if kind is CoordRef:
+            return node
+        if kind is Const or kind is ParamRef:
+            return node.value
+        if kind is Neg:
+            a = self.value(node.operand)
+            return -a if type(a) is float else -self.jet(a)
+        if kind is Pow:
+            fn = jet_pow_int if isinstance(node.exponent, int) else jet_pow_real
+            return self._unary(node, fn, self.value(node.base), node.exponent)
+        if kind is Call:
+            return self._unary(node, _CALLS[node.func], self.value(node.arg))
         raise TypeError(f"unknown node {node!r}")
 
-    def _live(self, a: Jet) -> Jet:
+    def jet(self, value) -> Jet:
+        """The jet of a coordinate or jet value."""
+        if type(value) is not CoordRef:
+            return value
+        jet = self.coords.get(value.index)
+        if jet is None:
+            jet = self.coords[value.index] = Jet.coordinate(value.index, self.points[:, value.index], self.order)
+        return jet
+
+    def _live(self, value) -> Jet:
+        a = self.jet(value)
         return a if self.dead is None else _carry(a, self.dead)
 
-    def _chain(self, node: Node, fn, a: Jet, *args) -> Jet:
-        """``fn(a, *args)`` with per-point faults, named after ``node``."""
+    def _product(self, a, b):
+        if type(a) is float:
+            return a * b if type(b) is float else self._live(b).scaled(a)
+        if type(b) is float:
+            return self._live(a).scaled(b)
+        if type(b) is CoordRef:
+            return _mul_coordinate(self._live(a), b.index, self.points[:, b.index], left=False)
+        if type(a) is CoordRef:
+            return _mul_coordinate(self._live(b), a.index, self.points[:, a.index], left=True)
+        return _mul_scalar(self._live(a), self._live(b))
+
+    def _sum(self, op: str, a, b):
+        if type(a) is float and type(b) is float:
+            return a + b if op == "+" else a - b
+        if type(b) is float:
+            f = self._live(a)
+            value = f.data[0] + b if op == "+" else f.data[0] - b
+            return Jet._trusted(f.order, [value] + f.data[1:])
+        if type(a) is float:
+            f = self._live(b)
+            if op == "+":
+                return Jet._trusted(f.order, [a + f.data[0]] + f.data[1:])
+            return Jet._trusted(f.order, [a - f.data[0]] + [-d for d in f.data[1:]])
+        ufunc = np.add if op == "+" else np.subtract
+        a, b = self._live(a), self._live(b)
+        return Jet._trusted(self.order, [ufunc(x, y) for x, y in zip(a.data, b.data)])
+
+    def _unary(self, node: Node, fn, a, *args):
+        """``fn(a, *args)`` with per-point faults named after ``node``; for a
+        constant ``a`` a float, by the jet code at one point."""
         faults = self.faults
+        if type(a) is float:
+            try:
+                return float(fn(Jet._trusted(0, [np.array(a)]), *args).value)
+            except (ArithmeticError, ValueError) as exc:
+                exc.__traceback__ = None
+                self._record(node, [exc if f is None else f for f in faults])
+                return 1.0
         live = faults.count(None)
         out = fn(self._live(a), *args, faults=faults)
         if faults.count(None) != live:
-            text = _node_str(node)
-            for i, fault in enumerate(faults):
-                if isinstance(fault, JetDomainError) and (self.dead is None or not self.dead[i]):
-                    faults[i] = DomainFault(str(fault), text)
-            self.dead = np.array([f is not None for f in faults])
+            self._record(node, faults)
         return out
+
+    def _record(self, node: Node, met: list):
+        """Record the fault each live point met, a ``JetDomainError`` as a
+        ``DomainFault`` naming ``node``, and mark those points dead."""
+        text = _node_str(node)
+        for i, fault in enumerate(met):
+            if self.dead is None or not self.dead[i]:
+                if isinstance(fault, JetDomainError):
+                    fault = DomainFault(str(fault), text)
+                self.faults[i] = fault
+        self.dead = np.array([f is not None for f in self.faults])
 
 
 def evaluate(expr: Expression, point: Sequence[float]) -> float:
@@ -559,114 +636,3 @@ def eval_jet_grid(exprs, point: Sequence[float], order: int, faults: list | None
     if isinstance(exprs, Expression):
         return eval_jet(exprs, point, order, faults)
     return jet_stack([eval_jet_grid(e, point, order, faults) for e in exprs], axis=0)
-
-
-# -- finite-difference oracle (tests only) ---------------------------------
-
-
-def _eval_mp(node: Node, coords: Sequence) -> mpmath.mpf:
-    """Value-only evaluation with mpmath numbers; independent of jet code."""
-    if isinstance(node, Const):
-        return mpmath.mpf(node.value)
-    if isinstance(node, ParamRef):
-        return mpmath.mpf(node.value)
-    if isinstance(node, CoordRef):
-        return coords[node.index]
-    if isinstance(node, Neg):
-        return -_eval_mp(node.operand, coords)
-    if isinstance(node, BinOp):
-        a = _eval_mp(node.left, coords)
-        b = _eval_mp(node.right, coords)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0:
-            raise DomainFault("division by zero", _node_str(node))
-        return a / b
-    if isinstance(node, Pow):
-        base = _eval_mp(node.base, coords)
-        if isinstance(node.exponent, int):
-            if node.exponent < 0 and base == 0:
-                raise DomainFault("division by zero", _node_str(node))
-            return mpmath.power(base, node.exponent)
-        if base <= 0:
-            raise DomainFault(f"real power of non-positive base {float(base)}", _node_str(node))
-        return mpmath.power(base, node.exponent)
-    if isinstance(node, Call):
-        arg = _eval_mp(node.arg, coords)
-        if node.func == "log":
-            if arg <= 0:
-                raise DomainFault(f"log of non-positive value {float(arg)}", _node_str(node))
-            return mpmath.log(arg)
-        if node.func == "sqrt":
-            if arg < 0:
-                raise DomainFault(f"sqrt of negative value {float(arg)}", _node_str(node))
-            return mpmath.sqrt(arg)
-        return getattr(mpmath, node.func)(arg)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def finite_difference_oracle(
-    expr: Expression,
-    point: Sequence[float],
-    order: int,
-    step: float = 1e-5,
-    dps: int = 40,
-) -> Jet:
-    """Estimate the jet by nested central differences of expression values.
-
-    Each derivative index applies one symmetric two-point stencil of width
-    2*step, so a partial of order k touches 2**k shifted points.  Values are
-    evaluated with mpmath working precision ``dps`` so the estimate is
-    truncation-limited (error O(step**2) per direction), and shared stencil
-    points are cached.  The stencil must stay inside the chart box.
-    """
-    if not 0 <= order <= MAX_ORDER:
-        raise ExpressionError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-    point = expr.chart.require_inside(point)
-    for i, (lo, hi) in enumerate(expr.chart.bounds):
-        if point[i] - order * step < lo or point[i] + order * step > hi:
-            raise ChartDomainError(
-                f"difference stencil of order {order}, step {step} leaves the chart "
-                f"box in coordinate '{expr.chart.coord_names[i]}'"
-            )
-
-    cache: dict[tuple[int, ...], mpmath.mpf] = {}
-
-    with mpmath.workdps(dps):
-        h = mpmath.mpf(step)
-        base = [mpmath.mpf(float(x)) for x in point]
-
-        def value_at(offsets: tuple[int, ...]) -> mpmath.mpf:
-            if offsets not in cache:
-                coords = [base[i] + offsets[i] * h for i in range(DIM)]
-                cache[offsets] = _eval_mp(expr.root, coords)
-            return cache[offsets]
-
-        def central(indices: tuple[int, ...], offsets: tuple[int, ...]) -> mpmath.mpf:
-            if not indices:
-                return value_at(offsets)
-            mu, rest = indices[0], indices[1:]
-            up = list(offsets)
-            up[mu] += 1
-            dn = list(offsets)
-            dn[mu] -= 1
-            return (central(rest, tuple(up)) - central(rest, tuple(dn))) / (2 * h)
-
-        data = [np.asarray(float(value_at((0,) * DIM)))]
-        for k in range(1, order + 1):
-            arr = np.zeros((DIM,) * k)
-            for idx in np.ndindex(*(DIM,) * k):
-                key = tuple(sorted(idx))
-                if idx == key:
-                    arr[idx] = float(central(key, (0,) * DIM))
-            # symmetrize from the computed representatives
-            for idx in np.ndindex(*(DIM,) * k):
-                key = tuple(sorted(idx))
-                if idx != key:
-                    arr[idx] = arr[key]
-            data.append(arr)
-    return Jet(order, data)

@@ -256,6 +256,35 @@ def _mul_scalar(a: Jet, b: Jet) -> Jet:
     return Jet._trusted(K, data, max(a.lead, b.lead))
 
 
+def _mul_coordinate(f: Jet, index: int, x: np.ndarray, left: bool) -> Jet:
+    """``_mul_scalar`` of ``f`` and the jet of the coordinate x_index with
+    values ``x``, on the right (on the left with ``left``), less the products
+    by the coordinate's zero derivatives: each entry sums the same nonzero
+    terms in the same order, so the numbers agree up to the sign of a zero."""
+    K = f.order
+    F = f.data
+    data = [F[0] * x]
+    if K >= 1:
+        d1 = F[1] * x[..., None]
+        d1[..., index] += F[0]
+        data.append(d1)
+    if K >= 2:
+        d2 = F[2] * x[..., None, None]
+        d2[..., :, index] += F[1]
+        d2[..., index, :] += F[1]
+        if left:
+            # there the two cross terms meet on the diagonal before x * F2
+            d2[..., index, index] = 2.0 * F[1][..., index] + F[2][..., index, index] * x
+        data.append(d2)
+    if K >= 3:
+        cross = np.zeros_like(F[3])
+        cross[..., index] = F[2].swapaxes(-1, -2) if left else F[2]
+        cross[..., index, :] += F[2]
+        cross[..., index, :, :] += F[2]
+        data.append(F[3] * x[..., None, None, None] + cross)
+    return Jet._trusted(K, data, f.lead)
+
+
 def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
     """Component-wise einsum of two jets with Leibniz-distributed derivatives.
 

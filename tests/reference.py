@@ -9,8 +9,18 @@ over their blocks (``_alt_blocks``), block-alternating wedges
 derivatives (``covariant_exterior_derivative``).  Tests compare each
 compact route with ``three_form_dual`` of its dense reference, or with a
 4-form's 0123 entry.
+
+Expression jets have two references here.  ``tree_walk_jet`` walks the
+tree with a full jet at every node, constants and coordinates included,
+and a Leibniz product at every ``*``: the route ``exprkit.eval_jet``
+shortcuts.  ``finite_difference_oracle`` estimates the jet by central
+differences of mpmath values and shares nothing with the chain rule code
+but the parsed tree.
 """
 
+from typing import Sequence
+
+import mpmath
 import numpy as np
 
 from tetradkit.fieldeqs import CURVATURE_DUAL_FACTOR, EIGHT_PI, SIXTEEN_PI, _eps_lead
@@ -23,7 +33,35 @@ from tetradkit.forms import (
     eta_lower,
     internal_wedge,
 )
-from tetradkit.jets import DIM, Jet, jet_einsum, jet_map
+from tetradkit.exprkit import (
+    _CALLS,
+    BinOp,
+    Call,
+    ChartDomainError,
+    Const,
+    CoordRef,
+    DomainFault,
+    Expression,
+    ExpressionError,
+    Neg,
+    Node,
+    ParamRef,
+    Pow,
+    _node_str,
+)
+from tetradkit.jets import (
+    DIM,
+    MAX_ORDER,
+    Jet,
+    JetDomainError,
+    _carry,
+    _mul_scalar,
+    jet_einsum,
+    jet_map,
+    jet_pow_int,
+    jet_pow_real,
+    jet_reciprocal,
+)
 
 # Block-alternation multiples of ``internal_wedge`` contractions relative to
 # the labeled-factor expressions they stand for, fixed by the shuffle
@@ -168,3 +206,184 @@ def three_form_laws(jets, vec3: MixedForm, pair3: MixedForm):
     wedged = wedged - jet_map(lambda arr: np.swapaxes(arr, 0, 1), wedged)
     second = covariant_exterior_derivative(wj, pair3, (-1, -1)).jet - wedged.scaled(0.5)
     return first, second
+
+
+# -- expression jets ---------------------------------------------------------
+
+
+def tree_walk_jet(expr: Expression, point, order: int, faults: list | None = None) -> Jet:
+    """``exprkit.eval_jet`` by a full jet at every node of the tree."""
+    if not 0 <= order <= MAX_ORDER:
+        raise ExpressionError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
+    points = expr.chart.require_inside(point)
+    rows = points.reshape(-1, DIM)
+    slots = [None] * len(rows) if faults is None else faults
+    jet = _TreeWalk(rows, order, slots).jet(expr.root)
+    if faults is None:
+        for fault in slots:
+            if fault is not None:
+                raise fault
+    if points.ndim == 2:
+        return Jet._trusted(jet.order, jet.data, 1)
+    return Jet._trusted(jet.order, [d[0] for d in jet.data])
+
+
+class _TreeWalk:
+    """One post-order walk at N points, every node's jet with the point
+    axis first; faults and dead points as in ``exprkit._Walk``."""
+
+    def __init__(self, points: np.ndarray, order: int, faults: list):
+        self.points = points
+        self.order = order
+        self.faults = faults
+        self.dead = np.array([f is not None for f in faults]) if any(faults) else None
+
+    def jet(self, node: Node) -> Jet:
+        if isinstance(node, (Const, ParamRef)):
+            return Jet.constant(np.full(len(self.points), node.value), self.order)
+        if isinstance(node, CoordRef):
+            return Jet.coordinate(node.index, self.points[:, node.index], self.order)
+        if isinstance(node, Neg):
+            return -self.jet(node.operand)
+        if isinstance(node, BinOp):
+            a = self.jet(node.left)
+            b = self.jet(node.right)
+            if node.op == "/":
+                b = self._chain(node, jet_reciprocal, b)
+            a, b = self._live(a), self._live(b)
+            if node.op == "+":
+                return a + b
+            if node.op == "-":
+                return a - b
+            return _mul_scalar(a, b)
+        if isinstance(node, Pow):
+            base = self.jet(node.base)
+            if isinstance(node.exponent, int):
+                return self._chain(node, jet_pow_int, base, node.exponent)
+            return self._chain(node, jet_pow_real, base, node.exponent)
+        if isinstance(node, Call):
+            return self._chain(node, _CALLS[node.func], self.jet(node.arg))
+        raise TypeError(f"unknown node {node!r}")
+
+    def _live(self, a: Jet) -> Jet:
+        return a if self.dead is None else _carry(a, self.dead)
+
+    def _chain(self, node: Node, fn, a: Jet, *args) -> Jet:
+        faults = self.faults
+        live = faults.count(None)
+        out = fn(self._live(a), *args, faults=faults)
+        if faults.count(None) != live:
+            text = _node_str(node)
+            for i, fault in enumerate(faults):
+                if isinstance(fault, JetDomainError) and (self.dead is None or not self.dead[i]):
+                    faults[i] = DomainFault(str(fault), text)
+            self.dead = np.array([f is not None for f in faults])
+        return out
+
+
+def _eval_mp(node: Node, coords: Sequence) -> mpmath.mpf:
+    """Value-only evaluation with mpmath numbers; independent of jet code."""
+    if isinstance(node, Const):
+        return mpmath.mpf(node.value)
+    if isinstance(node, ParamRef):
+        return mpmath.mpf(node.value)
+    if isinstance(node, CoordRef):
+        return coords[node.index]
+    if isinstance(node, Neg):
+        return -_eval_mp(node.operand, coords)
+    if isinstance(node, BinOp):
+        a = _eval_mp(node.left, coords)
+        b = _eval_mp(node.right, coords)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if b == 0:
+            raise DomainFault("division by zero", _node_str(node))
+        return a / b
+    if isinstance(node, Pow):
+        base = _eval_mp(node.base, coords)
+        if isinstance(node.exponent, int):
+            if node.exponent < 0 and base == 0:
+                raise DomainFault("division by zero", _node_str(node))
+            return mpmath.power(base, node.exponent)
+        if base <= 0:
+            raise DomainFault(f"real power of non-positive base {float(base)}", _node_str(node))
+        return mpmath.power(base, node.exponent)
+    if isinstance(node, Call):
+        arg = _eval_mp(node.arg, coords)
+        if node.func == "log":
+            if arg <= 0:
+                raise DomainFault(f"log of non-positive value {float(arg)}", _node_str(node))
+            return mpmath.log(arg)
+        if node.func == "sqrt":
+            if arg < 0:
+                raise DomainFault(f"sqrt of negative value {float(arg)}", _node_str(node))
+            return mpmath.sqrt(arg)
+        return getattr(mpmath, node.func)(arg)
+    raise TypeError(f"unknown node {node!r}")
+
+
+def finite_difference_oracle(
+    expr: Expression,
+    point: Sequence[float],
+    order: int,
+    step: float = 1e-5,
+    dps: int = 40,
+) -> Jet:
+    """Estimate the jet by nested central differences of expression values.
+
+    Each derivative index applies one symmetric two-point stencil of width
+    2*step, so a partial of order k touches 2**k shifted points.  Values are
+    evaluated with mpmath working precision ``dps`` so the estimate is
+    truncation-limited (error O(step**2) per direction), and shared stencil
+    points are cached.  The stencil must stay inside the chart box.
+    """
+    if not 0 <= order <= MAX_ORDER:
+        raise ExpressionError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
+    point = expr.chart.require_inside(point)
+    for i, (lo, hi) in enumerate(expr.chart.bounds):
+        if point[i] - order * step < lo or point[i] + order * step > hi:
+            raise ChartDomainError(
+                f"difference stencil of order {order}, step {step} leaves the chart "
+                f"box in coordinate '{expr.chart.coord_names[i]}'"
+            )
+
+    cache: dict[tuple[int, ...], mpmath.mpf] = {}
+
+    with mpmath.workdps(dps):
+        h = mpmath.mpf(step)
+        base = [mpmath.mpf(float(x)) for x in point]
+
+        def value_at(offsets: tuple[int, ...]) -> mpmath.mpf:
+            if offsets not in cache:
+                coords = [base[i] + offsets[i] * h for i in range(DIM)]
+                cache[offsets] = _eval_mp(expr.root, coords)
+            return cache[offsets]
+
+        def central(indices: tuple[int, ...], offsets: tuple[int, ...]) -> mpmath.mpf:
+            if not indices:
+                return value_at(offsets)
+            mu, rest = indices[0], indices[1:]
+            up = list(offsets)
+            up[mu] += 1
+            dn = list(offsets)
+            dn[mu] -= 1
+            return (central(rest, tuple(up)) - central(rest, tuple(dn))) / (2 * h)
+
+        data = [np.asarray(float(value_at((0,) * DIM)))]
+        for k in range(1, order + 1):
+            arr = np.zeros((DIM,) * k)
+            for idx in np.ndindex(*(DIM,) * k):
+                key = tuple(sorted(idx))
+                if idx == key:
+                    arr[idx] = float(central(key, (0,) * DIM))
+            # symmetrize from the computed representatives
+            for idx in np.ndindex(*(DIM,) * k):
+                key = tuple(sorted(idx))
+                if idx != key:
+                    arr[idx] = arr[key]
+            data.append(arr)
+    return Jet(order, data)

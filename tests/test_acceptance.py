@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from tetradkit.cli import main as cli_main
-from tetradkit.exprkit import eval_jet, finite_difference_oracle, parse_expression
+from tetradkit.exprkit import eval_jet, parse_expression
 from tetradkit.fieldeqs import (
     MatterModel,
     torsion_equation_sides,
@@ -41,6 +41,7 @@ from helpers import (
     random_tetrad,
     ricci,
 )
+from reference import finite_difference_oracle
 from test_geometry import boost_field, rotation_field
 from test_identities import boosted_flat_connection, random_form_jet
 

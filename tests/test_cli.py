@@ -8,6 +8,7 @@ from tetradkit.cli import main
 from tetradkit.runner import CHECK_NAMES
 from tetradkit.scenarios import builtin_document
 
+from test_exprkit import BAD_EXPONENTS
 from test_scenarios import minimal_document
 
 
@@ -116,6 +117,17 @@ class TestCheckRuns:
         )
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("text, message", BAD_EXPONENTS, ids=[t for t, _ in BAD_EXPONENTS])
+    def test_an_exponent_with_no_real_value_exits_two(self, capsys, tmp_path, text, message):
+        doc = builtin_document("minkowski")
+        doc["tetrad"][0][0] = text
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_main(["check", str(path), "--points", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_tolerance_override_can_fail_a_run(self, capsys):
         code, out, _ = run_main(
@@ -229,3 +241,14 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "overall: PASS" in proc.stdout
+
+    def test_a_run_does_not_import_mpmath(self):
+        # mpmath is a test dependency: only the difference oracle reads it
+        script = (
+            "import sys\n"
+            "from tetradkit.cli import main\n"
+            "code = main(['check', '--builtin', 'random-fields', '--points', '2'])\n"
+            "sys.exit(3 if 'mpmath' in sys.modules else code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -16,6 +16,7 @@ from tetradkit.exprkit import (
     Const,
     CoordRef,
     DomainFault,
+    ExpressionError,
     Neg,
     ParamRef,
     Pow,
@@ -23,13 +24,13 @@ from tetradkit.exprkit import (
     UnknownSymbolError,
     eval_jet,
     evaluate,
-    finite_difference_oracle,
     format_expression,
     parse_expression,
 )
 from tetradkit.runner import sample_points
 
 from helpers import UNIT_CHART, random_smooth_text
+from reference import finite_difference_oracle
 
 POLAR = Chart(("r", "th", "ph", "t"), ((0.5, 4.0), (0.1, 3.0), (0.0, 6.28), (-1.0, 1.0)))
 
@@ -53,7 +54,21 @@ class TestChart:
         assert np.all(pts1 >= lo + pad - 1e-12) and np.all(pts1 <= hi - pad + 1e-12)
 
 
+# exponents that fold to no real number, and the error each raises
+BAD_EXPONENTS = [
+    ("x0^((-8)^0.5)", "exponent '(-8)^0.5' has no real value: negative base -8 to the non-integer power 0.5"),
+    ("x0^(0^-1)", "exponent '0^(-1)' has no real value: division by zero"),
+    ("x0^(1/0)", "exponent '1 / 0' has no real value: division by zero"),
+]
+
+
 class TestParser:
+    @pytest.mark.parametrize("text, message", BAD_EXPONENTS, ids=[t for t, _ in BAD_EXPONENTS])
+    def test_an_exponent_with_no_real_value_names_its_cause(self, text, message):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text, UNIT_CHART)
+        assert str(err.value) == f"{message} (at position 2)"
+
     def test_simple_shapes(self):
         e = parse_expression("r^2*sin(th)", POLAR)
         assert e.root == BinOp("*", Pow(CoordRef(0, "r"), 2), Call("sin", CoordRef(1, "th")))

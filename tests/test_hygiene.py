@@ -86,7 +86,6 @@ def test_eta_is_applied_as_a_sign_flip(path):
 # a target that perfbench/layertrace.py times by name (these go once the
 # benchmark's trace list drops them).
 UNREAD_ALLOWED = {
-    "exprkit.finite_difference_oracle": "acceptance gate: derivative oracle",
     "geometry.LorentzField": "acceptance gate: frame rotation invariance",
     "geometry.lorentz_transform": "acceptance gate: frame rotation invariance",
     "geometry.ZeroConnection": "acceptance gate: flat-frame reduction",
