@@ -2,10 +2,10 @@
 
 Expressions are parsed from text into a small AST over chart coordinates,
 named real parameters, literals, arithmetic, powers and the unary functions
-sin, cos, tan, exp, log, sqrt.  Evaluation produces either plain values or
-jets (value plus exact partials up to order 3), at one point or at an
-array of points in one walk over the tree, each point's first fault in
-the slot of a list the caller passes.
+sin, cos, tan, exp, log, sqrt.  Evaluation produces jets (value plus exact
+partials up to order 3) at an (N, 4) array of points in one walk over the
+tree, each point's first fault in the slot of a list the caller passes;
+``evaluate`` gives one point's plain value.
 
 Grammar (EBNF), with power binding tighter than unary minus, binary
 operators left-associative and power right-associative:
@@ -119,18 +119,17 @@ class Chart:
         except ValueError:
             raise ChartError(f"no coordinate named '{name}' in chart {self.coord_names}") from None
 
-    def require_inside(self, point: Sequence[float]) -> np.ndarray:
-        """The point, or an (N, 4) array of points, as floats; raises
-        ``ChartDomainError`` for the first one outside the box."""
-        point = np.asarray(point, dtype=float)
-        if point.ndim not in (1, 2) or point.shape[-1] != DIM:
-            raise ChartError(f"a point needs {DIM} components, got shape {point.shape}")
+    def require_inside(self, points) -> np.ndarray:
+        """An (N, 4) array of points as floats; raises ``ChartDomainError``
+        for the first one outside the box."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != DIM:
+            raise ChartError(f"points need shape (N, {DIM}), got {points.shape}")
         lo, hi = self._box
-        if not ((lo <= point).all() and (point <= hi).all()):
-            inside = ((lo <= point) & (point <= hi)).all(axis=-1)
-            bad = point if point.ndim == 1 else point[np.argmin(inside)]
+        if not ((lo <= points).all() and (points <= hi).all()):
+            bad = points[np.argmin(((lo <= points) & (points <= hi)).all(axis=1))]
             raise ChartDomainError(f"point {tuple(bad)} outside chart box {self.bounds}")
-        return point
+        return points
 
 
 # -- AST -------------------------------------------------------------------
@@ -465,29 +464,18 @@ def _node_str(node: Node) -> str:
     return _fmt(node, 0)
 
 
-def eval_jet(expr: Expression, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
-    """Evaluate an expression to scalar jets of the requested order.
-
-    ``point`` is one point, or an (N, 4) array of points, which gives one
-    Jet with the point axis first from one walk over the tree.  A point's
+def eval_jet(expr: Expression, points, order: int, faults: list) -> Jet:
+    """Evaluate an expression to the scalar jet of the requested order at
+    an (N, 4) array of points, from one walk over the tree.  A point's
     first fault, in the walk's post-order, goes into its empty slot of
-    ``faults``; with no list the first fault raises.
+    ``faults``.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ExpressionError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-    points = expr.chart.require_inside(point)
-    rows = points.reshape(-1, DIM)
-    slots = [None] * len(rows) if faults is None else faults
-    walk = _Walk(rows, order, slots)
+    points = expr.chart.require_inside(points)
+    walk = _Walk(points, order, faults)
     value = walk.value(expr.root)
-    jet = Jet.constant(np.full(len(rows), value), order) if type(value) is float else walk.jet(value)
-    if faults is None:
-        for fault in slots:
-            if fault is not None:
-                raise fault
-    if points.ndim == 2:
-        return Jet._trusted(jet.order, jet.data, 1)
-    return Jet._trusted(jet.order, [d[0] for d in jet.data])
+    return Jet.constant(np.full(len(points), value), order) if type(value) is float else walk.jet(value)
 
 
 _CALLS = {
@@ -593,15 +581,15 @@ class _Walk:
 
     def _unary(self, node: Node, fn, a, *args):
         """``fn(a, *args)`` with per-point faults named after ``node``; for a
-        constant ``a`` a float, by the jet code at one point."""
+        constant ``a`` a float, by the jet code at a chunk of one."""
         faults = self.faults
         if type(a) is float:
-            try:
-                return float(fn(Jet._trusted(0, [np.array(a)]), *args).value)
-            except (ArithmeticError, ValueError) as exc:
-                exc.__traceback__ = None
-                self._record(node, [exc if f is None else f for f in faults])
-                return 1.0
+            met = [None]
+            value = fn(Jet._trusted(0, [np.array([a])]), *args, faults=met).value[0]
+            if met[0] is None:
+                return float(value)
+            self._record(node, [met[0] if f is None else f for f in faults])
+            return 1.0
         live = faults.count(None)
         out = fn(self._live(a), *args, faults=faults)
         if faults.count(None) != live:
@@ -621,18 +609,23 @@ class _Walk:
 
 
 def evaluate(expr: Expression, point: Sequence[float]) -> float:
-    """Plain value of the expression at a point."""
-    return float(eval_jet(expr, point, 0).value)
+    """Plain value of the expression at one point, by ``eval_jet`` at a
+    chunk of one; raises the point's fault."""
+    faults = [None]
+    value = eval_jet(expr, [point], 0, faults).value[0]
+    if faults[0] is not None:
+        raise faults[0]
+    return float(value)
 
 
-def eval_jet_grid(exprs, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
-    """Evaluate a nested sequence of Expressions into one tensor jet.
+def eval_jet_grid(exprs, points, order: int, faults: list) -> Jet:
+    """Evaluate a nested sequence of Expressions into one tensor jet at an
+    (N, 4) array of points.
 
     The nesting structure becomes leading component axes, behind the point
-    axis for an (N, 4) array of points.  Every entry writes its faults into
-    ``faults`` as ``eval_jet`` does, so a point's fault is the first one in
-    grid order.
+    axis.  Every entry writes its faults into ``faults`` as ``eval_jet``
+    does, so a point's fault is the first one in grid order.
     """
     if isinstance(exprs, Expression):
-        return eval_jet(exprs, point, order, faults)
-    return jet_stack([eval_jet_grid(e, point, order, faults) for e in exprs], axis=0)
+        return eval_jet(exprs, points, order, faults)
+    return jet_stack([eval_jet_grid(e, points, order, faults) for e in exprs], axis=0)

@@ -2,7 +2,7 @@
 
 Everything here is a pure function of jets produced by the frame fields in
 ``geometry``.  The field-level functions read those jets from a
-``PointJets``, which derives each one once per point or chunk; each reads
+``PointJets``, which derives each one once per chunk of points; each reads
 the tetrad before the connection, the order that decides which fault a
 point reports when both fail.  Two normalization facts thread through the
 module:
@@ -115,31 +115,35 @@ def einstein_jet(riemann: Jet, einv: Jet, g: Jet, f: Jet) -> Jet:
     return ricci - jet_einsum("mw,->mw", g, scalar).scaled(0.5)
 
 
-def torsion_q_jet(e_jet: Jet, omega_jet: Jet) -> Jet:
-    """Torsion components q[mu, nu, sigma] with derivatives."""
+def torsion_q_jet(e_jet: Jet, omega_jet: Jet, faults: list) -> Jet:
+    """Torsion components q[mu, nu, sigma] with derivatives; a singular
+    tetrad's fault goes into ``faults`` as ``inverse_tetrad_jet`` puts it."""
     theta = torsion_jet(e_jet, omega_jet)
-    return torsion_tensor_jet(theta, inverse_tetrad_jet(e_jet))
+    return torsion_tensor_jet(theta, inverse_tetrad_jet(e_jet, faults))
 
 
-def dual_component_projection(dual: Jet, e_jet: Jet) -> Jet:
+def dual_component_projection(dual: Jet, e_jet: Jet, faults: list) -> Jet:
     """Rank-2 components [mu, nu] of an internal-vector 3-form, given by its
     dual vector [a, mu].
 
     Maps the internal index through the tetrad, lowers the free slot with
     the metric, and removes the tetrad determinant and the dual's sign.
-    Exact inverse of ``stress_tensor_to_form`` at unit scale.
+    Exact inverse of ``stress_tensor_to_form`` at unit scale.  A point
+    whose |det e| is at most ``DET_THRESHOLD`` stores a
+    ``SingularTetradError`` in its empty slot of ``faults``.
     """
     if dual.comp_shape != (DIM, DIM):
         raise FieldEquationError(
             f"expected the dual [a, mu] of an internal-vector 3-form, got shape {dual.comp_shape}"
         )
     det = determinant_jet(e_jet)
-    if abs(float(det.value)) <= DET_THRESHOLD:
-        raise SingularTetradError("tetrad determinant vanishes at this point")
+    for i in np.flatnonzero(np.abs(det.value) <= DET_THRESHOLD):
+        if faults[i] is None:
+            faults[i] = SingularTetradError("tetrad determinant vanishes at this point")
     g = metric_jet(e_jet)
     out = jet_einsum("am,as->ms", e_jet, dual.scaled(-1.0))
     out = jet_einsum("ms,sn->mn", out, g)
-    return jet_einsum("mn,->mn", out, jet_reciprocal(det))
+    return jet_einsum("mn,->mn", out, jet_reciprocal(det, faults))
 
 
 def stress_tensor_to_form(t_jet: Jet, einv: Jet, ginv: Jet, det: Jet, kappa: float) -> Jet:
@@ -186,8 +190,8 @@ class StressField:
     def __init__(self, texts: Sequence[Sequence[str]], chart: Chart, params: Mapping[str, float] | None = None):
         self.exprs = parse_grid(texts, chart, params, "stress")
 
-    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
-        return eval_jet_grid(self.exprs, point, order, faults)
+    def jet(self, points: np.ndarray, order: int, faults: list) -> Jet:
+        return eval_jet_grid(self.exprs, points, order, faults)
 
 
 class MatterModel:
@@ -245,7 +249,7 @@ class MatterModel:
     def stress_jet(self, jets: PointJets, order: int) -> Jet:
         """Stress components t[mu, nu] at the point, with derivatives."""
         if self.mode == "vacuum":
-            return Jet.zeros(jets.shape + (DIM, DIM), order, jets.lead)
+            return Jet.zeros((len(jets.points), DIM, DIM), order)
         if self.mode == "explicit":
             return jets.read(self._stress, order)
         return jets.einstein(order).scaled(1.0 / EIGHT_PI)
@@ -253,7 +257,7 @@ class MatterModel:
     def spin_jet(self, jets: PointJets, order: int) -> Jet:
         """Spin components s[mu, nu, sigma] at the point, with derivatives."""
         if self.mode == "vacuum":
-            return Jet.zeros(jets.shape + (DIM, DIM, DIM), order, jets.lead)
+            return Jet.zeros((len(jets.points), DIM, DIM, DIM), order)
         if self.mode == "explicit":
             return jets.read(self._spin, order)
         return jets.torsion_tensor(order).scaled(-1.0 / SIXTEEN_PI)
@@ -261,7 +265,7 @@ class MatterModel:
     def stress_form(self, jets: PointJets, order: int) -> Jet:
         """``stress_tensor_to_form`` of the point's stress jet."""
         if self.mode == "vacuum":
-            return Jet.zeros(jets.shape + (DIM, DIM), order, jets.lead)
+            return Jet.zeros((len(jets.points), DIM, DIM), order)
         return stress_tensor_to_form(
             jets.stress(order),
             jets.inverse_tetrad(order),
@@ -273,20 +277,17 @@ class MatterModel:
     def spin_form(self, jets: PointJets, order: int) -> Jet:
         """``spin_tensor_to_form`` of the point's spin jet."""
         if self.mode == "vacuum":
-            return Jet.zeros(jets.shape + (DIM, DIM, DIM), order, jets.lead)
+            return Jet.zeros((len(jets.points), DIM, DIM, DIM), order)
         return spin_tensor_to_form(jets.spin(order), jets.e(order), self.kappa)
 
 
 def _eps_lead(jet: Jet, n: int) -> Jet:
     """The alternating symbol's last ``n`` indices contracted with the first
     ``n`` component axes of ``jet``; the symbol's free indices lead, behind
-    the point axis if there is one."""
-    mat, free, p = EPSILON.reshape(DIM ** (4 - n), DIM**n), (DIM,) * (4 - n), jet.lead
-    data = [
-        (mat @ d.reshape(d.shape[:p] + (DIM**n, -1))).reshape(d.shape[:p] + free + d.shape[p + n :])
-        for d in jet.data
-    ]
-    return Jet._trusted(jet.order, data, p)
+    the point axis."""
+    mat, free = EPSILON.reshape(DIM ** (4 - n), DIM**n), (DIM,) * (4 - n)
+    data = [(mat @ d.reshape(len(d), DIM**n, -1)).reshape((len(d),) + free + d.shape[1 + n :]) for d in jet.data]
+    return Jet._trusted(jet.order, data)
 
 
 def curvature_three_form(e_jet: Jet, f_jet: Jet) -> Jet:
@@ -307,7 +308,7 @@ def _eps_pair_dual(beta: Jet, e_jet: Jet) -> Jet:
 def _frame_pair(e_jet: Jet) -> Jet:
     """The frame-pair 2-form e^c ^ e^d, [c, d, m, n] = e^c_m e^d_n - e^c_n e^d_m."""
     ee = jet_einsum("cm,dn->cdmn", e_jet, e_jet)
-    return ee - Jet._trusted(ee.order, [d.swapaxes(ee.lead + 2, ee.lead + 3) for d in ee.data], ee.lead)
+    return ee - Jet._trusted(ee.order, [d.swapaxes(3, 4) for d in ee.data])
 
 
 def torsion_three_form(theta_jet: Jet, e_jet: Jet) -> Jet:
@@ -326,21 +327,23 @@ def derivative_torsion_three_form(e_jet: Jet, omega_jet: Jet) -> Jet:
     return _eps_lead(twisted_divergence(omega_jet, pair, (1, 1)), 2).scaled(0.5)
 
 
-def pc_action_density(jets: PointJets, lam: float) -> float:
-    """Coefficient of the coordinate volume form in the action integrand.
+def pc_action_density(jets: PointJets, lam: float) -> np.ndarray:
+    """Coefficient of the coordinate volume form in the action integrand,
+    one per point.
 
     Geometric part plus the cosmological term; for a torsion-free
     connection the geometric part is a fixed multiple of the curvature
-    scalar times the tetrad determinant.
+    scalar times the tetrad determinant.  A singular frame's fault lands in
+    the reader's record, as everywhere.
     """
     ej = jets.e(0)
-    jets.inverse_tetrad(0)  # a singular frame raises here, as everywhere
+    jets.inverse_tetrad(0)
     ef = MixedForm(1, 1, ej)
     ee = internal_wedge(ef, ef)
     eef = internal_wedge(ee, MixedForm(2, 2, jets.field_strength(0)))
-    geo = 0.5 * 24.0 * epsilon_trace(eef).values[0, 1, 2, 3] / _MULT_EEF_TRACE
-    vol = 24.0 * epsilon_trace(internal_wedge(ee, ee)).values[0, 1, 2, 3]
-    return float(geo + (lam / 24.0) * vol / _MULT_E4_TRACE)
+    geo = 0.5 * 24.0 * epsilon_trace(eef).values[:, 0, 1, 2, 3] / _MULT_EEF_TRACE
+    vol = 24.0 * epsilon_trace(internal_wedge(ee, ee)).values[:, 0, 1, 2, 3]
+    return geo + (lam / 24.0) * vol / _MULT_E4_TRACE
 
 
 def curvature_equation_residual(jets: PointJets) -> Jet:

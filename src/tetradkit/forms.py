@@ -2,12 +2,13 @@
 
 A MixedForm(k, p) holds components antisymmetric separately in k spacetime
 indices and p internal indices, as a jet, so every form can also carry
-exact derivative data; a plain array is accepted and treated as an order-0
-jet.  Component axes are ordered internal first, then spacetime.  A run
-holds forms of degree 0-2 this way and higher degrees as plain jets: a
-3-form x by its dual vector d[.., mu] = s_mu x[.., compl mu] (compl mu the
-other three indices in order, s = (+, -, +, -) the sign of the (1|3)
-shuffle that puts mu first), a 4-form by its one coefficient (below).
+exact derivative data; a plain array, point axis first, is accepted and
+treated as an order-0 jet.  Component axes are ordered internal first,
+then spacetime, behind the point axis.  A run holds forms of degree 0-2
+this way and higher degrees as plain jets: a 3-form x by its dual vector
+d[.., mu] = s_mu x[.., compl mu] (compl mu the other three indices in
+order, s = (+, -, +, -) the sign of the (1|3) shuffle that puts mu
+first), a 4-form by its one coefficient (below).
 ``two_form_dual`` and ``twisted_divergence`` take the twisted exterior
 derivative from one storage to the next.
 
@@ -93,7 +94,7 @@ def _alt_blocks(jet: Jet, start: int, n1: int, n2: int) -> Jet:
     data = []
     for arr in jet.data:
         acc = None
-        for sign, axes in _block_shuffle_axes(jet.lead + start, n1, n2, arr.ndim):
+        for sign, axes in _block_shuffle_axes(1 + start, n1, n2, arr.ndim):
             piece = arr if axes is None else arr.transpose(axes)
             # adding or subtracting gives the bits of adding sign * piece;
             # after the first sum the accumulator is the sum's own array
@@ -108,19 +109,20 @@ def _alt_blocks(jet: Jet, start: int, n1: int, n2: int) -> Jet:
             else:
                 acc -= piece
         data.append(acc)
-    return Jet._trusted(jet.order, data, jet.lead)
+    return Jet._trusted(jet.order, data)
 
 
-def _check_antisym(arr: np.ndarray, lead: int, start: int, n: int, what: str):
-    """Raise unless ``arr`` is antisymmetric in the ``n`` axes from
-    ``start``, relative to each point's largest entry (floored at one)."""
+def _check_antisym(arr: np.ndarray, start: int, n: int, what: str):
+    """Raise unless ``arr``, point axis first, is antisymmetric in the ``n``
+    component axes from ``start``, relative to each point's largest entry
+    (floored at one)."""
     if n < 2:
         return
-    points = arr.shape[:lead] + (-1,)
+    points = (len(arr), -1)
     scale = np.fmax(1.0, np.abs(arr).reshape(points).max(axis=-1))
     for i in range(n - 1):
         axes = list(range(arr.ndim))
-        a, b = lead + start + i, lead + start + i + 1
+        a, b = 1 + start + i, 2 + start + i
         axes[a], axes[b] = axes[b], axes[a]
         defect = np.abs(arr + arr.transpose(axes)).reshape(points).max(axis=-1)
         if np.any(defect > 1e-12 * scale):
@@ -145,8 +147,8 @@ class MixedForm:
             )
         if not _checked:
             for d in jet.data:
-                _check_antisym(d, jet.lead, 0, p, "internal")
-                _check_antisym(d, jet.lead, p, k, "spacetime")
+                _check_antisym(d, 0, p, "internal")
+                _check_antisym(d, p, k, "spacetime")
         self.k = k
         self.p = p
         self.jet = jet
@@ -254,7 +256,7 @@ def eta_lower(x, axis: int):
     except for the sign of zeros.
     """
     if isinstance(x, Jet):
-        return Jet._trusted(x.order, [eta_lower(d, x.lead + axis) for d in x.data], x.lead)
+        return Jet._trusted(x.order, [eta_lower(d, 1 + axis) for d in x.data])
     return x * _eta_signs(x.ndim - axis - 1)
 
 
@@ -295,13 +297,13 @@ def two_form_dual(x: Jet, at: int) -> Jet:
     """The dual x*[.., nu, mu] = (1/2) eps_{nu mu m n} x[.., m, n] of a
     spacetime 2-form in component axes ``at`` and ``at + 1``, by a signed
     gather of the entries with m < n: ``x`` must be antisymmetric there."""
-    where = (slice(None),) * (x.lead + at) + (_PAIR_ROWS, _PAIR_COLS)
+    where = (slice(None),) * (1 + at) + (_PAIR_ROWS, _PAIR_COLS)
     data = []
     for arr in x.data:
         dual = arr[where]  # a gather: an array of its own
         dual *= _PAIR_SIGNS.reshape((DIM, DIM) + (1,) * (arr.ndim - len(where)))
         data.append(dual)
-    return Jet._trusted(x.order, data, x.lead)
+    return Jet._trusted(x.order, data)
 
 
 def slot_action(mat: Jet, x: Jet, variances: tuple[int, ...], spec: str, acc: Jet | None = None):
@@ -327,8 +329,8 @@ def twisted_divergence(omega: Jet, y: Jet, variances: tuple[int, ...]) -> Jet:
     dual vector of its twisted derivative."""
     if y.order < 1:
         raise DegreeError("twisted divergence needs jet data of order >= 1")
-    last = y.lead + len(y.comp_shape) - 1
-    out = Jet._trusted(y.order - 1, [np.trace(d, 0, last, last + 1) for d in y.data[1:]], y.lead)
+    last = len(y.comp_shape)
+    out = Jet._trusted(y.order - 1, [np.trace(d, 0, last, last + 1) for d in y.data[1:]])
     if not variances:
         return out
     xs = _LABELS[len(variances) : len(y.comp_shape) - 1]

@@ -1,16 +1,17 @@
-"""Frame fields and the jet formulas a point derives from them.
+"""Frame fields and the jet formulas a chunk of points derives from them.
 
-Field objects hold expressions over a chart and evaluate to jets at a
-point or at an (N, 4) array of points at once (see ``FrameSource``).
+Field objects hold expressions over a chart and evaluate to jets at an
+(N, 4) array of points at once (see ``FrameSource``).
 This module owns the two input formats the fields are given in:
-``parse_grid`` validates and parses a 4x4 expression grid (tetrad, frame
-rotation, explicit stress) and ``_PairField`` a pair-keyed entry mapping
+``parse_grid`` validates and parses a 4x4 expression grid (tetrad,
+explicit stress) and ``_PairField`` a pair-keyed entry mapping
 (connection, contorsion, spin source), each raising ``GeometryError``
 that names the offending entry.  Everything downstream (metric, the
 Levi-Civita connection in closed form, Christoffel symbols, field
 strength, torsion) is a ``*_jet`` function of those jets, which
-``pointjets.PointJets`` applies once per point or chunk for every
-consumer.
+``pointjets.PointJets`` applies once per chunk of points for every
+consumer.  Every jet carries the point axis first, ahead of the component
+axes listed below.
 Index conventions, fixed here once:
 
 * tetrad components e[a, mu] with the internal (frame) index first;
@@ -35,7 +36,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .exprkit import Chart, ExpressionError, eval_jet_grid, parse_expression
-from .forms import ETA, covariant_D, eta_lower
+from .forms import covariant_D, eta_lower
 from .jets import (
     DIM,
     MAX_ORDER,
@@ -58,20 +59,16 @@ class SingularTetradError(GeometryError):
     """Tetrad determinant too small to invert."""
 
 
-class LorentzError(GeometryError):
-    """A frame-rotation field failed the metric-preservation check."""
-
-
 class FrameSource(Protocol):
-    """Anything that evaluates frame components to a jet at a point.
+    """Anything that evaluates frame components to a jet at an (N, 4) array
+    of points, the point axis first.
 
-    Over an (N, 4) array of points the jet has the point axis first.  A
-    point's first fault goes into its empty slot of ``faults``, and the
-    point is carried as the constant 1; with no list the first fault
-    raises.  A source made of parts passes the list on to them.
+    A point's first fault goes into its empty slot of ``faults``, and the
+    point is carried as the constant 1.  A source made of parts passes the
+    list on to them.
     """
 
-    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet: ...
+    def jet(self, points: np.ndarray, order: int, faults: list) -> Jet: ...
 
 
 def parse_grid(texts, chart: Chart, params: Mapping[str, float] | None, label: str) -> list:
@@ -107,8 +104,8 @@ class TetradField:
         self.chart = chart
         self.exprs = parse_grid(texts, chart, params, "tetrad")
 
-    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
-        return eval_jet_grid(self.exprs, point, order, faults)
+    def jet(self, points: np.ndarray, order: int, faults: list) -> Jet:
+        return eval_jet_grid(self.exprs, points, order, faults)
 
 
 class _PairField:
@@ -162,16 +159,14 @@ class _PairField:
     def _entry_error(self, key, detail: str) -> GeometryError:
         return GeometryError(f"{self.symbol} entry {self.symbol}^{{{key}}}{detail}")
 
-    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
+    def jet(self, points: np.ndarray, order: int, faults: list) -> Jet:
         """The jet; entries fault in insertion order."""
-        lead = np.shape(point)[:-1]
-        out = Jet.zeros(lead + (DIM, DIM, DIM), order, len(lead))
-        at = (slice(None),) * len(lead)
+        out = Jet.zeros((len(points), DIM, DIM, DIM), order)
         for (a, b), comps in self.exprs.items():
-            row = eval_jet_grid(comps, point, order, faults)
+            row = eval_jet_grid(comps, points, order, faults)
             for k in range(order + 1):
-                out.data[k][at + (a, b)] = row.data[k]
-                out.data[k][at + (b, a)] = -row.data[k]
+                out.data[k][:, a, b] = row.data[k]
+                out.data[k][:, b, a] = -row.data[k]
         return out
 
 
@@ -187,14 +182,6 @@ class ContorsionField(_PairField):
     symbol = "K"
 
 
-class ZeroConnection:
-    """The flat frame connection."""
-
-    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
-        lead = np.shape(point)[:-1]
-        return Jet.zeros(lead + (DIM, DIM, DIM), order, len(lead))
-
-
 # -- jet-level pipeline ----------------------------------------------------
 
 
@@ -202,24 +189,22 @@ def metric_jet(e: Jet) -> Jet:
     return jet_einsum("am,an->mn", eta_lower(e, 0), e)
 
 
-def inverse_tetrad_jet(e: Jet, faults: list | None = None) -> Jet:
-    """The inverse tetrad einv[mu, a]; a tetrad with |det e| below
-    ``DET_THRESHOLD``, or with no inverse, raises ``SingularTetradError``.
+def inverse_tetrad_jet(e: Jet, faults: list) -> Jet:
+    """The inverse tetrad einv[mu, a].
 
-    With ``faults``, one slot per point of a chunk's tetrad, such a point
-    instead stores the error in its slot, unless the slot holds an earlier
-    fault, and is inverted as the identity frame.
+    A point whose tetrad has |det e| below ``DET_THRESHOLD``, or has no
+    inverse, stores a ``SingularTetradError`` in its slot of ``faults``,
+    unless the slot holds an earlier fault, and is inverted as the
+    identity frame.
     """
     det = np.linalg.det(e.value)
     bad = np.abs(det) < DET_THRESHOLD
-    if faults is None and bad.any():
-        raise SingularTetradError(_below_threshold(np.ravel(det)[np.argmax(bad)]))
-    if faults is not None and bad.any():
+    if bad.any():
         for i in np.flatnonzero(bad):
             if faults[i] is None:
                 faults[i] = SingularTetradError(_below_threshold(det[i]))
         value = np.where(bad[:, None, None], np.eye(DIM), e.value)
-        e = Jet._trusted(e.order, [value] + e.data[1:], e.lead)
+        e = Jet._trusted(e.order, [value] + e.data[1:])
     return jet_matrix_inverse(e, faults, _singular_tetrad)
 
 
@@ -289,13 +274,13 @@ class LeviCivitaConnection:
     def __init__(self, e: FrameSource):
         self.e = e
 
-    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
+    def jet(self, points: np.ndarray, order: int, faults: list) -> Jet:
         if order >= MAX_ORDER:
             raise GeometryError(
                 f"connection jets stop at order {MAX_ORDER - 1}; "
                 f"the formula needs tetrad data one order higher"
             )
-        ej = self.e.jet(point, order + 1, faults)
+        ej = self.e.jet(points, order + 1, faults)
         return levi_civita_jet(ej, inverse_tetrad_jet(ej.truncated(order), faults))
 
 
@@ -306,80 +291,5 @@ class SummedConnection:
         self.base = base
         self.extra = extra
 
-    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
-        return self.base.jet(point, order, faults) + self.extra.jet(point, order, faults)
-
-
-# -- local frame rotations -------------------------------------------------
-
-
-class LorentzField:
-    """Pointwise internal-frame rotation Lambda[a, b] from expressions.
-
-    Every evaluation checks that the value preserves the internal metric
-    (Lambda^T eta Lambda = eta to 1e-10) and fails loudly otherwise.
-    """
-
-    def __init__(self, texts: Sequence[Sequence[str]], chart: Chart, params: Mapping[str, float] | None = None):
-        self.exprs = parse_grid(texts, chart, params, "frame rotation")
-
-    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
-        lam = eval_jet_grid(self.exprs, point, order, faults)
-        defect = np.swapaxes(lam.value, -1, -2) @ ETA @ lam.value - ETA
-        if np.max(np.abs(defect)) > 1e-10:
-            raise LorentzError(
-                f"frame rotation at {tuple(point)} distorts the internal metric "
-                f"by {np.max(np.abs(defect)):.3e}"
-            )
-        return lam
-
-
-class TransformedTetrad:
-    """Tetrad seen from a rotated frame: e'[a, mu] = Lambda[a, b] e[b, mu]."""
-
-    def __init__(self, e: FrameSource, lam: FrameSource):
-        self.e = e
-        self.lam = lam
-
-    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
-        return jet_einsum("ab,bm->am", self.lam.jet(point, order, faults), self.e.jet(point, order, faults))
-
-
-class TransformedConnection:
-    """Gauge-transformed connection with the inhomogeneous derivative term.
-
-    In matrix form W^a_b = omega^{ac} eta_{cb} the rule is
-    W' = Lambda W Lambda^{-1} - dLambda Lambda^{-1}; the result is converted
-    back to both-indices-up components and antisymmetrized, after checking
-    that the asymmetry introduced by roundoff stays small.
-    """
-
-    def __init__(self, omega: FrameSource, lam: FrameSource):
-        self.omega = omega
-        self.lam = lam
-
-    def jet(self, point: Sequence[float], order: int, faults: list | None = None) -> Jet:
-        if order >= MAX_ORDER:
-            raise GeometryError(
-                f"transformed connection jets stop at order {MAX_ORDER - 1}; "
-                "the derivative term needs rotation data one order higher"
-            )
-        lam = self.lam.jet(point, order + 1, faults)
-        lam_inv = jet_matrix_inverse(lam, faults)
-        w = self.omega.jet(point, order, faults)
-        wmat = eta_lower(w, 1)
-        conj = jet_einsum("acm,cb->abm", jet_einsum("ac,cbm->abm", lam, wmat), lam_inv)
-        dlam = jet_partial(lam)  # [a, b, mu]
-        inhom = jet_einsum("abm,bc->acm", dlam, lam_inv)
-        wprime = eta_lower(conj - inhom, 1)  # eta^{cb} = eta
-        skew = wprime.value + np.swapaxes(wprime.value, -3, -2)
-        if np.max(np.abs(skew)) > 1e-8 * max(1.0, np.max(np.abs(wprime.value))):
-            raise LorentzError("transformed connection lost internal antisymmetry")
-        return (wprime - jet_transpose(wprime, (1, 0, 2))).scaled(0.5)
-
-
-def lorentz_transform(
-    e: FrameSource, omega: FrameSource, lam: FrameSource
-) -> tuple[TransformedTetrad, TransformedConnection]:
-    return TransformedTetrad(e, lam), TransformedConnection(omega, lam)
-
+    def jet(self, points: np.ndarray, order: int, faults: list) -> Jet:
+        return self.base.jet(points, order, faults) + self.extra.jet(points, order, faults)

@@ -136,11 +136,10 @@ def rewritten_lhs_check(jets: PointJets) -> tuple[MixedForm, MixedForm]:
     """Derivative expansions of the two geometric equation sides.
 
     ``_three_form_laws`` of the curvature 3-form and the torsion 3-form,
-    read by their dual vectors:
-    the coefficients [a] and [a, b] of two 4-forms, point axis first over
-    a chunk.  The half in the second residual enters with the sign that
-    closes the identity under the torsion conventions used here (measured
-    once, pinned by a test).  Both residuals vanish for every frame and
+    read by their dual vectors: the coefficients [a] and [a, b] of two
+    4-forms, point axis first.  The half in the second residual enters with
+    the sign that closes the identity under the torsion conventions used
+    here (measured once, pinned by a test).  Both residuals vanish for every frame and
     connection with coherent jets.
     """
     ej = jets.e(0)
@@ -280,14 +279,9 @@ def commutator_residual(jets: PointJets, vector_jet: Jet) -> Jet:
     ``vector_jet`` holds an internal vector field v[a] with jets of order
     2; the result has components [mu, nu] trailing the internal axis,
     [a, mu, nu].  Zero to rounding whenever the vector and connection jets
-    are coherent.
+    are coherent: it is ``d_squared_residual`` of v as a 0-form.
     """
-    wj = jets.omega(2)
-    once = covariant_D(wj, vector_jet, (+1,))
-    twice = covariant_D(wj, once, (+1,))
-    anti = twice - jet_map(lambda arr: np.swapaxes(arr, 1, 2), twice)
-    fmat = eta_lower(jets.field_strength(anti.order), 1)
-    return anti - jet_einsum("acmn,c->amn", fmat, vector_jet)
+    return d_squared_residual(jets, MixedForm._wrap(0, 1, vector_jet), (1,))
 
 
 def curvature_wedge_action(
@@ -308,8 +302,7 @@ def curvature_wedge_action(
         )
     k = alpha.k
     if alpha.p == 0:
-        points = alpha.values.shape[: alpha.jet.lead]
-        return Jet.zeros(points + (DIM,) * (2 - k), max(alpha.order - 2, 0), len(points))
+        return Jet.zeros((len(alpha.values),) + (DIM,) * (2 - k), max(alpha.order - 2, 0))
     fmat = eta_lower(f_jet, 1)
     if k:
         fmat = two_form_dual(fmat, 2).scaled(1.0 if k == 1 else 0.5)
@@ -325,8 +318,8 @@ def _twisted_exterior(wj: Jet, x: Jet, variances: tuple[int, ...], k: int) -> Je
     raw = covariant_D(wj, x, variances)
     if k == 0:
         return raw
-    at = raw.lead + len(variances)
-    return raw - Jet._trusted(raw.order, [d.swapaxes(at, at + 1) for d in raw.data], raw.lead)
+    at = 1 + len(variances)
+    return raw - Jet._trusted(raw.order, [d.swapaxes(at, at + 1) for d in raw.data])
 
 
 def d_squared_residual(

@@ -1,15 +1,19 @@
-"""Truncated multivariate jets: values plus exact partial derivatives.
+"""Truncated multivariate jets over a chunk of points: values plus exact
+partial derivatives.
 
-A jet of order K at a point stores a component tensor together with all of
-its partial derivative tensors up to order K with respect to the four chart
-coordinates.  ``data[k]`` has shape ``comp_shape + (4,)*k``; the trailing k
-axes are derivative axes and are kept fully symmetric, so mixed partials
-agree by construction.  Arithmetic propagates derivatives by the chain and
-Leibniz rules, which keeps every derivative exact (no differencing).
+A jet of order K stores, at each of N points, a component tensor together
+with all of its partial derivative tensors up to order K with respect to
+the four chart coordinates.  ``data[k]`` has shape
+``(N,) + comp_shape + (4,)*k``: the point axis first, then the component
+axes, then k derivative axes, kept fully symmetric, so mixed partials
+agree by construction.  A single point is a chunk of one.  Arithmetic
+propagates derivatives by the chain and Leibniz rules, which keeps every
+derivative exact (no differencing).
 
-A jet over a chunk of points has ``lead`` = 1: one more axis, the point
-axis, in front of the component axes.  Every operation below acts on each
-point's slice as it would on that point's jet alone, with the same bits.
+Every operation below acts on each point's slice as it would on a chunk of
+that point alone, with the same bits.  One that can leave its function's
+domain takes a fault list from its caller and records each faulted
+point's exception there instead of raising.
 """
 
 from __future__ import annotations
@@ -73,13 +77,13 @@ def _dist_perms(k: int, i: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def _shuffle_axes(lead: int, k: int, i: int) -> tuple[tuple[int, ...] | None, ...]:
+def _shuffle_axes(front: int, k: int, i: int) -> tuple[tuple[int, ...] | None, ...]:
     """Transpositions that apply each ``_dist_perms(k, i)`` shuffle to the
-    derivative axes behind ``lead`` component axes; None for the identity."""
-    identity = tuple(range(lead + k))
+    derivative axes behind ``front`` other axes; None for the identity."""
+    identity = tuple(range(front + k))
     out = []
     for perm in _dist_perms(k, i):
-        axes = tuple(range(lead)) + tuple(lead + s for s in perm)
+        axes = tuple(range(front)) + tuple(front + s for s in perm)
         out.append(None if axes == identity else axes)
     return tuple(out)
 
@@ -90,47 +94,43 @@ def _check_order(order: int):
 
 
 class Jet:
-    """Component tensor with derivative tensors up to a fixed order, behind
-    ``lead`` point axes (0 or 1)."""
+    """Component tensors with derivative tensors up to a fixed order, behind
+    one point axis."""
 
-    __slots__ = ("order", "data", "lead")
+    __slots__ = ("order", "data")
 
-    def __init__(self, order: int, data: Sequence[np.ndarray], lead: int = 0):
+    def __init__(self, order: int, data: Sequence[np.ndarray]):
         _check_order(order)
         if len(data) != order + 1:
             raise JetError(f"expected {order + 1} derivative tensors, got {len(data)}")
         arrays = [np.asarray(d, dtype=float) for d in data]
-        comp = arrays[0].shape
+        shape = arrays[0].shape
+        if not shape:
+            raise JetError("a jet's values need a leading point axis")
         for k, arr in enumerate(arrays):
-            if arr.shape != comp + (DIM,) * k:
+            if arr.shape != shape + (DIM,) * k:
                 raise JetError(
                     f"derivative tensor {k} has shape {arr.shape}, "
-                    f"expected {comp + (DIM,) * k}"
+                    f"expected {shape + (DIM,) * k}"
                 )
         self.order = order
         self.data = arrays
-        self.lead = lead
 
     @classmethod
-    def _trusted(cls, order: int, data: list, lead: int = 0) -> "Jet":
-        """Constructor for jets built by package code, without validation.
-
+    def _trusted(cls, order: int, data: list) -> "Jet":
+        """Constructor for jets built by package code, without validation:
         ``data`` must already hold float arrays of the shapes ``__init__``
-        enforces; only a NumPy scalar in slot 0 (what arithmetic on 0-d
-        arrays returns) is turned back into a 0-d array.
-        """
-        if type(data[0]) is not np.ndarray:
-            data[0] = np.asarray(data[0], dtype=float)
+        enforces."""
         jet = object.__new__(cls)
         jet.order = order
         jet.data = data
-        jet.lead = lead
         return jet
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value, order: int) -> "Jet":
+        """The constant jet of ``value``, point axis first."""
         _check_order(order)
         value = np.asarray(value, dtype=float)
         return cls._trusted(
@@ -139,8 +139,8 @@ class Jet:
 
     @classmethod
     def coordinate(cls, index: int, value, order: int) -> "Jet":
-        """Jet of the coordinate function x_index; an array of values gives
-        one scalar jet per entry."""
+        """Scalar jet of the coordinate function x_index at points where it
+        takes the values ``value``, one per point."""
         _check_order(order)
         value = np.array(value, dtype=float)
         data = [value]
@@ -153,16 +153,16 @@ class Jet:
         return cls._trusted(order, data)
 
     @classmethod
-    def zeros(cls, shape: tuple[int, ...], order: int, lead: int = 0) -> "Jet":
-        """The zero jet; the first ``lead`` axes of ``shape`` are point axes."""
+    def zeros(cls, shape: tuple[int, ...], order: int) -> "Jet":
+        """The zero jet whose values have ``shape``, point axis first."""
         _check_order(order)
-        return cls._trusted(order, [np.zeros(shape + (DIM,) * k) for k in range(order + 1)], lead)
+        return cls._trusted(order, [np.zeros(shape + (DIM,) * k) for k in range(order + 1)])
 
     # -- basic views -------------------------------------------------------
 
     @property
     def comp_shape(self) -> tuple[int, ...]:
-        return self.data[0].shape[self.lead :]
+        return self.data[0].shape[1:]
 
     @property
     def value(self) -> np.ndarray:
@@ -171,7 +171,7 @@ class Jet:
     def truncated(self, order: int) -> "Jet":
         if order > self.order:
             raise JetError(f"cannot extend a jet of order {self.order} to order {order}")
-        return Jet._trusted(order, self.data[: order + 1], self.lead)
+        return Jet._trusted(order, self.data[: order + 1])
 
     def __repr__(self) -> str:
         return f"Jet(order={self.order}, comp_shape={self.comp_shape}, value={self.value!r})"
@@ -180,12 +180,11 @@ class Jet:
 
     def _binary_linear(self, other: "Jet", op) -> "Jet":
         if not isinstance(other, Jet):
-            other = Jet.constant(np.broadcast_to(float(other), self.comp_shape), self.order)
+            other = Jet.constant(np.broadcast_to(float(other), self.value.shape), self.order)
         if other.comp_shape != self.comp_shape:
             raise JetError(f"component shapes differ: {self.comp_shape} vs {other.comp_shape}")
         k = min(self.order, other.order)
-        lead = max(self.lead, other.lead)
-        return Jet._trusted(k, [op(self.data[i], other.data[i]) for i in range(k + 1)], lead)
+        return Jet._trusted(k, [op(self.data[i], other.data[i]) for i in range(k + 1)])
 
     def __add__(self, other) -> "Jet":
         return self._binary_linear(other, np.add)
@@ -199,10 +198,10 @@ class Jet:
         return (-self) + other
 
     def __neg__(self) -> "Jet":
-        return Jet._trusted(self.order, [-d for d in self.data], self.lead)
+        return Jet._trusted(self.order, [-d for d in self.data])
 
     def scaled(self, factor: float) -> "Jet":
-        return Jet._trusted(self.order, [factor * d for d in self.data], self.lead)
+        return Jet._trusted(self.order, [factor * d for d in self.data])
 
     # -- products ----------------------------------------------------------
 
@@ -218,17 +217,12 @@ class Jet:
             return self.scaled(float(other))
         return NotImplemented
 
-    def __truediv__(self, other) -> "Jet":
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise JetDomainError("division by zero")
-            return self.scaled(1.0 / float(other))
-        return self * jet_reciprocal(other)
-
-    def __rtruediv__(self, other) -> "Jet":
-        if isinstance(other, (int, float)):
-            return jet_reciprocal(self).scaled(float(other))
-        return NotImplemented
+    def __truediv__(self, other: float) -> "Jet":
+        """Division by a number; a jet divides through ``jet_reciprocal``,
+        which records where it vanishes."""
+        if other == 0:
+            raise JetDomainError("division by zero")
+        return self.scaled(1.0 / float(other))
 
 
 def _mul_scalar(a: Jet, b: Jet) -> Jet:
@@ -253,7 +247,7 @@ def _mul_scalar(a: Jet, b: Jet) -> Jet:
         t12 = A[1][..., :, None, None] * B[2][..., None, :, :]
         s12 = t12 + t12.swapaxes(-3, -2) + t12.swapaxes(-3, -1)
         data.append(A[3] * B[0][..., None, None, None] + s21 + s12 + A[0][..., None, None, None] * B[3])
-    return Jet._trusted(K, data, max(a.lead, b.lead))
+    return Jet._trusted(K, data)
 
 
 def _mul_coordinate(f: Jet, index: int, x: np.ndarray, left: bool) -> Jet:
@@ -282,7 +276,7 @@ def _mul_coordinate(f: Jet, index: int, x: np.ndarray, left: bool) -> Jet:
         cross[..., index, :] += F[2]
         cross[..., index, :, :] += F[2]
         data.append(F[3] * x[..., None, None, None] + cross)
-    return Jet._trusted(K, data, f.lead)
+    return Jet._trusted(K, data)
 
 
 def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
@@ -293,13 +287,13 @@ def jet_einsum(spec: str, a: Jet, b: Jet) -> Jet:
     the appropriate shuffle symmetrization.  Labels X, Y, Z are reserved.
     The spec must be a pure pairwise contraction: every label appears once
     per operand, a label shared by both operands is summed, and every other
-    label is an output axis.  The spec names no point axis: an operand with
-    one keeps it first, and the product is taken point by point.
+    label is an output axis.  The spec names no point axis: the product is
+    taken point by point, and a chunk of one is shared by every point of
+    the other operand.
     """
     K = min(a.order, b.order)
-    plan = _einsum_plan(spec, K, a.comp_shape, b.comp_shape, a.lead, b.lead)
-    lead = max(a.lead, b.lead)
-    return Jet._trusted(K, [_leibniz_sum(terms, a.data, b.data) for terms in plan], lead)
+    plan = _einsum_plan(spec, K, a.comp_shape, b.comp_shape)
+    return Jet._trusted(K, [_leibniz_sum(terms, a.data, b.data) for terms in plan])
 
 
 def _leibniz_sum(terms: tuple, A: Sequence[np.ndarray], B: Sequence[np.ndarray], acc=None):
@@ -331,15 +325,15 @@ class _Gemm:
     inner side, by a transposition and a reshape (or, when its contracted
     axes already lead, a reshape and a transposed view).  The product is
     reshaped to the free axes of the left operand followed by those of the
-    right one, in their operand order; ``labels`` names those axes.  An
-    operand with a point axis keeps it first, as a stack of such matrices
-    with each point's matrix laid out as it would be alone, so the stacked
-    product gives each point the bits of its own product.
+    right one, in their operand order; ``labels`` names those axes.  The
+    point axis stays first, as a stack of such matrices with each point's
+    matrix laid out as it would be alone, so the stacked product gives each
+    point the bits of its own product.
     """
 
     __slots__ = ("perm_a", "shape_a", "flip_a", "perm_b", "shape_b", "flip_b", "shape_out", "labels")
 
-    def __init__(self, la: str, lb: str, dims: dict, contracted: str, lead_a: int, lead_b: int):
+    def __init__(self, la: str, lb: str, dims: dict, contracted: str):
         free_a = "".join(c for c in la if c not in contracted)
         free_b = "".join(c for c in lb if c not in contracted)
         self.labels = free_a + free_b
@@ -347,10 +341,10 @@ class _Gemm:
         nb = math.prod(dims[c] for c in free_b)
         nc = math.prod(dims[c] for c in contracted)
         # left operand as (free_a, contracted); right as (contracted, free_b)
-        self.perm_a, self.flip_a = _matrix_layout(la, contracted, free_a, True, lead_a)
-        self.perm_b, self.flip_b = _matrix_layout(lb, contracted, free_b, False, lead_b)
-        self.shape_a = (-1,) * lead_a + ((nc, na) if self.flip_a else (na, nc))
-        self.shape_b = (-1,) * lead_b + ((nb, nc) if self.flip_b else (nc, nb))
+        self.perm_a, self.flip_a = _matrix_layout(la, contracted, free_a, True)
+        self.perm_b, self.flip_b = _matrix_layout(lb, contracted, free_b, False)
+        self.shape_a = (-1, nc, na) if self.flip_a else (-1, na, nc)
+        self.shape_b = (-1, nb, nc) if self.flip_b else (-1, nc, nb)
         self.shape_out = tuple(dims[c] for c in self.labels)
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -368,19 +362,19 @@ class _Gemm:
         return prod.reshape(prod.shape[:-2] + self.shape_out)
 
 
-def _matrix_layout(labels: str, contracted: str, free: str, inner_last: bool, lead: int):
+def _matrix_layout(labels: str, contracted: str, free: str, inner_last: bool):
     """Transposition (None for the identity) and flip flag that bring an
     operand to a matrix whose contracted axes, in ``contracted`` order, sit on
     the inner side of the product: last for the left operand, first for the
     right one.  The flip is a transposed view, which the product takes as it
     is, so an operand whose contracted block already sits on the outer side
-    needs no copy.  ``lead`` point axes stay in front."""
+    needs no copy.  The point axis stays in front."""
     natural = free + contracted if inner_last else contracted + free
     flipped = contracted + free if inner_last else free + contracted
     for order, flip in ((natural, False), (flipped, True)):
         if labels == order:
             return None, flip
-    perm = tuple(range(lead)) + tuple(lead + labels.index(c) for c in natural)
+    perm = (0,) + tuple(1 + labels.index(c) for c in natural)
     return perm, False
 
 
@@ -418,32 +412,28 @@ def _pairwise_labels(spec: str, shape_a: tuple, shape_b: tuple):
 
 
 @functools.cache
-def _einsum_plan(
-    spec: str, K: int, shape_a: tuple, shape_b: tuple, lead_a: int = 0, lead_b: int = 0
-) -> tuple:
-    """``jet_einsum``'s work for one spec, operand component shapes and
-    point axes (``lead_a``, ``lead_b``, each 0 or 1; the point count is not
-    part of the plan), per derivative order k up to K: (left order i, right
-    order k - i, kernel, output transpositions) terms, one transposition per
-    derivative shuffle.
+def _einsum_plan(spec: str, K: int, shape_a: tuple, shape_b: tuple) -> tuple:
+    """``jet_einsum``'s work for one spec and operand component shapes (the
+    point count is not part of the plan), per derivative order k up to K:
+    (left order i, right order k - i, kernel, output transpositions) terms,
+    one transposition per derivative shuffle.
 
-    Each transposition maps the kernel's product (the point axis, if any,
-    then left free axes, then right free axes) to the point axis, the output
-    axes and the shuffled derivative axes; None stands for the identity.
+    Each transposition maps the kernel's product (the point axis, then left
+    free axes, then right free axes) to the point axis, the output axes and
+    the shuffled derivative axes; None stands for the identity.
     """
     in1, in2, out, contracted, dims = _pairwise_labels(spec, shape_a, shape_b)
     dims.update(dict.fromkeys(_DLAB, DIM))
-    lead = max(lead_a, lead_b)
     plan = []
     for k in range(K + 1):
         terms = []
         for i in range(k + 1):
             d1, d2 = _DLAB[:i], _DLAB[i:k]
-            gemm = _Gemm(in1 + d1, in2 + d2, dims, contracted, lead_a, lead_b)
-            to_out = list(range(lead)) + [lead + gemm.labels.index(c) for c in out + d1 + d2]
+            gemm = _Gemm(in1 + d1, in2 + d2, dims, contracted)
+            to_out = [0] + [1 + gemm.labels.index(c) for c in out + d1 + d2]
             identity = list(range(len(to_out)))
             outs = []
-            for shuffle in _shuffle_axes(lead + len(out), k, i):
+            for shuffle in _shuffle_axes(1 + len(out), k, i):
                 axes = to_out if shuffle is None else [to_out[s] for s in shuffle]
                 outs.append(None if axes == identity else tuple(axes))
             terms.append((i, k - i, gemm, tuple(outs)))
@@ -456,19 +446,17 @@ def jet_map(fn: Callable[[np.ndarray], np.ndarray], a: Jet) -> Jet:
 
     Valid only for maps with constant coefficients (contraction with a
     constant tensor, transposition, slicing): those commute with taking
-    derivatives.  ``fn`` sees a point's component axes first: a point axis
-    is handed to it last, behind the derivative axes, and put back in front
-    of its result, with each point's slice laid out as ``fn`` lays out one
-    point's (``_laid_out_like``).
+    derivatives.  ``fn`` sees a point's component axes first: the point
+    axis is handed to it last, behind the derivative axes, and put back in
+    front of its result, with each point's slice laid out as ``fn`` lays out
+    one point's (``_laid_out_like``).
     """
-    if a.lead:
-        data = []
-        for d in a.data:
-            out = fn(d.transpose(tuple(range(1, d.ndim)) + (0,)))
-            out = out.transpose((out.ndim - 1,) + tuple(range(out.ndim - 1)))
-            data.append(_laid_out_like(out, fn(d[0])))
-        return Jet(a.order, data, 1)
-    return Jet(a.order, [fn(d) for d in a.data])
+    data = []
+    for d in a.data:
+        out = fn(d.transpose(tuple(range(1, d.ndim)) + (0,)))
+        out = out.transpose((out.ndim - 1,) + tuple(range(out.ndim - 1)))
+        data.append(_laid_out_like(out, fn(d[0])))
+    return Jet(a.order, data)
 
 
 def _laid_out_like(batch: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -492,12 +480,9 @@ def jet_transpose(a: Jet, perm: Sequence[int]) -> Jet:
     nc = len(a.comp_shape)
     if sorted(perm) != list(range(nc)):
         raise JetError(f"bad component permutation {perm} for shape {a.comp_shape}")
-    lead = a.lead
-    axes = list(range(lead)) + [lead + p for p in perm]
+    axes = [0] + [1 + p for p in perm]
     return Jet._trusted(
-        a.order,
-        [np.transpose(a.data[k], axes + list(range(lead + nc, lead + nc + k))) for k in range(a.order + 1)],
-        lead,
+        a.order, [np.transpose(a.data[k], axes + list(range(1 + nc, 1 + nc + k))) for k in range(a.order + 1)]
     )
 
 
@@ -510,36 +495,27 @@ def jet_partial(a: Jet) -> Jet:
     """
     if a.order < 1:
         raise JetError("jet_partial needs a jet of order >= 1")
-    return Jet._trusted(a.order - 1, [a.data[k + 1] for k in range(a.order)], a.lead)
+    return Jet._trusted(a.order - 1, [a.data[k + 1] for k in range(a.order)])
 
 
 def jet_stack(jets: Sequence[Jet], axis: int = 0) -> Jet:
     """Stack jets with identical component shapes along a new component axis."""
     order = min(j.order for j in jets)
-    lead = jets[0].lead
-    data = []
-    for k in range(order + 1):
-        data.append(np.stack([j.data[k] for j in jets], axis=lead + axis))
-    return Jet._trusted(order, data, lead)
+    return Jet._trusted(order, [np.stack([j.data[k] for j in jets], axis=1 + axis) for k in range(order + 1)])
 
 
-def matrix_inverse(m: np.ndarray, faults: list | None = None, wrap=None) -> np.ndarray:
-    """``np.linalg.inv`` of a matrix, or of each matrix of a stack.
+def matrix_inverse(m: np.ndarray, faults: list, wrap=None) -> np.ndarray:
+    """``np.linalg.inv`` of each matrix of a stack.
 
-    A matrix that has no inverse raises its ``LinAlgError``, or ``wrap`` of
-    it.  With ``faults``, one slot per matrix of the stack, it instead
-    stores that exception in its slot, unless the slot holds an earlier
-    fault, and is inverted as the identity; every other matrix gets the bits
-    of its inverse alone.
+    A matrix that has no inverse stores its ``LinAlgError``, or ``wrap`` of
+    it, in its slot of ``faults``, unless the slot holds an earlier fault,
+    and is inverted as the identity; every other matrix gets the bits of
+    its inverse alone.
     """
     try:
         return np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        if faults is None:
-            if wrap is None:
-                raise
-            raise wrap(exc) from exc
-    out = np.empty_like(m)
+    except np.linalg.LinAlgError:
+        out = np.empty_like(m)
     for i, row in enumerate(m):
         try:
             out[i] = np.linalg.inv(row)
@@ -555,12 +531,12 @@ def _singular(exc: Exception) -> JetDomainError:
     return JetDomainError(f"singular matrix in jet inverse: {exc}")
 
 
-def jet_matrix_inverse(a: Jet, faults: list | None = None, wrap=_singular) -> Jet:
+def jet_matrix_inverse(a: Jet, faults: list, wrap=_singular) -> Jet:
     """Jet of the matrix inverse of a jet-valued square matrix.
 
-    A singular matrix raises ``wrap`` of its ``LinAlgError``, by default a
-    ``JetDomainError``; over a chunk of points, ``faults`` records it per
-    point as ``matrix_inverse`` does.
+    A point whose matrix is singular records ``wrap`` of its
+    ``LinAlgError``, by default a ``JetDomainError``, in ``faults`` as
+    ``matrix_inverse`` does.
     """
     shape = a.comp_shape
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -568,12 +544,12 @@ def jet_matrix_inverse(a: Jet, faults: list | None = None, wrap=_singular) -> Je
     n = shape[0]
     x0 = matrix_inverse(a.data[0], faults, wrap)
     data = [x0]
-    plan = _einsum_plan("ij,jk->ik", a.order, shape, shape, a.lead, a.lead)
+    plan = _einsum_plan("ij,jk->ik", a.order, shape, shape)
     for k in range(1, a.order + 1):
         # D^k(M M^-1) = 0  =>  M0 . Xk = -sum_{i>=1} shuffles(D^i M . X_{k-i})
         rhs = _leibniz_sum(plan[k][1:], a.data, data)
-        data.append(-(x0 @ rhs.reshape(rhs.shape[: a.lead] + (n, -1))).reshape(rhs.shape))
-    return Jet._trusted(a.order, data, a.lead)
+        data.append(-(x0 @ rhs.reshape(rhs.shape[:1] + (n, -1))).reshape(rhs.shape))
+    return Jet._trusted(a.order, data)
 
 
 # -- scalar chain rule ----------------------------------------------------
@@ -581,7 +557,7 @@ def jet_matrix_inverse(a: Jet, faults: list | None = None, wrap=_singular) -> Je
 
 def _compose_scalar(a: Jet, d: np.ndarray) -> Jet:
     """Faa di Bruno through u with u^(m)(f0) = d[m], entry by entry: ``d``
-    has shape (4,) + the component shape of ``a``."""
+    has shape (4,) + the shape of ``a``'s values."""
     K = a.order
     data = [d[0]]
     if K >= 1:
@@ -600,7 +576,7 @@ def _compose_scalar(a: Jet, d: np.ndarray) -> Jet:
             + d[2][..., None, None, None] * sym12
             + d[3][..., None, None, None] * (f11[..., None] * f1[..., None, None, :])
         )
-    return Jet._trusted(K, data, a.lead)
+    return Jet._trusted(K, data)
 
 
 # What an entry that has faulted is carried as: the constant 1.
@@ -614,44 +590,40 @@ def _carry(a: Jet, dead: np.ndarray) -> Jet:
     data[0][dead] = 1.0
     for d in data[1:]:
         d[dead] = 0.0
-    return Jet._trusted(a.order, data, a.lead)
+    return Jet._trusted(a.order, data)
 
 
-def _chain(a: Jet, derivs: Callable[[float], Sequence[float]], faults: list | None) -> Jet:
+def _chain(a: Jet, derivs: Callable[[float], Sequence[float]], faults: list) -> Jet:
     """Compose every entry of ``a`` with a scalar function u, where
     ``derivs(x)`` gives u and its first three derivatives at x and raises
     outside u's domain.
 
-    With ``faults`` None the first entry outside the domain raises.  Otherwise
-    ``faults`` holds one slot per entry, None while the entry is live: an
-    entry whose ``derivs`` raises stores the exception there, its traceback
-    cleared, and every entry with a stored fault is carried as the constant 1.
+    ``faults`` holds one slot per entry of ``a``'s values (per point, for a
+    scalar jet), None while the entry is live: an entry whose ``derivs``
+    raises stores the exception there, its traceback cleared, and every
+    entry with a stored fault is carried as the constant 1.
     """
-    xs = a.value.ravel().tolist()
-    if faults is None:
-        rows = [derivs(x) for x in xs]
-    else:
-        rows = []
-        for i, x in enumerate(xs):
-            if faults[i] is None:
-                try:
-                    rows.append(derivs(x))
-                    continue
-                except (ArithmeticError, ValueError) as exc:
-                    exc.__traceback__ = None
-                    faults[i] = exc
-            rows.append(_CARRIED)
-        dead = [f is not None for f in faults]
-        if any(dead):
-            a = _carry(a, np.array(dead).reshape(a.comp_shape))
-    return _compose_scalar(a, np.array(rows, dtype=float).T.reshape((4,) + a.comp_shape))
+    rows = []
+    for i, x in enumerate(a.value.ravel().tolist()):
+        if faults[i] is None:
+            try:
+                rows.append(derivs(x))
+                continue
+            except (ArithmeticError, ValueError) as exc:
+                exc.__traceback__ = None
+                faults[i] = exc
+        rows.append(_CARRIED)
+    dead = [f is not None for f in faults]
+    if any(dead):
+        a = _carry(a, np.array(dead).reshape(a.value.shape))
+    return _compose_scalar(a, np.array(rows, dtype=float).T.reshape((4,) + a.value.shape))
 
 
 # Each function below composes entry by entry through ``_chain``, whose
-# ``faults`` slots record a faulted entry instead of raising.
+# ``faults`` slots record a faulted entry.
 
 
-def jet_sin(a: Jet, faults: list | None = None) -> Jet:
+def jet_sin(a: Jet, faults: list) -> Jet:
     def derivs(x: float):
         s, c = math.sin(x), math.cos(x)
         return s, c, -s, -c
@@ -659,7 +631,7 @@ def jet_sin(a: Jet, faults: list | None = None) -> Jet:
     return _chain(a, derivs, faults)
 
 
-def jet_cos(a: Jet, faults: list | None = None) -> Jet:
+def jet_cos(a: Jet, faults: list) -> Jet:
     def derivs(x: float):
         s, c = math.sin(x), math.cos(x)
         return c, -s, -c, s
@@ -667,7 +639,7 @@ def jet_cos(a: Jet, faults: list | None = None) -> Jet:
     return _chain(a, derivs, faults)
 
 
-def jet_tan(a: Jet, faults: list | None = None) -> Jet:
+def jet_tan(a: Jet, faults: list) -> Jet:
     def derivs(x: float):
         u0 = math.tan(x)
         u1 = 1.0 + u0 * u0
@@ -677,7 +649,7 @@ def jet_tan(a: Jet, faults: list | None = None) -> Jet:
     return _chain(a, derivs, faults)
 
 
-def jet_exp(a: Jet, faults: list | None = None) -> Jet:
+def jet_exp(a: Jet, faults: list) -> Jet:
     def derivs(x: float):
         u = math.exp(x)
         return u, u, u, u
@@ -685,7 +657,7 @@ def jet_exp(a: Jet, faults: list | None = None) -> Jet:
     return _chain(a, derivs, faults)
 
 
-def jet_log(a: Jet, faults: list | None = None) -> Jet:
+def jet_log(a: Jet, faults: list) -> Jet:
     def derivs(x: float):
         if x <= 0.0:
             raise JetDomainError(f"log of non-positive value {x}")
@@ -694,7 +666,7 @@ def jet_log(a: Jet, faults: list | None = None) -> Jet:
     return _chain(a, derivs, faults)
 
 
-def jet_sqrt(a: Jet, faults: list | None = None) -> Jet:
+def jet_sqrt(a: Jet, faults: list) -> Jet:
     def derivs(x: float):
         if x < 0.0:
             raise JetDomainError(f"sqrt of negative value {x}")
@@ -706,7 +678,7 @@ def jet_sqrt(a: Jet, faults: list | None = None) -> Jet:
     return _chain(a, derivs, faults)
 
 
-def jet_reciprocal(a: Jet, faults: list | None = None) -> Jet:
+def jet_reciprocal(a: Jet, faults: list) -> Jet:
     def derivs(x: float):
         if x == 0.0:
             raise JetDomainError("division by zero")
@@ -715,13 +687,13 @@ def jet_reciprocal(a: Jet, faults: list | None = None) -> Jet:
     return _chain(a, derivs, faults)
 
 
-def jet_pow_int(a: Jet, n: int, faults: list | None = None) -> Jet:
+def jet_pow_int(a: Jet, n: int, faults: list) -> Jet:
     """Integer power as repeated multiplication, valid on negative bases.
 
     Uses binary powering, which is still a product of copies of the base.
     """
     if n == 0:
-        return Jet.constant(np.ones(a.comp_shape), a.order)
+        return Jet.constant(np.ones(a.value.shape), a.order)
     base = a if n > 0 else jet_reciprocal(a, faults)
     out = None
     m = abs(n)
@@ -734,7 +706,7 @@ def jet_pow_int(a: Jet, n: int, faults: list | None = None) -> Jet:
     return out
 
 
-def jet_pow_real(a: Jet, p: float, faults: list | None = None) -> Jet:
+def jet_pow_real(a: Jet, p: float, faults: list) -> Jet:
     def derivs(x: float):
         if x <= 0.0:
             raise JetDomainError(f"real power of non-positive base {x}")

@@ -16,28 +16,26 @@ Every order-k jet formula reads only orders up to k, so a truncated jet
 holds the same bits as one derived at the lower order.  A deeper order
 raises ``JetError``.
 
-The points are an (N, 4) array, a chunk, or one point of shape (4,).  Over
-a chunk every jet carries the point axis first (``Jet.lead`` = 1), and
-each point's slice holds the bits that point's own derivation would hold.
-A source is evaluated for the whole chunk, ``source.jet(points, order,
-faults)``, and only by the quantity that reads it (e, omega, stress,
-spin), which is memoized at that source's top order, so each expression
-tree is walked once per chunk.  A Levi-Civita connection of the
-derivation's own tetrad is ``levi_civita_jet`` of the memoized tetrad and
-inverse, and a sum is read by its parts.
+The points are an (N, 4) array, a chunk; a single point is a chunk of
+one.  Every jet carries the point axis first, and each point's slice holds
+the bits that point's derivation as a chunk of one would hold.  A source
+is evaluated for the whole chunk, ``source.jet(points, order, faults)``,
+and only by the quantity that reads it (e, omega, stress, spin), which is
+memoized at that source's top order, so each expression tree is walked
+once per chunk.  A Levi-Civita connection of the derivation's own tetrad
+is ``levi_civita_jet`` of the memoized tetrad and inverse, and a sum is
+read by its parts.
 
 A fault at a point (a domain fault of an expression, a singular tetrad or
-metric) stays with that point.  Over a chunk each quantity keeps one slot
-per point, holding the first fault its derivation met at that point, in
-its read order (a source writes its faults into that list), and the
-point is carried on as a benign constant, as ``jets._carry`` does for
-expressions, so the other points compute on.
-``record()`` starts a read record: each quantity read after it copies its
-faults into the record's empty slots, so a consumer's fault at a point is
-the first fault, in its read order, among the quantities it read, the one
-it would raise were it run at that point alone.  At a single point the
-fault is raised instead, at that read and at every later one.  Nothing is
-computed before it is asked for.
+metric) stays with that point.  Each quantity keeps one slot per point,
+holding the first fault its derivation met at that point, in its read
+order (a source writes its faults into that list), and the point is
+carried on as a benign constant, as ``jets._carry`` does for expressions,
+so the other points compute on.  ``record()`` starts a read record: each
+quantity read after it copies its faults into the record's empty slots,
+so a consumer's fault at a point is the first fault, in its read order,
+among the quantities it read.  Nothing is computed before it is asked
+for.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from .geometry import (
     torsion_jet,
     torsion_tensor_jet,
 )
-from .jets import Jet, jet_matrix_inverse
+from .jets import DIM, Jet, jet_matrix_inverse
 
 # Source jet order served from memory: the deepest any check, or the
 # runner's residual scale, reads.
@@ -76,9 +74,10 @@ DEPTH = 2
 
 
 class PointJets:
-    """Lazily filled derivation of the field jets at one point or a chunk.
+    """Lazily filled derivation of the field jets at a chunk of points.
 
-    ``matter`` defaults to ``MatterModel.vacuum()``, whose sources are zero.
+    ``points`` is an (N, 4) array; ``matter`` defaults to
+    ``MatterModel.vacuum()``, whose sources are zero.
     """
 
     def __init__(
@@ -91,8 +90,10 @@ class PointJets:
         self.e_source = e
         self.omega_source = omega
         self.points = np.asarray(points, dtype=float)
-        self.shape = self.points.shape[:-1]
-        self.lead = len(self.shape)
+        if self.points.ndim != 2 or self.points.shape[1] != DIM:
+            raise ValueError(
+                f"PointJets needs an (N, {DIM}) array of points, got shape {self.points.shape}"
+            )
         self.matter = MatterModel.vacuum() if matter is None else matter
         # the tetrad goes one order deeper, and its inverse to DEPTH, when
         # the connection is derived from it; only manufactured sources read
@@ -101,49 +102,38 @@ class PointJets:
         self._e_top = DEPTH + reads_tetrad
         self._source_top = DEPTH - 1 if self.matter.mode == "manufactured" else 0
         self._memo: dict[str, tuple] = {}
-        self._reads: list | None = None
+        # where an operation on the chunk's jets stores a point's fault: the
+        # list of the derivation under way, or else the read record
+        self.faults: list = [None] * len(self.points)
 
     # -- faults ------------------------------------------------------------
 
     def record(self) -> list:
         """Start a read record and return it: one slot per point, None until
         a quantity read from now on holds a fault there."""
-        self._reads = [None] * (len(self.points) if self.lead else 1)
-        return self._reads
+        self.faults = [None] * len(self.points)
+        return self.faults
 
-    @property
-    def faults(self) -> list | None:
-        """Where an operation on a chunk's jets stores a point's fault: the
-        current record (or derivation); None at a single point, which raises."""
-        return self._reads if self.lead else None
-
-    def _note(self, faults) -> None:
-        reads = self._reads
-        if reads is not None:
-            for i, fault in enumerate(faults):
-                if fault is not None and reads[i] is None:
-                    reads[i] = fault
+    def _note(self, met: list) -> None:
+        reads = self.faults
+        for i, fault in enumerate(met):
+            if fault is not None and reads[i] is None:
+                reads[i] = fault
 
     def _serve(self, key: str, order: int, top: int, build: Callable[[int], Jet]):
         hit = self._memo.get(key)
         if hit is None:
-            outer = self._reads
-            self._reads = [None] * len(self.points) if self.lead else None
+            outer = self.faults
+            self.faults = [None] * len(self.points)
             try:
                 value = build(top)
-                faults = self._reads if self.lead and any(self._reads) else None
-            except Exception as exc:
-                if self.lead:
-                    raise
-                value, faults = None, (exc,)
+                met = self.faults if any(self.faults) else None
             finally:
-                self._reads = outer
-            hit = self._memo[key] = (value, faults)
-        value, faults = hit
-        if faults is not None:
-            if not self.lead:
-                raise faults[0]
-            self._note(faults)
+                self.faults = outer
+            hit = self._memo[key] = (value, met)
+        value, met = hit
+        if met is not None:
+            self._note(met)
         return value if value.order == order else value.truncated(order)
 
     # -- source jets -------------------------------------------------------

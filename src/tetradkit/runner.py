@@ -171,7 +171,7 @@ def _random_jets(rngs: Sequence[np.random.Generator], shapes) -> list[Jet]:
         for part, start, stop in zip(parts, bounds, bounds[1:])
     ]
     return [
-        Jet(2, [value, first, 0.5 * (second + second.swapaxes(-1, -2))], 1)
+        Jet(2, [value, first, 0.5 * (second + second.swapaxes(-1, -2))])
         for value, first, second in zip(views[0::3], views[1::3], views[2::3])
     ]
 

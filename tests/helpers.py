@@ -90,8 +90,13 @@ def random_polynomial_text(
     return " + ".join(parts)
 
 
-def jet_max_abs(jet) -> float:
-    return max(float(np.max(np.abs(d))) for d in jet.data)
+def at(source, x, order):
+    """A frame source's jet at the point x, a chunk of one, which must not
+    fault there."""
+    faults = [None]
+    jet = source.jet([x], order, faults)
+    assert faults == [None], faults
+    return jet
 
 
 def identity_tetrad(chart=UNIT_CHART):
@@ -170,14 +175,15 @@ def random_matter(rng, **kwargs):
 
 
 def ricci(jets) -> np.ndarray:
-    """Ricci components [mu, omega]: the second and fourth slots of
-    ``jets.riemann(0)`` contracted."""
-    return np.einsum("msws->mw", jets.riemann(0).value)
+    """Ricci components [mu, omega] at a chunk of one's point: the second
+    and fourth slots of ``jets.riemann(0)`` contracted."""
+    return np.einsum("msws->mw", jets.riemann(0).value[0])
 
 
 def curvature_scalar(jets) -> float:
-    """The Ricci tensor traced with the inverse metric."""
-    return float(np.einsum("mw,mw->", jets.inverse_metric(0).value, ricci(jets)))
+    """The Ricci tensor traced with the inverse metric, at a chunk of one's
+    point."""
+    return float(np.einsum("mw,mw->", jets.inverse_metric(0).value[0], ricci(jets)))
 
 
 @dataclass(frozen=True)

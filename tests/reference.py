@@ -82,13 +82,13 @@ def three_form_dual(x: MixedForm) -> Jet:
     if x.k != 3:
         raise DegreeError(f"three_form_dual needs spacetime degree 3, got {x.k}")
     jet = x.jet
-    where = (slice(None),) * (jet.lead + x.p) + _COMPLEMENTS
+    where = (slice(None),) * (1 + x.p) + _COMPLEMENTS
     data = []
     for arr in jet.data:
         dual = arr[where]
         dual *= _DUAL_SIGNS.reshape((DIM,) + (1,) * (arr.ndim - len(where)))
         data.append(dual)
-    return Jet._trusted(jet.order, data, jet.lead)
+    return Jet._trusted(jet.order, data)
 
 
 def eps_pair_wedge(beta, e_jet):
@@ -169,8 +169,7 @@ def curvature_wedge_action(f_jet, alpha: MixedForm, variances) -> MixedForm:
     if len(variances) != alpha.p:
         raise DegreeError(f"{len(variances)} variances for internal rank {alpha.p}")
     if alpha.p == 0:
-        points = alpha.values.shape[: alpha.jet.lead]
-        zero = Jet.zeros(points + (DIM,) * (alpha.k + 2), max(alpha.order - 2, 0), len(points))
+        zero = Jet.zeros((len(alpha.values),) + (DIM,) * (alpha.k + 2), max(alpha.order - 2, 0))
         return MixedForm._wrap(alpha.k + 2, 0, zero)
     fmat = eta_lower(f_jet, 1)
     ints, sts = "abcd"[: alpha.p], "mnrs"[: alpha.k]
@@ -211,21 +210,11 @@ def three_form_laws(jets, vec3: MixedForm, pair3: MixedForm):
 # -- expression jets ---------------------------------------------------------
 
 
-def tree_walk_jet(expr: Expression, point, order: int, faults: list | None = None) -> Jet:
+def tree_walk_jet(expr: Expression, points, order: int, faults: list) -> Jet:
     """``exprkit.eval_jet`` by a full jet at every node of the tree."""
     if not 0 <= order <= MAX_ORDER:
         raise ExpressionError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-    points = expr.chart.require_inside(point)
-    rows = points.reshape(-1, DIM)
-    slots = [None] * len(rows) if faults is None else faults
-    jet = _TreeWalk(rows, order, slots).jet(expr.root)
-    if faults is None:
-        for fault in slots:
-            if fault is not None:
-                raise fault
-    if points.ndim == 2:
-        return Jet._trusted(jet.order, jet.data, 1)
-    return Jet._trusted(jet.order, [d[0] for d in jet.data])
+    return _TreeWalk(expr.chart.require_inside(points), order, faults).jet(expr.root)
 
 
 class _TreeWalk:
@@ -333,7 +322,8 @@ def finite_difference_oracle(
     step: float = 1e-5,
     dps: int = 40,
 ) -> Jet:
-    """Estimate the jet by nested central differences of expression values.
+    """Estimate the jet at one point, as a chunk of one, by nested central
+    differences of expression values.
 
     Each derivative index applies one symmetric two-point stencil of width
     2*step, so a partial of order k touches 2**k shifted points.  Values are
@@ -343,7 +333,7 @@ def finite_difference_oracle(
     """
     if not 0 <= order <= MAX_ORDER:
         raise ExpressionError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-    point = expr.chart.require_inside(point)
+    point = expr.chart.require_inside([point])[0]
     for i, (lo, hi) in enumerate(expr.chart.bounds):
         if point[i] - order * step < lo or point[i] + order * step > hi:
             raise ChartDomainError(
@@ -373,7 +363,7 @@ def finite_difference_oracle(
             dn[mu] -= 1
             return (central(rest, tuple(up)) - central(rest, tuple(dn))) / (2 * h)
 
-        data = [np.asarray(float(value_at((0,) * DIM)))]
+        data = [np.array([float(value_at((0,) * DIM))])]
         for k in range(1, order + 1):
             arr = np.zeros((DIM,) * k)
             for idx in np.ndindex(*(DIM,) * k):
@@ -385,5 +375,5 @@ def finite_difference_oracle(
                 key = tuple(sorted(idx))
                 if idx != key:
                     arr[idx] = arr[key]
-            data.append(arr)
+            data.append(arr[None])
     return Jet(order, data)

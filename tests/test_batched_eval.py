@@ -1,5 +1,6 @@
 """Expression trees walked once for many points: bit-identical to one point
-at a time, with each point's fault kept to itself in the caller's list."""
+at a time, a chunk of one, with each point's fault kept to itself in the
+caller's list."""
 
 import math
 
@@ -8,8 +9,10 @@ import pytest
 
 from tetradkit import exprkit
 from tetradkit.exprkit import Chart, DomainFault, eval_jet, eval_jet_grid, parse_expression
-from tetradkit.geometry import ContorsionField, SpinConnectionField, SummedConnection, ZeroConnection
+from tetradkit.geometry import ContorsionField, SpinConnectionField, SummedConnection
 from tetradkit.jets import Jet, JetDomainError
+
+from frames import ZeroConnection
 from tetradkit.pointjets import DEPTH, PointJets
 from tetradkit.runner import CHUNK, run_checks, sample_points
 from tetradkit.scenarios import BUILTIN_NAMES, builtin_document, builtin_scenario, scenario_from_dict
@@ -40,7 +43,8 @@ SCENARIOS["flrw-explicit-matter"] = _explicit_matter_document
 
 
 def _row(jet, i):
-    return Jet._trusted(jet.order, [d[i] for d in jet.data])
+    """Point i's row of a chunk jet, as a chunk of one."""
+    return Jet._trusted(jet.order, [d[i : i + 1] for d in jet.data])
 
 
 def _chunk(fn, points, *args):
@@ -48,7 +52,7 @@ def _chunk(fn, points, *args):
     first, and the list."""
     faults = [None] * len(points)
     jet = fn(points, *args, faults)
-    assert jet.lead == 1
+    assert all(len(d) == len(points) for d in jet.data)
     return jet, faults
 
 
@@ -70,12 +74,15 @@ def _same(one, many_at_i):
         assert batched.tobytes() == alone.tobytes()
 
 
-def _alone(fn, *args):
-    """``fn(*args)``, or the fault it raised."""
-    try:
-        return fn(*args)
-    except (ArithmeticError, ValueError) as exc:
-        return exc
+def _alone(fn, point, *args):
+    """``fn`` at ``point`` alone, a chunk of one: its jet, or its fault."""
+    faults = [None]
+    jet = fn([point], *args, faults)
+    return faults[0] or jet
+
+
+def _eval(expr):
+    return lambda points, *args: eval_jet(expr, points, *args)
 
 
 def _expression_fields(sc):
@@ -106,9 +113,9 @@ def test_batch_equals_one_point_at_a_time(name):
             for i, point in enumerate(points):
                 _same(_alone(field.jet, point, order), _at(jet, faults, i))
         for expr in _trees(field):
-            jet, faults = _chunk(lambda p, *a: eval_jet(expr, p, *a), points, 3)
+            jet, faults = _chunk(_eval(expr), points, 3)
             for i, point in enumerate(points):
-                _same(_alone(eval_jet, expr, point, 3), _at(jet, faults, i))
+                _same(_alone(_eval(expr), point, 3), _at(jet, faults, i))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -128,8 +135,10 @@ def test_chunk_serves_what_each_point_derives_alone(name):
         faults = chunk.record()
         served = read(chunk)
         for i, point in enumerate(points):
-            alone = PointJets(sc.tetrad, sc.connection, point, sc.matter)
-            _same(_alone(read, alone), faults[i] or _row(served, i))
+            alone = PointJets(sc.tetrad, sc.connection, [point], sc.matter)
+            fault = alone.record()
+            got = read(alone)
+            _same(fault[0] or got, faults[i] or _row(served, i))
 
 
 # (expression, x0, type, message) at points where some faults and some do not
@@ -155,7 +164,7 @@ def test_fault_corpus(text, bad, kind, message):
     faults = [None] * len(points)
     jet = eval_jet(expr, points, 3, faults)
     for i, point in enumerate(points):
-        _same(_alone(eval_jet, expr, point, 3), _at(jet, faults, i))
+        _same(_alone(_eval(expr), point, 3), _at(jet, faults, i))
         if x0[i] == bad:
             assert type(faults[i]) is kind
             assert str(faults[i]) == message
@@ -188,16 +197,7 @@ def test_a_filled_slot_is_neither_walked_nor_renamed():
     assert faults[0] is earlier
     assert str(faults[1]) == "log of non-positive value -0.5 in 'log(x0)'"
     assert faults[2] is None
-    _same(eval_jet(expr, points[2], 2), _row(jet, 2))
-
-
-def test_with_no_list_the_first_fault_raises():
-    points = np.array([[x, 0.0, 0.0, 0.0] for x in (0.5, -0.5, -0.9)])
-    with pytest.raises(DomainFault, match="non-positive value -0.5 in 'log"):
-        eval_jet(parse_expression("log(x0)", CHART), points, 1)
-    field = SpinConnectionField({"01": ["0", "sqrt(x0)", "log(x0)", "0"]}, CHART)
-    with pytest.raises(DomainFault, match="negative value -0.5 in 'sqrt"):
-        field.jet(points, 1)
+    _same(_alone(_eval(expr), points[2], 2), _row(jet, 2))
 
 
 def test_a_faulted_point_is_carried_without_warnings():
@@ -208,7 +208,7 @@ def test_a_faulted_point_is_carried_without_warnings():
     faults = [None, None]
     jet = eval_jet(expr, points, 3, faults)
     assert isinstance(faults[0], DomainFault)
-    _same(eval_jet(expr, points[1], 3), _at(jet, faults, 1))
+    _same(_alone(_eval(expr), points[1], 3), _at(jet, faults, 1))
 
 
 def test_first_fault_in_grid_order_wins():
@@ -223,7 +223,7 @@ def test_first_fault_in_grid_order_wins():
     assert type(faults[2]) is OverflowError
     assert faults[3] is None
     for i, point in enumerate(points):
-        _same(_alone(eval_jet_grid, grid, point, 2), _at(jet, faults, i))
+        _same(_alone(lambda p, *a: eval_jet_grid(grid, p, *a), point, 2), _at(jet, faults, i))
 
 
 def test_pair_entries_fault_in_insertion_order():
@@ -259,9 +259,9 @@ def test_each_tree_is_walked_once_per_chunk(monkeypatch):
     walks = {}
     original = exprkit.eval_jet
 
-    def counting(expr, point, order, faults=None):
+    def counting(expr, points, order, faults):
         walks[id(expr)] = walks.get(id(expr), 0) + 1
-        return original(expr, point, order, faults)
+        return original(expr, points, order, faults)
 
     monkeypatch.setattr(exprkit, "eval_jet", counting)
     run_checks(sc, points=100, seed=0)
@@ -277,9 +277,9 @@ def test_explicit_matter_is_walked_once_per_chunk(monkeypatch):
     walks = {}
     original = exprkit.eval_jet
 
-    def counting(expr, point, order, faults=None):
+    def counting(expr, points, order, faults):
         walks[id(expr)] = walks.get(id(expr), 0) + 1
-        return original(expr, point, order, faults)
+        return original(expr, points, order, faults)
 
     monkeypatch.setattr(exprkit, "eval_jet", counting)
     run_checks(sc, points=100, seed=0)

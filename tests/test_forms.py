@@ -27,7 +27,8 @@ from tetradkit.jets import Jet, _perm_sign
 
 
 def random_form(rng, k, p, order=0):
-    """Random mixed form; derivative axes symmetrized, index blocks projected."""
+    """Random mixed form at one point, a chunk of one; derivative axes
+    symmetrized, index blocks projected."""
     shape = (4,) * (p + k)
     data = [rng.uniform(-1.0, 1.0, shape)]
     nc = p + k
@@ -47,12 +48,13 @@ def random_form(rng, k, p, order=0):
                 axes = list(range(start)) + [start + s for s in perm] + list(range(start + n, arr.ndim))
                 acc += _perm_sign(perm) * np.transpose(arr, axes)
             arr = acc / math.factorial(n)
-        projected.append(arr)
+        projected.append(arr[None])
     return MixedForm(k, p, Jet(order, projected))
 
 
 def random_omega(rng, order=1):
-    """Random antisymmetric-pair connection jet with components [a, b, mu]."""
+    """Random antisymmetric-pair connection jet with components [a, b, mu]
+    at one point."""
     shape = (4, 4, 4)
     data = []
     for m in range(order + 1):
@@ -63,13 +65,13 @@ def random_omega(rng, order=1):
             for perm in itertools.permutations(range(m)):
                 acc += np.transpose(arr, [0, 1, 2] + [3 + s for s in perm])
             arr = acc / math.factorial(m)
-        data.append(arr)
+        data.append(arr[None])
     return Jet(order, data)
 
 
 def form_from_exprs(texts, point, order, k):
     exprs = [parse_expression(t, UNIT_CHART) for t in texts]
-    return MixedForm(k, 0, eval_jet_grid(exprs, point, order))
+    return MixedForm(k, 0, eval_jet_grid(exprs, [point], order, [None]))
 
 
 class TestWedgeGrading:
@@ -135,15 +137,15 @@ class TestWedgeGrading:
         s = random_form(rng, 0, 0)
         y = random_form(rng, 2, 1)
         npt.assert_allclose(
-            internal_wedge(s, y).values, float(s.values) * y.values, atol=1e-15
+            internal_wedge(s, y).values, s.values[0] * y.values, atol=1e-15
         )
 
     def test_two_form_basis_components(self):
         # (a ^ b)_{mn} = a_m b_n - a_n b_m, no half
         a = np.array([1.0, 2.0, 3.0, 4.0])
         b = np.array([0.5, -1.0, 2.0, 0.0])
-        w = internal_wedge(MixedForm(1, 0, a), MixedForm(1, 0, b)).values
-        npt.assert_allclose(w, np.outer(a, b) - np.outer(b, a), atol=1e-15)
+        w = internal_wedge(MixedForm(1, 0, a[None]), MixedForm(1, 0, b[None])).values
+        npt.assert_allclose(w[0], np.outer(a, b) - np.outer(b, a), atol=1e-15)
 
     def test_degree_overflow(self):
         rng = np.random.default_rng(8)
@@ -157,8 +159,8 @@ class TestWedgeGrading:
         x = random_form(rng, 1, 0, order=1)
         y = random_form(rng, 1, 0, order=1)
         w = internal_wedge(x, y)
-        a0, da = x.jet.data
-        b0, db = y.jet.data
+        a0, da = (d[0] for d in x.jet.data)
+        b0, db = (d[0] for d in y.jet.data)
         # d(a_m b_n - a_n b_m) by hand
         expect = (
             np.einsum("mX,n->mnX", da, b0)
@@ -166,7 +168,7 @@ class TestWedgeGrading:
             - np.einsum("nX,m->mnX", da, b0)
             - np.einsum("n,mX->mnX", a0, db)
         )
-        npt.assert_allclose(w.jet.data[1], expect, atol=1e-14)
+        npt.assert_allclose(w.jet.data[1][0], expect, atol=1e-14)
 
 
 def xor_seed(*degree_tuples):
@@ -184,28 +186,28 @@ class TestEpsilon:
         assert np.count_nonzero(EPSILON) == 24
 
     def test_unit_basis_trace(self):
-        vs = [MixedForm(0, 1, np.eye(4)[a]) for a in range(4)]
+        vs = [MixedForm(0, 1, np.eye(4)[a : a + 1]) for a in range(4)]
         w = internal_wedge(internal_wedge(vs[0], vs[1]), internal_wedge(vs[2], vs[3]))
-        assert epsilon_trace(w).values == pytest.approx(1.0)
+        assert epsilon_trace(w).values[0] == pytest.approx(1.0)
         w_swapped = internal_wedge(internal_wedge(vs[1], vs[0]), internal_wedge(vs[2], vs[3]))
-        assert epsilon_trace(w_swapped).values == pytest.approx(-1.0)
+        assert epsilon_trace(w_swapped).values[0] == pytest.approx(-1.0)
 
     def test_vector_quadruple_gives_determinant(self):
         rng = np.random.default_rng(21)
         mat = rng.uniform(-1.0, 1.0, (4, 4))
-        vs = [MixedForm(0, 1, mat[i]) for i in range(4)]
+        vs = [MixedForm(0, 1, mat[i : i + 1]) for i in range(4)]
         w = internal_wedge(internal_wedge(vs[0], vs[1]), internal_wedge(vs[2], vs[3]))
         npt.assert_allclose(
-            float(epsilon_trace(w).values), np.linalg.det(mat), rtol=1e-12
+            epsilon_trace(w).values[0], np.linalg.det(mat), rtol=1e-12
         )
 
     def test_trace_against_direct_sum(self):
         rng = np.random.default_rng(22)
         x = random_form(rng, 2, 4)
-        got = epsilon_trace(x).values
+        got = epsilon_trace(x).values[0]
         expect = np.zeros((4, 4))
         for perm in itertools.permutations(range(4)):
-            expect += EPSILON[perm] * x.values[perm]
+            expect += EPSILON[perm] * x.values[0][perm]
         npt.assert_allclose(got, expect / 24.0, atol=1e-14)
 
     def test_full_contraction_with_raised_copy(self):
@@ -242,9 +244,9 @@ class TestRaiseLower:
 
     def test_applies_to_jets_componentwise(self):
         rng = np.random.default_rng(34)
-        jet = Jet(1, [rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (4, 4, 4))])
+        jet = Jet(1, [rng.uniform(-1, 1, (1, 4, 4)), rng.uniform(-1, 1, (1, 4, 4, 4))])
         out = raise_lower(jet, 1, "lower")
-        npt.assert_allclose(out.data[1], np.einsum("abX,bc->acX", jet.data[1], ETA), atol=1e-15)
+        npt.assert_allclose(out.data[1], np.einsum("pabX,bc->pacX", jet.data[1], ETA), atol=1e-15)
 
     @pytest.mark.parametrize("rank", [3, 4, 5])
     def test_sign_flip_matches_eta_contraction(self, rank):
@@ -260,13 +262,13 @@ class TestRaiseLower:
 
     def test_sign_flip_on_jets_leaves_derivative_axes(self):
         rng = np.random.default_rng(36)
-        jet = Jet(2, [rng.uniform(-1, 1, (4, 4) + (4,) * k) for k in range(3)])
+        jet = Jet(2, [rng.uniform(-1, 1, (1, 4, 4) + (4,) * k) for k in range(3)])
         out = eta_lower(jet, 1)
         for k in range(3):
-            assert np.array_equal(out.data[k], np.einsum("ab...,bc->ac...", jet.data[k], ETA))
+            assert np.array_equal(out.data[k], np.einsum("pab...,bc->pac...", jet.data[k], ETA))
 
     def test_rejects_derivative_slots(self):
-        jet = Jet(1, [np.zeros((4,)), np.zeros((4, 4))])
+        jet = Jet(1, [np.zeros((1, 4)), np.zeros((1, 4, 4))])
         with pytest.raises(ValueError):
             raise_lower(jet, 1, "lower")
 
@@ -282,7 +284,7 @@ class TestInteriorProduct:
         v = rng.uniform(-1.0, 1.0, 4)
         got = interior_product(v, x)
         assert (got.k, got.p) == (1, 1)
-        npt.assert_allclose(got.values, np.einsum("m,amn->an", v, x.values), atol=1e-14)
+        npt.assert_allclose(got.values, np.einsum("m,pamn->pan", v, x.values), atol=1e-14)
 
     def test_double_contraction_vanishes(self):
         rng = np.random.default_rng(42)
@@ -321,14 +323,14 @@ class TestExteriorDerivative:
         expect[1, 2], expect[2, 1] = -x0, x0
         expect[1, 3], expect[3, 1] = 1.0, -1.0
         expect[2, 3], expect[3, 2] = -1.0, 1.0
-        npt.assert_allclose(d.values, expect, atol=1e-13)
+        npt.assert_allclose(d.values[0], expect, atol=1e-13)
 
     def test_scalar_gradient(self):
         expr = parse_expression("x0*x1 + sin(x2)", UNIT_CHART)
-        f = MixedForm(0, 0, eval_jet(expr, self.POINT, 1))
+        f = MixedForm(0, 0, eval_jet(expr, [self.POINT], 1, [None]))
         d = exterior_derivative(f)
         x0, x1, x2, _ = self.POINT
-        npt.assert_allclose(d.values, [x1, x0, np.cos(x2), 0.0], atol=1e-13)
+        npt.assert_allclose(d.values[0], [x1, x0, np.cos(x2), 0.0], atol=1e-13)
 
     def test_d_squared_vanishes(self):
         rng = np.random.default_rng(51)
@@ -364,28 +366,28 @@ class TestCovariantExteriorDerivative:
     def test_zero_connection_reduces_to_plain_d(self):
         rng = np.random.default_rng(61)
         x = random_form(rng, 1, 1, order=2)
-        omega = Jet.zeros((4, 4, 4), 2)
+        omega = Jet.zeros((1, 4, 4, 4), 2)
         got = covariant_exterior_derivative(omega, x, (+1,))
         npt.assert_allclose(got.values, exterior_derivative(x).values, atol=1e-15)
 
     def test_internal_metric_is_parallel(self):
         rng = np.random.default_rng(62)
         omega = random_omega(rng, order=1)
-        eta_form = MixedForm(0, 2, Jet.constant(ETA, 1), _checked=True)
+        eta_form = MixedForm(0, 2, Jet.constant(ETA[None], 1), _checked=True)
         d = covariant_exterior_derivative(omega, eta_form, (-1, -1))
         npt.assert_allclose(d.values, 0.0, atol=1e-14)
 
     def test_mixed_kronecker_is_parallel(self):
         rng = np.random.default_rng(63)
         omega = random_omega(rng, order=1)
-        delta = MixedForm(0, 2, Jet.constant(np.eye(4), 1), _checked=True)
+        delta = MixedForm(0, 2, Jet.constant(np.eye(4)[None], 1), _checked=True)
         d = covariant_exterior_derivative(omega, delta, (+1, -1))
         npt.assert_allclose(d.values, 0.0, atol=1e-14)
 
     def test_alternating_symbol_is_parallel(self):
         rng = np.random.default_rng(64)
         omega = random_omega(rng, order=1)
-        eps_form = MixedForm(0, 4, Jet.constant(EPSILON, 1))
+        eps_form = MixedForm(0, 4, Jet.constant(EPSILON[None], 1))
         d = covariant_exterior_derivative(omega, eps_form, (-1, -1, -1, -1))
         npt.assert_allclose(d.values, 0.0, atol=2e-13)
 
@@ -393,11 +395,11 @@ class TestCovariantExteriorDerivative:
         rng = np.random.default_rng(65)
         omega = random_omega(rng, order=0)
         comp = rng.uniform(-1.0, 1.0, 4)
-        x = MixedForm(0, 1, Jet.constant(comp, 1))
+        x = MixedForm(0, 1, Jet.constant(comp[None], 1))
         d = covariant_exterior_derivative(omega, x, (+1,))
         # constant components: only the connection term survives
-        wmat = np.einsum("abm,bc->acm", omega.value, ETA)
-        npt.assert_allclose(d.values, np.einsum("acm,c->am", wmat, comp), atol=1e-14)
+        wmat = np.einsum("abm,bc->acm", omega.value[0], ETA)
+        npt.assert_allclose(d.values[0], np.einsum("acm,c->am", wmat, comp), atol=1e-14)
 
     def test_variance_count_checked(self):
         rng = np.random.default_rng(66)
@@ -407,15 +409,15 @@ class TestCovariantExteriorDerivative:
 
 class TestFormValidation:
     def test_rejects_symmetric_junk(self):
-        bad = np.ones((4, 4))
+        bad = np.ones((1, 4, 4))
         with pytest.raises(AntisymmetryError):
             MixedForm(2, 0, bad)
 
     def test_degree_bounds(self):
         with pytest.raises(DegreeError):
-            MixedForm(5, 0, np.zeros((4,) * 5))
+            MixedForm(5, 0, np.zeros((1,) + (4,) * 5))
         with pytest.raises(DegreeError):
-            MixedForm(1, 0, np.zeros((3,)))
+            MixedForm(1, 0, np.zeros((1, 3)))
 
     def test_mismatched_addition(self):
         rng = np.random.default_rng(72)

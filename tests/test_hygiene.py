@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import in the package is used, every
-top-level definition has a reader, and η is applied one way."""
+top-level definition has a reader, η is applied one way, and jets have
+one layout with every point fault recorded."""
 
 import ast
 from pathlib import Path
@@ -86,9 +87,6 @@ def test_eta_is_applied_as_a_sign_flip(path):
 # a target that perfbench/layertrace.py times by name (these go once the
 # benchmark's trace list drops them).
 UNREAD_ALLOWED = {
-    "geometry.LorentzField": "acceptance gate: frame rotation invariance",
-    "geometry.lorentz_transform": "acceptance gate: frame rotation invariance",
-    "geometry.ZeroConnection": "acceptance gate: flat-frame reduction",
     "forms.exterior_derivative": "test reference for the twisted derivative",
     "forms.covariant_exterior_derivative": "benchmark trace target; the tests' dense reference",
     "fieldeqs.dual_component_projection": "test reference: pins CURVATURE_DUAL_FACTOR",
@@ -145,3 +143,59 @@ def test_every_definition_has_a_reader():
     assert not unexpected, f"definitions nothing in src/ reads: {', '.join(unexpected)}"
     stale = sorted(set(UNREAD_ALLOWED) - set(unread))
     assert not stale, f"allowlisted definitions that now have a reader: {', '.join(stale)}"
+
+
+def _defaults(args: ast.arguments):
+    """(parameter, default) pairs of a function's signature."""
+    positional = args.posonlyargs + args.args
+    yield from zip(positional[len(positional) - len(args.defaults) :], args.defaults)
+    yield from ((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_fault_list_is_required(path):
+    """No function takes a ``faults`` list that may be left out, or asks
+    whether it was: a point's fault is recorded in its caller's list, never
+    raised for want of one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    optional = [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg, default in _defaults(node.args)
+        if arg.arg == "faults" and _is_none(default)
+    ]
+    optional += [
+        f"a test of faults against None (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name)
+        and node.left.id == "faults"
+        and any(_is_none(c) for c in node.comparators)
+    ]
+    assert not optional, f"{path.name} lets faults be None: {', '.join(optional)}"
+
+
+def _spelled(node: ast.AST):
+    """The identifier or string an AST node spells, if any: a ``__slots__``
+    entry is a string constant."""
+    for field in ("attr", "arg", "name", "id", "value"):
+        value = getattr(node, field, None)
+        if isinstance(value, str):
+            return value
+    return None
+
+
+def test_jets_have_no_lead():
+    """``Jet`` and ``PointJets`` carry exactly one point axis, so neither
+    defines a ``lead``: no slot, attribute, property or parameter."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    found = []
+    for module, name in (("jets", "Jet"), ("pointjets", "PointJets")):
+        (cls,) = [n for n in trees[module].body if isinstance(n, ast.ClassDef) and n.name == name]
+        found += [f"{name} (line {n.lineno})" for n in ast.walk(cls) if _spelled(n) == "lead"]
+    assert not found, f"a jet layout flag is back: {', '.join(found)}"

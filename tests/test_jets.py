@@ -17,6 +17,7 @@ from tetradkit.jets import (
     jet_matrix_inverse,
     jet_partial,
     jet_pow_int,
+    jet_reciprocal,
     jet_sin,
     jet_sqrt,
     jet_stack,
@@ -37,82 +38,96 @@ LEIBNIZ_SPECS = [
 
 
 def coord_jets(point, order=3):
-    return [Jet.coordinate(i, point[i], order) for i in range(DIM)]
+    """The coordinate jets at one point, a chunk of one."""
+    return [Jet.coordinate(i, [point[i]], order) for i in range(DIM)]
+
+
+def at_one(jet):
+    """The derivative tensors of a chunk of one's point."""
+    (value,) = jet.value
+    return [value] + [d[0] for d in jet.data[1:]]
 
 
 class TestScalarRules:
     def test_product_rule_order3(self):
         # f = x0^2 * x1, all third partials known in closed form
         x0, x1 = coord_jets([2.0, 3.0, 0.0, 0.0])[:2]
-        f = x0 * x0 * x1
-        assert f.value == pytest.approx(12.0)
-        npt.assert_allclose(f.data[1], [12.0, 4.0, 0.0, 0.0], atol=1e-14)
-        assert f.data[2][0, 0] == pytest.approx(6.0)
-        assert f.data[2][0, 1] == pytest.approx(4.0)
-        assert f.data[2][1, 0] == pytest.approx(4.0)
-        assert f.data[3][0, 0, 1] == pytest.approx(2.0)
-        assert f.data[3][0, 1, 0] == pytest.approx(2.0)
-        assert f.data[3][0, 0, 0] == pytest.approx(0.0)
+        f = at_one(x0 * x0 * x1)
+        assert f[0] == pytest.approx(12.0)
+        npt.assert_allclose(f[1], [12.0, 4.0, 0.0, 0.0], atol=1e-14)
+        assert f[2][0, 0] == pytest.approx(6.0)
+        assert f[2][0, 1] == pytest.approx(4.0)
+        assert f[2][1, 0] == pytest.approx(4.0)
+        assert f[3][0, 0, 1] == pytest.approx(2.0)
+        assert f[3][0, 1, 0] == pytest.approx(2.0)
+        assert f[3][0, 0, 0] == pytest.approx(0.0)
 
     def test_chain_rule_exp(self):
         # g = exp(c * x2): every partial is c^k * g
         c = 0.7
-        x2 = Jet.coordinate(2, 0.3, 3)
-        g = jet_exp(x2.scaled(c))
+        x2 = Jet.coordinate(2, [0.3], 3)
+        g = at_one(jet_exp(x2.scaled(c), [None]))
         v = np.exp(c * 0.3)
-        assert g.value == pytest.approx(v)
-        assert g.data[1][2] == pytest.approx(c * v)
-        assert g.data[2][2, 2] == pytest.approx(c * c * v)
-        assert g.data[3][2, 2, 2] == pytest.approx(c**3 * v)
-        assert g.data[3][0, 2, 2] == 0.0
+        assert g[0] == pytest.approx(v)
+        assert g[1][2] == pytest.approx(c * v)
+        assert g[2][2, 2] == pytest.approx(c * c * v)
+        assert g[3][2, 2, 2] == pytest.approx(c**3 * v)
+        assert g[3][0, 2, 2] == 0.0
 
     def test_quotient_and_sqrt(self):
-        x = Jet.coordinate(0, 2.0, 3)
-        h = jet_sqrt(x) / x
+        x = Jet.coordinate(0, [2.0], 3)
+        h = at_one(jet_sqrt(x, [None]) * jet_reciprocal(x, [None]))
         # h = x^(-1/2): derivatives -(1/2)x^(-3/2), (3/4)x^(-5/2), -(15/8)x^(-7/2)
-        assert h.value == pytest.approx(2.0**-0.5)
-        assert h.data[1][0] == pytest.approx(-0.5 * 2.0**-1.5)
-        assert h.data[2][0, 0] == pytest.approx(0.75 * 2.0**-2.5)
-        assert h.data[3][0, 0, 0] == pytest.approx(-15.0 / 8.0 * 2.0**-3.5)
+        assert h[0] == pytest.approx(2.0**-0.5)
+        assert h[1][0] == pytest.approx(-0.5 * 2.0**-1.5)
+        assert h[2][0, 0] == pytest.approx(0.75 * 2.0**-2.5)
+        assert h[3][0, 0, 0] == pytest.approx(-15.0 / 8.0 * 2.0**-3.5)
 
     def test_integer_power_negative_base(self):
-        x = Jet.coordinate(0, -1.5, 2)
-        p = jet_pow_int(x, 3)
-        assert p.value == pytest.approx((-1.5) ** 3)
-        assert p.data[1][0] == pytest.approx(3 * (-1.5) ** 2)
-        assert p.data[2][0, 0] == pytest.approx(6 * (-1.5))
+        x = Jet.coordinate(0, [-1.5], 2)
+        p = at_one(jet_pow_int(x, 3, [None]))
+        assert p[0] == pytest.approx((-1.5) ** 3)
+        assert p[1][0] == pytest.approx(3 * (-1.5) ** 2)
+        assert p[2][0, 0] == pytest.approx(6 * (-1.5))
 
     def test_negative_integer_power(self):
-        x = Jet.coordinate(1, 2.0, 2)
-        p = jet_pow_int(x, -2)
-        assert p.value == pytest.approx(0.25)
-        assert p.data[1][1] == pytest.approx(-2 * 2.0**-3)
-        assert p.data[2][1, 1] == pytest.approx(6 * 2.0**-4)
+        x = Jet.coordinate(1, [2.0], 2)
+        p = at_one(jet_pow_int(x, -2, [None]))
+        assert p[0] == pytest.approx(0.25)
+        assert p[1][1] == pytest.approx(-2 * 2.0**-3)
+        assert p[2][1, 1] == pytest.approx(6 * 2.0**-4)
 
     def test_domain_errors(self):
+        # a point outside the domain records its fault, keeps an earlier
+        # one, and is carried as the constant 1; the others compute on
+        x = Jet.coordinate(0, [-1.0, 4.0, 0.0, -2.0], 1)
+        earlier = ArithmeticError("earlier")
+        for fn, bad in ((jet_log, (0, 2)), (jet_sqrt, (0, 2)), (jet_reciprocal, (2,))):
+            faults = [None, None, None, earlier]
+            out = fn(x, faults)
+            assert [i for i in range(3) if faults[i] is not None] == list(bad)
+            assert all(type(faults[i]) is JetDomainError for i in bad)
+            assert faults[3] is earlier
+            assert out.value[1] == pytest.approx(fn(Jet.coordinate(0, [4.0], 1), [None]).value[0])
+            npt.assert_array_equal(out.data[1][list(bad) + [3]], 0.0)
         with pytest.raises(JetDomainError):
-            jet_log(Jet.constant(-1.0, 1))
-        with pytest.raises(JetDomainError):
-            jet_sqrt(Jet.constant(-4.0, 1))
-        with pytest.raises(JetDomainError):
-            Jet.constant(1.0, 1) / Jet.constant(0.0, 1)
+            x / 0
 
     def test_mixed_partials_symmetric(self):
         rng = np.random.default_rng(5)
         x = coord_jets(rng.uniform(0.5, 1.5, size=4))
-        f = jet_sin(x[0] * x[1]) * jet_exp(x[2]) + jet_sqrt(x[3] * x[3] + Jet.constant(2.0, 3))
-        d2, d3 = f.data[2], f.data[3]
+        ok = [None]
+        f = jet_sin(x[0] * x[1], ok) * jet_exp(x[2], ok) + jet_sqrt(x[3] * x[3] + Jet.constant([2.0], 3), ok)
+        assert ok == [None]
+        d2, d3 = at_one(f)[2:]
         assert np.max(np.abs(d2 - d2.T)) < 1e-14
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
             assert np.max(np.abs(d3 - np.transpose(d3, perm))) < 1e-14
 
 
 class TestTensorOps:
-    def rand_jet(self, rng, shape, order=2):
-        return Jet(order, [rng.normal(size=shape + (DIM,) * k) for k in range(order + 1)])
-
     def sym_jet(self, rng, shape, order=2):
-        # random jet with properly symmetric derivative axes
+        # random jet at one point with properly symmetric derivative axes
         data = []
         for k in range(order + 1):
             arr = rng.normal(size=shape + (DIM,) * k)
@@ -121,7 +136,7 @@ class TestTensorOps:
             perms = list(itertools.permutations(range(k)))
             for p in perms:
                 out += np.transpose(arr, list(range(nc)) + [nc + i for i in p])
-            data.append(out / len(perms))
+            data.append(out[None] / len(perms))
         return Jet(order, data)
 
     def test_einsum_value_matches_numpy(self):
@@ -129,15 +144,15 @@ class TestTensorOps:
         a = self.sym_jet(rng, (4, 4))
         b = self.sym_jet(rng, (4,))
         c = jet_einsum("ij,j->i", a, b)
-        npt.assert_allclose(c.value, np.einsum("ij,j->i", a.value, b.value), atol=1e-13)
+        npt.assert_allclose(c.value, np.einsum("pij,pj->pi", a.value, b.value), atol=1e-13)
 
     def test_einsum_first_derivative_leibniz(self):
         rng = np.random.default_rng(1)
         a = self.sym_jet(rng, (4, 4), order=1)
         b = self.sym_jet(rng, (4,), order=1)
         c = jet_einsum("ij,j->i", a, b)
-        expect = np.einsum("ijm,j->im", a.data[1], b.value) + np.einsum(
-            "ij,jm->im", a.value, b.data[1]
+        expect = np.einsum("pijm,pj->pim", a.data[1], b.value) + np.einsum(
+            "pij,pjm->pim", a.value, b.data[1]
         )
         npt.assert_allclose(c.data[1], expect, atol=1e-13)
 
@@ -147,10 +162,10 @@ class TestTensorOps:
         b = self.sym_jet(rng, (4,), order=2)
         c = jet_einsum("i,i->", a, b)
         expect = (
-            np.einsum("imn,i->mn", a.data[2], b.value)
-            + np.einsum("im,in->mn", a.data[1], b.data[1])
-            + np.einsum("in,im->mn", a.data[1], b.data[1])
-            + np.einsum("i,imn->mn", a.value, b.data[2])
+            np.einsum("pimn,pi->pmn", a.data[2], b.value)
+            + np.einsum("pim,pin->pmn", a.data[1], b.data[1])
+            + np.einsum("pin,pim->pmn", a.data[1], b.data[1])
+            + np.einsum("pi,pimn->pmn", a.value, b.data[2])
         )
         npt.assert_allclose(c.data[2], expect, atol=1e-13)
 
@@ -170,7 +185,7 @@ class TestTensorOps:
                 for left in itertools.combinations(slots, i):
                     right = "".join(c for c in slots if c not in left)
                     expect += np.einsum(
-                        f"{in1}{''.join(left)},{in2}{right}->{out}{slots}", a.data[i], b.data[k - i]
+                        f"P{in1}{''.join(left)},P{in2}{right}->P{out}{slots}", a.data[i], b.data[k - i]
                     )
             scale = max(1.0, float(np.max(np.abs(expect))))
             npt.assert_allclose(got.data[k], expect, rtol=0, atol=1e-13 * scale)
@@ -186,24 +201,22 @@ class TestTensorOps:
     @pytest.mark.parametrize("leads", [(1, 1), (1, 0), (0, 1)])
     def test_einsum_over_a_point_axis_is_each_points_product(self, spec, shape_a, shape_b, leads):
         # a chunk of 5 points, each with its own jets, against jet_einsum at
-        # each point alone, bit for bit; an operand without the point axis
-        # is shared by every point
+        # each point as a chunk of one, bit for bit; an operand led by 0 is
+        # a chunk of one, shared by every point
         rng = np.random.default_rng(11)
         count = 5
         per_a = [self.sym_jet(rng, shape_a, order=3) for _ in range(count if leads[0] else 1)]
         per_b = [self.sym_jet(rng, shape_b, order=3) for _ in range(count if leads[1] else 1)]
 
-        def chunk(per, lead):
-            if not lead:
-                return per[0]
-            return Jet(3, [np.stack([j.data[k] for j in per]) for k in range(4)], 1)
+        def chunk(per):
+            return Jet(3, [np.concatenate([j.data[k] for j in per]) for k in range(4)])
 
-        got = jet_einsum(spec, chunk(per_a, leads[0]), chunk(per_b, leads[1]))
-        assert got.lead == 1
+        got = jet_einsum(spec, chunk(per_a), chunk(per_b))
+        assert len(got.value) == count
         for i in range(count):
             alone = jet_einsum(spec, per_a[i if leads[0] else 0], per_b[i if leads[1] else 0])
             for k in range(4):
-                npt.assert_array_equal(got.data[k][i], alone.data[k])
+                npt.assert_array_equal(got.data[k][i], alone.data[k][0])
 
     @pytest.mark.parametrize(
         "spec",
@@ -216,14 +229,14 @@ class TestTensorOps:
         ],
     )
     def test_einsum_rejects_non_pairwise_specs(self, spec):
-        a = Jet.zeros((4, 4), 1)
-        b = Jet.zeros((4,) * (len(spec.split(",")[1].split("-")[0])), 1)
+        a = Jet.zeros((1, 4, 4), 1)
+        b = Jet.zeros((1,) + (4,) * (len(spec.split(",")[1].split("-")[0])), 1)
         with pytest.raises(JetError):
             jet_einsum(spec, a, b)
 
     def test_einsum_rejects_mismatched_shapes(self):
         with pytest.raises(JetError):
-            jet_einsum("ij,jk->ik", Jet.zeros((4, 3), 1), Jet.zeros((4, 4), 1))
+            jet_einsum("ij,jk->ik", Jet.zeros((1, 4, 3), 1), Jet.zeros((1, 4, 4), 1))
 
     def test_contractions_make_no_einsum_calls(self, monkeypatch):
         calls = []
@@ -240,7 +253,7 @@ class TestTensorOps:
         jet_einsum("qpm,aqcde->apmcde", a, b)
         m = self.sym_jet(rng, (4, 4), order=3)
         m.data[0] += 3.0 * np.eye(4)
-        jet_matrix_inverse(m)
+        jet_matrix_inverse(m, [None])
         assert calls == []
 
     def test_partial_shift(self):
@@ -257,10 +270,10 @@ class TestTensorOps:
         rows = [self.sym_jet(rng, (4,), order=1) for _ in range(4)]
         m = jet_stack(rows)
         assert m.comp_shape == (4, 4)
-        npt.assert_allclose(m.value[2], rows[2].value, atol=0)
+        npt.assert_allclose(m.value[:, 2], rows[2].value, atol=0)
         t = jet_transpose(m, (1, 0))
-        npt.assert_allclose(t.value, m.value.T, atol=0)
-        npt.assert_allclose(t.data[1], np.transpose(m.data[1], (1, 0, 2)), atol=0)
+        npt.assert_allclose(t.value, m.value.transpose(0, 2, 1), atol=0)
+        npt.assert_allclose(t.data[1], np.transpose(m.data[1], (0, 2, 1, 3)), atol=0)
 
     def test_matrix_inverse_against_finite_differences(self):
         # polynomial matrix field M(x) = A + B x0 + C x1^2, jets built exactly
@@ -278,28 +291,30 @@ class TestTensorOps:
         d1[:, :, 1] = 2 * x1 * C
         d2 = np.zeros((4, 4, DIM, DIM))
         d2[:, :, 1, 1] = 2 * C
-        m = Jet(2, [m_at(x0, x1), d1, d2])
-        inv = jet_matrix_inverse(m)
+        m = Jet(2, [m_at(x0, x1)[None], d1[None], d2[None]])
+        faults = [None]
+        inv = at_one(jet_matrix_inverse(m, faults))
+        assert faults == [None]
 
-        npt.assert_allclose(inv.value, np.linalg.inv(m_at(x0, x1)), atol=1e-12)
+        npt.assert_allclose(inv[0], np.linalg.inv(m_at(x0, x1)), atol=1e-12)
         h = 1e-6
         fd0 = (np.linalg.inv(m_at(x0 + h, x1)) - np.linalg.inv(m_at(x0 - h, x1))) / (2 * h)
         fd1 = (np.linalg.inv(m_at(x0, x1 + h)) - np.linalg.inv(m_at(x0, x1 - h))) / (2 * h)
-        npt.assert_allclose(inv.data[1][:, :, 0], fd0, atol=1e-8)
-        npt.assert_allclose(inv.data[1][:, :, 1], fd1, atol=1e-8)
+        npt.assert_allclose(inv[1][:, :, 0], fd0, atol=1e-8)
+        npt.assert_allclose(inv[1][:, :, 1], fd1, atol=1e-8)
         h2 = 1e-3  # wider step: keeps the second difference above float64 roundoff
         fd11 = (
             np.linalg.inv(m_at(x0, x1 + h2)) - 2 * np.linalg.inv(m_at(x0, x1)) + np.linalg.inv(m_at(x0, x1 - h2))
         ) / h2**2
-        npt.assert_allclose(inv.data[2][:, :, 1, 1], fd11, atol=1e-5)
+        npt.assert_allclose(inv[2][:, :, 1, 1], fd11, atol=1e-5)
 
     def test_inverse_of_product_identity(self):
         rng = np.random.default_rng(7)
         m = self.sym_jet(rng, (4, 4), order=3)
         m.data[0] += 3.0 * np.eye(4)
-        inv = jet_matrix_inverse(m)
+        inv = jet_matrix_inverse(m, [None])
         prod = jet_einsum("ij,jk->ik", m, inv)
-        npt.assert_allclose(prod.value, np.eye(4), atol=1e-12)
+        npt.assert_allclose(prod.value[0], np.eye(4), atol=1e-12)
         for k in range(1, 4):
             assert np.max(np.abs(prod.data[k])) < 1e-11
 
@@ -309,13 +324,15 @@ class TestValidation:
         with pytest.raises(JetError):
             Jet(1, [np.zeros(3)])
         with pytest.raises(JetError):
-            Jet(1, [np.zeros(()), np.zeros(3)])
+            Jet(1, [np.zeros(1), np.zeros((1, 3))])
+        with pytest.raises(JetError, match="point axis"):
+            Jet(0, [np.zeros(())])
 
     def test_rejects_order_overflow(self):
         with pytest.raises(JetError):
             Jet.zeros((), 4)
 
     def test_scalar_mul_guard(self):
-        a = Jet.zeros((4,), 1)
+        a = Jet.zeros((1, 4), 1)
         with pytest.raises(JetError):
             _ = a * a

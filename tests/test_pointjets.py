@@ -1,7 +1,8 @@
-"""PointJets: one memoized derivation per point or chunk of points,
-bit-identical to deriving each quantity directly at each point, lazy, and
-remembering faults."""
+"""PointJets: one memoized derivation per chunk of points, bit-identical
+to deriving each quantity directly, row by row as at a chunk of one, lazy,
+and remembering faults."""
 
+import re
 import sys
 
 import numpy as np
@@ -39,57 +40,78 @@ from tetradkit.runner import CHECKS, CHUNK, run_checks, sample_points
 from tetradkit.scenarios import BUILTIN_NAMES, builtin_document, builtin_scenario, scenario_from_dict
 
 
+def _ok(jet):
+    """A fault list for a derivation from ``jet`` at points that do not
+    fault."""
+    return [None] * len(jet.value)
+
+
+def _at(source, x, k):
+    return source.jet(x, k, [None] * len(x))
+
+
+def _inverse(ej):
+    return inverse_tetrad_jet(ej, _ok(ej))
+
+
 def _riemann(e, w, x, k):
-    ek = e.jet(x, k)
-    return riemann_jet(ek, inverse_tetrad_jet(ek), field_strength_jet(w.jet(x, k + 1)))
+    ek = _at(e, x, k)
+    return riemann_jet(ek, _inverse(ek), field_strength_jet(_at(w, x, k + 1)))
 
 
 def _einstein(e, w, x, k):
-    ek = e.jet(x, k)
-    f = field_strength_jet(w.jet(x, k + 1))
-    return einstein_jet(_riemann(e, w, x, k), inverse_tetrad_jet(ek), metric_jet(ek), f)
+    ek = _at(e, x, k)
+    f = field_strength_jet(_at(w, x, k + 1))
+    return einstein_jet(_riemann(e, w, x, k), _inverse(ek), metric_jet(ek), f)
+
+
+def _inverse_metric(ek):
+    g = metric_jet(ek)
+    return jet_matrix_inverse(g, _ok(g))
 
 
 def _stress_form(e, w, m, x, k):
-    ek = e.jet(x, k)
+    ek = _at(e, x, k)
     t = m.stress_jet(PointJets(e, w, x, m), k)
-    ginv = jet_matrix_inverse(metric_jet(ek))
-    return stress_tensor_to_form(t, inverse_tetrad_jet(ek), ginv, determinant_jet(ek), m.kappa)
+    return stress_tensor_to_form(t, _inverse(ek), _inverse_metric(ek), determinant_jet(ek), m.kappa)
 
 
 # quantity -> (deepest order served from memory, direct route at order k);
 # a top of None follows the recipe (``_recipe_top``)
 DIRECT = {
-    "e": (2, lambda e, w, m, x, k: e.jet(x, k)),
-    "omega": (2, lambda e, w, m, x, k: w.jet(x, k)),
-    "inverse_tetrad": (None, lambda e, w, m, x, k: inverse_tetrad_jet(e.jet(x, k))),
-    "metric": (1, lambda e, w, m, x, k: metric_jet(e.jet(x, k))),
-    "inverse_metric": (1, lambda e, w, m, x, k: jet_matrix_inverse(metric_jet(e.jet(x, k)))),
-    "determinant": (1, lambda e, w, m, x, k: determinant_jet(e.jet(x, k))),
-    "field_strength": (1, lambda e, w, m, x, k: field_strength_jet(w.jet(x, k + 1))),
-    "torsion": (1, lambda e, w, m, x, k: torsion_jet(e.jet(x, k + 1), w.jet(x, k))),
+    "e": (2, lambda e, w, m, x, k: _at(e, x, k)),
+    "omega": (2, lambda e, w, m, x, k: _at(w, x, k)),
+    "inverse_tetrad": (None, lambda e, w, m, x, k: _inverse(_at(e, x, k))),
+    "metric": (1, lambda e, w, m, x, k: metric_jet(_at(e, x, k))),
+    "inverse_metric": (1, lambda e, w, m, x, k: _inverse_metric(_at(e, x, k))),
+    "determinant": (1, lambda e, w, m, x, k: determinant_jet(_at(e, x, k))),
+    "field_strength": (1, lambda e, w, m, x, k: field_strength_jet(_at(w, x, k + 1))),
+    "torsion": (1, lambda e, w, m, x, k: torsion_jet(_at(e, x, k + 1), _at(w, x, k))),
     "christoffel": (
         0,
         lambda e, w, m, x, k: christoffel_jet(
-            e.jet(x, k + 1), w.jet(x, k), inverse_tetrad_jet(e.jet(x, k + 1))
+            _at(e, x, k + 1), _at(w, x, k), _inverse(_at(e, x, k + 1))
         ),
     ),
-    "torsion_tensor": (None, lambda e, w, m, x, k: torsion_q_jet(e.jet(x, k + 1), w.jet(x, k))),
+    "torsion_tensor": (
+        None,
+        lambda e, w, m, x, k: torsion_q_jet(_at(e, x, k + 1), _at(w, x, k), [None] * len(x)),
+    ),
     "riemann": (None, lambda e, w, m, x, k: _riemann(e, w, x, k)),
     "einstein": (None, lambda e, w, m, x, k: _einstein(e, w, x, k)),
     "curvature_three_form": (
         1,
-        lambda e, w, m, x, k: curvature_three_form(e.jet(x, k), field_strength_jet(w.jet(x, k + 1))),
+        lambda e, w, m, x, k: curvature_three_form(_at(e, x, k), field_strength_jet(_at(w, x, k + 1))),
     ),
     "torsion_three_form": (
         1,
         lambda e, w, m, x, k: torsion_three_form(
-            torsion_jet(e.jet(x, k + 1), w.jet(x, k)), e.jet(x, k)
+            torsion_jet(_at(e, x, k + 1), _at(w, x, k)), _at(e, x, k)
         ),
     ),
     "derivative_torsion_three_form": (
         0,
-        lambda e, w, m, x, k: derivative_torsion_three_form(e.jet(x, k + 1), w.jet(x, k)),
+        lambda e, w, m, x, k: derivative_torsion_three_form(_at(e, x, k + 1), _at(w, x, k)),
     ),
     "stress": (1, lambda e, w, m, x, k: m.stress_jet(PointJets(e, w, x, m), k)),
     "spin": (1, lambda e, w, m, x, k: m.spin_jet(PointJets(e, w, x, m), k)),
@@ -97,7 +119,7 @@ DIRECT = {
     "spin_form": (
         1,
         lambda e, w, m, x, k: spin_tensor_to_form(
-            m.spin_jet(PointJets(e, w, x, m), k), e.jet(x, k), m.kappa
+            m.spin_jet(PointJets(e, w, x, m), k), _at(e, x, k), m.kappa
         ),
     ),
 }
@@ -127,7 +149,7 @@ def test_served_jets_equal_direct_derivation(name):
     e, omega = sc.tetrad, sc.connection
     matter = sc.matter
     tops = _tops(sc)
-    for x in sample_points(sc.chart, 3, 0):
+    for x in sample_points(sc.chart, 3, 0)[:, None]:
         jets = PointJets(e, omega, x, matter)
         for quantity, (_, direct) in DIRECT.items():
             top = tops[quantity]
@@ -142,31 +164,36 @@ def test_served_jets_equal_direct_derivation(name):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_a_chunk_row_is_the_points_own_derivation(name):
-    # each point of a 5-point chunk against a chunk of that point alone and
-    # against the single-point derivation, bit for bit, at every order the
-    # recipe serves
+    # each point of a 5-point chunk against a chunk of that point alone,
+    # bit for bit, at every order the recipe serves
     sc = builtin_scenario(name)
     points = sample_points(sc.chart, 5, 3)
     chunk = PointJets(sc.tetrad, sc.connection, points, sc.matter)
     alone = [PointJets(sc.tetrad, sc.connection, points[i : i + 1], sc.matter) for i in range(5)]
-    single = [PointJets(sc.tetrad, sc.connection, x, sc.matter) for x in points]
     for quantity, top in _tops(sc).items():
         for k in range(top, -1, -1):
             rows = _as_jet(getattr(chunk, quantity)(k))
-            assert rows.lead == 1 and rows.order == k
+            assert len(rows.value) == 5 and rows.order == k
             for i in range(5):
                 one = _as_jet(getattr(alone[i], quantity)(k))
-                bare = _as_jet(getattr(single[i], quantity)(k))
-                assert bare.lead == 0
-                for d, d_one, d_bare in zip(rows.data, one.data, bare.data):
+                for d, d_one in zip(rows.data, one.data):
+                    assert d_one.shape == (1,) + d.shape[1:]
                     npt.assert_array_equal(d[i], d_one[0], err_msg=f"{quantity} order {k}")
-                    npt.assert_array_equal(d[i], d_bare, err_msg=f"{quantity} order {k}")
+
+
+def test_points_must_be_an_n_by_4_array():
+    # a bare point of shape (4,) is not read as four points
+    sc = builtin_scenario("minkowski")
+    for bad in (np.zeros(4), np.zeros((2, 3)), np.zeros((1, 2, 4))):
+        shape = re.escape(str(bad.shape))
+        with pytest.raises(ValueError, match=rf"\(N, 4\) array of points, got shape {shape}"):
+            PointJets(sc.tetrad, sc.connection, bad)
 
 
 def test_a_request_deeper_than_served_raises():
     sc = builtin_scenario("random-fields")
     e, omega = sc.tetrad, sc.connection
-    jets = PointJets(e, omega, sample_points(sc.chart, 1, 0)[0])
+    jets = PointJets(e, omega, sample_points(sc.chart, 1, 0))
     with pytest.raises(JetError):
         jets.omega(3)
     with pytest.raises(JetError):
@@ -221,13 +248,13 @@ def test_each_source_is_evaluated_once():
     calls = []
 
     class Counting:
-        def jet(self, point, order, faults=None):
+        def jet(self, points, order, faults):
             calls.append(order)
-            return e.jet(point, order, faults)
+            return e.jet(points, order, faults)
 
     counted = Counting()
     # manufactured sources read the Einstein tensor at order 1
-    x = sample_points(sc.chart, 1, 0)[0]
+    x = sample_points(sc.chart, 1, 0)
     jets = PointJets(counted, LeviCivitaConnection(counted), x, MatterModel("manufactured"))
     for k in (1, 0, 2):
         jets.omega(k)
@@ -355,18 +382,21 @@ def test_each_check_reports_the_fault_of_what_it_reads_first():
         assert by_check[name] == {f"DomainFault: {want}"}, name
 
 
-def test_a_fault_is_remembered_and_raised_again():
+def test_a_fault_is_remembered_and_recorded_again():
     doc = builtin_document("minkowski")
     doc["tetrad"][0][0] = "1 + sqrt(x0)"
     sc = scenario_from_dict(doc)
     e, omega = sc.tetrad, sc.connection
-    jets = PointJets(e, omega, np.array([-0.5, 0.0, 0.0, 0.0]))
-    with pytest.raises(DomainFault) as first:
-        jets.metric(1)
-    with pytest.raises(DomainFault) as again:
-        jets.inverse_tetrad(0)
-    assert again.value is first.value
+    jets = PointJets(e, omega, np.array([[-0.5, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]]))
+    first = jets.record()
+    jets.metric(1)
+    assert isinstance(first[0], DomainFault) and first[1] is None
+    again = jets.record()
+    jets.inverse_tetrad(0)
+    assert again[0] is first[0] and again[1] is None
+    clean = jets.record()
     jets.omega(2)  # the connection does not read the tetrad
+    assert clean == [None, None]
 
 
 def test_field_strength_and_torsion_are_checked_once_per_chunk(monkeypatch):
@@ -375,9 +405,9 @@ def test_field_strength_and_torsion_are_checked_once_per_chunk(monkeypatch):
     calls = []
     original = forms._check_antisym
 
-    def counting(arr, lead, start, n, what):
-        calls.append(arr.shape[lead:])
-        return original(arr, lead, start, n, what)
+    def counting(arr, start, n, what):
+        calls.append(arr.shape[1:])
+        return original(arr, start, n, what)
 
     monkeypatch.setattr(forms, "_check_antisym", counting)
     run_checks(builtin_scenario("flat-contorsion"), points=CHUNK + 5, seed=0)
@@ -391,7 +421,7 @@ def test_a_run_rejects_a_field_strength_that_is_not_antisymmetric(monkeypatch):
         f = field_strength_jet(omega)
         bump = np.zeros((4, 4, 4, 4))
         bump[0, 1, 2, 3] = bump[1, 0, 2, 3] = 1e-3  # symmetric in the internal pair
-        return Jet._trusted(f.order, [f.data[0] + bump] + f.data[1:], f.lead)
+        return Jet._trusted(f.order, [f.data[0] + bump] + f.data[1:])
 
     monkeypatch.setattr(pointjets, "field_strength_jet", lopsided)
     with pytest.raises(AntisymmetryError, match="internal"):

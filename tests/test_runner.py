@@ -75,7 +75,7 @@ class TestRandomJets:
         assert len(got) == len(shapes)
         for j, jet in enumerate(got):
             value, first, second = (np.stack([point[j][k] for point in drawn]) for k in range(3))
-            assert jet.order == 2 and jet.lead == 1
+            assert jet.order == 2 and len(jet.value) == len(streams)
             np.testing.assert_array_equal(jet.data[0], value)
             np.testing.assert_array_equal(jet.data[1], first)
             np.testing.assert_array_equal(jet.data[2], 0.5 * (second + second.swapaxes(-1, -2)))
@@ -235,8 +235,8 @@ def _nan_last(part):
     values = np.array(held, dtype=float, order="C")
     values.reshape(len(values), -1)[:, -1] = math.nan
     if isinstance(part, MixedForm):
-        return MixedForm._wrap(part.k, part.p, Jet(0, [values], 1))
-    return Jet(0, [values], 1) if isinstance(part, Jet) else values
+        return MixedForm._wrap(part.k, part.p, Jet(0, [values]))
+    return Jet(0, [values]) if isinstance(part, Jet) else values
 
 
 def _spin_nan(res):
@@ -440,12 +440,12 @@ def _bump_accessor(monkeypatch, accessor: str, groups: tuple[tuple[int, ...], ..
         if not patterns:
             rng = np.random.default_rng(2024)
             for k, d in enumerate(jet.data[:2]):
-                pattern = rng.uniform(-1.0, 1.0, d.shape[jet.lead :])
+                pattern = rng.uniform(-1.0, 1.0, d.shape[1:])
                 for group in axes:
                     pattern = _alternated(pattern, group)
                 patterns[k] = size * pattern
         data = [d + patterns[k] if k in patterns else d for k, d in enumerate(jet.data)]
-        out = Jet(jet.order, data, jet.lead)
+        out = Jet(jet.order, data)
         return MixedForm(served.k, served.p, out) if isinstance(served, MixedForm) else out
 
     monkeypatch.setattr(pointjets.PointJets, accessor, bumped)

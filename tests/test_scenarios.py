@@ -16,6 +16,8 @@ from tetradkit.scenarios import (
     scenario_from_dict,
 )
 
+from helpers import at
+
 
 def minimal_document(**overrides):
     doc = {
@@ -222,8 +224,8 @@ class TestBuiltins:
         assert sc.document["connection"]["mode"] == "explicit"
         assert sc.matter.mode == "vacuum"
         point = np.zeros(4)
-        assert np.array_equal(sc.tetrad.jet(point, 0).value, np.eye(4))
-        assert np.array_equal(sc.connection.jet(point, 0).value, np.zeros((4, 4, 4)))
+        assert np.array_equal(at(sc.tetrad, point, 0).value[0], np.eye(4))
+        assert np.array_equal(at(sc.connection, point, 0).value[0], np.zeros((4, 4, 4)))
 
     def test_schwarzschild_shape(self):
         sc = builtin_scenario("schwarzschild")
@@ -233,7 +235,7 @@ class TestBuiltins:
 
     def test_flat_contorsion_is_torsionful(self):
         sc = builtin_scenario("flat-contorsion")
-        point = np.array([0.3, -0.2, 0.4, 0.1])
+        point = np.array([[0.3, -0.2, 0.4, 0.1]])
         from tetradkit.pointjets import PointJets
 
         assert np.abs(PointJets(sc.tetrad, sc.connection, point).torsion(0).value).max() > 1e-3
