@@ -2,10 +2,10 @@
 
 Expressions are parsed from text into a small AST over chart coordinates,
 named real parameters, literals, arithmetic, powers and the unary functions
-sin, cos, tan, exp, log, sqrt.  Evaluation produces jets (value plus exact
-partials up to order 3) at an (N, 4) array of points in one walk over the
-tree, each point's first fault in the slot of a list the caller passes;
-``evaluate`` gives one point's plain value.
+sin, cos, tan, exp, log, sqrt.  A ``JetProgram`` compiles trees once and
+runs them as jets (value plus exact partials up to order 3) at an (N, 4)
+array of points, each point's first fault in the slot of a list the caller
+passes; ``evaluate`` gives one point's plain value.
 
 Grammar (EBNF), with power binding tighter than unary minus, binary
 operators left-associative and power right-associative:
@@ -23,6 +23,7 @@ a real exponent requires a positive base.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -44,7 +45,6 @@ from .jets import (
     jet_reciprocal,
     jet_sin,
     jet_sqrt,
-    jet_stack,
     jet_tan,
 )
 
@@ -464,20 +464,6 @@ def _node_str(node: Node) -> str:
     return _fmt(node, 0)
 
 
-def eval_jet(expr: Expression, points, order: int, faults: list) -> Jet:
-    """Evaluate an expression to the scalar jet of the requested order at
-    an (N, 4) array of points, from one walk over the tree.  A point's
-    first fault, in the walk's post-order, goes into its empty slot of
-    ``faults``.
-    """
-    if not 0 <= order <= MAX_ORDER:
-        raise ExpressionError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-    points = expr.chart.require_inside(points)
-    walk = _Walk(points, order, faults)
-    value = walk.value(expr.root)
-    return Jet.constant(np.full(len(points), value), order) if type(value) is float else walk.jet(value)
-
-
 _CALLS = {
     "sin": jet_sin,
     "cos": jet_cos,
@@ -488,38 +474,81 @@ _CALLS = {
 }
 
 
-class _Walk:
-    """One post-order walk over an expression tree at N points.
+class _Op:
+    """One operation of a program, one row of its store."""
 
-    A node's value is a float when its subtree names no coordinate, the
-    ``CoordRef`` itself for a bare coordinate, and otherwise a jet with the
-    point axis first.  No derivative known to be zero is built: a constant
-    folds with the IEEE operations its jet would take, a product or sum
-    with a constant acts on the other factor's arrays, a product with a
-    coordinate adds its unit derivative (``_mul_coordinate``), and each
-    coordinate's jet is built once.  Every live point's numbers are those
-    of the full jet arithmetic, up to the sign of a zero.
+    __slots__ = ("kind", "key", "args", "const", "rank", "node", "level", "row")
 
-    A point whose slot in ``faults`` holds a fault is dead: each operand
-    jet is carried as the constant 1 there, so it raises and warns no more.
-    A live point whose chain-rule coefficients raise records the fault in
-    its slot (a ``JetDomainError`` as a ``DomainFault`` naming the node) and
-    dies; a constant's fault is every live point's.  Other points compute
-    what a walk at that point alone would, bit for bit.
+    def __init__(self, kind, key, args, const, rank, node):
+        self.kind, self.key, self.args, self.const, self.rank, self.node = kind, key, args, const, rank, node
+        self.level = 1 + max(getattr(x, "level", 0) for x in args)
+
+
+class JetProgram:
+    """Expression trees compiled once into one straight-line jet program,
+    run at an (N, 4) array of points level by level.
+
+    Compiling mirrors a walk over the trees in rank order, the trees in
+    order and each in post-order.  A constant subtree folds to a float by
+    the IEEE operations its jet would take, a product or sum with a
+    constant scales or shifts the other operand, and a product with a
+    coordinate adds its unit derivative (``_mul_coordinate``): no
+    derivative known to be zero is built.  A run keeps each operation's jet
+    in a row of a store per order, shape (N, rows) + (4,)*k; each level
+    runs one kernel per group of one kind and parameter, its rows the
+    points of one scalar jet, so a row holds the bits of its operation
+    alone.  ``layout`` gives, per entry of ``shape`` in C order, its tree's
+    index, ``-1 - index`` for the negation, or None for zero.
+
+    A point's fault is that of its lowest-ranked faulting operation (a
+    ``JetDomainError`` as a ``DomainFault`` naming the node), put in its
+    empty slot of ``faults``; a constant whose fold faults is every
+    point's fault at its rank.  A slot filled before the run ranks below
+    all.  An operation but a negation takes its operands as the constant 1
+    where a fault ranked below it is known, so that point raises and warns
+    no more; a live point's numbers are those of the walk.
     """
 
-    def __init__(self, points: np.ndarray, order: int, faults: list):
-        self.points = points
-        self.order = order
-        self.faults = faults
-        self.dead = np.array([f is not None for f in faults]) if any(faults) else None
-        self.coords: dict[int, Jet] = {}
+    def __init__(self, exprs: Sequence[Expression], shape: tuple = (), layout=None):
+        self.exprs, self.shape = tuple(exprs), tuple(shape)
+        self.chart = exprs[0].chart if exprs else None
+        self.ops: list[_Op] = []
+        self.fault = None  # (rank, exception, node) of the first faulting fold
+        roots = [self._value(expr.root) for expr in exprs] + [0.0]  # the last for zero
+        layout = range(len(exprs)) if layout is None else layout
+        picks = [len(exprs) if i is None else i if i >= 0 else -1 - i for i in layout]
+        consts = [i for i, v in enumerate(roots) if type(v) is float]
+        coords = sorted({x.index for op in self.ops for x in op.args if type(x) is CoordRef}
+                        | {v.index for v in roots if type(v) is CoordRef})
+        self.consts, self.coords = np.array([roots[i] for i in consts]), np.array(coords, dtype=np.intp)
+        self.leaves = len(consts) + len(coords)
+        row = {i: r for r, i in enumerate(consts)}
+        coord_row = {index: len(consts) + i for i, index in enumerate(coords)}
+        ref = lambda v: v.row if type(v) is _Op else coord_row[v.index]
+        groups: dict[tuple, list[_Op]] = {}
+        for op in self.ops:
+            groups.setdefault((op.level, op.kind, op.key), []).append(op)
+        self.groups, self.rows = [], self.leaves
+        for (_, kind, key), ops in sorted(groups.items(), key=lambda item: item[0][0]):
+            for op in ops:
+                op.row, self.rows = self.rows, self.rows + 1
+            operands = [np.array([ref(op.args[j]) for op in ops], dtype=np.intp) for j in range(len(ops[0].args))]
+            const = np.array([op.const for op in ops]) if kind in ("scale", "shift", "rsub") else None
+            ranks = np.array([op.rank for op in ops])
+            self.groups.append((kind, key, ops[0].row, self.rows, operands, const, ranks, [op.node for op in ops]))
+        self.take = np.array([row[i] if i in row else ref(roots[i]) for i in picks], dtype=np.intp)
+        negated = np.array([i is not None and i < 0 for i in layout])
+        self.negated = negated if negated.any() else None
 
-    def value(self, node: Node):
+    def _op(self, kind, key, args, const=None, node=None) -> _Op:
+        self.ops.append(_Op(kind, key, args, const, len(self.ops), node))
+        return self.ops[-1]
+
+    def _value(self, node: Node):
         kind = type(node)
         if kind is BinOp:
-            a = self.value(node.left)
-            b = self.value(node.right)
+            a = self._value(node.left)
+            b = self._value(node.right)
             if node.op == "*":
                 return self._product(a, b)
             if node.op == "/":
@@ -530,82 +559,121 @@ class _Walk:
         if kind is Const or kind is ParamRef:
             return node.value
         if kind is Neg:
-            a = self.value(node.operand)
-            return -a if type(a) is float else -self.jet(a)
+            a = self._value(node.operand)
+            return -a if type(a) is float else self._op("neg", None, (a,))
         if kind is Pow:
             fn = jet_pow_int if isinstance(node.exponent, int) else jet_pow_real
-            return self._unary(node, fn, self.value(node.base), node.exponent)
+            return self._unary(node, fn, self._value(node.base), node.exponent)
         if kind is Call:
-            return self._unary(node, _CALLS[node.func], self.value(node.arg))
+            return self._unary(node, _CALLS[node.func], self._value(node.arg))
         raise TypeError(f"unknown node {node!r}")
-
-    def jet(self, value) -> Jet:
-        """The jet of a coordinate or jet value."""
-        if type(value) is not CoordRef:
-            return value
-        jet = self.coords.get(value.index)
-        if jet is None:
-            jet = self.coords[value.index] = Jet.coordinate(value.index, self.points[:, value.index], self.order)
-        return jet
-
-    def _live(self, value) -> Jet:
-        a = self.jet(value)
-        return a if self.dead is None else _carry(a, self.dead)
 
     def _product(self, a, b):
         if type(a) is float:
-            return a * b if type(b) is float else self._live(b).scaled(a)
+            return a * b if type(b) is float else self._op("scale", None, (b,), a)
         if type(b) is float:
-            return self._live(a).scaled(b)
+            return self._op("scale", None, (a,), b)
         if type(b) is CoordRef:
-            return _mul_coordinate(self._live(a), b.index, self.points[:, b.index], left=False)
+            return self._op("mulx", (b.index, False), (a,))
         if type(a) is CoordRef:
-            return _mul_coordinate(self._live(b), a.index, self.points[:, a.index], left=True)
-        return _mul_scalar(self._live(a), self._live(b))
+            return self._op("mulx", (a.index, True), (b,))
+        return self._op("mul", None, (a, b))
 
     def _sum(self, op: str, a, b):
         if type(a) is float and type(b) is float:
             return a + b if op == "+" else a - b
         if type(b) is float:
-            f = self._live(a)
-            value = f.data[0] + b if op == "+" else f.data[0] - b
-            return Jet._trusted(f.order, [value] + f.data[1:])
+            # f - c is f + (-c), bit for bit
+            return self._op("shift", None, (a,), b if op == "+" else -b)
         if type(a) is float:
-            f = self._live(b)
-            if op == "+":
-                return Jet._trusted(f.order, [a + f.data[0]] + f.data[1:])
-            return Jet._trusted(f.order, [a - f.data[0]] + [-d for d in f.data[1:]])
-        ufunc = np.add if op == "+" else np.subtract
-        a, b = self._live(a), self._live(b)
-        return Jet._trusted(self.order, [ufunc(x, y) for x, y in zip(a.data, b.data)])
+            return self._op("shift" if op == "+" else "rsub", None, (b,), a)
+        return self._op(op, None, (a, b))
 
     def _unary(self, node: Node, fn, a, *args):
-        """``fn(a, *args)`` with per-point faults named after ``node``; for a
-        constant ``a`` a float, by the jet code at a chunk of one."""
-        faults = self.faults
-        if type(a) is float:
-            met = [None]
-            value = fn(Jet._trusted(0, [np.array([a])]), *args, faults=met).value[0]
-            if met[0] is None:
-                return float(value)
-            self._record(node, [met[0] if f is None else f for f in faults])
-            return 1.0
-        live = faults.count(None)
-        out = fn(self._live(a), *args, faults=faults)
-        if faults.count(None) != live:
-            self._record(node, faults)
-        return out
+        """``fn(a, *args)``, a constant ``a`` folded by the jet code."""
+        if type(a) is not float:
+            return self._op("chain", (fn,) + args, (a,), node=node)
+        met = [None]
+        value = fn(Jet._trusted(0, [np.array([a])]), *args, faults=met).value[0]
+        if met[0] is not None and self.fault is None:
+            self.fault = (len(self.ops) - 0.5, met[0], node)
+        return 1.0 if met[0] is not None else float(value)
 
-    def _record(self, node: Node, met: list):
-        """Record the fault each live point met, a ``JetDomainError`` as a
-        ``DomainFault`` naming ``node``, and mark those points dead."""
-        text = _node_str(node)
-        for i, fault in enumerate(met):
-            if self.dead is None or not self.dead[i]:
-                if isinstance(fault, JetDomainError):
-                    fault = DomainFault(str(fault), text)
-                self.faults[i] = fault
-        self.dead = np.array([f is not None for f in self.faults])
+    def jet(self, points, order: int, faults: list) -> Jet:
+        """The jet of the trees at ``points``, shape (N,) + ``shape``, each
+        point's fault in its empty slot of ``faults``."""
+        if not 0 <= order <= MAX_ORDER:
+            raise ExpressionError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
+        points = self.chart.require_inside(points) if self.chart else np.asarray(points, dtype=float)
+        data = []
+        for s in self._run(points, order, faults):
+            d = np.take(s, self.take, axis=1)
+            if self.negated is not None:
+                np.negative(d, out=d, where=self.negated.reshape((-1,) + (1,) * (d.ndim - 2)))
+            data.append(d.reshape((len(points),) + self.shape + d.shape[2:]))
+        return Jet._trusted(order, data)
+
+    def _run(self, points: np.ndarray, order: int, faults: list) -> list:
+        n, c = len(points), len(self.consts)
+        store = [np.empty((n, self.rows) + (DIM,) * k) for k in range(order + 1)]
+        store[0][:, :c] = self.consts
+        store[0][:, c : self.leaves] = np.take(points, self.coords, axis=1)
+        for s in store[1:]:
+            s[:, : self.leaves] = 0.0
+        if order:
+            store[1][:, np.arange(c, self.leaves), self.coords] = 1.0
+        known, met = None, {}  # each point's lowest fault rank so far, and that fault
+        if any(faults) or self.fault:
+            known = np.array([np.inf if f is None else -1.0 for f in faults])
+            if self.fault:
+                rank, exc, node = self.fault
+                met = dict.fromkeys(np.flatnonzero(known > rank).tolist(), (copy.copy(exc), node))
+                known[known > rank] = rank
+        for kind, key, start, stop, operands, const, ranks, nodes in self.groups:
+            dead = None if known is None or kind == "neg" else known[:, None] < ranks
+            args = []
+            for rows in operands:
+                a = Jet._trusted(order, [np.take(s, rows, axis=1) for s in store])
+                args.append(_carry(a, dead) if dead is not None and dead.any() else a)
+            a = args[0].data
+            if kind == "neg":
+                out = [-d for d in a]
+            elif kind == "scale":
+                out = [const.reshape((-1,) + (1,) * k) * d for k, d in enumerate(a)]
+            elif kind == "shift":
+                out = [a[0] + const] + a[1:]
+            elif kind == "rsub":
+                out = [const - a[0]] + [-d for d in a[1:]]
+            elif kind == "+" or kind == "-":
+                out = [(np.add if kind == "+" else np.subtract)(x, y) for x, y in zip(a, args[1].data)]
+            elif kind == "mul":
+                out = _mul_scalar(args[0], args[1]).data
+            elif kind == "mulx":
+                out = _mul_coordinate(args[0], key[0], points[:, key[0], None], key[1]).data
+            else:
+                # each row of each point a slot; a dead one is carried
+                slots = [None] * a[0].size if dead is None else [d or None for d in dead.ravel().tolist()]
+                live = slots.count(None)
+                flat = Jet._trusted(order, [d.reshape((-1,) + d.shape[2:]) for d in a])
+                out = [d.reshape(a[0].shape + d.shape[1:]) for d in key[0](flat, *key[1:], faults=slots).data]
+                if slots.count(None) != live:
+                    known = np.full(n, np.inf) if known is None else known
+                    for j, exc in enumerate(slots):
+                        p, i = divmod(j, stop - start)
+                        if exc is not None and exc is not True and ranks[i] < known[p]:
+                            known[p], met[p] = ranks[i], (exc, nodes[i])
+            for s, d in zip(store, out):
+                s[:, start:stop] = d
+        for p, (exc, node) in met.items():
+            faults[p] = DomainFault(str(exc), _node_str(node)) if isinstance(exc, JetDomainError) else exc
+        return store
+
+
+def eval_jet(expr: Expression, points, order: int, faults: list) -> Jet:
+    """Evaluate an expression to the scalar jet of the requested order at
+    an (N, 4) array of points, as a program of one tree (``JetProgram``),
+    each point's first fault in its empty slot of ``faults``."""
+    return eval_jet_grid(expr, points, order, faults)
 
 
 def evaluate(expr: Expression, point: Sequence[float]) -> float:
@@ -620,12 +688,12 @@ def evaluate(expr: Expression, point: Sequence[float]) -> float:
 
 def eval_jet_grid(exprs, points, order: int, faults: list) -> Jet:
     """Evaluate a nested sequence of Expressions into one tensor jet at an
-    (N, 4) array of points.
+    (N, 4) array of points, by a ``JetProgram`` of its entries in grid
+    order.
 
     The nesting structure becomes leading component axes, behind the point
-    axis.  Every entry writes its faults into ``faults`` as ``eval_jet``
-    does, so a point's fault is the first one in grid order.
+    axis, and a point's fault is its first one in grid order, each tree
+    taken in post-order.
     """
-    if isinstance(exprs, Expression):
-        return eval_jet(exprs, points, order, faults)
-    return jet_stack([eval_jet_grid(e, points, order, faults) for e in exprs], axis=0)
+    grid = np.array(exprs, dtype=object)
+    return JetProgram(list(grid.ravel()), grid.shape).jet(points, order, faults)

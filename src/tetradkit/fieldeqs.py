@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .exprkit import Chart, eval_jet_grid
+from .exprkit import Chart
 from .forms import (
     EPSILON,
     MixedForm,
@@ -46,10 +46,10 @@ from .forms import (
 from .geometry import (
     DET_THRESHOLD,
     SingularTetradError,
+    _GridField,
     _PairField,
     inverse_tetrad_jet,
     metric_jet,
-    parse_grid,
     torsion_jet,
     torsion_tensor_jet,
 )
@@ -115,10 +115,10 @@ def einstein_jet(riemann: Jet, einv: Jet, g: Jet, f: Jet) -> Jet:
     return ricci - jet_einsum("mw,->mw", g, scalar).scaled(0.5)
 
 
-def torsion_q_jet(e_jet: Jet, omega_jet: Jet, faults: list) -> Jet:
+def torsion_q_jet(e_jet: Jet, wmix: Jet, faults: list) -> Jet:
     """Torsion components q[mu, nu, sigma] with derivatives; a singular
     tetrad's fault goes into ``faults`` as ``inverse_tetrad_jet`` puts it."""
-    theta = torsion_jet(e_jet, omega_jet)
+    theta = torsion_jet(e_jet, wmix)
     return torsion_tensor_jet(theta, inverse_tetrad_jet(e_jet, faults))
 
 
@@ -184,14 +184,10 @@ class SpinSourceField(_PairField):
     symbol = "Sigma"
 
 
-class StressField:
+class StressField(_GridField):
     """Explicit stress t[mu, nu] given as a 4x4 grid of expressions."""
 
-    def __init__(self, texts: Sequence[Sequence[str]], chart: Chart, params: Mapping[str, float] | None = None):
-        self.exprs = parse_grid(texts, chart, params, "stress")
-
-    def jet(self, points: np.ndarray, order: int, faults: list) -> Jet:
-        return eval_jet_grid(self.exprs, points, order, faults)
+    label = "stress"
 
 
 class MatterModel:
@@ -317,14 +313,14 @@ def torsion_three_form(theta_jet: Jet, e_jet: Jet) -> Jet:
     return _eps_pair_dual(theta_jet, e_jet)
 
 
-def derivative_torsion_three_form(e_jet: Jet, omega_jet: Jet) -> Jet:
+def derivative_torsion_three_form(e_jet: Jet, wmix: Jet) -> Jet:
     """Geometric side of the torsion equation by the derivative route, by
     its dual vector [a, b, mu]: half the epsilon contraction of the twisted
     derivative of e ^ e, (1/2) eps_abcd D_nu (e^c ^ e^d)*_{mu nu}.  A
     product-rule fact makes it agree identically with ``torsion_three_form``.
-    The tetrad jet must be one order deeper than the connection jet."""
+    The tetrad jet must be one order deeper than the connection omega^a_c."""
     pair = two_form_dual(_frame_pair(e_jet), 2)
-    return _eps_lead(twisted_divergence(omega_jet, pair, (1, 1)), 2).scaled(0.5)
+    return _eps_lead(twisted_divergence(wmix, pair, (1, 1)), 2).scaled(0.5)
 
 
 def pc_action_density(jets: PointJets, lam: float) -> np.ndarray:

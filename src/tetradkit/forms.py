@@ -322,11 +322,11 @@ def slot_action(mat: Jet, x: Jet, variances: tuple[int, ...], spec: str, acc: Je
     return acc
 
 
-def twisted_divergence(omega: Jet, y: Jet, variances: tuple[int, ...]) -> Jet:
+def twisted_divergence(wmix: Jet, y: Jet, variances: tuple[int, ...]) -> Jet:
     """D_mu y[.., mu], one order below ``y``, its internal axes leading as
-    in ``covariant_D``.  Of a 3-form's dual vector this is the coefficient
-    of the form's twisted derivative; of a 2-form's ``two_form_dual``, the
-    dual vector of its twisted derivative."""
+    in ``covariant_D``, which also takes ``wmix``.  Of a 3-form's dual
+    vector this is the coefficient of the form's twisted derivative; of a
+    2-form's ``two_form_dual``, the dual vector of its twisted derivative."""
     if y.order < 1:
         raise DegreeError("twisted divergence needs jet data of order >= 1")
     last = len(y.comp_shape)
@@ -334,12 +334,13 @@ def twisted_divergence(omega: Jet, y: Jet, variances: tuple[int, ...]) -> Jet:
     if not variances:
         return out
     xs = _LABELS[len(variances) : len(y.comp_shape) - 1]
-    wmat = eta_lower(omega.truncated(out.order), 1)  # omega^a_c
-    return slot_action(wmat, y.truncated(out.order), variances, f"{{w}}m,{{i}}{xs}m->{{o}}{xs}", out)
+    spec = f"{{w}}m,{{i}}{xs}m->{{o}}{xs}"
+    return slot_action(wmix.truncated(out.order), y.truncated(out.order), variances, spec, out)
 
 
-def covariant_D(omega: Jet, alpha: Jet, variances: tuple[int, ...]) -> Jet:
-    """Covariant derivative of internal-indexed components, new slot first.
+def covariant_D(wmix: Jet, alpha: Jet, variances: tuple[int, ...]) -> Jet:
+    """Covariant derivative of internal-indexed components, new slot first,
+    by the connection omega^a_c, ``wmix`` = ``eta_lower(omega, 1)``.
 
     ``alpha`` has its internal axes leading (one per entry of ``variances``,
     +1 up or -1 down) followed by any passenger axes.  The result inserts the
@@ -359,8 +360,8 @@ def covariant_D(omega: Jet, alpha: Jet, variances: tuple[int, ...]) -> Jet:
     if ni == 0:
         return out
     xs = _LABELS[ni:nc]
-    wmat = eta_lower(omega.truncated(out.order), 1)  # omega^a_c
-    return slot_action(wmat, alpha.truncated(out.order), variances, f"{{w}}m,{{i}}{xs}->{{o}}m{xs}", out)
+    spec = f"{{w}}m,{{i}}{xs}->{{o}}m{xs}"
+    return slot_action(wmix.truncated(out.order), alpha.truncated(out.order), variances, spec, out)
 
 
 def covariant_exterior_derivative(
@@ -379,5 +380,5 @@ def covariant_exterior_derivative(
         raise DegreeError("covariant exterior derivative overflows spacetime degree 4")
     if x.order < 1:
         raise DegreeError("covariant exterior derivative needs jet data of order >= 1")
-    raw = covariant_D(omega, x.jet, variances)
+    raw = covariant_D(eta_lower(omega, 1), x.jet, variances)
     return MixedForm._wrap(x.k + 1, x.p, _alt_blocks(raw, x.p, 1, x.k))

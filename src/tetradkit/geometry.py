@@ -1,7 +1,8 @@
 """Frame fields and the jet formulas a chunk of points derives from them.
 
-Field objects hold expressions over a chart and evaluate to jets at an
-(N, 4) array of points at once (see ``FrameSource``).
+Field objects hold expressions over a chart, compiled into one
+``exprkit.JetProgram`` per field, and evaluate to jets at an (N, 4) array
+of points at once (see ``FrameSource``).
 This module owns the two input formats the fields are given in:
 ``parse_grid`` validates and parses a 4x4 expression grid (tetrad,
 explicit stress) and ``_PairField`` a pair-keyed entry mapping
@@ -17,7 +18,8 @@ Index conventions, fixed here once:
 * tetrad components e[a, mu] with the internal (frame) index first;
 * inverse tetrad components einv[mu, a];
 * connection components omega[a, b, mu], antisymmetric in (a, b), both
-  internal indices up;
+  internal indices up; covariant derivatives take omega^a_c with the
+  second lowered (``eta_lower(omega, 1)``), written ``wmix``;
 * Christoffel symbols gamma[sigma, mu, nu] with mu the derivative
   direction, so covariant derivatives read
   del_mu X^sigma = d_mu X^sigma + gamma[sigma, mu, nu] X^nu;
@@ -35,7 +37,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .exprkit import Chart, ExpressionError, eval_jet_grid, parse_expression
+from .exprkit import Chart, ExpressionError, JetProgram, eval_jet_grid, parse_expression
 from .forms import covariant_D, eta_lower
 from .jets import (
     DIM,
@@ -46,6 +48,12 @@ from .jets import (
     jet_partial,
     jet_transpose,
 )
+
+# ``eval_jet_grid`` is re-exported, for a grid evaluated once by hand
+__all__ = ["DET_THRESHOLD", "ContorsionField", "FrameSource", "GeometryError", "LeviCivitaConnection",
+           "SingularTetradError", "SpinConnectionField", "SummedConnection", "TetradField", "christoffel_jet",
+           "eval_jet_grid", "field_strength_jet", "inverse_tetrad_jet", "levi_civita_jet", "metric_jet",
+           "parse_grid", "tetrad_covariant_jet", "torsion_jet", "torsion_tensor_jet"]
 
 # Smallest |det e| of a frame that is not singular.
 DET_THRESHOLD = 1e-10
@@ -97,15 +105,23 @@ def parse_grid(texts, chart: Chart, params: Mapping[str, float] | None, label: s
     return parsed
 
 
-class TetradField:
-    """Coframe e^a = e[a, mu] dx^mu given as a 4x4 grid of expressions."""
+class _GridField:
+    """A 4x4 grid of expressions, parsed against the chart and compiled into
+    one ``JetProgram``; the class's ``label`` names the grid in errors."""
 
     def __init__(self, texts: Sequence[Sequence[str]], chart: Chart, params: Mapping[str, float] | None = None):
         self.chart = chart
-        self.exprs = parse_grid(texts, chart, params, "tetrad")
+        self.exprs = parse_grid(texts, chart, params, self.label)
+        self.program = JetProgram([expr for row in self.exprs for expr in row], (DIM, DIM))
 
     def jet(self, points: np.ndarray, order: int, faults: list) -> Jet:
-        return eval_jet_grid(self.exprs, points, order, faults)
+        return self.program.jet(points, order, faults)
+
+
+class TetradField(_GridField):
+    """Coframe e^a = e[a, mu] dx^mu given as a 4x4 grid of expressions."""
+
+    label = "tetrad"
 
 
 class _PairField:
@@ -155,19 +171,18 @@ class _PairField:
                 except ExpressionError as exc:
                     raise self._entry_error(key, f" component {chart.coord_names[mu]}: {exc}") from exc
             self.exprs[(a, b)] = row
+        # each stored entry sits at [a, b, mu], its negation at [b, a, mu]
+        layout = [None] * DIM**3
+        for i, ((a, b), mu) in enumerate((pair, mu) for pair in self.exprs for mu in range(DIM)):
+            layout[(a * DIM + b) * DIM + mu], layout[(b * DIM + a) * DIM + mu] = i, -1 - i
+        self.program = JetProgram([e for row in self.exprs.values() for e in row], (DIM, DIM, DIM), layout)
 
     def _entry_error(self, key, detail: str) -> GeometryError:
         return GeometryError(f"{self.symbol} entry {self.symbol}^{{{key}}}{detail}")
 
     def jet(self, points: np.ndarray, order: int, faults: list) -> Jet:
         """The jet; entries fault in insertion order."""
-        out = Jet.zeros((len(points), DIM, DIM, DIM), order)
-        for (a, b), comps in self.exprs.items():
-            row = eval_jet_grid(comps, points, order, faults)
-            for k in range(order + 1):
-                out.data[k][:, a, b] = row.data[k]
-                out.data[k][:, b, a] = -row.data[k]
-        return out
+        return self.program.jet(points, order, faults)
 
 
 class SpinConnectionField(_PairField):
@@ -216,13 +231,13 @@ def _singular_tetrad(exc: Exception) -> SingularTetradError:
     return SingularTetradError(f"singular matrix in jet inverse: {exc}")
 
 
-def tetrad_covariant_jet(e: Jet, omega: Jet) -> Jet:
+def tetrad_covariant_jet(e: Jet, wmix: Jet) -> Jet:
     """Frame-covariant derivative of the coframe, components [a, mu, nu]."""
-    return covariant_D(omega, e, (+1,))
+    return covariant_D(wmix, e, (+1,))
 
 
-def christoffel_jet(e: Jet, omega: Jet, einv: Jet) -> Jet:
-    return jet_einsum("sa,amn->smn", einv, tetrad_covariant_jet(e, omega))
+def christoffel_jet(e: Jet, wmix: Jet, einv: Jet) -> Jet:
+    return jet_einsum("sa,amn->smn", einv, tetrad_covariant_jet(e, wmix))
 
 
 def field_strength_jet(omega: Jet) -> Jet:
@@ -236,8 +251,8 @@ def field_strength_jet(omega: Jet) -> Jet:
     return lin + quad
 
 
-def torsion_jet(e: Jet, omega: Jet) -> Jet:
-    de = tetrad_covariant_jet(e, omega)
+def torsion_jet(e: Jet, wmix: Jet) -> Jet:
+    de = tetrad_covariant_jet(e, wmix)
     return de - jet_transpose(de, (0, 2, 1))
 
 

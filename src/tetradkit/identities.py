@@ -69,8 +69,8 @@ def second_bianchi_residual(jets: PointJets) -> Jet:
     by its dual vector [a, b, mu], so callers can inspect where coherence
     fails.  Reads the connection through order 2.
     """
-    wj = jets.omega(2)
-    return twisted_divergence(wj, two_form_dual(jets.field_strength(1), 2), (1, 1))
+    wmix = jets.omega_lowered(2)
+    return twisted_divergence(wmix, two_form_dual(jets.field_strength(1), 2), (1, 1))
 
 
 def first_bianchi_residual(jets: PointJets) -> Jet:
@@ -82,8 +82,8 @@ def first_bianchi_residual(jets: PointJets) -> Jet:
     its dual vector [a, mu], zero for every frame and connection.
     """
     ej = jets.e(2)
-    wj = jets.omega(1)
-    lhs = twisted_divergence(wj, two_form_dual(jets.torsion(1), 1), (1,))
+    wmix = jets.omega_lowered(1)
+    lhs = twisted_divergence(wmix, two_form_dual(jets.torsion(1), 1), (1,))
     fdual = two_form_dual(eta_lower(jets.field_strength(0), 1), 2)
     return lhs - jet_einsum("acur,cr->au", fdual, ej)
 
@@ -107,7 +107,7 @@ def _stress_coframe_wedge(dvec: Jet, e_jet: Jet) -> Jet:
 
 
 def _three_form_laws(
-    ej: Jet, wj: Jet, einv: Jet, theta: Jet, f: Jet, dvec: Jet, dpair: Jet
+    ej: Jet, wmix: Jet, einv: Jet, theta: Jet, f: Jet, dvec: Jet, dpair: Jet
 ) -> tuple[MixedForm, MixedForm]:
     """The derivative laws shared by the geometric sides and the sources.
 
@@ -123,8 +123,8 @@ def _three_form_laws(
     the 3-forms; the other jets come at that order, so the algebraic terms
     are built to it and no deeper.
     """
-    first = twisted_divergence(wj, dvec, (-1,)) - _interior_pairings(einv, theta, f, dvec, dpair)
-    second = twisted_divergence(wj, dpair, (-1, -1))
+    first = twisted_divergence(wmix, dvec, (-1,)) - _interior_pairings(einv, theta, f, dvec, dpair)
+    second = twisted_divergence(wmix, dpair, (-1, -1))
     # both sides are arrays of their own: halve and subtract in place
     for d, w in zip(second.data, _stress_coframe_wedge(dvec, ej).data):
         w *= 0.5
@@ -143,12 +143,12 @@ def rewritten_lhs_check(jets: PointJets) -> tuple[MixedForm, MixedForm]:
     connection with coherent jets.
     """
     ej = jets.e(0)
-    wj = jets.omega(0)
+    wmix = jets.omega_lowered(0)
     einv = jets.inverse_tetrad(0)
     f = jets.field_strength(0)
     theta = jets.torsion(0)
     return _three_form_laws(
-        ej, wj, einv, theta, f, jets.curvature_three_form(1), jets.torsion_three_form(1)
+        ej, wmix, einv, theta, f, jets.curvature_three_form(1), jets.torsion_three_form(1)
     )
 
 
@@ -170,13 +170,13 @@ def conservation_form_residuals(jets: PointJets) -> ConservationFormResiduals:
     they are identically zero.
     """
     ej = jets.e(0)
-    wj = jets.omega(0)
+    wmix = jets.omega_lowered(0)
     tf = jets.stress_form(1)
     sf = jets.spin_form(1)
     einv = jets.inverse_tetrad(0)
     theta = jets.torsion(0)
     f = jets.field_strength(0)
-    stress, spin = _three_form_laws(ej, wj, einv, theta, f, tf, sf)
+    stress, spin = _three_form_laws(ej, wmix, einv, theta, f, tf, sf)
     return ConservationFormResiduals(stress=stress, spin=spin)
 
 
@@ -310,12 +310,12 @@ def curvature_wedge_action(
     return slot_action(fmat, alpha.jet, variances, f"{{w}}{f_sts},{{i}}{a_sts}->{{o}}{out_sts}")
 
 
-def _twisted_exterior(wj: Jet, x: Jet, variances: tuple[int, ...], k: int) -> Jet:
+def _twisted_exterior(wmix: Jet, x: Jet, variances: tuple[int, ...], k: int) -> Jet:
     """Twisted exterior derivative of a k-form held as a run holds it: a
     form of degree 0-2 densely, a 3-form by its dual vector."""
     if k >= 2:
-        return twisted_divergence(wj, two_form_dual(x, len(variances)) if k == 2 else x, variances)
-    raw = covariant_D(wj, x, variances)
+        return twisted_divergence(wmix, two_form_dual(x, len(variances)) if k == 2 else x, variances)
+    raw = covariant_D(wmix, x, variances)
     if k == 0:
         return raw
     at = 1 + len(variances)
@@ -335,7 +335,7 @@ def d_squared_residual(
     """
     if alpha.k > 2:
         raise DegreeError(f"the twice-applied derivative of a {alpha.k}-form exceeds spacetime degree 4")
-    wj = jets.omega(2)
-    once = _twisted_exterior(wj, alpha.jet, variances, alpha.k)
-    twice = _twisted_exterior(wj, once, variances, alpha.k + 1)
+    wmix = jets.omega_lowered(2)
+    once = _twisted_exterior(wmix, alpha.jet, variances, alpha.k)
+    twice = _twisted_exterior(wmix, once, variances, alpha.k + 1)
     return twice - curvature_wedge_action(jets.field_strength(twice.order), alpha, variances)

@@ -498,12 +498,6 @@ def jet_partial(a: Jet) -> Jet:
     return Jet._trusted(a.order - 1, [a.data[k + 1] for k in range(a.order)])
 
 
-def jet_stack(jets: Sequence[Jet], axis: int = 0) -> Jet:
-    """Stack jets with identical component shapes along a new component axis."""
-    order = min(j.order for j in jets)
-    return Jet._trusted(order, [np.stack([j.data[k] for j in jets], axis=1 + axis) for k in range(order + 1)])
-
-
 def matrix_inverse(m: np.ndarray, faults: list, wrap=None) -> np.ndarray:
     """``np.linalg.inv`` of each matrix of a stack.
 
@@ -598,29 +592,30 @@ def _chain(a: Jet, derivs: Callable[[float], Sequence[float]], faults: list) -> 
     ``derivs(x)`` gives u and its first three derivatives at x and raises
     outside u's domain.
 
-    ``faults`` holds one slot per entry of ``a``'s values (per point, for a
-    scalar jet), None while the entry is live: an entry whose ``derivs``
-    raises stores the exception there, its traceback cleared, and every
-    entry with a stored fault is carried as the constant 1.
+    ``faults`` holds one slot per point, None while the point is live: a
+    point's first entry, in C order, whose ``derivs`` raises stores the
+    exception there, its traceback cleared, and every entry of a point
+    with a stored fault is carried as the constant 1.
     """
+    entries = a.value.reshape(len(faults), -1).tolist() if faults else []
     rows = []
-    for i, x in enumerate(a.value.ravel().tolist()):
+    for i, xs in enumerate(entries):
         if faults[i] is None:
             try:
-                rows.append(derivs(x))
+                rows += [derivs(x) for x in xs]
                 continue
             except (ArithmeticError, ValueError) as exc:
                 exc.__traceback__ = None
                 faults[i] = exc
-        rows.append(_CARRIED)
+        rows += [_CARRIED] * len(xs)
     dead = [f is not None for f in faults]
     if any(dead):
-        a = _carry(a, np.array(dead).reshape(a.value.shape))
+        a = _carry(a, np.array(dead))
     return _compose_scalar(a, np.array(rows, dtype=float).T.reshape((4,) + a.value.shape))
 
 
 # Each function below composes entry by entry through ``_chain``, whose
-# ``faults`` slots record a faulted entry.
+# ``faults`` slots record a faulted point.
 
 
 def jet_sin(a: Jet, faults: list) -> Jet:

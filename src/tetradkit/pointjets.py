@@ -3,12 +3,13 @@ once and read by every consumer.
 
 A ``PointJets`` holds a tetrad source, a connection source, its points and
 the matter model whose sources live on that frame.  It serves the two
-source jets and the tensors derived from them: the inverse tetrad, the
-metric and its inverse, the Christoffel symbols, the field strength F, the
-torsion form and tensor, the Riemann and Einstein tensors, the tetrad
-determinant, the stress and spin sources with their 3-forms, and the
-geometric 3-forms of the two field equations, the torsion side by both of
-its routes, each 3-form by its dual vector.  Each is computed at most once,
+source jets and the tensors derived from them: the connection omega^a_c
+that covariant derivatives take, the inverse tetrad, the metric and its
+inverse, the Christoffel symbols, the field strength F, the torsion form
+and tensor, the Riemann and Einstein tensors, the tetrad determinant, the
+stress and spin sources with their 3-forms, and the geometric 3-forms of
+the two field equations, the torsion side by both of its routes, each
+3-form by its dual vector.  Each is computed at most once,
 by the ``geometry`` or ``fieldeqs`` function a caller would apply to the
 jets directly, at the deepest order a reader of this recipe asks of it
 (``DEPTH`` for the source jets).  A lower order is served by truncation.
@@ -21,10 +22,10 @@ one.  Every jet carries the point axis first, and each point's slice holds
 the bits that point's derivation as a chunk of one would hold.  A source
 is evaluated for the whole chunk, ``source.jet(points, order, faults)``,
 and only by the quantity that reads it (e, omega, stress, spin), which is
-memoized at that source's top order, so each expression tree is walked
-once per chunk.  A Levi-Civita connection of the derivation's own tetrad
-is ``levi_civita_jet`` of the memoized tetrad and inverse, and a sum is
-read by its parts.
+memoized at that source's top order, so each expression field runs its
+program once per chunk.  A Levi-Civita connection of the derivation's own
+tetrad is ``levi_civita_jet`` of the memoized tetrad and inverse, and a
+sum is read by its parts.
 
 A fault at a point (a domain fault of an expression, a singular tetrad or
 metric) stays with that point.  Each quantity keeps one slot per point,
@@ -53,7 +54,7 @@ from .fieldeqs import (
     riemann_jet,
     torsion_three_form,
 )
-from .forms import MixedForm
+from .forms import MixedForm, eta_lower
 from .geometry import (
     FrameSource,
     LeviCivitaConnection,
@@ -146,6 +147,10 @@ class PointJets:
         """Connection components omega[a, b, mu]."""
         return self._serve("omega", order, DEPTH, lambda k: self.read(self.omega_source, k))
 
+    def omega_lowered(self, order: int) -> Jet:
+        """omega^a_c, the second index lowered: what covariant derivatives take."""
+        return self._serve("wmix", order, DEPTH, lambda k: eta_lower(self.omega(k), 1))
+
     def read(self, source: FrameSource, order: int) -> Jet:
         """``source``'s jet at these points, unmemoized: the Levi-Civita
         connection of the tetrad from the memoized tetrad and inverse, a sum
@@ -195,7 +200,7 @@ class PointJets:
             "theta",
             order,
             DEPTH - 1,
-            lambda k: MixedForm(2, 1, torsion_jet(self.e(k + 1), self.omega(k))).jet,
+            lambda k: MixedForm(2, 1, torsion_jet(self.e(k + 1), self.omega_lowered(k))).jet,
         )
 
     def christoffel(self, order: int) -> Jet:
@@ -205,7 +210,7 @@ class PointJets:
             order,
             0,
             lambda k: christoffel_jet(
-                self.e(k + 1), self.omega(k), self.inverse_tetrad(k + 1)
+                self.e(k + 1), self.omega_lowered(k), self.inverse_tetrad(k + 1)
             ),
         )
 
@@ -258,7 +263,7 @@ class PointJets:
             "torsion3d",
             order,
             0,
-            lambda k: derivative_torsion_three_form(self.e(k + 1), self.omega(k)),
+            lambda k: derivative_torsion_three_form(self.e(k + 1), self.omega_lowered(k)),
         )
 
     # -- matter sources, from ``matter``'s builders ------------------------

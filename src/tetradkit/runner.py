@@ -59,7 +59,7 @@ from .jets import DIM, Jet, JetDomainError
 from .pointjets import PointJets
 from .scenarios import Scenario
 
-# Sample points derived together: one walk per expression tree and one
+# Sample points derived together: one program run per expression field and one
 # derivation, with the point axis first, per chunk.  A chunk's working set
 # grows by about 80-100 KB per point (tracemalloc), 50-60 KB of it the
 # memo.  Larger chunks save calls per point but raise a run's peak memory;

@@ -12,8 +12,9 @@ compact route with ``three_form_dual`` of its dense reference, or with a
 
 Expression jets have two references here.  ``tree_walk_jet`` walks the
 tree with a full jet at every node, constants and coordinates included,
-and a Leibniz product at every ``*``: the route ``exprkit.eval_jet``
-shortcuts.  ``finite_difference_oracle`` estimates the jet by central
+and a Leibniz product at every ``*``: the route an ``exprkit.JetProgram``
+shortcuts and batches level by level; ``tree_walk_field`` assembles a
+field's jet from it entry by entry.  ``finite_difference_oracle`` estimates the jet by central
 differences of mpmath values and shares nothing with the chain rule code
 but the parsed tree.
 """
@@ -210,6 +211,29 @@ def three_form_laws(jets, vec3: MixedForm, pair3: MixedForm):
 # -- expression jets ---------------------------------------------------------
 
 
+def jet_stack(jets: Sequence[Jet], axis: int = 0) -> Jet:
+    """Stack jets with identical component shapes along a new component
+    axis: how a grid's jet was assembled entry by entry, laid out as a
+    grid field's jet must be."""
+    order = min(j.order for j in jets)
+    return Jet._trusted(order, [np.stack([j.data[k] for j in jets], axis=1 + axis) for k in range(order + 1)])
+
+
+def tree_walk_field(field, points, order: int, faults: list) -> Jet:
+    """A grid or pair field's jet by ``tree_walk_jet`` of each entry in the
+    field's fault order, the grid stacked and the pairs scattered with
+    their antisymmetric partners into a zero jet."""
+    if not isinstance(field.exprs, dict):
+        return jet_stack([jet_stack([tree_walk_jet(e, points, order, faults) for e in row]) for row in field.exprs])
+    out = Jet.zeros((len(points), DIM, DIM, DIM), order)
+    for (a, b), comps in field.exprs.items():
+        row = jet_stack([tree_walk_jet(e, points, order, faults) for e in comps])
+        for k in range(order + 1):
+            out.data[k][:, a, b] = row.data[k]
+            out.data[k][:, b, a] = -row.data[k]
+    return out
+
+
 def tree_walk_jet(expr: Expression, points, order: int, faults: list) -> Jet:
     """``exprkit.eval_jet`` by a full jet at every node of the tree."""
     if not 0 <= order <= MAX_ORDER:
@@ -219,7 +243,9 @@ def tree_walk_jet(expr: Expression, points, order: int, faults: list) -> Jet:
 
 class _TreeWalk:
     """One post-order walk at N points, every node's jet with the point
-    axis first; faults and dead points as in ``exprkit._Walk``."""
+    axis first.  A point's first fault, a ``JetDomainError`` renamed to a
+    ``DomainFault`` naming its node, goes into its slot of ``faults``, and
+    from then on every operand is carried as the constant 1 there."""
 
     def __init__(self, points: np.ndarray, order: int, faults: list):
         self.points = points

@@ -1,4 +1,4 @@
-"""Expression trees walked once for many points: bit-identical to one point
+"""Expression programs run once for many points: bit-identical to one point
 at a time, a chunk of one, with each point's fault kept to itself in the
 caller's list."""
 
@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tetradkit import exprkit
-from tetradkit.exprkit import Chart, DomainFault, eval_jet, eval_jet_grid, parse_expression
+from tetradkit.exprkit import Chart, DomainFault, JetProgram, eval_jet, eval_jet_grid, parse_expression
 from tetradkit.geometry import ContorsionField, SpinConnectionField, SummedConnection
 from tetradkit.jets import Jet, JetDomainError
 
@@ -254,38 +253,43 @@ def test_a_served_fault_is_raised_only_when_read():
     assert "sqrt of negative value -0.5" in str(faults[1])
 
 
-def test_each_tree_is_walked_once_per_chunk(monkeypatch):
-    sc = builtin_scenario("random-fields")
-    walks = {}
-    original = exprkit.eval_jet
+@pytest.mark.parametrize("name", ["random-fields", "flrw-explicit-matter"])
+def test_each_program_runs_once_per_chunk(name, monkeypatch):
+    """Each expression field runs its one program once per chunk, and each
+    tree of the scenario is compiled into exactly one program."""
+    sc = scenario_from_dict(SCENARIOS[name](), source=name)
+    runs = {}
+    original = JetProgram.jet
 
-    def counting(expr, points, order, faults):
-        walks[id(expr)] = walks.get(id(expr), 0) + 1
-        return original(expr, points, order, faults)
+    def counting(program, points, order, faults):
+        runs[id(program)] = runs.get(id(program), 0) + 1
+        return original(program, points, order, faults)
 
-    monkeypatch.setattr(exprkit, "eval_jet", counting)
+    monkeypatch.setattr(JetProgram, "jet", counting)
     run_checks(sc, points=100, seed=0)
-    trees = [expr for row in sc.tetrad.exprs for expr in row]
-    trees += [expr for row in sc.connection.exprs.values() for expr in row]
-    assert len(trees) == 40
-    assert {walks.get(id(expr)) for expr in trees} == {math.ceil(100 / CHUNK)}
-    assert len(walks) == 40
+    fields = _expression_fields(sc)
+    assert len(fields) == (2 if name == "random-fields" else 3)
+    assert {runs.get(id(field.program)) for field in fields} == {math.ceil(100 / CHUNK)}
+    assert len(runs) == len(fields)
+    compiled = [id(expr) for field in fields for expr in field.program.exprs]
+    assert sorted(compiled) == sorted(id(expr) for field in fields for expr in _trees(field))
+    assert len(set(compiled)) == len(compiled) == (16 + 24 if name == "random-fields" else 16 + 16 + 4)
 
 
-def test_explicit_matter_is_walked_once_per_chunk(monkeypatch):
-    sc = scenario_from_dict(_explicit_matter_document())
-    walks = {}
-    original = exprkit.eval_jet
-
-    def counting(expr, points, order, faults):
-        walks[id(expr)] = walks.get(id(expr), 0) + 1
-        return original(expr, points, order, faults)
-
-    monkeypatch.setattr(exprkit, "eval_jet", counting)
-    run_checks(sc, points=100, seed=0)
-    trees = [expr for field in (sc.matter._stress, sc.matter._spin) for expr in _trees(field)]
-    assert len(trees) == 16 + 4
-    assert {walks.get(id(expr)) for expr in trees} == {math.ceil(100 / CHUNK)}
+def test_the_lowest_ranked_fault_wins_whatever_its_level():
+    # the sqrt of the first entry sits three levels up, the log of the
+    # second one level up: at x0 = -0.9 both fault, the log first in level
+    # order and the sqrt first in rank order; at -0.5 only the log faults
+    grid = [[parse_expression(t, CHART) for t in ("sqrt(2*(x0 + 0.75))", "log(x0)")]]
+    tree = parse_expression("sqrt(2*(x0 + 0.75)) + log(x0)", CHART)
+    points = np.array([[x, 0.0, 0.0, 0.0] for x in (-0.9, -0.5, 0.5)])
+    for fn in (lambda p, *a: eval_jet_grid(grid, p, *a), _eval(tree)):
+        jet, faults = _chunk(fn, points, 2)
+        assert str(faults[0]).startswith("sqrt of negative value -0.3")
+        assert str(faults[1]) == "log of non-positive value -0.5 in 'log(x0)'"
+        assert faults[2] is None
+        for i, point in enumerate(points):
+            _same(_alone(fn, point, 2), _at(jet, faults, i))
 
 
 @pytest.mark.parametrize("name", ["schwarzschild", "schwarzschild-horizon", "flat-contorsion", "random-fields"])

@@ -29,7 +29,7 @@ from tetradkit.fieldeqs import (
     torsion_equation_sides,
     torsion_three_form,
 )
-from tetradkit.forms import EPSILON, MixedForm, epsilon_trace, internal_wedge
+from tetradkit.forms import EPSILON, MixedForm, epsilon_trace, eta_lower, internal_wedge
 from tetradkit.geometry import (
     GeometryError,
     LeviCivitaConnection,
@@ -439,7 +439,7 @@ class TestTorsionEquation:
         ej = at(e, point, 1)
         from tetradkit.geometry import torsion_jet
 
-        theta = torsion_jet(ej, at(w, point, 0)).value[0]
+        theta = torsion_jet(ej, eta_lower(at(w, point, 0), 1)).value[0]
         ref = np.einsum("abcd,cdmnr->abmnr", EPSILON, labeled_wedge([(theta, 2), (ej.value[0], 1)]))
         assert np.allclose(C.value[0], _dual(ref), atol=1e-12)
 

