@@ -57,7 +57,6 @@ from .jets import (
     DIM,
     Jet,
     jet_einsum,
-    jet_map,
     jet_reciprocal,
 )
 
@@ -92,8 +91,9 @@ class FieldEquationError(ValueError):
 def determinant_jet(e_jet: Jet) -> Jet:
     """Determinant of the 4x4 component block, carried to the jet's order:
     eps_abcd e^a_0 e^b_1 e^c_2 e^d_3, one column at a time."""
-    col = [jet_map(lambda arr, m=m: arr[:, m], e_jet) for m in range(DIM)]
-    det = jet_map(lambda arr: np.einsum("abcd,a...->bcd...", EPSILON, arr), col[0])
+    # the columns stay views: the products' bits depend on operand layout
+    col = [Jet._trusted(e_jet.order, [d[:, :, m] for d in e_jet.data]) for m in range(DIM)]
+    det = Jet._trusted(e_jet.order, [np.einsum("abcd,za...->zbcd...", EPSILON, d) for d in col[0].data])
     det = jet_einsum("bcd,b->cd", det, col[1])
     det = jet_einsum("cd,c->d", det, col[2])
     return jet_einsum("d,d->", det, col[3])
@@ -109,7 +109,7 @@ def riemann_jet(e_jet: Jet, einv: Jet, f: Jet) -> Jet:
 def einstein_jet(riemann: Jet, einv: Jet, g: Jet, f: Jet) -> Jet:
     """Einstein tensor components [mu, nu] from the Riemann, inverse tetrad,
     metric and field strength jets."""
-    ricci = jet_map(lambda arr: np.einsum("msws...->mw...", arr), riemann)
+    ricci = Jet._trusted(riemann.order, [np.einsum("zmsws...->zmw...", d) for d in riemann.data])
     half = jet_einsum("ma,abmw->bw", einv, f)
     scalar = jet_einsum("wb,bw->", einv, half).scaled(-1.0)
     return ricci - jet_einsum("mw,->mw", g, scalar).scaled(0.5)

@@ -1,16 +1,22 @@
 """Internal-space algebra: mixed forms, wedge products, epsilon contractions.
 
-A MixedForm(k, p) holds components antisymmetric separately in k spacetime
-indices and p internal indices, as a jet, so every form can also carry
-exact derivative data; a plain array, point axis first, is accepted and
-treated as an order-0 jet.  Component axes are ordered internal first,
-then spacetime, behind the point axis.  A run holds forms of degree 0-2
-this way and higher degrees as plain jets: a 3-form x by its dual vector
+A spacetime k-form with values in antisymmetric internal rank p has
+components antisymmetric separately in its k spacetime and p internal
+indices, ordered internal first, then spacetime, behind the point axis.
+A run holds every form as a plain jet, its degrees fixed by the code that
+reads it: a form of degree 0-2 densely, a 3-form x by its dual vector
 d[.., mu] = s_mu x[.., compl mu] (compl mu the other three indices in
 order, s = (+, -, +, -) the sign of the (1|3) shuffle that puts mu
 first), a 4-form by its one coefficient (below).
 ``two_form_dual`` and ``twisted_divergence`` take the twisted exterior
-derivative from one storage to the next.
+derivative from one storage to the next; ``check_degrees`` and
+``check_antisymmetric`` check a jet against its degrees.
+
+The dense algebra beside them, ``MixedForm`` (a jet tagged with (k, p),
+checked on construction; a plain array, point axis first, is accepted as
+an order-0 jet), ``internal_wedge`` and the exterior derivatives over
+block alternation, is no part of a run: it is the reference that the
+tests compare the run's compact routes to.
 
 Sign conventions, fixed once here and used everywhere:
 
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import DIM, Jet, _dist_perms, _perm_sign, jet_einsum, jet_map, jet_partial, jet_transpose
+from .jets import DIM, Jet, _dist_perms, _perm_sign, jet_einsum, jet_partial, jet_transpose
 
 ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -129,6 +135,26 @@ def _check_antisym(arr: np.ndarray, start: int, n: int, what: str):
             raise AntisymmetryError(f"components not antisymmetric in {what} indices")
 
 
+def check_degrees(jet: Jet, k: int, p: int) -> None:
+    """Raise ``DegreeError`` unless ``jet`` has the components of a
+    spacetime ``k``-form with values in antisymmetric internal rank ``p``:
+    ``p`` internal axes, then ``k`` spacetime axes, each of size 4."""
+    if not (0 <= k <= DIM and 0 <= p <= DIM):
+        raise DegreeError(f"degrees (k={k}, p={p}) outside 0..{DIM}")
+    if jet.comp_shape != (DIM,) * (p + k):
+        raise DegreeError(f"component shape {jet.comp_shape} does not match degrees (k={k}, p={p})")
+
+
+def check_antisymmetric(jet: Jet, k: int, p: int) -> Jet:
+    """``jet``, after raising ``AntisymmetryError`` unless every derivative
+    tensor is antisymmetric in its ``p`` internal and in its ``k``
+    spacetime component axes."""
+    for d in jet.data:
+        _check_antisym(d, 0, p, "internal")
+        _check_antisym(d, p, k, "spacetime")
+    return jet
+
+
 @dataclass
 class MixedForm:
     """Spacetime k-form with values in antisymmetric internal rank p."""
@@ -138,17 +164,10 @@ class MixedForm:
     jet: Jet
 
     def __init__(self, k: int, p: int, components, *, _checked: bool = False):
-        if not (0 <= k <= DIM and 0 <= p <= DIM):
-            raise DegreeError(f"degrees (k={k}, p={p}) outside 0..{DIM}")
         jet = components if isinstance(components, Jet) else Jet.constant(np.asarray(components, float), 0)
-        if len(jet.comp_shape) != p + k or jet.comp_shape != (DIM,) * (p + k):
-            raise DegreeError(
-                f"component shape {jet.comp_shape} does not match degrees (k={k}, p={p})"
-            )
+        check_degrees(jet, k, p)
         if not _checked:
-            for d in jet.data:
-                _check_antisym(d, 0, p, "internal")
-                _check_antisym(d, p, k, "spacetime")
+            check_antisymmetric(jet, k, p)
         self.k = k
         self.p = p
         self.jet = jet
@@ -186,9 +205,6 @@ class MixedForm:
         self._like(other, "subtract")
         return MixedForm._wrap(self.k, self.p, self.jet - other.jet)
 
-    def __neg__(self) -> "MixedForm":
-        return MixedForm._wrap(self.k, self.p, -self.jet)
-
     def scaled(self, factor: float) -> "MixedForm":
         return MixedForm._wrap(self.k, self.p, self.jet.scaled(factor))
 
@@ -218,8 +234,8 @@ def epsilon_trace(x: MixedForm) -> MixedForm:
     """
     if x.p != DIM:
         raise DegreeError(f"epsilon_trace needs internal degree {DIM}, got {x.p}")
-    jet = jet_map(lambda arr: np.einsum("abcd,abcd...->...", EPSILON, arr) / 24.0, x.jet)
-    return MixedForm._wrap(x.k, 0, jet)
+    data = [np.einsum("abcd,zabcd...->z...", EPSILON, d) / 24.0 for d in x.jet.data]
+    return MixedForm._wrap(x.k, 0, Jet._trusted(x.order, data))
 
 
 def raise_lower(x, slot: int, direction: str, metric: np.ndarray = ETA):
@@ -234,17 +250,18 @@ def raise_lower(x, slot: int, direction: str, metric: np.ndarray = ETA):
     if direction == "raise":
         mat = np.linalg.inv(mat)
 
-    def apply(arr: np.ndarray) -> np.ndarray:
-        if not 0 <= slot < arr.ndim:
-            raise ValueError(f"slot {slot} out of range for tensor of rank {arr.ndim}")
-        return np.moveaxis(np.tensordot(arr, mat, axes=([slot], [0])), -1, slot)
+    def apply(arr: np.ndarray, at: int) -> np.ndarray:
+        return np.moveaxis(np.tensordot(arr, mat, axes=([at], [0])), -1, at)
 
     if isinstance(x, Jet):
-        # guard the slot against derivative axes
+        # guard the slot against derivative axes; the point axis comes first
         if not 0 <= slot < len(x.comp_shape):
             raise ValueError(f"slot {slot} out of range for component rank {len(x.comp_shape)}")
-        return jet_map(apply, x)
-    return apply(np.asarray(x, float))
+        return Jet._trusted(x.order, [apply(d, 1 + slot) for d in x.data])
+    x = np.asarray(x, float)
+    if not 0 <= slot < x.ndim:
+        raise ValueError(f"slot {slot} out of range for tensor of rank {x.ndim}")
+    return apply(x, slot)
 
 
 def eta_lower(x, axis: int):
@@ -275,9 +292,8 @@ def interior_product(direction: np.ndarray, x: MixedForm) -> MixedForm:
     if x.k == 0:
         raise DegreeError("interior product needs spacetime degree >= 1")
     direction = np.asarray(direction, float)
-    p = x.p
-    jet = jet_map(lambda arr: np.tensordot(direction, arr, axes=([0], [p])), x.jet)
-    return MixedForm._wrap(x.k - 1, p, jet)
+    data = [np.tensordot(direction, d, axes=([0], [1 + x.p])) for d in x.jet.data]
+    return MixedForm._wrap(x.k - 1, x.p, Jet._trusted(x.order, data))
 
 
 def exterior_derivative(x: MixedForm) -> MixedForm:

@@ -49,7 +49,10 @@ from .jets import (
     jet_transpose,
 )
 
-# ``eval_jet_grid`` is re-exported, for a grid evaluated once by hand
+# ``eval_jet_grid`` is re-exported although nothing here calls it: the
+# benchmark's perfbench/tests/test_trace.py::test_uninstall_restores_every_binding
+# reads ``geometry.eval_jet_grid``, so the name stays until that test reads
+# a binding a run uses
 __all__ = ["DET_THRESHOLD", "ContorsionField", "FrameSource", "GeometryError", "LeviCivitaConnection",
            "SingularTetradError", "SpinConnectionField", "SummedConnection", "TetradField", "christoffel_jet",
            "eval_jet_grid", "field_strength_jet", "inverse_tetrad_jet", "levi_civita_jet", "metric_jet",

@@ -10,7 +10,10 @@ report a finite defect off solutions.
 
 The field-level functions read their jets from a ``PointJets``.  Each
 reads the tetrad and the connection first, in the order shown, because
-that order decides which fault a point reports when both fail.
+that order decides which fault a point reports when both fail.  Every
+residual is a plain jet or array, point axis first; a function that takes
+a form takes its jet with its spacetime degree and the variance of each
+internal slot.
 
 Two transcription facts thread through the module:
 
@@ -36,14 +39,14 @@ import numpy as np
 
 from .forms import (
     DegreeError,
-    MixedForm,
+    check_degrees,
     covariant_D,
     eta_lower,
     slot_action,
     twisted_divergence,
     two_form_dual,
 )
-from .jets import DIM, Jet, jet_einsum, jet_map
+from .jets import DIM, Jet, jet_einsum
 from .pointjets import PointJets
 
 __all__ = [
@@ -103,12 +106,12 @@ def _stress_coframe_wedge(dvec: Jet, e_jet: Jet) -> Jet:
     ``dvec``, with the lowered coframe: the coefficient [a, b] of its
     4-form, -d[a, s] e_b s antisymmetrized in (a, b)."""
     wedged = -jet_einsum("as,bs->ab", dvec, eta_lower(e_jet, 0))
-    return wedged - jet_map(lambda arr: np.swapaxes(arr, 0, 1), wedged)
+    return wedged - Jet._trusted(wedged.order, [d.swapaxes(1, 2) for d in wedged.data])
 
 
 def _three_form_laws(
     ej: Jet, wmix: Jet, einv: Jet, theta: Jet, f: Jet, dvec: Jet, dpair: Jet
-) -> tuple[MixedForm, MixedForm]:
+) -> tuple[Jet, Jet]:
     """The derivative laws shared by the geometric sides and the sources.
 
     First: the twisted derivative of the internal-vector 3-form minus the
@@ -129,10 +132,10 @@ def _three_form_laws(
     for d, w in zip(second.data, _stress_coframe_wedge(dvec, ej).data):
         w *= 0.5
         d -= w
-    return MixedForm._wrap(0, 1, first), MixedForm._wrap(0, 2, second)
+    return first, second
 
 
-def rewritten_lhs_check(jets: PointJets) -> tuple[MixedForm, MixedForm]:
+def rewritten_lhs_check(jets: PointJets) -> tuple[Jet, Jet]:
     """Derivative expansions of the two geometric equation sides.
 
     ``_three_form_laws`` of the curvature 3-form and the torsion 3-form,
@@ -158,8 +161,8 @@ class ConservationFormResiduals:
     4-form c * eps_{mu nu rho sigma} held by its coefficient c as an
     internal-valued 0-form (see ``_three_form_laws``)."""
 
-    stress: MixedForm  # coefficient [a] of the internal-vector 4-form
-    spin: MixedForm  # coefficient [a, b] of the internal-pair 4-form
+    stress: Jet  # coefficient [a] of the internal-vector 4-form
+    spin: Jet  # coefficient [a, b] of the internal-pair 4-form
 
 
 def conservation_form_residuals(jets: PointJets) -> ConservationFormResiduals:
@@ -188,10 +191,10 @@ def spin_potential_tensor(spin_jet: Jet) -> Jet:
     differentiates.  For a traceless spin source it reduces to the negated
     source itself.
     """
-    tau = jet_map(lambda arr: np.einsum("mll...->m...", arr), spin_jet)
+    tau = [np.einsum("zmll...->zm...", d) for d in spin_jet.data]
     delta = np.eye(4)
-    up = jet_map(lambda arr: np.einsum("sm,n...->mns...", delta, arr), tau)
-    down = jet_map(lambda arr: np.einsum("sn,m...->mns...", delta, arr), tau)
+    up = Jet._trusted(spin_jet.order, [np.einsum("sm,zn...->zmns...", delta, d) for d in tau])
+    down = Jet._trusted(spin_jet.order, [np.einsum("sn,zm...->zmns...", delta, d) for d in tau])
     return (spin_jet + up - down).scaled(-1.0)
 
 
@@ -281,33 +284,28 @@ def commutator_residual(jets: PointJets, vector_jet: Jet) -> Jet:
     [a, mu, nu].  Zero to rounding whenever the vector and connection jets
     are coherent: it is ``d_squared_residual`` of v as a 0-form.
     """
-    return d_squared_residual(jets, MixedForm._wrap(0, 1, vector_jet), (1,))
+    return d_squared_residual(jets, vector_jet, 0, (1,))
 
 
-def curvature_wedge_action(
-    f_jet: Jet, alpha: MixedForm, variances: tuple[int, ...]
-) -> Jet:
+def curvature_wedge_action(f_jet: Jet, alpha: Jet, k: int, variances: tuple[int, ...]) -> Jet:
     """Field-strength wedge acting on each internal slot, signed by variance.
 
     This is the right side of the squared-derivative law: applying the
     twisted derivative twice multiplies by the field strength instead of
     vanishing.  Upper slots couple positively, lower slots negatively.
-    For a 0-, 1- or 2-form ``alpha`` the (k+2)-form comes as
+    ``alpha`` is a ``k``-form with one internal slot per entry of
+    ``variances``.  For k = 0, 1 or 2 the (k+2)-form comes as
     ``d_squared_residual`` returns it: dense, by its dual vector
     F*_um alpha_m, or by its coefficient (1/2) F*_mn alpha_mn.
     """
-    if len(variances) != alpha.p:
-        raise DegreeError(
-            f"{len(variances)} variances for internal rank {alpha.p}"
-        )
-    k = alpha.k
-    if alpha.p == 0:
-        return Jet.zeros((len(alpha.values),) + (DIM,) * (2 - k), max(alpha.order - 2, 0))
+    check_degrees(alpha, k, len(variances))
+    if not variances:
+        return Jet.zeros((len(alpha.value),) + (DIM,) * (2 - k), max(alpha.order - 2, 0))
     fmat = eta_lower(f_jet, 1)
     if k:
         fmat = two_form_dual(fmat, 2).scaled(1.0 if k == 1 else 0.5)
     f_sts, a_sts, out_sts = (("uv", "", "uv"), ("um", "m", "u"), ("mn", "mn", ""))[k]
-    return slot_action(fmat, alpha.jet, variances, f"{{w}}{f_sts},{{i}}{a_sts}->{{o}}{out_sts}")
+    return slot_action(fmat, alpha, variances, f"{{w}}{f_sts},{{i}}{a_sts}->{{o}}{out_sts}")
 
 
 def _twisted_exterior(wmix: Jet, x: Jet, variances: tuple[int, ...], k: int) -> Jet:
@@ -322,20 +320,20 @@ def _twisted_exterior(wmix: Jet, x: Jet, variances: tuple[int, ...], k: int) -> 
     return raw - Jet._trusted(raw.order, [d.swapaxes(at, at + 1) for d in raw.data])
 
 
-def d_squared_residual(
-    jets: PointJets, alpha: MixedForm, variances: tuple[int, ...]
-) -> Jet:
+def d_squared_residual(jets: PointJets, alpha: Jet, k: int, variances: tuple[int, ...]) -> Jet:
     """Twice-applied twisted derivative minus the field-strength action.
 
     Zero to rounding for coherent jets; for a field strength that
     identically vanishes the twice-applied derivative is zero on its own.
-    ``alpha`` is a 0-, 1- or 2-form with jets of order 2.  The (k+2)-form
-    comes densely for k = 0, by its dual vector for k = 1, and by its
+    ``alpha`` is a ``k``-form, k = 0, 1 or 2, with one internal slot per
+    entry of ``variances`` and jets of order 2.  The (k+2)-form comes
+    densely for k = 0, by its dual vector for k = 1, and by its
     coefficient for k = 2.
     """
-    if alpha.k > 2:
-        raise DegreeError(f"the twice-applied derivative of a {alpha.k}-form exceeds spacetime degree 4")
+    check_degrees(alpha, k, len(variances))
+    if k > 2:
+        raise DegreeError(f"the twice-applied derivative of a {k}-form exceeds spacetime degree 4")
     wmix = jets.omega_lowered(2)
-    once = _twisted_exterior(wmix, alpha.jet, variances, alpha.k)
-    twice = _twisted_exterior(wmix, once, variances, alpha.k + 1)
-    return twice - curvature_wedge_action(jets.field_strength(twice.order), alpha, variances)
+    once = _twisted_exterior(wmix, alpha, variances, k)
+    twice = _twisted_exterior(wmix, once, variances, k + 1)
+    return twice - curvature_wedge_action(jets.field_strength(twice.order), alpha, k, variances)

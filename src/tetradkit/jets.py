@@ -441,40 +441,6 @@ def _einsum_plan(spec: str, K: int, shape_a: tuple, shape_b: tuple) -> tuple:
     return tuple(plan)
 
 
-def jet_map(fn: Callable[[np.ndarray], np.ndarray], a: Jet) -> Jet:
-    """Apply a fixed linear map to every derivative tensor of a jet.
-
-    Valid only for maps with constant coefficients (contraction with a
-    constant tensor, transposition, slicing): those commute with taking
-    derivatives.  ``fn`` sees a point's component axes first: the point
-    axis is handed to it last, behind the derivative axes, and put back in
-    front of its result, with each point's slice laid out as ``fn`` lays out
-    one point's (``_laid_out_like``).
-    """
-    data = []
-    for d in a.data:
-        out = fn(d.transpose(tuple(range(1, d.ndim)) + (0,)))
-        out = out.transpose((out.ndim - 1,) + tuple(range(out.ndim - 1)))
-        data.append(_laid_out_like(out, fn(d[0])))
-    return Jet(a.order, data)
-
-
-def _laid_out_like(batch: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """``batch``, whose first axis is the point axis, with that axis
-    outermost in memory and each point's slice in the memory order of
-    ``like``, one point's array: numpy's reductions may sum in another
-    order over another layout, so the slice then gets the same bits from
-    them as the point alone."""
-    inner = [1 + ax for ax in sorted(range(like.ndim), key=lambda ax: -like.strides[ax])]
-    strides = [batch.strides[ax] for ax in [0] + inner]
-    if strides == sorted(strides, reverse=True):
-        return batch
-    perm = [0] + inner
-    out = np.empty([batch.shape[ax] for ax in perm]).transpose(np.argsort(perm))
-    out[...] = batch
-    return out
-
-
 def jet_transpose(a: Jet, perm: Sequence[int]) -> Jet:
     """Permute component axes; point and derivative axes stay in place."""
     nc = len(a.comp_shape)

@@ -15,7 +15,11 @@ jets directly, at the deepest order a reader of this recipe asks of it
 (``DEPTH`` for the source jets).  A lower order is served by truncation.
 Every order-k jet formula reads only orders up to k, so a truncated jet
 holds the same bits as one derived at the lower order.  A deeper order
-raises ``JetError``.
+raises ``JetError``.  Every quantity is served as a plain ``Jet``, forms
+included: the field strength and the torsion form are checked
+antisymmetric once, when they are built (``forms.check_antisymmetric``
+raises ``AntisymmetryError`` for the whole chunk), and each reader knows
+the degrees of the forms it reads.
 
 The points are an (N, 4) array, a chunk; a single point is a chunk of
 one.  Every jet carries the point axis first, and each point's slice holds
@@ -54,7 +58,7 @@ from .fieldeqs import (
     riemann_jet,
     torsion_three_form,
 )
-from .forms import MixedForm, eta_lower
+from .forms import check_antisymmetric, eta_lower
 from .geometry import (
     FrameSource,
     LeviCivitaConnection,
@@ -190,7 +194,7 @@ class PointJets:
         """F[a, b, mu, nu], from the connection one order deeper; checked
         antisymmetric in each pair here, once, for all its readers."""
         return self._serve(
-            "F", order, DEPTH - 1, lambda k: MixedForm(2, 2, field_strength_jet(self.omega(k + 1))).jet
+            "F", order, DEPTH - 1, lambda k: check_antisymmetric(field_strength_jet(self.omega(k + 1)), 2, 2)
         )
 
     def torsion(self, order: int) -> Jet:
@@ -200,7 +204,7 @@ class PointJets:
             "theta",
             order,
             DEPTH - 1,
-            lambda k: MixedForm(2, 1, torsion_jet(self.e(k + 1), self.omega_lowered(k))).jet,
+            lambda k: check_antisymmetric(torsion_jet(self.e(k + 1), self.omega_lowered(k)), 2, 1),
         )
 
     def christoffel(self, order: int) -> Jet:

@@ -43,7 +43,6 @@ from .fieldeqs import (
     torsion_equation_residual,
     torsion_equation_sides,
 )
-from .forms import MixedForm
 from .geometry import GeometryError, LeviCivitaConnection
 from .identities import (
     commutator_residual,
@@ -69,9 +68,10 @@ CHUNK = 12
 
 class RunnerError(ValueError):
     """Bad run options (unknown check names, tolerance keys, tolerances
-    that are not positive finite numbers, or a seed that is not a
-    nonnegative integer), or a point the run cannot score: a mirrored
-    tetrad or a non-finite residual."""
+    that are not positive finite numbers, a point count that is not a
+    positive integer, or a seed or jet order cap that is not a nonnegative
+    integer; a bool is not an integer here), or a point the run cannot
+    score: a mirrored tetrad or a non-finite residual."""
 
 
 # What a point may raise and still leave the run going: domain faults of
@@ -217,7 +217,7 @@ def _check_d_squared(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
     rngs = [_aux_rng(stream, "d2-law") for stream in streams]
     alphas = _random_jets(rngs, ((DIM,), (DIM,), (DIM, DIM)))
     return tuple(
-        d_squared_residual(jets, MixedForm._wrap(0, len(variances), alpha), variances).value
+        d_squared_residual(jets, alpha, 0, variances).value
         for variances, alpha in zip(((1,), (-1,), (1, -1)), alphas)
     )
 
@@ -235,7 +235,7 @@ def _check_nfe_leibniz(jets: PointJets, streams) -> np.ndarray:
 
 def _check_rewritten_lhs(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
     first, second = rewritten_lhs_check(jets)
-    return first.values, second.values
+    return first.value, second.value
 
 
 def _check_curvature_equation(jets: PointJets, streams) -> np.ndarray:
@@ -253,7 +253,7 @@ def _check_component_field_equations(jets: PointJets, streams) -> tuple[np.ndarr
 
 def _check_conservation_form(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
     res = conservation_form_residuals(jets)
-    return res.stress.values, res.spin.values
+    return res.stress.value, res.spin.value
 
 
 def _check_conservation_component(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
@@ -356,6 +356,10 @@ def _validate_names(names, what: str):
         )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def run_checks(
     scenario: Scenario,
     *,
@@ -375,10 +379,12 @@ def run_checks(
     """
     n = points if points is not None else scenario.points
     s = seed if seed is not None else scenario.seed
-    if n <= 0:
-        raise RunnerError(f"points must be positive, got {n}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+    if not _is_int(n) or n <= 0:
+        raise RunnerError(f"points must be a positive integer, got {n!r}")
+    if not _is_int(s) or s < 0:
         raise RunnerError(f"sampling seed must be a nonnegative integer, got {s!r}")
+    if not _is_int(max_order) or max_order < 0:
+        raise RunnerError(f"max_order must be a nonnegative integer, got {max_order!r}")
 
     tol_map = {check.name: check.tolerance for check in CHECKS}
     _validate_names(scenario.tolerances, "tolerance override")

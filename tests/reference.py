@@ -58,7 +58,6 @@ from tetradkit.jets import (
     _carry,
     _mul_scalar,
     jet_einsum,
-    jet_map,
     jet_pow_int,
     jet_pow_real,
     jet_reciprocal,
@@ -119,7 +118,7 @@ def stress_three_form(t_jet, einv, ginv, det, kappa: float) -> MixedForm:
     d = jet_einsum("ma,mn->an", einv, t_jet)
     d = jet_einsum("an,ns->as", d, ginv)
     d = jet_einsum("as,->as", d, det)
-    v = jet_map(lambda arr: np.einsum("mnrs,as...->amnr...", EPSILON, arr), d)
+    v = Jet(d.order, [np.einsum("mnrs,zas...->zamnr...", EPSILON, arr) for arr in d.data])
     return MixedForm(3, 1, v.scaled(EIGHT_PI * CURVATURE_DUAL_FACTOR / kappa))
 
 
@@ -203,7 +202,7 @@ def three_form_laws(jets, vec3: MixedForm, pair3: MixedForm):
     t2 = _alt_blocks(jet_einsum("abcx,bcmnr->axmnr", ifs, pair3.jet), 1, 1, 3)
     first = covariant_exterior_derivative(wj, vec3, (-1,)).jet - (t1 + t2)
     wedged = _alt_blocks(jet_einsum("amnr,bs->abmnrs", vec3.jet, eta_lower(ej, 0)), 2, 3, 1)
-    wedged = wedged - jet_map(lambda arr: np.swapaxes(arr, 0, 1), wedged)
+    wedged = wedged - Jet(wedged.order, [arr.swapaxes(1, 2) for arr in wedged.data])
     second = covariant_exterior_derivative(wj, pair3, (-1, -1)).jet - wedged.scaled(0.5)
     return first, second
 

@@ -39,7 +39,7 @@ from tetradkit.geometry import (
     inverse_tetrad_jet,
     metric_jet,
 )
-from tetradkit.jets import Jet, jet_einsum, jet_map, jet_matrix_inverse
+from tetradkit.jets import Jet, jet_einsum, jet_matrix_inverse
 from tetradkit.pointjets import PointJets
 from tetradkit.runner import sample_points
 from tetradkit.scenarios import builtin_scenario
@@ -277,7 +277,7 @@ class TestDeterminantJet:
         e = builtin_scenario(name).tetrad
         for x in sample_points(builtin_scenario(name).chart, 3, 0):
             ej = at(e, x, 3)
-            comps = [[jet_map(lambda arr, a=a, m=m: arr[a, m], ej) for m in range(4)] for a in range(4)]
+            comps = [[Jet(ej.order, [d[:, a, m] for d in ej.data]) for m in range(4)] for a in range(4)]
             want = None
             for perm in itertools.permutations(range(4)):
                 term = comps[0][perm[0]] * comps[1][perm[1]] * comps[2][perm[2]] * comps[3][perm[3]]

@@ -97,6 +97,34 @@ UNREAD_ALLOWED = {
 }
 
 
+LAYERTRACE = SOURCES[0].parents[2] / "perfbench" / "layertrace.py"
+
+
+def _timed_targets() -> set[str]:
+    """The "module:qualname" targets of ``TIMED`` in perfbench/layertrace.py,
+    read from its source without importing it."""
+    tree = ast.parse(LAYERTRACE.read_text(encoding="utf-8"))
+    (timed,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "TIMED" for t in node.targets)
+    ]
+    return {target for targets in ast.literal_eval(timed).values() for target in targets}
+
+
+def test_every_allowed_trace_target_is_timed():
+    """An allowlisted definition kept as a benchmark trace target is still
+    named in the benchmark's ``TIMED``; once the trace list drops it, it
+    goes from ``src/`` or moves to the tests' reference."""
+    timed = _timed_targets()
+    stale = [
+        name
+        for name, reason in UNREAD_ALLOWED.items()
+        if "benchmark trace target" in reason and name.replace(".", ":", 1) not in timed
+    ]
+    assert not stale, f"allowlisted as trace targets but not timed: {', '.join(stale)}"
+
+
 def _readers(tree: ast.Module):
     """(name, top-level statement) for each name a module reads, in code or
     in a quoted annotation."""

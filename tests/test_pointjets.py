@@ -23,7 +23,7 @@ from tetradkit.fieldeqs import (
     torsion_q_jet,
     torsion_three_form,
 )
-from tetradkit.forms import AntisymmetryError, MixedForm, eta_lower
+from tetradkit.forms import AntisymmetryError, eta_lower
 from tetradkit.geometry import (
     LeviCivitaConnection,
     SummedConnection,
@@ -140,10 +140,6 @@ def _tops(sc):
     return {q: _recipe_top(q, sc) if top is None else top for q, (top, _) in DIRECT.items()}
 
 
-def _as_jet(value):
-    return value.jet if isinstance(value, MixedForm) else value
-
-
 @pytest.mark.parametrize("name", ["random-fields", "flat-polar", "schwarzschild"])
 def test_served_jets_equal_direct_derivation(name):
     sc = builtin_scenario(name)
@@ -156,8 +152,8 @@ def test_served_jets_equal_direct_derivation(name):
             top = tops[quantity]
             # highest order first, so the lower ones are truncations
             for k in range(top, -1, -1):
-                served = _as_jet(getattr(jets, quantity)(k))
-                want = _as_jet(direct(e, omega, matter, x, k))
+                served = getattr(jets, quantity)(k)
+                want = direct(e, omega, matter, x, k)
                 assert served.order == want.order == k, (quantity, k)
                 for got_k, want_k in zip(served.data, want.data):
                     npt.assert_array_equal(got_k, want_k, err_msg=f"{quantity} order {k}")
@@ -173,10 +169,10 @@ def test_a_chunk_row_is_the_points_own_derivation(name):
     alone = [PointJets(sc.tetrad, sc.connection, points[i : i + 1], sc.matter) for i in range(5)]
     for quantity, top in _tops(sc).items():
         for k in range(top, -1, -1):
-            rows = _as_jet(getattr(chunk, quantity)(k))
+            rows = getattr(chunk, quantity)(k)
             assert len(rows.value) == 5 and rows.order == k
             for i in range(5):
-                one = _as_jet(getattr(alone[i], quantity)(k))
+                one = getattr(alone[i], quantity)(k)
                 for d, d_one in zip(rows.data, one.data):
                     assert d_one.shape == (1,) + d.shape[1:]
                     npt.assert_array_equal(d[i], d_one[0], err_msg=f"{quantity} order {k}")
@@ -430,7 +426,7 @@ def test_a_run_rejects_a_field_strength_that_is_not_antisymmetric(monkeypatch):
 
 
 def _memo_bytes(jets: PointJets) -> int:
-    arrays = {id(d): d.nbytes for value, _ in jets._memo.values() for d in _as_jet(value).data}
+    arrays = {id(d): d.nbytes for value, _ in jets._memo.values() for d in value.data}
     return sum(arrays.values())
 
 

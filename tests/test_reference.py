@@ -125,8 +125,8 @@ def test_d2_law(jets, k, variances):
     if k == 2:
         at = 1 + len(variances)
         raw = Jet(raw.order, [0.5 * (d - d.swapaxes(at, at + 1)) for d in raw.data])
-    alpha = MixedForm._wrap(k, len(variances), raw)
-    got, dense = d_squared_residual(jets, alpha, variances), reference.d_squared(jets, alpha, variances)
+    got = d_squared_residual(jets, raw, k, variances)
+    dense = reference.d_squared(jets, MixedForm._wrap(k, len(variances), raw), variances)
     if k == 0:
         _assert_close(got, dense.jet)
     elif k == 1:

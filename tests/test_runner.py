@@ -174,6 +174,18 @@ class TestRunChecks:
         with pytest.raises(RunnerError, match="sampling seed must be a nonnegative integer"):
             run_checks(builtin_scenario("minkowski"), points=1, seed=seed)
 
+    @pytest.mark.parametrize("points", [0, -3, True, 2.5, 3.0, "3"])
+    def test_bad_point_count_rejected(self, points):
+        # a float count used to escape as a TypeError from range
+        with pytest.raises(RunnerError, match="points must be a positive integer"):
+            run_checks(builtin_scenario("minkowski"), points=points)
+
+    @pytest.mark.parametrize("max_order", [-1, True, 2.5, 3.0, "3"])
+    def test_bad_order_cap_rejected(self, max_order):
+        # a float cap used to run and be echoed in the report's options
+        with pytest.raises(RunnerError, match="max_order must be a nonnegative integer"):
+            run_checks(builtin_scenario("minkowski"), points=1, max_order=max_order)
+
     def test_order_cap_excludes_deep_checks(self):
         report = run_checks(builtin_scenario("minkowski"), points=2, max_order=1)
         names = {r.name for r in report.results}
@@ -229,13 +241,10 @@ def _patch_check(monkeypatch, name, evaluate):
 
 
 def _nan_last(part):
-    """A copy of a residual part, a form, a jet or an array with the point
-    axis first, whose last entry at every point is NaN."""
-    held = part.values if isinstance(part, MixedForm) else part.value if isinstance(part, Jet) else part
-    values = np.array(held, dtype=float, order="C")
+    """A copy of a residual part, a jet or an array with the point axis
+    first, whose last entry at every point is NaN."""
+    values = np.array(part.value if isinstance(part, Jet) else part, dtype=float, order="C")
     values.reshape(len(values), -1)[:, -1] = math.nan
-    if isinstance(part, MixedForm):
-        return MixedForm._wrap(part.k, part.p, Jet(0, [values]))
     return Jet(0, [values]) if isinstance(part, Jet) else values
 
 
@@ -288,8 +297,8 @@ class TestPointFaults:
         calls = itertools.count(1)
         residual = runner.d_squared_residual
 
-        def poisoned(jets, alpha, variances):
-            res = residual(jets, alpha, variances)
+        def poisoned(jets, alpha, k, variances):
+            res = residual(jets, alpha, k, variances)
             return _nan_last(res) if next(calls) % 3 == 0 else res
 
         monkeypatch.setattr(runner, "d_squared_residual", poisoned)
@@ -424,35 +433,29 @@ def _alternated(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 def _bump_accessor(monkeypatch, accessor: str, groups: tuple[tuple[int, ...], ...], size: float):
     """Make every ``PointJets.<accessor>`` call serve its value plus a fixed
     random bump on the value and first derivatives, the same at every point
-    and antisymmetric over each group of component axes; a form is bumped
-    within its internal and its spacetime block.  The derivative data no
+    and antisymmetric over each group of component axes.  The derivative data no
     longer belongs to the value, and the quantity no longer matches the
     others the point derives."""
     original = getattr(pointjets.PointJets, accessor)
     patterns = {}
 
     def bumped(self, order):
-        served = original(self, order)
-        jet = served.jet if isinstance(served, MixedForm) else served
-        axes = groups
-        if isinstance(served, MixedForm):
-            axes = (tuple(range(served.p)), tuple(range(served.p, served.p + served.k)))
+        jet = original(self, order)
         if not patterns:
             rng = np.random.default_rng(2024)
             for k, d in enumerate(jet.data[:2]):
                 pattern = rng.uniform(-1.0, 1.0, d.shape[1:])
-                for group in axes:
+                for group in groups:
                     pattern = _alternated(pattern, group)
                 patterns[k] = size * pattern
         data = [d + patterns[k] if k in patterns else d for k, d in enumerate(jet.data)]
-        out = Jet(jet.order, data)
-        return MixedForm(served.k, served.p, out) if isinstance(served, MixedForm) else out
+        return Jet(jet.order, data)
 
     monkeypatch.setattr(pointjets.PointJets, accessor, bumped)
 
 
 # Per check: the scenario, the accessor whose served value is bumped, and
-# the antisymmetric component axes of what it serves (forms find their own).
+# the antisymmetric component axes of what it serves.
 BROKEN_INPUTS = {
     "metric-compatibility": ("random-fields", "christoffel", ()),
     "torsion-consistency": ("random-fields", "torsion_tensor", ((0, 1),)),
@@ -577,19 +580,16 @@ def _forbid(monkeypatch, module_name: str, name: str):
 
 
 @pytest.mark.parametrize("name", ["flat-contorsion", "random-fields"])
-def test_a_run_builds_no_dense_form_above_degree_two(monkeypatch, name):
-    # 3-forms by their dual vectors and 4-forms by their coefficients: the
-    # block alternation and the block wedge have no caller in a run, and no
-    # MixedForm of degree 3 or 4 is made
+def test_a_run_builds_no_mixed_form(monkeypatch, name):
+    # a run holds plain jets: 3-forms by their dual vectors, 4-forms by their
+    # coefficients, and no MixedForm, block alternation or block wedge
     _forbid(monkeypatch, "tetradkit.forms", "_alt_blocks")
     _forbid(monkeypatch, "tetradkit.forms", "internal_wedge")
-    init = MixedForm.__init__
 
-    def low_degree_only(self, k, p, components, **kwargs):
-        assert k <= 2, f"a dense {k}-form"
-        init(self, k, p, components, **kwargs)
+    def no_mixed_form(self, *args, **kwargs):
+        raise AssertionError("a MixedForm was made")
 
-    monkeypatch.setattr(MixedForm, "__init__", low_degree_only)
+    monkeypatch.setattr(MixedForm, "__init__", no_mixed_form)
     sc = builtin_scenario(name)
     points = sample_points(sc.chart, runner.CHUNK, 0)
     jets = pointjets.PointJets(sc.tetrad, sc.connection, points, sc.matter)
