@@ -28,8 +28,7 @@ C[a, b, mu, nu, rho] with the antisymmetric internal pair first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,12 +43,12 @@ from .forms import (
     two_form_dual,
 )
 from .geometry import (
-    DET_THRESHOLD,
     SingularTetradError,
     _GridField,
     _PairField,
     inverse_tetrad_jet,
     metric_jet,
+    singular_frames,
     torsion_jet,
     torsion_tensor_jet,
 )
@@ -129,17 +128,17 @@ def dual_component_projection(dual: Jet, e_jet: Jet, faults: list) -> Jet:
     Maps the internal index through the tetrad, lowers the free slot with
     the metric, and removes the tetrad determinant and the dual's sign.
     Exact inverse of ``stress_tensor_to_form`` at unit scale.  A point
-    whose |det e| is at most ``DET_THRESHOLD`` stores a
-    ``SingularTetradError`` in its empty slot of ``faults``.
+    whose frame ``inverse_tetrad_jet`` finds singular (``singular_frames``)
+    stores a ``SingularTetradError`` in its empty slot of ``faults``.
     """
     if dual.comp_shape != (DIM, DIM):
         raise FieldEquationError(
             f"expected the dual [a, mu] of an internal-vector 3-form, got shape {dual.comp_shape}"
         )
-    det = determinant_jet(e_jet)
-    for i in np.flatnonzero(np.abs(det.value) <= DET_THRESHOLD):
+    for i in np.flatnonzero(singular_frames(e_jet.value)[1]):
         if faults[i] is None:
             faults[i] = SingularTetradError("tetrad determinant vanishes at this point")
+    det = determinant_jet(e_jet)
     g = metric_jet(e_jet)
     out = jet_einsum("am,as->ms", e_jet, dual.scaled(-1.0))
     out = jet_einsum("ms,sn->mn", out, g)
@@ -379,8 +378,7 @@ def torsion_equation_residual(jets: PointJets) -> Jet:
     return lhs - jets.spin_form(0).scaled(jets.matter.kappa)
 
 
-@dataclass(frozen=True)
-class ComponentResiduals:
+class ComponentResiduals(NamedTuple):
     """Component-language residuals: stress side and spin side."""
 
     stress: np.ndarray  # [mu, nu]

@@ -56,7 +56,7 @@ from .jets import (
 __all__ = ["DET_THRESHOLD", "ContorsionField", "FrameSource", "GeometryError", "LeviCivitaConnection",
            "SingularTetradError", "SpinConnectionField", "SummedConnection", "TetradField", "christoffel_jet",
            "eval_jet_grid", "field_strength_jet", "inverse_tetrad_jet", "levi_civita_jet", "metric_jet",
-           "parse_grid", "tetrad_covariant_jet", "torsion_jet", "torsion_tensor_jet"]
+           "parse_grid", "singular_frames", "tetrad_covariant_jet", "torsion_jet", "torsion_tensor_jet"]
 
 # Smallest |det e| of a frame that is not singular.
 DET_THRESHOLD = 1e-10
@@ -215,8 +215,7 @@ def inverse_tetrad_jet(e: Jet, faults: list) -> Jet:
     unless the slot holds an earlier fault, and is inverted as the
     identity frame.
     """
-    det = np.linalg.det(e.value)
-    bad = np.abs(det) < DET_THRESHOLD
+    det, bad = singular_frames(e.value)
     if bad.any():
         for i in np.flatnonzero(bad):
             if faults[i] is None:
@@ -224,6 +223,12 @@ def inverse_tetrad_jet(e: Jet, faults: list) -> Jet:
         value = np.where(bad[:, None, None], np.eye(DIM), e.value)
         e = Jet._trusted(e.order, [value] + e.data[1:])
     return jet_matrix_inverse(e, faults, _singular_tetrad)
+
+
+def singular_frames(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's det e, and where |det e| is below ``DET_THRESHOLD``."""
+    det = np.linalg.det(e)
+    return det, np.abs(det) < DET_THRESHOLD
 
 
 def _below_threshold(det: float) -> str:

@@ -33,7 +33,7 @@ Two transcription facts thread through the module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,8 +155,7 @@ def rewritten_lhs_check(jets: PointJets) -> tuple[Jet, Jet]:
     )
 
 
-@dataclass(frozen=True)
-class ConservationFormResiduals:
+class ConservationFormResiduals(NamedTuple):
     """Form-language conservation defects of the matter sources, each a
     4-form c * eps_{mu nu rho sigma} held by its coefficient c as an
     internal-valued 0-form (see ``_three_form_laws``)."""
@@ -179,8 +178,7 @@ def conservation_form_residuals(jets: PointJets) -> ConservationFormResiduals:
     einv = jets.inverse_tetrad(0)
     theta = jets.torsion(0)
     f = jets.field_strength(0)
-    stress, spin = _three_form_laws(ej, wmix, einv, theta, f, tf, sf)
-    return ConservationFormResiduals(stress=stress, spin=spin)
+    return ConservationFormResiduals(*_three_form_laws(ej, wmix, einv, theta, f, tf, sf))
 
 
 def spin_potential_tensor(spin_jet: Jet) -> Jet:
@@ -198,8 +196,7 @@ def spin_potential_tensor(spin_jet: Jet) -> Jet:
     return (spin_jet + up - down).scaled(-1.0)
 
 
-@dataclass(frozen=True)
-class ConservationComponentResiduals:
+class ConservationComponentResiduals(NamedTuple):
     """Tensor-language conservation defects of the matter sources."""
 
     stress: np.ndarray  # [nu], free index raised
@@ -287,6 +284,13 @@ def commutator_residual(jets: PointJets, vector_jet: Jet) -> Jet:
     return d_squared_residual(jets, vector_jet, 0, (1,))
 
 
+def _check_low_degree(alpha: Jet, k: int, variances: tuple[int, ...]) -> None:
+    """``check_degrees`` for a k-form that gains two degrees: k is at most 2."""
+    check_degrees(alpha, k, len(variances))
+    if k > 2:
+        raise DegreeError(f"a {k}-form raised by two degrees exceeds spacetime degree 4")
+
+
 def curvature_wedge_action(f_jet: Jet, alpha: Jet, k: int, variances: tuple[int, ...]) -> Jet:
     """Field-strength wedge acting on each internal slot, signed by variance.
 
@@ -298,7 +302,7 @@ def curvature_wedge_action(f_jet: Jet, alpha: Jet, k: int, variances: tuple[int,
     ``d_squared_residual`` returns it: dense, by its dual vector
     F*_um alpha_m, or by its coefficient (1/2) F*_mn alpha_mn.
     """
-    check_degrees(alpha, k, len(variances))
+    _check_low_degree(alpha, k, variances)
     if not variances:
         return Jet.zeros((len(alpha.value),) + (DIM,) * (2 - k), max(alpha.order - 2, 0))
     fmat = eta_lower(f_jet, 1)
@@ -330,9 +334,7 @@ def d_squared_residual(jets: PointJets, alpha: Jet, k: int, variances: tuple[int
     densely for k = 0, by its dual vector for k = 1, and by its
     coefficient for k = 2.
     """
-    check_degrees(alpha, k, len(variances))
-    if k > 2:
-        raise DegreeError(f"the twice-applied derivative of a {k}-form exceeds spacetime degree 4")
+    _check_low_degree(alpha, k, variances)
     wmix = jets.omega_lowered(2)
     once = _twisted_exterior(wmix, alpha, variances, k)
     twice = _twisted_exterior(wmix, once, variances, k + 1)

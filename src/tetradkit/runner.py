@@ -3,25 +3,25 @@
 The registry below names every residual check the package can run against
 a scenario, in the order reports list them.  The sample points are taken
 ``CHUNK`` at a time, and each check is a pure function of the chunk's
-``PointJets``, which carries the matter model, and, for checks that need
-auxiliary random objects, of one generator per point seeded from (run
-seed, point index, check name), so disabling one check never shifts
+``PointJets``, which carries the matter model, and of the random jets its
+registry entry declares, each point's drawn from one generator seeded from
+(run seed, point index, check name), so disabling one check never shifts
 another's random stream.  All checks of a chunk read one ``PointJets``, so
 each field jet, source and derived tensor is computed once per chunk, with
 the point axis first.  A check's fault at a point is the first fault among
 what it read there, in its read order; a check reads the tetrad before the
 connection, which decides the fault a point reports when both fail.
 
-Each check returns its residual's arrays, point axis first, reduced per
-point by one rule: the largest absolute entry over every part (NaN when
-any entry is NaN), relative to the largest field magnitude seen at the
-point (floored at one), so tolerances survive regions where the fields or
-their derivatives grow large.  A residual that is not finite is an error
-at its point, like a domain fault, so its check cannot pass; numpy's
-overflow and invalid-value warnings are silenced for the run, since such
-points become error rows anyway.  Values and error rows are written in
-point order, and the error rows of one point share its coordinate list
-and, per fault, one message.
+Each check returns its residual's jets or arrays, point axis first,
+reduced per point by one rule: the largest absolute entry over every part
+(NaN when any entry is NaN), relative to the largest field magnitude seen
+at the point (floored at one), so tolerances survive regions where the
+fields or their derivatives grow large.  A residual that is not finite is
+an error at its point, like a domain fault, so its check cannot pass;
+numpy's overflow and invalid-value warnings are silenced for the run,
+since such points become error rows anyway.  Values and error rows are
+written in point order, and the error rows of one point share its
+coordinate list and, per fault, one message.
 """
 
 from __future__ import annotations
@@ -122,12 +122,15 @@ def _each_point(part: np.ndarray) -> np.ndarray:
     return part.reshape(len(part), -1)
 
 
-def _largest_entry(residual: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
-    """Largest absolute entry of a residual at each point, over one array
-    or a tuple of them, each with the point axis first; NaN where any
-    entry at the point is NaN."""
+def _largest_entry(residual: Jet | np.ndarray | tuple) -> np.ndarray:
+    """Largest absolute entry of a residual at each point, over one jet
+    (by its value) or array or a tuple of them, each with the point axis
+    first; NaN where any entry at the point is NaN."""
     parts = residual if isinstance(residual, tuple) else (residual,)
-    return np.max([_each_point(np.abs(part)).max(axis=1) for part in parts], axis=0)
+    return np.max(
+        [_each_point(np.abs(p.value if isinstance(p, Jet) else p)).max(axis=1) for p in parts],
+        axis=0,
+    )
 
 
 def _run_chunk(scenario: Scenario, enabled, chunk: np.ndarray, seed: int, first: int):
@@ -136,11 +139,14 @@ def _run_chunk(scenario: Scenario, enabled, chunk: np.ndarray, seed: int, first:
     and each point's fault, then each point's residual scale and its fault.
     The chunk's derivation is released on return."""
     jets = PointJets(scenario.tetrad, scenario.connection, chunk, scenario.matter)
-    streams = [(seed, first + i) for i in range(len(chunk))]
     outcomes = []
     for check in enabled:
         faults = jets.record()
-        outcomes.append((check.name, _largest_entry(check.evaluate(jets, streams)), faults))
+        drawn = ()
+        if check.draws:
+            rngs = [_aux_rng((seed, first + i), check.name) for i in range(len(chunk))]
+            drawn = _random_jets(rngs, check.draws)
+        outcomes.append((check.name, _largest_entry(check.evaluate(jets, *drawn)), faults))
     return (outcomes, *_magnitude(jets))
 
 
@@ -178,21 +184,17 @@ def _random_jets(rngs: Sequence[np.random.Generator], shapes) -> list[Jet]:
 
 # -- check evaluators -------------------------------------------------------
 #
-# Each takes the chunk's PointJets and the (seed, index) stream of each of
-# its points, and returns arrays with the point axis first.
+# The checks whose residual is a formula of their own; the registry names
+# every other check's residual function in ``identities`` or ``fieldeqs``.
 
 
-def _check_metric_compatibility(jets: PointJets, streams) -> np.ndarray:
-    return metric_compatibility_residual(jets)
-
-
-def _check_torsion_consistency(jets: PointJets, streams) -> np.ndarray:
+def _check_torsion_consistency(jets: PointJets) -> np.ndarray:
     q_frame = jets.torsion_tensor(0).value
     gamma = jets.christoffel(0).value
     return q_frame - np.moveaxis(gamma - gamma.swapaxes(-1, -2), -3, -1)
 
 
-def _check_scalar_consistency(jets: PointJets, streams) -> np.ndarray:
+def _check_scalar_consistency(jets: PointJets) -> np.ndarray:
     einv = jets.inverse_tetrad(0).value
     f = jets.field_strength(0).value
     ricci = np.einsum("...msws->...mw", jets.riemann(0).value)
@@ -201,64 +203,20 @@ def _check_scalar_consistency(jets: PointJets, streams) -> np.ndarray:
     return direct - traced
 
 
-def _check_levi_civita_torsion(jets: PointJets, streams) -> np.ndarray:
-    return jets.torsion(0).value
+def _check_levi_civita_torsion(jets: PointJets) -> Jet:
+    return jets.torsion(0)
 
 
-def _check_first_bianchi(jets: PointJets, streams) -> np.ndarray:
-    return first_bianchi_residual(jets).value
-
-
-def _check_second_bianchi(jets: PointJets, streams) -> np.ndarray:
-    return second_bianchi_residual(jets).value
-
-
-def _check_d_squared(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
-    rngs = [_aux_rng(stream, "d2-law") for stream in streams]
-    alphas = _random_jets(rngs, ((DIM,), (DIM,), (DIM, DIM)))
+def _check_d_squared(jets: PointJets, *alphas: Jet) -> tuple[Jet, ...]:
     return tuple(
-        d_squared_residual(jets, alpha, 0, variances).value
+        d_squared_residual(jets, alpha, 0, variances)
         for variances, alpha in zip(((1,), (-1,), (1, -1)), alphas)
     )
 
 
-def _check_commutator(jets: PointJets, streams) -> np.ndarray:
-    rngs = [_aux_rng(stream, "commutator") for stream in streams]
-    (vector,) = _random_jets(rngs, ((DIM,),))
-    return commutator_residual(jets, vector).value
-
-
-def _check_nfe_leibniz(jets: PointJets, streams) -> np.ndarray:
+def _check_nfe_leibniz(jets: PointJets) -> Jet:
     lhs, rhs = torsion_equation_sides(jets)
-    return (lhs - rhs).value
-
-
-def _check_rewritten_lhs(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
-    first, second = rewritten_lhs_check(jets)
-    return first.value, second.value
-
-
-def _check_curvature_equation(jets: PointJets, streams) -> np.ndarray:
-    return curvature_equation_residual(jets).value
-
-
-def _check_torsion_equation(jets: PointJets, streams) -> np.ndarray:
-    return torsion_equation_residual(jets).value
-
-
-def _check_component_field_equations(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
-    res = component_field_equation_residuals(jets)
-    return res.stress, res.spin
-
-
-def _check_conservation_form(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
-    res = conservation_form_residuals(jets)
-    return res.stress.value, res.spin.value
-
-
-def _check_conservation_component(jets: PointJets, streams) -> tuple[np.ndarray, ...]:
-    res = conservation_component_residuals(jets)
-    return res.stress, res.spin
+    return lhs - rhs
 
 
 def _always(_scenario: Scenario) -> bool:
@@ -273,43 +231,38 @@ def _needs_levi_civita(scenario: Scenario) -> bool:
 class IdentityCheck:
     """A named residual check with its jet-depth need and tolerance.
 
-    ``evaluate(jets, streams)`` returns the raw residual at a chunk of
-    points, an array or a tuple of them, each with the point axis first;
-    ``streams`` holds each point's (seed, point index) pair, which seeds
-    the check's auxiliary generator at that point.
+    ``evaluate(jets, *drawn)`` returns the raw residual at a chunk of
+    points: a jet, an array, or a tuple of them, each with the point axis
+    first.  ``drawn`` holds one random coherent order-2 jet per shape in
+    ``draws``, each point's drawn from the check's generator at that point.
     """
 
     name: str
     required_order: int
     tolerance: float
-    evaluate: Callable[
-        [PointJets, Sequence[tuple[int, int]]], np.ndarray | tuple[np.ndarray, ...]
-    ]
+    evaluate: Callable[..., Jet | np.ndarray | tuple]
     applies: Callable[[Scenario], bool] = _always
-
-    def __post_init__(self):
-        if not 0 <= self.required_order <= 3:
-            raise ValueError(f"check {self.name}: jet order {self.required_order} out of range")
+    draws: tuple[tuple[int, ...], ...] = ()
 
 
 CHECKS: tuple[IdentityCheck, ...] = (
-    IdentityCheck("metric-compatibility", 2, 1e-10, _check_metric_compatibility),
+    IdentityCheck("metric-compatibility", 2, 1e-10, metric_compatibility_residual),
     IdentityCheck("torsion-consistency", 1, 1e-12, _check_torsion_consistency),
     IdentityCheck("scalar-consistency", 1, 1e-10, _check_scalar_consistency),
     IdentityCheck(
         "levi-civita-torsion", 1, 1e-12, _check_levi_civita_torsion, _needs_levi_civita
     ),
-    IdentityCheck("first-bianchi", 2, 1e-10, _check_first_bianchi),
-    IdentityCheck("second-bianchi", 2, 1e-10, _check_second_bianchi),
-    IdentityCheck("d2-law", 2, 1e-10, _check_d_squared),
-    IdentityCheck("commutator", 2, 1e-8, _check_commutator),
+    IdentityCheck("first-bianchi", 2, 1e-10, first_bianchi_residual),
+    IdentityCheck("second-bianchi", 2, 1e-10, second_bianchi_residual),
+    IdentityCheck("d2-law", 2, 1e-10, _check_d_squared, draws=((DIM,), (DIM,), (DIM, DIM))),
+    IdentityCheck("commutator", 2, 1e-8, commutator_residual, draws=((DIM,),)),
     IdentityCheck("nfe-leibniz", 1, 1e-12, _check_nfe_leibniz),
-    IdentityCheck("rewritten-lhs", 2, 1e-9, _check_rewritten_lhs),
-    IdentityCheck("curvature-equation", 1, 1e-8, _check_curvature_equation),
-    IdentityCheck("torsion-equation", 1, 1e-10, _check_torsion_equation),
-    IdentityCheck("component-field-equations", 1, 1e-8, _check_component_field_equations),
-    IdentityCheck("conservation-form", 2, 1e-7, _check_conservation_form),
-    IdentityCheck("conservation-component", 2, 1e-7, _check_conservation_component),
+    IdentityCheck("rewritten-lhs", 2, 1e-9, rewritten_lhs_check),
+    IdentityCheck("curvature-equation", 1, 1e-8, curvature_equation_residual),
+    IdentityCheck("torsion-equation", 1, 1e-10, torsion_equation_residual),
+    IdentityCheck("component-field-equations", 1, 1e-8, component_field_equation_residuals),
+    IdentityCheck("conservation-form", 2, 1e-7, conservation_form_residuals),
+    IdentityCheck("conservation-component", 2, 1e-7, conservation_component_residuals),
 )
 
 CHECK_NAMES = tuple(check.name for check in CHECKS)

@@ -31,6 +31,7 @@ from tetradkit.fieldeqs import (
 )
 from tetradkit.forms import EPSILON, MixedForm, epsilon_trace, eta_lower, internal_wedge
 from tetradkit.geometry import (
+    DET_THRESHOLD,
     GeometryError,
     LeviCivitaConnection,
     SingularTetradError,
@@ -595,6 +596,22 @@ class TestDualProjection:
         carried = dual_component_projection(dual, singular, faults)
         assert isinstance(faults[1], SingularTetradError) and faults[0] is faults[2] is None
         assert carried.value[[0, 2]].tobytes() == got.value[[0, 2]].tobytes()
+
+    def test_one_determinant_threshold(self):
+        # the inverse tetrad and the projection fault at the same frames, those
+        # whose |det e| is below DET_THRESHOLD.  Numpy's det goes through a
+        # logarithm: it gives 9.999999999999996e-11 for diag(1e-10, 1, 1, 1)
+        # and steps by about 27 ulps here, so the frames sweep 200 ulps of the
+        # exact determinant to either side of the threshold
+        exact = DET_THRESHOLD * (1.0 + np.arange(-200, 201) * 2.0**-52)
+        e = Jet(0, [np.stack([np.diag([d, 1.0, 1.0, 1.0]) for d in exact])])
+        inverse, projection = [None] * len(exact), [None] * len(exact)
+        inverse_tetrad_jet(e, inverse)
+        dual_component_projection(Jet.zeros((len(exact), 4, 4), 0), e, projection)
+        below = np.abs(np.linalg.det(e.value)) < DET_THRESHOLD
+        assert 0 < below.sum() < len(exact)
+        assert [f is not None for f in inverse] == [f is not None for f in projection] == below.tolist()
+        assert all(isinstance(f, SingularTetradError) for f in inverse + projection if f is not None)
 
 
 class TestMatterModel:

@@ -227,3 +227,16 @@ def test_jets_have_no_lead():
         (cls,) = [n for n in trees[module].body if isinstance(n, ast.ClassDef) and n.name == name]
         found += [f"{name} (line {n.lineno})" for n in ast.walk(cls) if _spelled(n) == "lead"]
     assert not found, f"a jet layout flag is back: {', '.join(found)}"
+
+
+def test_no_function_takes_streams():
+    # a check's random jets are drawn by the runner from its registry entry's
+    # draws; no evaluator takes the per-point (seed, index) streams
+    takers = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and "streams" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert takers == []

@@ -464,6 +464,14 @@ class TestDSquared:
                 field_strength_jet(random_connection(rng).jet(point, 1, [None])), alpha, 1, (1, 1)
             )
 
+    @pytest.mark.parametrize("comp_shape, variances", [((4, 4, 4, 4), (1,)), ((4, 4, 4), ())])
+    def test_a_three_form_is_rejected(self, comp_shape, variances):
+        # F ^ alpha of a 3-form would be a 5-form; it used to raise
+        # IndexError, or return a zero, instead of DegreeError
+        f = Jet.zeros((1, 4, 4, 4, 4), 2)
+        with pytest.raises(DegreeError, match="exceeds spacetime degree 4"):
+            curvature_wedge_action(f, Jet.zeros((1,) + comp_shape, 2), 3, variances)
+
 
 class TestCommutator:
     def test_matches_field_strength(self):

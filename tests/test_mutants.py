@@ -1,19 +1,24 @@
 """Mutation gate: a wrong derivation must fail some check.
 
-Each mutant replaces one derivation that ``pointjets`` imports with a
-wrong one, by monkeypatching the name there, and runs all six builtins at
-6 points.  ``MUTANTS`` lists, per mutant, the builtins on which the run
-must not pass; on every other builtin the mutant survives, for the reason
-given beside it.  A refactor that lets a mutant through, or that starts
-to catch a survivor, changes this table, and the change has to be argued.
+Each mutant replaces one derivation that ``pointjets`` imports, or one
+primitive that the residual functions and derivations call, with a wrong
+one, by monkeypatching the name where it is imported (``WHERE``), and runs
+all six builtins at 6 points.  A mutant breaks coherence, by a wrong sign,
+axis or coefficient: a uniform scale of a source jet would only swap in
+another coherent field.  ``MUTANTS`` lists, per mutant, the builtins on
+which the run must not pass; on every other builtin the mutant survives,
+for the reason given beside it.  A refactor that lets a mutant through, or
+that starts to catch a survivor, changes this table, and the change has
+to be argued.
 """
 
 import pytest
 
-from tetradkit import pointjets
-from tetradkit.fieldeqs import einstein_jet
+from tetradkit import exprkit, fieldeqs, geometry, identities, pointjets
+from tetradkit.fieldeqs import _eps_lead, einstein_jet
+from tetradkit.forms import covariant_D, slot_action, twisted_divergence, two_form_dual
 from tetradkit.geometry import field_strength_jet
-from tetradkit.jets import jet_einsum, jet_partial, jet_transpose
+from tetradkit.jets import _mul_coordinate, jet_einsum, jet_partial, jet_transpose
 from tetradkit.runner import run_checks
 from tetradkit.scenarios import BUILTIN_NAMES, builtin_scenario
 
@@ -50,6 +55,58 @@ def _scaled(name: str, factor: float):
     return lambda *args: original(*args).scaled(factor)
 
 
+def _dual_pair_02_resigned(x, at):
+    """``two_form_dual`` with its (0, 2) and (2, 0) entries negated."""
+    out = two_form_dual(x, at)
+    lead = (slice(None),) * (1 + at)
+    for d in out.data:
+        d[lead + (0, 2)] *= -1.0
+        d[lead + (2, 0)] *= -1.0
+    return out
+
+
+def _divergence_connection_flipped(wmix, y, variances):
+    return twisted_divergence(wmix.scaled(-1.0), y, variances)
+
+
+def _slot_variances_flipped(mat, x, variances, spec, acc=None):
+    return slot_action(mat, x, tuple(-v for v in variances), spec, acc)
+
+
+def _covariant_connection_flipped(wmix, alpha, variances):
+    return covariant_D(wmix.scaled(-1.0), alpha, variances)
+
+
+def _eps_0123_resigned(jet, n):
+    """``_eps_lead`` with eps_0123 alone re-signed, so the symbol no longer
+    alternates.  Every caller contracts two indices: out[0, 1] = ... + x[2, 3]."""
+    assert n == 2
+    out = _eps_lead(jet, n)
+    for d, x in zip(out.data, jet.data):
+        d[:, 0, 1] -= 2.0 * x[:, 2, 3]
+    return out
+
+
+def _coordinate_product_hessian_lopsided(f, index, x, left):
+    """``_mul_coordinate`` with one of the two cross terms of the second
+    derivative left out, so the Hessian is no longer symmetric."""
+    out = _mul_coordinate(f, index, x, left)
+    if out.order >= 2:
+        out.data[2][..., index, :] -= f.data[1]
+    return out
+
+
+# Where a replaced name is bound, if not in pointjets: a primitive where the
+# modules that call it import it (its own module's functions keep it).
+WHERE = {
+    "two_form_dual": (identities, fieldeqs),
+    "twisted_divergence": (identities, fieldeqs),
+    "slot_action": (identities,),
+    "covariant_D": (identities, geometry),
+    "_eps_lead": (fieldeqs,),
+    "_mul_coordinate": (exprkit,),
+}
+
 ALL = frozenset(BUILTIN_NAMES)
 FLAT = frozenset({"minkowski", "flat-polar"})
 VACUUM = FLAT | {"schwarzschild"}
@@ -60,9 +117,13 @@ TORSIONLESS = VACUUM | {"flrw"}
 ZERO_F = "F = 0 on the flat frames, and a zero re-signed or doubled is still zero"
 ZERO_THETA = "Theta = 0 without contorsion, and every law that reads Theta or its 3-form is linear in it"
 VACUUM_LAWS = "in vacuum every law that reads it is zero or scales with it"
+CONSTANT_FRAME = (
+    "minkowski's frame is constant and its connection zero: every form it derives is zero or "
+    "constant, and a re-signed constant has no derivative"
+)
 
-# mutant -> (the name in pointjets it replaces, the replacement, the
-# builtins on which it must fail at seed 0, why it passes on the others)
+# mutant -> (the name it replaces, the replacement, the builtins on which
+# it must fail at seed 0, why it passes on the others)
 MUTANTS = {
     "F linear sign": ("field_strength_jet", _f_linear_flipped, ALL - FLAT, ZERO_F),
     "F quadratic sign": ("field_strength_jet", _f_quadratic_flipped, ALL - FLAT, ZERO_F),
@@ -100,13 +161,35 @@ MUTANTS = {
         "part is just another connection, which every identity accepts and whose field equations the "
         "manufactured sources solve",
     ),
+    "dual (0, 2) sign": ("two_form_dual", _dual_pair_02_resigned, ALL - {"minkowski"}, CONSTANT_FRAME),
+    "twisted divergence connection sign": (
+        "twisted_divergence", _divergence_connection_flipped, ALL - {"minkowski"}, CONSTANT_FRAME
+    ),
+    "slot action variances": ("slot_action", _slot_variances_flipped, ALL - FLAT, ZERO_F),
+    "covariant D connection sign": (
+        "covariant_D", _covariant_connection_flipped, ALL - {"minkowski"}, CONSTANT_FRAME
+    ),
+    "eps_0123 sign": (
+        "_eps_lead",
+        _eps_0123_resigned,
+        ALL - FLAT,
+        "F, Theta and D(e ^ e) vanish on the flat frames, and each epsilon contraction reads one of them",
+    ),
+    "coordinate product hessian": (
+        "_mul_coordinate",
+        _coordinate_product_hessian_lopsided,
+        frozenset({"random-fields", "schwarzschild"}),
+        "no other builtin multiplies an expression by a coordinate: its coordinate products have a "
+        "constant factor, which scales",
+    ),
 }
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_each_mutant_fails_where_the_table_says(monkeypatch, mutant):
     name, replacement, must_fail, _ = MUTANTS[mutant]
-    monkeypatch.setattr(pointjets, name, replacement)
+    for module in WHERE.get(name, (pointjets,)):
+        monkeypatch.setattr(module, name, replacement)
     failed = {
         builtin
         for builtin in BUILTIN_NAMES

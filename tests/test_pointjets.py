@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tetradkit import forms, pointjets
+from tetradkit import forms, pointjets, runner
 from tetradkit.exprkit import DomainFault
 from tetradkit.fieldeqs import (
     MatterModel,
@@ -437,8 +437,8 @@ def test_the_memo_of_a_chunk_stays_small():
     sc = builtin_scenario("flat-contorsion")
     points = sample_points(sc.chart, CHUNK, 0)
     jets = PointJets(sc.tetrad, sc.connection, points, sc.matter)
-    streams = [(0, i) for i in range(CHUNK)]
     for check in CHECKS:
         if check.applies(sc):
-            check.evaluate(jets, streams)
+            rngs = [runner._aux_rng((0, i), check.name) for i in range(CHUNK)]
+            check.evaluate(jets, *runner._random_jets(rngs, check.draws))
     assert _memo_bytes(jets) / CHUNK <= 80 * 1024

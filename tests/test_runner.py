@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tetradkit import pointjets, runner
+from tetradkit import fieldeqs, identities, pointjets, runner
 from tetradkit.fieldeqs import torsion_three_form
 from tetradkit.forms import MixedForm
 from tetradkit.jets import Jet
@@ -90,6 +90,30 @@ class TestRegistry:
     def test_required_orders_within_cap(self):
         for check in CHECKS:
             assert 0 <= check.required_order <= 3
+
+    def test_ten_checks_are_their_residual_functions(self):
+        # the registry names them itself: no evaluator in runner forwards to them
+        direct = {
+            "metric-compatibility": identities.metric_compatibility_residual,
+            "first-bianchi": identities.first_bianchi_residual,
+            "second-bianchi": identities.second_bianchi_residual,
+            "commutator": identities.commutator_residual,
+            "rewritten-lhs": identities.rewritten_lhs_check,
+            "curvature-equation": fieldeqs.curvature_equation_residual,
+            "torsion-equation": fieldeqs.torsion_equation_residual,
+            "component-field-equations": fieldeqs.component_field_equation_residuals,
+            "conservation-form": identities.conservation_form_residuals,
+            "conservation-component": identities.conservation_component_residuals,
+        }
+        for check in CHECKS:
+            if check.name in direct:
+                assert check.evaluate is direct[check.name], check.name
+            else:
+                assert check.evaluate.__module__ == "tetradkit.runner", check.name
+
+    def test_only_the_random_checks_draw(self):
+        drawing = {check.name: check.draws for check in CHECKS if check.draws}
+        assert drawing == {"d2-law": ((4,), (4,), (4, 4)), "commutator": ((4,),)}
 
     def test_builtins_cover_every_check(self):
         covered = set()
@@ -249,23 +273,22 @@ def _nan_last(part):
 
 
 def _spin_nan(res):
-    return dataclasses.replace(res, spin=_nan_last(res.spin))
+    return res._replace(spin=_nan_last(res.spin))
 
 
-# (check, the residual function it calls in runner's namespace, a poison
-# that puts one NaN into the last part of that function's result)
+# (check, a poison that puts one NaN into the last part of its residual)
 LAST_PART_NAN = [
-    ("rewritten-lhs", "rewritten_lhs_check", lambda res: (res[0], _nan_last(res[1]))),
-    ("conservation-form", "conservation_form_residuals", _spin_nan),
-    ("component-field-equations", "component_field_equation_residuals", _spin_nan),
-    ("conservation-component", "conservation_component_residuals", _spin_nan),
+    ("rewritten-lhs", lambda res: (res[0], _nan_last(res[1]))),
+    ("conservation-form", _spin_nan),
+    ("component-field-equations", _spin_nan),
+    ("conservation-component", _spin_nan),
 ]
 
 
 class TestPointFaults:
     def test_non_finite_residual_is_an_error_and_fails(self, monkeypatch):
-        def nan_at_point_one(jets, streams):
-            return np.array([math.nan if stream[1] == 1 else 0.0 for stream in streams])
+        def nan_at_point_one(jets):
+            return np.array([math.nan if row == 1 else 0.0 for row in range(len(jets.points))])
 
         _patch_check(monkeypatch, "torsion-consistency", nan_at_point_one)
         sc = builtin_scenario("minkowski")
@@ -279,12 +302,10 @@ class TestPointFaults:
         ]
         assert "non-finite residual" in report.errors[0]["message"]
 
-    @pytest.mark.parametrize(
-        "check, function, poison", LAST_PART_NAN, ids=[case[0] for case in LAST_PART_NAN]
-    )
-    def test_nan_in_a_later_part_is_an_error(self, monkeypatch, check, function, poison):
-        residual = getattr(runner, function)
-        monkeypatch.setattr(runner, function, lambda jets: poison(residual(jets)))
+    @pytest.mark.parametrize("check, poison", LAST_PART_NAN, ids=[case[0] for case in LAST_PART_NAN])
+    def test_nan_in_a_later_part_is_an_error(self, monkeypatch, check, poison):
+        residual = next(c for c in CHECKS if c.name == check).evaluate
+        _patch_check(monkeypatch, check, lambda jets: poison(residual(jets)))
         report = run_checks(builtin_scenario("random-fields"), points=3, checks=[check])
         (result,) = report.results
         assert result.points == 0
@@ -368,7 +389,7 @@ class TestPointFaults:
         ]
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(jets, streams):
+        def broken(jets):
             raise TypeError("not a domain fault")
 
         _patch_check(monkeypatch, "second-bianchi", broken)
@@ -593,7 +614,7 @@ def test_a_run_builds_no_mixed_form(monkeypatch, name):
     sc = builtin_scenario(name)
     points = sample_points(sc.chart, runner.CHUNK, 0)
     jets = pointjets.PointJets(sc.tetrad, sc.connection, points, sc.matter)
-    streams = [(0, i) for i in range(len(points))]
     for check in CHECKS:  # all 15, levi-civita-torsion too
-        check.evaluate(jets, streams)
+        rngs = [runner._aux_rng((0, i), check.name) for i in range(len(points))]
+        check.evaluate(jets, *runner._random_jets(rngs, check.draws))
     assert run_checks(sc, points=runner.CHUNK + 5, seed=0).overall_pass
